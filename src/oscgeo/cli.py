@@ -137,6 +137,12 @@ def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
             raise CliValidationError(f"bad velocity term {term!r}")
         name = m.group(1).upper()
         idx = int(m.group(2) or m.group(3) or 0)
+        if name[0] in "XY" and idx < 1:
+            raise CliValidationError(f"velocity term {term!r}: X/Y indices start at 1")
+        if n_hint and idx > n_hint:
+            raise CliValidationError(
+                f"velocity term {term!r} needs n >= {idx}, got n = {n_hint}"
+            )
         max_index = max(max_index, idx)
         parsed.append((sign * coef, name, idx))
     n = n_hint or max(max_index, 1)
@@ -563,7 +569,7 @@ def main(argv=None) -> int:
     except (CliValidationError, UnsupportedSpec, json.JSONDecodeError) as exc:
         emit(args, make_report(args, {"diagnostics": [f"validation error: {exc}"]}))
         return EXIT_VALIDATION
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         emit(args, make_report(args, {"diagnostics": [f"validation error: {exc}"]}))
         return EXIT_VALIDATION
     emit(args, make_report(args, payload))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
 from .exact import ExactScalar, PiPoly
-from .group import GroupElement, exact_cos_sin, multiply
+from .group import GroupElement, multiply, rotation
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,9 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
     t_out = (a_p * s_p).to_exact()
     z_p = d_p * s_p
     v = []
-    for lam, (b, c) in zip(freqs.lambdas, x.bc):
+    rot = rotation(t_out, freqs)  # block angles lambda_j * a * s
+    for lam, (b, c), (kos, sin) in zip(freqs.lambdas, x.bc, rot.cos_sin):
         b_p, c_p = PiPoly.lift(b), PiPoly.lift(c)
-        theta = (a_p * s_p).to_exact() * lam  # lambda_j * a * s
-        if theta.q1 != 0:
-            raise ValueError(f"angle {theta} has a rational part; trig is irrational")
-        kos, sin = exact_cos_sin(theta.q2)
         vx = (b_p * sin + c_p * (kos - 1)) / (a_p * lam)
         vy = (b_p * (1 - kos) + c_p * sin) / (a_p * lam)
         v.extend((vx.to_fraction(), vy.to_fraction()))

@@ -9,9 +9,12 @@ with 2x2 blocks [[0, 1], [-1, 0]].  This sign of J is forced by the
 requirement that the closed-form geodesics are one-parameter subgroups
 (tested in the geodesics suite).
 
-Exact mode keeps z, t as ExactScalar and v as rationals; rotations are then
-restricted to angles where every lambda_i * t is an integer multiple of
-pi/2, so each block is a signed permutation.
+A rotation R(t) is held as one (cos, sin) pair per block and applied pair
+by pair; no dense 2n x 2n matrix is built.  Exact mode keeps z, t as
+ExactScalar and v as rationals; rotations are then restricted to angles
+where every lambda_i * t is an integer multiple of pi/2 (`is_quarter_turn`),
+so each block's (cos, sin) is a signed quarter turn, ints in {-1, 0, 1}.
+`rotation` is the only place an exact angle becomes (cos, sin).
 """
 
 from __future__ import annotations
@@ -35,76 +38,49 @@ class ExactModeUnsupportedAngle(ValueError):
 _QUARTER = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def exact_cos_sin(angle_pi_coeff: Fraction) -> tuple[int, int]:
-    """(cos, sin) of angle = coeff * pi, defined when 2*coeff is an integer."""
-    half_turns = angle_pi_coeff * 2
-    if half_turns.denominator != 1:
-        raise ExactModeUnsupportedAngle(
-            f"angle {angle_pi_coeff}*pi is not a multiple of pi/2"
-        )
-    return _QUARTER[half_turns.numerator % 4]
-
-
-def _exact_angle_coeffs(t: ExactScalar, freqs: FrequencyList) -> list[Fraction]:
-    """Per-block pi-coefficients lambda_i * t / pi, requiring t in pi*Q."""
-    if not isinstance(t, ExactScalar):
-        raise TypeError("exact rotation needs an ExactScalar angle")
+def _half_turns(t: ExactScalar, freqs: FrequencyList) -> list | None:
+    """Each block angle lambda_i * t in units of pi/2; None if t has a rational part."""
     if t.q1 != 0:
-        raise ExactModeUnsupportedAngle(
-            f"angle {t} has a nonzero rational part; rotation entries would be irrational"
-        )
-    return [lam * t.q2 for lam in freqs.lambdas]
+        return None
+    return [lam * t.q2 * 2 for lam in freqs.lambdas]
+
+
+def is_quarter_turn(t: ExactScalar, freqs: FrequencyList) -> bool:
+    """Whether every block angle lambda_i * t is an integer multiple of pi/2."""
+    half_turns = _half_turns(t, freqs)
+    return half_turns is not None and all(h.denominator == 1 for h in half_turns)
+
+
+def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
+    """Apply [[c, -s], [s, c]] to each pair (v[2i], v[2i+1]), one (c, s) per pair."""
+    out = []
+    for (c, s), x, y in zip(cos_sin, v[0::2], v[1::2], strict=True):
+        out.extend((c * x - s * y, s * x + c * y))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class RotationMatrix:
-    """Block-diagonal rotation by angles lambda_i * t."""
+    """Block-diagonal rotation by angles lambda_i * t, one (cos, sin) per block.
 
-    entries: tuple  # tuple of 2n row-tuples, entries Fraction or float
-    angle_t: object
+    Exact rotations hold ints in {-1, 0, 1}; float rotations hold floats.
+    """
+
+    cos_sin: tuple
 
     def block(self, i: int) -> tuple:
-        r = self.entries
-        return (
-            (r[2 * i][2 * i], r[2 * i][2 * i + 1]),
-            (r[2 * i + 1][2 * i], r[2 * i + 1][2 * i + 1]),
-        )
+        c, s = self.cos_sin[i]
+        return ((c, -s), (s, c))
 
     def apply(self, v: Sequence) -> tuple:
-        out = []
-        for i in range(len(v) // 2):
-            (a, b), (c, d) = self.block(i)
-            out.extend((a * v[2 * i] + b * v[2 * i + 1], c * v[2 * i] + d * v[2 * i + 1]))
-        return tuple(out)
-
-    def matmul(self, other: "RotationMatrix") -> "RotationMatrix":
-        n2 = len(self.entries)
-        rows = []
-        for i in range(n2):
-            rows.append(
-                tuple(
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(n2))
-                    for j in range(n2)
-                )
-            )
-        return RotationMatrix(tuple(rows), None)
+        return rotate_pairs(self.cos_sin, v)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
-
-
-def _blocks_to_entries(blocks: list[tuple]) -> tuple:
-    n = len(blocks)
-    rows = []
-    for i in range(n):
-        (a, b), (c, d) = blocks[i]
-        row1 = [0] * (2 * n)
-        row2 = [0] * (2 * n)
-        row1[2 * i], row1[2 * i + 1] = a, b
-        row2[2 * i], row2[2 * i + 1] = c, d
-        rows.append(tuple(row1))
-        rows.append(tuple(row2))
-    return tuple(rows)
+        n2 = 2 * len(self.cos_sin)
+        out = np.zeros((n2, n2))
+        for i in range(len(self.cos_sin)):
+            out[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = self.block(i)
+        return out
 
 
 def rotation(t, freqs: FrequencyList, exact: bool | None = None) -> RotationMatrix:
@@ -112,19 +88,22 @@ def rotation(t, freqs: FrequencyList, exact: bool | None = None) -> RotationMatr
     if exact is None:
         exact = isinstance(t, ExactScalar)
     if exact:
-        coeffs = _exact_angle_coeffs(as_exact(t), freqs)
-        blocks = []
-        for coeff in coeffs:
-            c, s = exact_cos_sin(coeff)
-            blocks.append(((Fraction(c), Fraction(-s)), (Fraction(s), Fraction(c))))
-        return RotationMatrix(_blocks_to_entries(blocks), as_exact(t))
+        t = as_exact(t)
+        half_turns = _half_turns(t, freqs)
+        if half_turns is None:
+            raise ExactModeUnsupportedAngle(
+                f"angle {t} has a nonzero rational part; rotation entries would be irrational"
+            )
+        cos_sin = []
+        for h in half_turns:
+            if h.denominator != 1:
+                raise ExactModeUnsupportedAngle(f"angle {h / 2}*pi is not a multiple of pi/2")
+            cos_sin.append(_QUARTER[h.numerator % 4])
+        return RotationMatrix(tuple(cos_sin))
     tf = float(t)
-    blocks = []
-    for lam in freqs.lambdas:
-        th = float(lam) * tf
-        c, s = math.cos(th), math.sin(th)
-        blocks.append(((c, -s), (s, c)))
-    return RotationMatrix(_blocks_to_entries(blocks), tf)
+    return RotationMatrix(
+        tuple((math.cos(th), math.sin(th)) for th in (float(lam) * tf for lam in freqs.lambdas))
+    )
 
 
 def apply_j(v: Sequence) -> tuple:

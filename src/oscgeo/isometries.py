@@ -22,6 +22,7 @@ validator reports both outcomes instead of silently preferring either.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,10 +34,11 @@ from .geodesics import metric_at, metric_matrix
 from .group import (
     GroupElement,
     conjugate,
-    exact_cos_sin,
     invert,
     max_coord_dist,
     multiply,
+    rotate_pairs,
+    rotation,
 )
 
 ALGEBRA_TOL = 1e-10
@@ -244,6 +246,11 @@ def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = Fa
         raise ShapeMismatch("blocks do not match the equal-frequency runs")
     if g.is_exact():
         return _theta_exact(blocks, g, freqs, normalized)
+    return _theta_float(blocks, g, freqs, normalized, lambda s, x: s @ x)
+
+
+def _theta_float(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool, act):
+    """Float v -> act(S, v) per equal-frequency run, with S = P(t)^T B P(t)."""
     t = float(g.t)
     v = np.array(g.v, dtype=float)
     out = np.empty_like(v)
@@ -253,7 +260,7 @@ def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = Fa
         p2 = _p_block_float(float(lam), t, normalized)
         p = np.kron(np.eye(m), p2)
         sl = slice(offset, offset + size)
-        out[sl] = p.T @ b @ p @ v[sl]
+        out[sl] = act(p.T @ np.asarray(b) @ p, v[sl])
         offset += size
     return GroupElement(float(g.z), out.tolist(), t)
 
@@ -271,69 +278,33 @@ def _theta_exact(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool
                for x, y in zip(row, rrow)):
             raise ValueError("exact theta needs rational blocks")
         rational_blocks.append(rb)
-    if g.t.q1 != 0:
-        raise ValueError("exact theta needs a pi-rational t")
+    cos_sin = rotation(g.t, freqs).cos_sin
     v = list(g.v)
     out: list[Fraction] = []
     offset = 0
-    for (lam, m), b in zip(freqs.runs(), rational_blocks):
-        kos, sin = exact_cos_sin(lam * g.t.q2)
-        if kos == 1:
-            p2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-            scale = Fraction(1)
-        else:
-            p2 = ((Fraction(sin), Fraction(1 - kos)), (Fraction(kos - 1), Fraction(sin)))
-            scale = Fraction(2 - 2 * kos) if normalized else Fraction(1)
+    for (_, m), b in zip(freqs.runs(), rational_blocks):
+        kos, sin = cos_sin[offset // 2]
+        # P = [[sin, 1-cos], [cos-1, sin]] is the rotation shape at (sin, cos-1)
+        p = (1, 0) if kos == 1 else (sin, kos - 1)
+        scale = 2 - 2 * kos if normalized and kos != 1 else 1
         size = 2 * m
-        seg = v[offset: offset + size]
-        # apply blockdiag(p2) per pair, then b, then blockdiag(p2)^T
-        pv = _apply_pair_block(p2, seg)
+        # apply blockdiag(P) per pair, then b, then blockdiag(P)^T
+        pv = rotate_pairs([p] * m, v[offset: offset + size])
         bpv = [
             sum(b[i][j] * pv[j] for j in range(size)) for i in range(size)
         ]
-        ptbpv = _apply_pair_block_transposed(p2, bpv)
+        ptbpv = rotate_pairs([(p[0], -p[1])] * m, bpv)
         out.extend(x / scale for x in ptbpv)
         offset += size
     return GroupElement(g.z, out, g.t)
-
-
-def _apply_pair_block(p2, seg):
-    out = []
-    for i in range(len(seg) // 2):
-        x, y = seg[2 * i], seg[2 * i + 1]
-        out.append(p2[0][0] * x + p2[0][1] * y)
-        out.append(p2[1][0] * x + p2[1][1] * y)
-    return out
-
-
-def _apply_pair_block_transposed(p2, seg):
-    out = []
-    for i in range(len(seg) // 2):
-        x, y = seg[2 * i], seg[2 * i + 1]
-        out.append(p2[0][0] * x + p2[1][0] * y)
-        out.append(p2[0][1] * x + p2[1][1] * y)
-    return out
 
 
 def theta_differential_at_identity(
     blocks, freqs: FrequencyList, normalized: bool = False, h: float = 1e-6
 ) -> np.ndarray:
     """Finite-difference differential of theta at the identity."""
-    dim = freqs.dim
-    out = np.zeros((dim, dim))
-    for j in range(dim):
-        coords_p = [0.0] * dim
-        coords_m = [0.0] * dim
-        coords_p[j] = h
-        coords_m[j] = -h
-        gp = GroupElement(coords_p[0], coords_p[1:-1], coords_p[-1])
-        gm = GroupElement(coords_m[0], coords_m[1:-1], coords_m[-1])
-        tp = theta_B(blocks, gp, freqs, normalized)
-        tm = theta_B(blocks, gm, freqs, normalized)
-        out[:, j] = [
-            (a - b) / (2 * h) for a, b in zip(tp.coords(), tm.coords())
-        ]
-    return out
+    f = lambda g: theta_B(blocks, g, freqs, normalized)
+    return _map_differential(f, GroupElement.identity(freqs.n).to_floats(), freqs, h)
 
 
 def _map_differential(f, p: GroupElement, freqs: FrequencyList, h: float = 1e-6):
@@ -363,8 +334,6 @@ def validate_theta(
     isometry check fails away from the special angles, which is exactly the
     behaviour this validator exists to surface.
     """
-    import random
-
     rng = random.Random(seed)
     dim = freqs.dim
     expected = np.zeros((dim, dim))
@@ -482,9 +451,7 @@ def _exact_angle_grid(spec, count: int, rng) -> list[GroupElement]:
     n2 = 2 * freqs.n
     step = spec.z_step()
     # smallest positive t with every lambda_i * t in (pi/2)Z
-    den = 1
-    for lam in freqs.lambdas:
-        den = den * lam.denominator // math.gcd(den, lam.denominator)
+    den = math.lcm(*(lam.denominator for lam in freqs.lambdas))
     t_unit = ExactScalar(0, Fraction(den, 2))  # (pi/2) * lcm of denominators
     v_values = [Fraction(0), step / 2, step / 3, step, Fraction(1), Fraction(1, 2)]
     grid: list[GroupElement] = []
@@ -509,8 +476,6 @@ def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdi
     "no counterexample found".  Membership is only ever decided exactly, so
     the grid uses exact points with quarter-turn-compatible angles.
     """
-    import random
-
     rng = random.Random(seed)
     freqs = spec.freqs
     lams = spec.generators()
@@ -539,19 +504,7 @@ def _theta_inverse_apply(blocks, g, freqs, normalized):
     if normalized:
         return theta_B(inv_blocks, g, freqs, normalized=True)
     # unnormalized theta is v -> S v with S = P^T B P; invert S pointwise
-    t = float(g.t)
-    v = np.array(g.v, dtype=float)
-    out = np.empty_like(v)
-    offset = 0
-    for (lam, m), b in zip(freqs.runs(), blocks):
-        size = 2 * m
-        p2 = _p_block_float(float(lam), t, normalized=False)
-        p = np.kron(np.eye(m), p2)
-        s = p.T @ np.asarray(b) @ p
-        sl = slice(offset, offset + size)
-        out[sl] = np.linalg.solve(s, v[sl])
-        offset += size
-    return GroupElement(float(g.z), out.tolist(), t)
+    return _theta_float(blocks, g, freqs, False, np.linalg.solve)
 
 
 def structure_relations_check(
@@ -574,8 +527,6 @@ def structure_relations_check(
     deviation is attained.  J is the block matrix with [[0,1],[-1,0]]
     blocks, matching the group cocycle.
     """
-    import random
-
     rng = random.Random(seed)
     n2 = 2 * freqs.n
     v = np.asarray(v, dtype=float).reshape(n2)

@@ -29,24 +29,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import FrequencyList
 from .exact import ExactScalar, PI
 from .group import (
     ExactModeUnsupportedAngle,
     GroupElement,
     apply_j,
     invert,
+    is_quarter_turn,
     multiply,
     rotation,
 )
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
-
-
-def _rotation_integer_condition(t: ExactScalar, freqs: FrequencyList) -> bool:
-    """Condition (A): every block angle lambda_i * t is a pi/2 multiple."""
-    if t.q1 != 0:
-        return t.is_zero()
-    return all((lam * t.q2 * 2).denominator == 1 for lam in freqs.lambdas)
 
 
 def _period_rotations(spec) -> list:
@@ -62,8 +55,8 @@ def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
         raise TypeError("normalizer membership is decided in exact mode")
     if g.n != spec.freqs.n:
         raise ValueError("element dimension does not match the lattice")
-    if not _rotation_integer_condition(g.t, spec.freqs):
-        return False
+    if not is_quarter_turn(g.t, spec.freqs):
+        return False  # (A)
     v = g.v
     inv_k = Fraction(1, spec.k)
     for rc in _period_rotations(spec):
@@ -83,18 +76,15 @@ def normalizer_oracle(g: GroupElement, spec: LatticeSpec) -> bool:
     in both directions."""
     if not g.is_exact():
         raise TypeError("the oracle works on exact elements")
-    if g.t.q1 != 0 and not g.t.is_zero():
-        if all((lam * g.t.q2 * 2).denominator == 1 for lam in spec.freqs.lambdas):
-            # rotation by the rational-part angle has irrational entries
-            # (sin/cos of a nonzero rational are irrational), so conjugating
-            # a v-generator leaves the integer lattice
-            return False
-        raise ExactModeUnsupportedAngle(
-            f"cannot conjugate exactly at t = {g.t}"
-        )
-    if not _rotation_integer_condition(g.t, spec.freqs):
-        # some block angle is a pi-rational non-quarter turn: both sine and
-        # cosine cannot be rational there, so R(t) e_i leaves Z^{2n}
+    if not is_quarter_turn(g.t, spec.freqs):
+        if g.t.q1 != 0 and not is_quarter_turn(g.t - g.t.q1, spec.freqs):
+            raise ExactModeUnsupportedAngle(
+                f"cannot conjugate exactly at t = {g.t}"
+            )
+        # a nonzero rational part makes sin/cos of the block angle irrational,
+        # and a pi-rational non-quarter turn cannot have both rational: either
+        # way R(t) e_i leaves Z^{2n}, so conjugating a v-generator leaves the
+        # integer lattice
         return False
     freqs = spec.freqs
     g_inv = invert(g, freqs)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import AlgebraVector, CausalClass, FrequencyList
 from .exact import ExactScalar, PiPoly, as_exact
 from .geodesics import Geodesic, eval_geodesic, eval_geodesic_exact
-from .group import GroupElement, exact_cos_sin, max_coord_dist
+from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
 from .lattices import (
     Dim4Family,
     Dim6Family,
@@ -174,17 +174,15 @@ def _certificate_k0_many(spec, prof, sign_wanted: int) -> ClosedGeodesicCertific
     t_hat = prof.t0 * (prof.k0 - 1)
     tau = t_hat.q2
     blocks = []  # (u_j, beta_j, gamma_j, sin_j) with velocities beta*pi, gamma*pi
-    for lam in freqs.lambdas:
-        kos, sin = exact_cos_sin(lam * tau)
+    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t_hat, freqs).cos_sin):
         if kos == 1:  # singular block: stays at the origin, target 0 there
             blocks.append(((Fraction(0), Fraction(0)), Fraction(0), Fraction(0), sin))
             continue
         u_j = (Fraction(1), Fraction(0))
         det = Fraction(sin * sin + (1 - kos) * (1 - kos))
         rhs = (lam * tau * u_j[0], lam * tau * u_j[1])
-        # inverse of [[sin, kos-1], [1-kos, sin]] applied to rhs
-        beta = (sin * rhs[0] - (kos - 1) * rhs[1]) / det
-        gamma = (-(1 - kos) * rhs[0] + sin * rhs[1]) / det
+        # inverse of the rotation shape [[sin, kos-1], [1-kos, sin]]: transpose / det
+        beta, gamma = (x / det for x in rotate_pairs([(sin, kos - 1)], rhs))
         blocks.append((u_j, beta, gamma, sin))
     u_flat = []
     for (u_j, _, _, _) in blocks:
@@ -311,6 +309,8 @@ def search_closed(
     _require_profiled(spec)
     if x.n != spec.freqs.n:
         raise ValueError("velocity does not match the lattice dimension")
+    if r_max < 0:
+        raise ValueError(f"r_max must be non-negative, got {r_max}")
     freqs = spec.freqs
     prof = spec.profile()
     exact_input = _is_exact_vector(x)

@@ -178,6 +178,56 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestContractBreaches:
+    """Inputs that once escaped as tracebacks or reported success."""
+
+    def test_zero_denominator_angle_is_exit_2(self, capsys):
+        code, rep = run_cli(capsys, "lattice", "info", "--lattice", "dim4:k=1:angle=1/0")
+        assert code == 2
+        assert any("validation" in d for d in rep["diagnostics"])
+
+    def test_zero_denominator_element_is_exit_2(self, capsys):
+        code, rep = run_cli(
+            capsys, "lattice", "contains", "--lattice", "dim4:k=1:angle=2pi",
+            "--element", '{"z": "1/0", "v": [0, 0], "t": 0}',
+        )
+        assert code == 2
+        assert any("validation" in d for d in rep["diagnostics"])
+
+    def test_velocity_index_beyond_lattice_is_exit_2(self, capsys):
+        code, rep = run_cli(
+            capsys, "geodesic", "eval", "--X", "X3", "--lattice", "dim4:k=1:angle=2pi",
+            "--s", "0..1",
+        )
+        assert code == 2
+        assert any("X3" in d for d in rep["diagnostics"])
+
+    def test_velocity_index_zero_is_exit_2(self, capsys):
+        code, rep = run_cli(
+            capsys, "geodesic", "eval", "--X", "X0", "--lattice", "dim4:k=1:angle=2pi",
+            "--s", "0..1",
+        )
+        assert code == 2
+        assert any("X0" in d for d in rep["diagnostics"])
+
+    def test_zero_denominator_velocity_is_exit_2(self, capsys):
+        code, rep = run_cli(
+            capsys, "geodesic", "eval", "--X", "1/0*X1", "--lattice", "dim4:k=1:angle=2pi",
+            "--s", "0..1",
+        )
+        assert code == 2
+        assert any("validation" in d for d in rep["diagnostics"])
+
+    def test_negative_r_max_is_exit_2(self, capsys):
+        code, rep = run_cli(
+            capsys, "quotient", "closed-search", "--lattice", "dim4:k=1:angle=2pi",
+            "--X", "T", "--r-max", "-5",
+        )
+        assert code == 2
+        assert "closed" not in rep["verdicts"]
+        assert any("r_max" in d for d in rep["diagnostics"])
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, capsys):
         argv = ["quotient", "certify-causal", "--lattice", "dim4:k=1:angle=pi/2", "--seed", "7"]

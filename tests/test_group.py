@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI
@@ -11,6 +14,7 @@ from oscgeo.group import (
     GroupElement,
     conjugate,
     invert,
+    is_quarter_turn,
     max_coord_dist,
     multiply,
     rotation,
@@ -27,11 +31,15 @@ def g_exact(z, v, t):
 class TestRotation:
     def test_identity_at_zero(self):
         r = rotation(ExactScalar(0), F1)
-        assert r.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert r.cos_sin == ((1, 0),)
+        assert r.block(0) == ((1, 0), (0, 1))
+        assert r.apply((Fraction(2, 3), Fraction(-5))) == (Fraction(2, 3), Fraction(-5))
 
     def test_half_turn(self):
         r = rotation(PI, F1)
-        assert r.entries == ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
+        assert r.cos_sin == ((-1, 0),)
+        assert r.block(0) == ((-1, 0), (0, -1))
+        assert r.apply((Fraction(2, 3), Fraction(-5))) == (Fraction(-2, 3), Fraction(5))
 
     def test_per_block_angles(self):
         fl = FrequencyList([1, Fraction(1, 2)])
@@ -46,6 +54,13 @@ class TestRotation:
             rotation(ExactScalar(1), F1)
         # fine for the float path
         rotation(1.0, F1)
+
+    def test_apply_rejects_wrong_dimension(self):
+        r = rotation(PI, F1)
+        with pytest.raises(ValueError):
+            r.apply((Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
+        with pytest.raises(ValueError):
+            r.apply(())
 
     def test_orthogonal_and_homomorphism_float(self):
         fl = FrequencyList([1, 3])
@@ -62,8 +77,12 @@ class TestRotation:
     def test_exact_blocks_are_signed_permutations(self):
         fl = FrequencyList([1, Fraction(3, 2)])
         r = rotation(2 * PI, fl)  # angles 2pi and 3pi
-        for row in r.entries:
-            assert all(x in (-1, 0, 1) for x in row)
+        assert r.cos_sin == ((1, 0), (-1, 0))
+        for i in range(fl.n):
+            for row in r.block(i):
+                assert all(type(x) is int and x in (-1, 0, 1) for x in row)
+                assert sum(x * x for x in row) == 1  # one unit entry per row
+        assert np.array_equal(r.as_array(), np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 class TestGroupElement:
@@ -206,3 +225,80 @@ class TestConjugation:
             assert conjugate(h, multiply(a, b, fl), fl) == multiply(
                 conjugate(h, a, fl), conjugate(h, b, fl), fl
             )
+
+
+# -- generated exact quarter-turn elements ------------------------------------
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+freq_lists = st.lists(
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+    min_size=1,
+    max_size=2,
+).map(FrequencyList)
+
+
+def quarter_turn_unit(fl):
+    """pi/2 times the lcm of the frequency denominators: every lambda_i times
+    a multiple of it is a multiple of pi/2."""
+    return PI * Fraction(math.lcm(*(lam.denominator for lam in fl.lambdas)), 2)
+
+
+def quarter_turns(fl):
+    return st.integers(-4, 4).map(lambda k: quarter_turn_unit(fl) * k)
+
+
+def exact_vectors(fl):
+    return st.lists(small_rationals, min_size=2 * fl.n, max_size=2 * fl.n)
+
+
+def exact_elements(fl):
+    return st.builds(
+        GroupElement,
+        st.builds(ExactScalar, small_rationals, small_rationals),
+        exact_vectors(fl),
+        quarter_turns(fl),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_associativity_and_inverses(data):
+    fl = data.draw(freq_lists)
+    a, b, c = (data.draw(exact_elements(fl)) for _ in range(3))
+    assert multiply(multiply(a, b, fl), c, fl) == multiply(a, multiply(b, c, fl), fl)
+    assert multiply(a, invert(a, fl), fl).is_identity()
+    assert multiply(invert(a, fl), a, fl).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_rotation_is_homomorphism(data):
+    fl = data.draw(freq_lists)
+    s, t = data.draw(quarter_turns(fl)), data.draw(quarter_turns(fl))
+    v = tuple(data.draw(exact_vectors(fl)))
+    assert rotation(s + t, fl).apply(v) == rotation(s, fl).apply(rotation(t, fl).apply(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_is_quarter_turn_iff_rotation_is_exact(data):
+    fl = data.draw(freq_lists)
+    t = data.draw(
+        quarter_turns(fl)
+        | st.builds(ExactScalar, st.just(0) | small_rationals, small_rationals)
+    )
+    try:
+        rotation(t, fl)
+        exact = True
+    except ExactModeUnsupportedAngle:
+        exact = False
+    assert is_quarter_turn(t, fl) == exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_multiply_matches_float(data):
+    fl = data.draw(freq_lists)
+    a, b = data.draw(exact_elements(fl)), data.draw(exact_elements(fl))
+    floated = multiply(a.to_floats(), b.to_floats(), fl)
+    assert max_coord_dist(multiply(a, b, fl).to_floats(), floated) < 1e-12

@@ -215,12 +215,16 @@ class TestClosureAndDiscreteness:
     def test_rotation_step_preserves_integer_lattice(self):
         for spec in (Dim4Family(1, HALF_PI), Dim6Family(1, 2, 3, 4)):
             r = rotation_step_matrix(spec)
-            for row in r.entries:
-                assert all(x.denominator == 1 for x in row)
-            # signed permutation: one unit entry per row
-            for row in r.entries:
-                assert sorted(abs(x) for x in row)[-1] == 1
-                assert sum(x * x for x in row) == 1
+            for i in range(spec.freqs.n):
+                rows = r.block(i)
+                assert all(x.denominator == 1 for row in rows for x in row)
+                # signed permutation: one unit entry per row
+                for row in rows:
+                    assert sorted(abs(x) for x in row)[-1] == 1
+                    assert sum(x * x for x in row) == 1
+            # so R(t0) maps Z^{2n} onto itself
+            v = tuple(range(1, 2 * spec.freqs.n + 1))
+            assert sorted(abs(x) for x in r.apply(v)) == list(v)
 
 
 class TestGeneratorList:
