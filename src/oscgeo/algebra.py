@@ -2,7 +2,8 @@
 
 Basis order is fixed as (Z, X_1, Y_1, ..., X_n, Y_n, T); a vector is stored
 by its coefficients (d, (b_1, c_1), ..., (b_n, c_n), a) in that basis.
-Coefficients may be exact rationals or floats; operations preserve the type.
+Coefficients may be exact (rationals or q1 + q2*pi scalars) or floats;
+operations preserve the type.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import rat
+from .exact import ExactScalar, PiPoly, rat
 
 # float-mode tolerance for sign decisions of the causal quantity; inputs in
 # the shipped tests are exact, so only representation noise needs absorbing
@@ -156,6 +157,10 @@ class AlgebraVector:
     def __rmul__(self, s) -> "AlgebraVector":
         return AlgebraVector(s * self.d, [(s * b, s * c) for b, c in self.bc], s * self.a)
 
+    def is_exact(self) -> bool:
+        """Whether every coefficient is an int, a Fraction or an ExactScalar."""
+        return all(isinstance(c, (int, Fraction, ExactScalar)) for c in self.coords())
+
     def to_floats(self) -> "AlgebraVector":
         return AlgebraVector(
             float(self.d), [(float(b), float(c)) for b, c in self.bc], float(self.a)
@@ -208,16 +213,18 @@ def causal_quantity(x: AlgebraVector, freqs: FrequencyList):
 def causal_class(
     x: AlgebraVector, freqs: FrequencyList, tol: float | None = None
 ) -> CausalClass:
-    """Causal type of x; exact inputs get an exact sign decision."""
-    q = causal_quantity(x, freqs)
-    if isinstance(q, (int, Fraction)):
-        if q == 0:
-            return CausalClass.LIGHTLIKE
-        return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
-    tol = CAUSAL_TOL if tol is None else tol
-    if abs(q) <= tol:
+    """Causal type of x: the exact sign of <x, x> for an exact x (entries
+    q1 + q2*pi included), the float sign up to tol otherwise."""
+    if x.is_exact():
+        lifted = AlgebraVector.from_coords([PiPoly.lift(c) for c in x.coords()])
+        sign = causal_quantity(lifted, freqs).sign()
+    else:
+        q = causal_quantity(x.to_floats(), freqs)
+        tol = CAUSAL_TOL if tol is None else tol
+        sign = 0 if abs(q) <= tol else -1 if q < 0 else 1
+    if sign == 0:
         return CausalClass.LIGHTLIKE
-    return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
+    return CausalClass.TIMELIKE if sign < 0 else CausalClass.SPACELIKE
 
 
 def gram_matrix(freqs: FrequencyList) -> list[list[Fraction]]:

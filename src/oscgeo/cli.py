@@ -367,6 +367,8 @@ def cmd_isometry_decompose(args) -> dict:
 
 
 def cmd_isometry_normalizer(args) -> dict:
+    if args.grid not in (None, "default"):
+        raise CliValidationError(f"unknown grid {args.grid!r} (only 'default' exists)")
     spec = parse_lattice(args.lattice)
     if args.element:
         g = parse_element(args.element)

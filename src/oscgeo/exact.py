@@ -218,7 +218,7 @@ def _parse_term(term: str) -> ExactScalar:
         if m.group("den"):
             q2 /= int(m.group("den"))
         return ExactScalar(0, q2)
-    return ExactScalar(Fraction(term), 0)
+    return ExactScalar(rat(term), 0)
 
 
 def parse_exact(text: str) -> ExactScalar:

@@ -22,6 +22,10 @@ speed.  A commonly printed variant flips the sign of the x dy cross term;
 that variant fails both checks, so the derived components are authoritative
 and `christoffel_table_report` surfaces where the hand-tabulated symbols
 disagree with the derived ones.
+
+The metric and both symbol sets have one rational computation: float
+coordinates are lifted exactly with Fraction(x), and the result becomes a
+float array only on return, and only for a float point.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
+from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, gram_matrix
 from .exact import ExactScalar, PiPoly
 from .group import GroupElement, multiply, rotation
 
@@ -211,27 +215,27 @@ def integrate_geodesic(
 # -- metric and Christoffel symbols ------------------------------------------
 
 
+def _as_point_type(p: GroupElement, rows):
+    """Exact rows for an exact point; a float array for a float point."""
+    return rows if p.is_exact() else np.array(rows, dtype=float)
+
+
+def _metric_rows(coords, freqs: FrequencyList) -> list[list[Fraction]]:
+    """Metric components at coordinates (z, x_j, y_j, t), lifted exactly."""
+    g = gram_matrix(freqs)
+    tt = freqs.dim - 1
+    for i in range(freqs.n):
+        x_i, y_i = Fraction(coords[1 + 2 * i]), Fraction(coords[2 + 2 * i])
+        g[1 + 2 * i][tt] = g[tt][1 + 2 * i] = y_i / 2
+        g[2 + 2 * i][tt] = g[tt][2 + 2 * i] = -x_i / 2
+    return g
+
+
 def metric_matrix(p: GroupElement, freqs: FrequencyList):
     """Component matrix of the metric at p in coordinates (z, x_j, y_j, t)."""
     if p.n != freqs.n:
         raise ValueError("point does not match frequencies")
-    dim = freqs.dim
-    exact = p.is_exact()
-    half = Fraction(1, 2) if exact else 0.5
-    one = Fraction(1) if exact else 1.0
-    g = [[0 * one for _ in range(dim)] for _ in range(dim)]
-    g[0][dim - 1] = g[dim - 1][0] = one
-    for i, lam in enumerate(freqs.lambdas):
-        lam = lam if exact else float(lam)
-        xi, yi = 1 + 2 * i, 2 + 2 * i
-        g[xi][xi] = one / lam
-        g[yi][yi] = one / lam
-        x_i, y_i = p.v[2 * i], p.v[2 * i + 1]
-        g[xi][dim - 1] = g[dim - 1][xi] = y_i * half
-        g[yi][dim - 1] = g[dim - 1][yi] = -x_i * half
-    if exact:
-        return g
-    return np.array(g, dtype=float)
+    return _as_point_type(p, _metric_rows(p.coords(), freqs))
 
 
 def metric_at(p: GroupElement, u, w, freqs: FrequencyList):
@@ -267,62 +271,33 @@ def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _shift_point(p: GroupElement, axis: int, amount: int) -> GroupElement:
-    coords = p.coords()
-    coords[axis] = coords[axis] + amount
-    return GroupElement(coords[0], coords[1:-1], coords[-1])
-
-
 def christoffel(freqs: FrequencyList, p: GroupElement | None = None):
     """Levi-Civita symbols Gamma[k][i][j] at p, derived from the metric.
 
-    Partial derivatives use central differences with unit offset, exact for
-    the degree-one metric components.  Exact points give exact symbols.
+    The components are affine in the coordinates, so their change over a
+    unit step from the origin is the exact partial derivative.  Exact points
+    give exact symbols.
     """
     if p is None:
         p = GroupElement.identity(freqs.n)
+    if p.n != freqs.n:
+        raise ValueError("point does not match frequencies")
     dim = freqs.dim
-    exact = p.is_exact()
-    g = metric_matrix(p, freqs)
+    g0 = _metric_rows([0] * dim, freqs)
     dg = []  # dg[l][i][j] = d g_ij / d coord_l
     for l in range(dim):
-        gp = metric_matrix(_shift_point(p, l, 1), freqs)
-        gm = metric_matrix(_shift_point(p, l, -1), freqs)
-        if exact:
-            dg.append(
-                [
-                    [(gp[i][j] - gm[i][j]) / 2 for j in range(dim)]
-                    for i in range(dim)
-                ]
-            )
-        else:
-            dg.append((np.asarray(gp) - np.asarray(gm)) / 2.0)
-    if exact:
-        ginv = _fraction_inverse(g)
-        gam = [
-            [[Fraction(0) for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)
-        ]
-        for k in range(dim):
-            for i in range(dim):
-                for j in range(i, dim):
-                    total = Fraction(0)
-                    for l in range(dim):
-                        if ginv[k][l] == 0:
-                            continue
-                        total += ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    val = total / 2
-                    gam[k][i][j] = val
-                    gam[k][j][i] = val
-        return gam
-    ginv = np.linalg.inv(np.asarray(g))
-    dga = np.stack(dg)  # dga[l, i, j] = d g_ij / d coord_l
-    gamma_low = np.zeros((dim, dim, dim))  # Gamma_{ij,l}
+        gl = _metric_rows([int(m == l) for m in range(dim)], freqs)
+        dg.append([[a - b for a, b in zip(r1, r0)] for r1, r0 in zip(gl, g0)])
+    ginv = _fraction_inverse(_metric_rows(p.coords(), freqs))
+    gam = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i, dim):
             for l in range(dim):
-                gamma_low[i, j, l] = 0.5 * (dga[i, j, l] + dga[j, i, l] - dga[l, i, j])
-    return np.einsum("kl,ijl->kij", ginv, gamma_low)
+                low = (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) / 2  # Gamma_{ij,l}
+                if low:
+                    for k in range(dim):
+                        gam[k][i][j] = gam[k][j][i] = gam[k][i][j] + ginv[k][l] * low
+    return _as_point_type(p, gam)
 
 
 def christoffel_tabulated(freqs: FrequencyList, p: GroupElement | None = None):
@@ -335,9 +310,7 @@ def christoffel_tabulated(freqs: FrequencyList, p: GroupElement | None = None):
     if p is None:
         p = GroupElement.identity(freqs.n)
     dim = freqs.dim
-    exact = p.is_exact()
-    zero = Fraction(0) if exact else 0.0
-    gam = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    gam = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
 
     def set_sym(k, i, j, val):
         gam[k][i][j] = val
@@ -345,16 +318,13 @@ def christoffel_tabulated(freqs: FrequencyList, p: GroupElement | None = None):
 
     tt = dim - 1
     for i, lam in enumerate(freqs.lambdas):
-        lam = lam if exact else float(lam)
         xi, yi = 1 + 2 * i, 2 + 2 * i
-        x_i, y_i = p.v[2 * i], p.v[2 * i + 1]
-        quarter = Fraction(1, 4) if exact else 0.25
-        half = Fraction(1, 2) if exact else 0.5
-        set_sym(0, tt, xi, -x_i * lam * quarter)
-        set_sym(0, tt, yi, -y_i * lam * quarter)
-        set_sym(xi, tt, xi, lam * half)
-        set_sym(yi, tt, xi, -lam * half)
-    return gam if exact else np.array(gam, dtype=float)
+        x_i, y_i = Fraction(p.v[2 * i]), Fraction(p.v[2 * i + 1])
+        set_sym(0, tt, xi, -x_i * lam / 4)
+        set_sym(0, tt, yi, -y_i * lam / 4)
+        set_sym(xi, tt, xi, lam / 2)
+        set_sym(yi, tt, xi, -lam / 2)
+    return _as_point_type(p, gam)
 
 
 def christoffel_table_report(

@@ -83,12 +83,10 @@ class RotationMatrix:
         return out
 
 
-def rotation(t, freqs: FrequencyList, exact: bool | None = None) -> RotationMatrix:
-    """R(t) = exp(t N_lambda); exact when every lambda_i*t is in (pi/2)Z."""
-    if exact is None:
-        exact = isinstance(t, ExactScalar)
-    if exact:
-        t = as_exact(t)
+def rotation(t, freqs: FrequencyList) -> RotationMatrix:
+    """R(t) = exp(t N_lambda); exact for an ExactScalar t, whose every
+    lambda_i*t must then lie in (pi/2)Z."""
+    if isinstance(t, ExactScalar):
         half_turns = _half_turns(t, freqs)
         if half_turns is None:
             raise ExactModeUnsupportedAngle(
@@ -203,7 +201,7 @@ def _check_pair(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> Non
 
 def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupElement:
     _check_pair(g1, g2, freqs)
-    r = rotation(g1.t, freqs, exact=g1.is_exact())
+    r = rotation(g1.t, freqs)
     rv2 = r.apply(g2.v)
     z = g1.z + g2.z + _symplectic_pairing(g1.v, rv2) / 2
     v = tuple(a + b for a, b in zip(g1.v, rv2))
@@ -214,7 +212,7 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
     """(z, v, t)^(-1) = (-z, -R(-t) v, -t)."""
     if g.n != freqs.n:
         raise ValueError("group element dimension does not match frequencies")
-    r = rotation(-g.t, freqs, exact=g.is_exact())
+    r = rotation(-g.t, freqs)
     return GroupElement(-g.z, tuple(-x for x in r.apply(g.v)), -g.t)
 
 

@@ -28,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import FrequencyList
+from .algebra import FrequencyList, gram_matrix
 from .exact import ExactScalar
-from .geodesics import metric_at, metric_matrix
+from .geodesics import metric_at
 from .group import (
     GroupElement,
     conjugate,
@@ -153,9 +153,7 @@ def check_local_isometry(a, freqs: FrequencyList, tol: float = ALGEBRA_TOL) -> b
     dim = freqs.dim
     if a.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim}x{dim}")
-    g = np.array(
-        [[float(x) for x in row] for row in metric_matrix(GroupElement.identity(freqs.n), freqs)]
-    )
+    g = np.array(gram_matrix(freqs), dtype=float)
     if np.max(np.abs(a.T @ g @ a - g)) > tol:
         return False
     c = _bracket_tensor(freqs)

@@ -31,7 +31,6 @@ from itertools import product
 
 from .exact import ExactScalar, PI
 from .group import (
-    ExactModeUnsupportedAngle,
     GroupElement,
     apply_j,
     invert,
@@ -77,14 +76,12 @@ def normalizer_oracle(g: GroupElement, spec: LatticeSpec) -> bool:
     if not g.is_exact():
         raise TypeError("the oracle works on exact elements")
     if not is_quarter_turn(g.t, spec.freqs):
-        if g.t.q1 != 0 and not is_quarter_turn(g.t - g.t.q1, spec.freqs):
-            raise ExactModeUnsupportedAngle(
-                f"cannot conjugate exactly at t = {g.t}"
-            )
-        # a nonzero rational part makes sin/cos of the block angle irrational,
-        # and a pi-rational non-quarter turn cannot have both rational: either
-        # way R(t) e_i leaves Z^{2n}, so conjugating a v-generator leaves the
-        # integer lattice
+        # a nonzero rational part q1 of t leaves cos and sin of every block
+        # angle not both rational: exp(i lambda_i q1) is transcendental by
+        # Lindemann-Weierstrass and exp(i lambda_i q2 pi) is algebraic.  A
+        # pi-rational non-quarter turn cannot have both rational either.
+        # Either way R(t) e_i leaves Z^{2n}, so conjugating a v-generator
+        # leaves the integer lattice
         return False
     freqs = spec.freqs
     g_inv = invert(g, freqs)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraVector, CausalClass, FrequencyList
+from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
 from .exact import ExactScalar, PiPoly, as_exact
 from .geodesics import Geodesic, eval_geodesic, eval_geodesic_exact
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
@@ -253,12 +253,6 @@ def closed_timelike_and_spacelike(
 # -- bounded closure search ----------------------------------------------------
 
 
-def _is_exact_vector(x: AlgebraVector) -> bool:
-    return all(
-        isinstance(c, (int, Fraction, ExactScalar)) for c in x.coords()
-    )
-
-
 def _rational_lcm(values: list[Fraction]) -> Fraction:
     """Positive generator of the intersection of the groups value_i * Z."""
     num, den = 1, 0
@@ -313,13 +307,11 @@ def search_closed(
         raise ValueError(f"r_max must be non-negative, got {r_max}")
     freqs = spec.freqs
     prof = spec.profile()
-    exact_input = _is_exact_vector(x)
+    exact_input = x.is_exact()
     if exact_input and PiPoly.lift(x.a).is_zero():
         return _search_line_case(x, spec, freqs)
     if not exact_input and float(x.a) == 0.0:
         return None  # line search needs exact data
-    from .algebra import causal_class
-
     a_sign = 1 if float(x.a) > 0 else -1  # keep candidate times positive
     for r in range(1, r_max + 1):
         r_signed = r * a_sign
@@ -333,7 +325,7 @@ def search_closed(
             if point is not None:
                 if spec.contains(point):
                     cert = ClosedGeodesicCertificate(
-                        x.to_floats(), s_exact, point, causal_class(x.to_floats(), freqs), x
+                        x.to_floats(), s_exact, point, causal_class(x, freqs), x
                     )
                     cert.verify(spec)
                     return cert
@@ -345,7 +337,7 @@ def search_closed(
         snapped = _snap_to_lattice(approached, spec, float_tol)
         if snapped is not None:
             cert = ClosedGeodesicCertificate(
-                x.to_floats(), s, snapped, causal_class(x.to_floats(), freqs)
+                x.to_floats(), s, snapped, causal_class(x, freqs)
             )
             cert.verify(spec, tol=float_tol)
             return cert

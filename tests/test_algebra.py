@@ -15,6 +15,7 @@ from oscgeo.algebra import (
     gram_matrix,
     inner,
 )
+from oscgeo.exact import PI
 
 
 def freqs(*lams):
@@ -187,6 +188,22 @@ class TestCausalClass:
             AlgebraVector(Fraction(-1, 2), [(1, 0), (0, 0)], 1),  # lightlike
         ):
             assert causal_class(s * x, fl) == causal_class(x, fl)
+
+    def test_pi_valued_d(self):
+        x = AlgebraVector(PI, [(0, 0)], 1)  # 2ad = 2 pi
+        assert causal_class(x, freqs(1)) == CausalClass.SPACELIKE
+
+    def test_pi_valued_d_and_a(self):
+        x = AlgebraVector(PI, [(0, 0)], PI)  # 2ad = 2 pi^2
+        assert causal_class(x, freqs(1)) == CausalClass.SPACELIKE
+
+    def test_pi_valued_b(self):
+        x = AlgebraVector(0, [(PI, 0)], 0)  # b^2 / lambda = pi^2 / 2
+        assert causal_class(x, freqs(2)) == CausalClass.SPACELIKE
+
+    def test_pi_valued_entries_timelike(self):
+        x = AlgebraVector(-PI, [(PI, 0)], PI)  # -2 pi^2 + pi^2
+        assert causal_class(x, freqs(1)) == CausalClass.TIMELIKE
 
     def test_float_mode_tolerance(self):
         x = AlgebraVector(1.0, [(1e-8, 0.0)], -1e-17)

@@ -227,6 +227,22 @@ class TestContractBreaches:
         assert "closed" not in rep["verdicts"]
         assert any("r_max" in d for d in rep["diagnostics"])
 
+    def test_unknown_grid_is_exit_2(self, capsys):
+        code, rep = run_cli(
+            capsys, "isometry", "normalizer", "--lattice", "dim4:k=1:angle=pi",
+            "--grid", "bogus", "--grid-points", "60",
+        )
+        assert code == 2
+        assert any("bogus" in d for d in rep["diagnostics"])
+
+    def test_compound_angle_element_is_exit_0(self, capsys):
+        code, rep = run_cli(
+            capsys, "isometry", "normalizer", "--lattice", "dim6:k=1:p=1:q=3:M=1",
+            "--element", '{"z": 0, "v": [0, 0, 0, 0], "t": "1 + pi/3"}',
+        )
+        assert code == 0
+        assert rep["verdicts"] == {"in_normalizer": False, "oracle": False}
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, capsys):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +60,16 @@ def test_ordering():
     assert -PI < 0
 
 
+@given(coeffs=st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=12),
+                       min_size=1, max_size=4))
+def test_pi_poly_sign_matches_mpmath(coeffs):
+    with mpmath.workdps(200):
+        val = sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.pi**k
+                  for k, c in enumerate(coeffs))
+        expected = 0 if val == 0 else 1 if val > 0 else -1
+    assert pi_poly_sign(coeffs) == expected
+
+
 def test_pi_poly_sign():
     # pi^2 is between 9.8 and 9.9
     assert pi_poly_sign([Fraction(-98, 10), 0, 1]) == 1
@@ -92,7 +103,7 @@ def test_str_roundtrip(q1, q2):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "pi pi", "1 +", "2x"):
+    for bad in ("", "pi pi", "1 +", "2x", "2e3", "1.5"):
         with pytest.raises(ValueError):
             parse_exact(bad)
 

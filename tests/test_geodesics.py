@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, CausalClass, FrequencyList, causal_quantity, inner
 from oscgeo.exact import ExactScalar, PI
@@ -297,6 +299,23 @@ class TestChristoffel:
             for i in range(4):
                 for j in range(4):
                     assert float(ge[k][i][j]) == pytest.approx(gf[k][i][j], abs=1e-12)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_christoffel_exact_point_matches_its_float_copy(data):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    lams = data.draw(st.lists(small.filter(lambda q: q > 0), min_size=1, max_size=2))
+    fl = FrequencyList(lams)
+    v = data.draw(st.lists(small, min_size=2 * fl.n, max_size=2 * fl.n))
+    p = GroupElement(data.draw(small), v, ExactScalar(data.draw(small), data.draw(small)))
+    ge = christoffel(fl, p)
+    gf = christoffel(fl, p.to_floats())
+    dim = fl.dim
+    for k in range(dim):
+        for i in range(dim):
+            for j in range(dim):
+                assert float(ge[k][i][j]) == pytest.approx(gf[k][i][j], abs=1e-12)
 
 
 class TestCausalCharacter:

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscgeo.exact import ExactScalar, PI
-from oscgeo.group import ExactModeUnsupportedAngle, GroupElement, invert, multiply
+from oscgeo.group import GroupElement, invert, multiply
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, UnsupportedSpec
 from oscgeo.normalizers import (
     NormalizerTable,
@@ -108,12 +110,13 @@ class TestOracle:
             GroupElement(0, (0, 0), ExactScalar(1, Fraction(1, 2))), spec
         )
 
-    def test_unsupported_compound_angle_raises(self):
+    def test_compound_angle_is_refused_like_in_normalizer(self):
+        # t = 1 + pi/3: the rational part leaves cos and sin of a block angle
+        # not both rational, so the oracle answers without conjugating
         spec = Dim6Family(1, 1, 3, 1)
-        with pytest.raises(ExactModeUnsupportedAngle):
-            normalizer_oracle(
-                GroupElement(0, (0,) * 4, ExactScalar(1, Fraction(1, 3))), spec
-            )
+        g = GroupElement(0, (0,) * 4, ExactScalar(1, Fraction(1, 3)))
+        assert normalizer_oracle(g, spec) is False
+        assert in_normalizer(g, spec) is False
 
     def test_normalizer_is_a_subgroup_on_samples(self):
         spec = Dim4Family(2, HALF_PI)
@@ -239,3 +242,31 @@ class TestGrid:
         assert Fraction(1, 2) in values
         assert Fraction(1, 3) in values
         assert Fraction(3, 2) in values
+
+
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+small_specs = st.one_of(
+    st.builds(Dim4Family, st.integers(1, 3), st.sampled_from((TWO_PI, PI, HALF_PI))),
+    st.builds(
+        lambda k, pq, m: Dim6Family(k, *pq, m),
+        st.integers(1, 3),
+        st.sampled_from(((1, 1), (2, 1), (1, 3), (2, 3))),
+        st.sampled_from((1, 2, 4)),
+    ),
+)
+# t mixes quarter turns, other pi-rational angles and nonzero rational parts
+angles = st.builds(
+    ExactScalar,
+    st.just(0) | small_fractions,
+    st.integers(-8, 8).map(lambda m: Fraction(m, 4)) | small_fractions,
+)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_conditions_match_oracle_on_random_elements(data):
+    spec = data.draw(small_specs)
+    n2 = 2 * spec.freqs.n
+    v = data.draw(st.lists(small_fractions, min_size=n2, max_size=n2))
+    g = GroupElement(data.draw(small_fractions), v, data.draw(angles))
+    assert in_normalizer(g, spec) == normalizer_oracle(g, spec)
