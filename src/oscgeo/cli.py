@@ -369,6 +369,8 @@ def cmd_isometry_decompose(args) -> dict:
 def cmd_isometry_normalizer(args) -> dict:
     if args.grid not in (None, "default"):
         raise CliValidationError(f"unknown grid {args.grid!r} (only 'default' exists)")
+    if args.grid_points < 1:
+        raise CliValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
     spec = parse_lattice(args.lattice)
     if args.element:
         g = parse_element(args.element)
@@ -538,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--element", type=str, default=None)
     p.add_argument("--grid", type=str, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=600)
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=600,
+                   help="cap on base grid points, at least 1; grids are padded to 500 points")
     p = leaf(iso, "fiber")
     p.add_argument("--lattice", required=True)
     p.add_argument("--map", required=True, help="inversion | theta | left:JSON | inner:JSON")

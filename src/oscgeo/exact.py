@@ -20,6 +20,12 @@ import mpmath
 Rational = Fraction
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_Q0 = Fraction(0)
+
+
+def rat_add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b for two Fractions, building no new Fraction when one is zero."""
+    return a + b if a and b else a or b
 
 
 def rat(x) -> Fraction:
@@ -96,6 +102,14 @@ class ExactScalar:
         object.__setattr__(self, "q1", rat(q1))
         object.__setattr__(self, "q2", rat(q2))
 
+    @classmethod
+    def _of(cls, q1: Fraction, q2: Fraction) -> "ExactScalar":
+        """Internal constructor for components that are already Fractions."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "q1", q1)
+        object.__setattr__(x, "q2", q2)
+        return x
+
     # -- queries ----------------------------------------------------------
 
     def is_rational(self) -> bool:
@@ -114,26 +128,26 @@ class ExactScalar:
 
     def __add__(self, other):
         other = as_exact(other)
-        return ExactScalar(self.q1 + other.q1, self.q2 + other.q2)
+        return ExactScalar._of(rat_add(self.q1, other.q1), rat_add(self.q2, other.q2))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_exact(other)
-        return ExactScalar(self.q1 - other.q1, self.q2 - other.q2)
+        return ExactScalar._of(self.q1 - other.q1, self.q2 - other.q2)
 
     def __rsub__(self, other):
         return as_exact(other) - self
 
     def __neg__(self):
-        return ExactScalar(-self.q1, -self.q2)
+        return ExactScalar._of(-self.q1, -self.q2)
 
     def __mul__(self, other):
         other = as_exact(other)
         if self.is_rational():
-            return ExactScalar(self.q1 * other.q1, self.q1 * other.q2)
+            return ExactScalar._of(self.q1 * other.q1, self.q1 * other.q2)
         if other.is_rational():
-            return ExactScalar(self.q1 * other.q1, self.q2 * other.q1)
+            return ExactScalar._of(self.q1 * other.q1, self.q2 * other.q1)
         raise ValueError(
             "product of two irrational exact scalars leaves the q1 + q2*pi form"
         )
@@ -145,10 +159,10 @@ class ExactScalar:
         if other.is_zero():
             raise ZeroDivisionError("exact scalar division by zero")
         if other.is_rational():
-            return ExactScalar(self.q1 / other.q1, self.q2 / other.q1)
+            return ExactScalar._of(self.q1 / other.q1, self.q2 / other.q1)
         if other.is_pi_multiple() and self.is_pi_multiple():
             # (a*pi) / (b*pi) is rational
-            return ExactScalar(self.q2 / other.q2, 0)
+            return ExactScalar._of(self.q2 / other.q2, _Q0)
         raise ValueError("quotient leaves the q1 + q2*pi form")
 
     def __lt__(self, other):
@@ -194,7 +208,7 @@ def as_exact(x) -> ExactScalar:
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar(x, 0)
+        return ExactScalar._of(rat(x), _Q0)
     if isinstance(x, str):
         return parse_exact(x)
     raise TypeError(f"cannot lift {type(x).__name__} to ExactScalar")

@@ -253,22 +253,24 @@ def metric_at(p: GroupElement, u, w, freqs: FrequencyList):
     return total
 
 
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _inverse_metric_rows(coords, freqs: FrequencyList) -> list[list[Fraction]]:
+    """Inverse of `_metric_rows` in closed form.
+
+    With w the t-row terms (y_i/2, -x_i/2): H_zt = 1, H_vv = diag(lambda),
+    H_zv = -lambda * w, H_zz = sum_i lambda_i (x_i^2 + y_i^2) / 4, and every
+    other entry is 0.
+    """
+    dim = freqs.dim
+    h = [[Fraction(0)] * dim for _ in range(dim)]
+    h[0][dim - 1] = h[dim - 1][0] = Fraction(1)
+    for i, lam in enumerate(freqs.lambdas):
+        xi, yi = 1 + 2 * i, 2 + 2 * i
+        x_i, y_i = Fraction(coords[xi]), Fraction(coords[yi])
+        h[xi][xi] = h[yi][yi] = lam
+        h[0][xi] = h[xi][0] = -lam * y_i / 2
+        h[0][yi] = h[yi][0] = lam * x_i / 2
+        h[0][0] += lam * (x_i * x_i + y_i * y_i) / 4
+    return h
 
 
 def christoffel(freqs: FrequencyList, p: GroupElement | None = None):
@@ -284,19 +286,21 @@ def christoffel(freqs: FrequencyList, p: GroupElement | None = None):
         raise ValueError("point does not match frequencies")
     dim = freqs.dim
     g0 = _metric_rows([0] * dim, freqs)
-    dg = []  # dg[l][i][j] = d g_ij / d coord_l
+    dg = []  # dg[l][i][j] = d g_ij / d coord_l; int 0 where constant
     for l in range(dim):
         gl = _metric_rows([int(m == l) for m in range(dim)], freqs)
-        dg.append([[a - b for a, b in zip(r1, r0)] for r1, r0 in zip(gl, g0)])
-    ginv = _fraction_inverse(_metric_rows(p.coords(), freqs))
+        dg.append([[a - b if a != b else 0 for a, b in zip(r1, r0)] for r1, r0 in zip(gl, g0)])
+    ginv = _inverse_metric_rows(p.coords(), freqs)
     gam = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             for l in range(dim):
-                low = (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) / 2  # Gamma_{ij,l}
+                low = dg[i][j][l] + dg[j][i][l] - dg[l][i][j]  # 2 Gamma_{ij,l}
                 if low:
+                    low = low / 2
                     for k in range(dim):
-                        gam[k][i][j] = gam[k][j][i] = gam[k][i][j] + ginv[k][l] * low
+                        if ginv[k][l]:
+                            gam[k][i][j] = gam[k][j][i] = gam[k][i][j] + ginv[k][l] * low
     return _as_point_type(p, gam)
 
 

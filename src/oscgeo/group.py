@@ -14,20 +14,24 @@ by pair; no dense 2n x 2n matrix is built.  Exact mode keeps z, t as
 ExactScalar and v as rationals; rotations are then restricted to angles
 where every lambda_i * t is an integer multiple of pi/2 (`is_quarter_turn`),
 so each block's (cos, sin) is a signed quarter turn, ints in {-1, 0, 1}.
-`rotation` is the only place an exact angle becomes (cos, sin).
+`rotation` is the only place an exact angle becomes (cos, sin); an exact
+rotation also keeps each block's quarter-turn count and is applied as a
+signed swap.  `multiply` and `invert` build results without re-coercing
+their typed entries, and in exact mode skip zero terms; float arithmetic
+keeps its operation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import FrequencyList
-from .exact import ExactScalar, as_exact, exact_from_json, exact_to_json, rat
+from .exact import ExactScalar, as_exact, exact_from_json, exact_to_json, rat, rat_add
 
 
 class ExactModeUnsupportedAngle(ValueError):
@@ -39,16 +43,18 @@ _QUARTER = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _half_turns(t: ExactScalar, freqs: FrequencyList) -> list | None:
-    """Each block angle lambda_i * t in units of pi/2; None if t has a rational part."""
+    """Each block angle lambda_i * t in units of pi/2, as an unreduced
+    (numerator, denominator) int pair; None if t has a rational part."""
     if t.q1 != 0:
         return None
-    return [lam * t.q2 * 2 for lam in freqs.lambdas]
+    num, den = 2 * t.q2.numerator, t.q2.denominator
+    return [(lam.numerator * num, lam.denominator * den) for lam in freqs.lambdas]
 
 
 def is_quarter_turn(t: ExactScalar, freqs: FrequencyList) -> bool:
     """Whether every block angle lambda_i * t is an integer multiple of pi/2."""
     half_turns = _half_turns(t, freqs)
-    return half_turns is not None and all(h.denominator == 1 for h in half_turns)
+    return half_turns is not None and all(num % den == 0 for num, den in half_turns)
 
 
 def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
@@ -63,17 +69,32 @@ def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
 class RotationMatrix:
     """Block-diagonal rotation by angles lambda_i * t, one (cos, sin) per block.
 
-    Exact rotations hold ints in {-1, 0, 1}; float rotations hold floats.
+    Exact rotations hold ints in {-1, 0, 1} and, in `quarters`, each block's
+    angle as a count of quarter turns in {0, 1, 2, 3}; float rotations hold
+    floats and no quarters.
     """
 
     cos_sin: tuple
+    quarters: tuple | None = field(default=None, compare=False, repr=False)
 
     def block(self, i: int) -> tuple:
         c, s = self.cos_sin[i]
         return ((c, -s), (s, c))
 
     def apply(self, v: Sequence) -> tuple:
-        return rotate_pairs(self.cos_sin, v)
+        if self.quarters is None:
+            return rotate_pairs(self.cos_sin, v)
+        out = []  # exact: a signed swap per pair, no products by 0 or 1
+        for k, x, y in zip(self.quarters, v[0::2], v[1::2], strict=True):
+            if k == 0:
+                out.extend((x, y))
+            elif k == 1:
+                out.extend((-y, x))
+            elif k == 2:
+                out.extend((-x, -y))
+            else:
+                out.extend((y, -x))
+        return tuple(out)
 
     def as_array(self) -> np.ndarray:
         n2 = 2 * len(self.cos_sin)
@@ -92,12 +113,14 @@ def rotation(t, freqs: FrequencyList) -> RotationMatrix:
             raise ExactModeUnsupportedAngle(
                 f"angle {t} has a nonzero rational part; rotation entries would be irrational"
             )
-        cos_sin = []
-        for h in half_turns:
-            if h.denominator != 1:
-                raise ExactModeUnsupportedAngle(f"angle {h / 2}*pi is not a multiple of pi/2")
-            cos_sin.append(_QUARTER[h.numerator % 4])
-        return RotationMatrix(tuple(cos_sin))
+        quarters = []
+        for num, den in half_turns:
+            if num % den:
+                raise ExactModeUnsupportedAngle(
+                    f"angle {Fraction(num, 2 * den)}*pi is not a multiple of pi/2"
+                )
+            quarters.append(num // den % 4)
+        return RotationMatrix(tuple(_QUARTER[k] for k in quarters), tuple(quarters))
     tf = float(t)
     return RotationMatrix(
         tuple((math.cos(th), math.sin(th)) for th in (float(lam) * tf for lam in freqs.lambdas))
@@ -112,9 +135,13 @@ def apply_j(v: Sequence) -> tuple:
     return tuple(out)
 
 
-def _symplectic_pairing(u: Sequence, w: Sequence):
-    """u^T J w."""
+def _symplectic_pairing(u: Sequence, w: Sequence, exact: bool = False):
+    """u^T J w; exact mode skips zero terms (and returns 0 when all are),
+    float mode keeps the term order."""
     jw = apply_j(w)
+    if exact:
+        terms = [a * b for a, b in zip(u, jw) if a and b]
+        return sum(terms[1:], terms[0]) if terms else 0
     total = u[0] * jw[0]
     for a, b in zip(u[1:], jw[1:]):
         total = total + a * b
@@ -146,6 +173,16 @@ class GroupElement:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", t)
+
+    @classmethod
+    def _of(cls, z, v: tuple, t) -> "GroupElement":
+        """Internal constructor without coercion: z and t ExactScalars with a
+        tuple v of Fractions, or all floats."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "z", z)
+        object.__setattr__(g, "v", v)
+        object.__setattr__(g, "t", t)
+        return g
 
     @property
     def n(self) -> int:
@@ -201,11 +238,17 @@ def _check_pair(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> Non
 
 def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupElement:
     _check_pair(g1, g2, freqs)
-    r = rotation(g1.t, freqs)
-    rv2 = r.apply(g2.v)
-    z = g1.z + g2.z + _symplectic_pairing(g1.v, rv2) / 2
-    v = tuple(a + b for a, b in zip(g1.v, rv2))
-    return GroupElement(z, v, g1.t + g2.t)
+    rv2 = rotation(g1.t, freqs).apply(g2.v)
+    z = g1.z + g2.z
+    if g1.is_exact():
+        pairing = _symplectic_pairing(g1.v, rv2, exact=True)
+        if pairing:
+            z = z + pairing / 2
+        v = tuple(rat_add(a, b) for a, b in zip(g1.v, rv2))
+    else:
+        z = z + _symplectic_pairing(g1.v, rv2) / 2
+        v = tuple(a + b for a, b in zip(g1.v, rv2))
+    return GroupElement._of(z, v, g1.t + g2.t)
 
 
 def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
@@ -213,7 +256,7 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
     if g.n != freqs.n:
         raise ValueError("group element dimension does not match frequencies")
     r = rotation(-g.t, freqs)
-    return GroupElement(-g.z, tuple(-x for x in r.apply(g.v)), -g.t)
+    return GroupElement._of(-g.z, tuple(-x for x in r.apply(g.v)), -g.t)
 
 
 def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupElement:

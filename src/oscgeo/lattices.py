@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import FrequencyList
 from .exact import ExactScalar, PiPoly, as_exact, exact_from_json, rat
@@ -159,7 +160,7 @@ class Dim4Family(_ProductFormFamily):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "angle", angle)
 
-    @property
+    @cached_property
     def freqs(self) -> FrequencyList:
         return FrequencyList([1])
 
@@ -195,7 +196,7 @@ class Dim6Family(_ProductFormFamily):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m_div", m_div)
 
-    @property
+    @cached_property
     def freqs(self) -> FrequencyList:
         return FrequencyList([1, Fraction(self.p, self.q)])
 

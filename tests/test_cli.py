@@ -235,6 +235,23 @@ class TestContractBreaches:
         assert code == 2
         assert any("bogus" in d for d in rep["diagnostics"])
 
+    def test_grid_points_below_one_is_exit_2(self, capsys):
+        for points in ("0", "-5"):
+            code, rep = run_cli(
+                capsys, "isometry", "normalizer", "--lattice", "dim4:k=1:angle=pi",
+                "--grid", "default", "--grid-points", points,
+            )
+            assert code == 2
+            assert any("--grid-points" in d for d in rep["diagnostics"])
+
+    def test_grid_points_floor_at_500(self, capsys):
+        code, rep = run_cli(
+            capsys, "isometry", "normalizer", "--lattice", "dim4:k=1:angle=pi",
+            "--grid", "default", "--grid-points", "1",
+        )
+        assert code == 0
+        assert rep["verdicts"]["points"] == 500
+
     def test_compound_angle_element_is_exit_0(self, capsys):
         code, rep = run_cli(
             capsys, "isometry", "normalizer", "--lattice", "dim6:k=1:p=1:q=3:M=1",

@@ -11,6 +11,8 @@ from oscgeo.algebra import AlgebraVector, CausalClass, FrequencyList, causal_qua
 from oscgeo.exact import ExactScalar, PI
 from oscgeo.geodesics import (
     Geodesic,
+    _inverse_metric_rows,
+    _metric_rows,
     acceleration_from_christoffel,
     causal_character,
     christoffel,
@@ -316,6 +318,21 @@ def test_christoffel_exact_point_matches_its_float_copy(data):
         for i in range(dim):
             for j in range(dim):
                 assert float(ge[k][i][j]) == pytest.approx(gf[k][i][j], abs=1e-12)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_closed_form_metric_inverse_is_exact(data):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    lams = data.draw(st.lists(small.filter(lambda q: q > 0), min_size=1, max_size=3))
+    fl = FrequencyList(lams)
+    coords = data.draw(st.lists(small, min_size=fl.dim, max_size=fl.dim))
+    g = _metric_rows(coords, fl)
+    h = _inverse_metric_rows(coords, fl)
+    dim = fl.dim
+    for i in range(dim):
+        for j in range(dim):
+            assert sum(g[i][m] * h[m][j] for m in range(dim)) == int(i == j)
 
 
 class TestCausalCharacter:

@@ -17,6 +17,7 @@ from oscgeo.group import (
     is_quarter_turn,
     max_coord_dist,
     multiply,
+    rotate_pairs,
     rotation,
 )
 
@@ -302,3 +303,49 @@ def test_exact_multiply_matches_float(data):
     a, b = data.draw(exact_elements(fl)), data.draw(exact_elements(fl))
     floated = multiply(a.to_floats(), b.to_floats(), fl)
     assert max_coord_dist(multiply(a, b, fl).to_floats(), floated) < 1e-12
+
+
+# -- the exact kernel against its reference arithmetic ----------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.lists(small_rationals, min_size=2, max_size=2).map(tuple))
+def test_exact_quarter_turns_match_the_general_product(v):
+    for k in range(4):
+        r = rotation(HALF_PI * k, F1)
+        assert r.quarters == (k,)
+        swapped = r.apply(v)
+        assert swapped == rotate_pairs(r.cos_sin, v)
+        assert all(type(x) is Fraction for x in swapped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_rotations_match_the_general_product(data):
+    fl = data.draw(freq_lists)
+    r = rotation(data.draw(quarter_turns(fl)), fl)
+    v = tuple(data.draw(exact_vectors(fl)))
+    assert r.apply(v) == rotate_pairs(r.cos_sin, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(v=st.lists(small_rationals, min_size=2, max_size=2).map(tuple))
+def test_rotate_pairs_keeps_the_general_product(v):
+    # int pairs that are not quarter turns, like isometries' (sin, cos - 1)
+    x, y = v
+    assert rotate_pairs([(0, -2)], v) == (2 * y, -2 * x)
+    assert rotate_pairs([(1, -1)], v) == (x + y, y - x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_and_inverses_match_the_coercing_constructor(data):
+    fl = data.draw(freq_lists)
+    a, b = data.draw(exact_elements(fl)), data.draw(exact_elements(fl))
+    for g in (multiply(a, b, fl), invert(a, fl), conjugate(a, b, fl)):
+        rebuilt = GroupElement(g.z, g.v, g.t)
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+        assert type(g.v) is tuple and all(type(x) is Fraction for x in g.v)
+        assert type(g.z) is ExactScalar and type(g.t) is ExactScalar
+        assert all(type(q) is Fraction for q in (g.z.q1, g.z.q2, g.t.q1, g.t.q2))
+        assert GroupElement.from_json(g.to_json()) == g

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI, PiPoly
@@ -171,6 +174,23 @@ class TestDistinguishedElements:
             assert spec.contains(pure_t_element(spec))
 
 
+dim4_specs = st.builds(Dim4Family, st.integers(1, 6), st.sampled_from([TWO_PI, PI, HALF_PI]))
+dim6_specs = st.tuples(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 2, 4])
+).filter(lambda a: math.gcd(a[1], a[2]) == 1 and (a[3] == 1 or a[2] % 2)).map(
+    lambda a: Dim6Family(*a)
+)
+# integer and rational twists only: with a pi twist, m * t has a pi^2 term
+# for every nonzero t in the pi-rational step lattice, so twist_forward (and
+# with it sample_member) raises ValueError on most samples
+twists = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+closure_specs = st.one_of(
+    dim4_specs,
+    dim6_specs,
+    st.builds(Twisted, dim4_specs | dim6_specs, twists),
+)
+
+
 class TestClosureAndDiscreteness:
     @pytest.mark.parametrize(
         "spec",
@@ -189,6 +209,17 @@ class TestClosureAndDiscreteness:
             g = spec.sample_member(rng)
             h = spec.sample_member(rng)
             assert spec.contains(multiply(g, invert(h, spec.freqs), spec.freqs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=closure_specs, seed=st.integers(0, 2**16))
+    def test_closure_property(self, spec, seed):
+        rng = random.Random(seed)
+        freqs = spec.freqs
+        for _ in range(3):
+            g, h = spec.sample_member(rng), spec.sample_member(rng)
+            assert spec.contains(multiply(g, h, freqs))
+            assert spec.contains(invert(g, freqs))
+            assert spec.contains(multiply(g, invert(h, freqs), freqs))
 
     def test_discreteness_proxy(self):
         spec = Dim4Family(2, HALF_PI)
