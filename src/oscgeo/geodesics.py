@@ -295,12 +295,10 @@ def christoffel(freqs: FrequencyList, p: GroupElement | None = None):
     for i in range(dim):
         for j in range(i, dim):
             for l in range(dim):
-                low = dg[i][j][l] + dg[j][i][l] - dg[l][i][j]  # 2 Gamma_{ij,l}
+                low = (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) / 2  # Gamma_{ij,l}
                 if low:
-                    low = low / 2
                     for k in range(dim):
-                        if ginv[k][l]:
-                            gam[k][i][j] = gam[k][j][i] = gam[k][i][j] + ginv[k][l] * low
+                        gam[k][i][j] = gam[k][j][i] = gam[k][i][j] + ginv[k][l] * low
     return _as_point_type(p, gam)
 
 

@@ -15,16 +15,15 @@ ExactScalar and v as rationals; rotations are then restricted to angles
 where every lambda_i * t is an integer multiple of pi/2 (`is_quarter_turn`),
 so each block's (cos, sin) is a signed quarter turn, ints in {-1, 0, 1}.
 `rotation` is the only place an exact angle becomes (cos, sin); an exact
-rotation also keeps each block's quarter-turn count and is applied as a
-signed swap.  `multiply` and `invert` build results without re-coercing
-their typed entries, and in exact mode skip zero terms; float arithmetic
-keeps its operation order.
+rotation is applied as a signed swap per block.  `multiply` and `invert`
+build results without re-coercing their typed entries, and in exact mode
+skip zero terms; float arithmetic keeps its operation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,29 +68,27 @@ def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
 class RotationMatrix:
     """Block-diagonal rotation by angles lambda_i * t, one (cos, sin) per block.
 
-    Exact rotations hold ints in {-1, 0, 1} and, in `quarters`, each block's
-    angle as a count of quarter turns in {0, 1, 2, 3}; float rotations hold
-    floats and no quarters.
+    Exact rotations hold signed quarter turns, ints in {-1, 0, 1}; float
+    rotations hold floats.
     """
 
     cos_sin: tuple
-    quarters: tuple | None = field(default=None, compare=False, repr=False)
 
     def block(self, i: int) -> tuple:
         c, s = self.cos_sin[i]
         return ((c, -s), (s, c))
 
     def apply(self, v: Sequence) -> tuple:
-        if self.quarters is None:
+        if type(self.cos_sin[0][0]) is not int:
             return rotate_pairs(self.cos_sin, v)
         out = []  # exact: a signed swap per pair, no products by 0 or 1
-        for k, x, y in zip(self.quarters, v[0::2], v[1::2], strict=True):
-            if k == 0:
+        for (c, s), x, y in zip(self.cos_sin, v[0::2], v[1::2], strict=True):
+            if c == 1:
                 out.extend((x, y))
-            elif k == 1:
-                out.extend((-y, x))
-            elif k == 2:
+            elif c == -1:
                 out.extend((-x, -y))
+            elif s == 1:
+                out.extend((-y, x))
             else:
                 out.extend((y, -x))
         return tuple(out)
@@ -113,14 +110,14 @@ def rotation(t, freqs: FrequencyList) -> RotationMatrix:
             raise ExactModeUnsupportedAngle(
                 f"angle {t} has a nonzero rational part; rotation entries would be irrational"
             )
-        quarters = []
+        cos_sin = []
         for num, den in half_turns:
             if num % den:
                 raise ExactModeUnsupportedAngle(
                     f"angle {Fraction(num, 2 * den)}*pi is not a multiple of pi/2"
                 )
-            quarters.append(num // den % 4)
-        return RotationMatrix(tuple(_QUARTER[k] for k in quarters), tuple(quarters))
+            cos_sin.append(_QUARTER[num // den % 4])
+        return RotationMatrix(tuple(cos_sin))
     tf = float(t)
     return RotationMatrix(
         tuple((math.cos(th), math.sin(th)) for th in (float(lam) * tf for lam in freqs.lambdas))
@@ -135,13 +132,9 @@ def apply_j(v: Sequence) -> tuple:
     return tuple(out)
 
 
-def _symplectic_pairing(u: Sequence, w: Sequence, exact: bool = False):
-    """u^T J w; exact mode skips zero terms (and returns 0 when all are),
-    float mode keeps the term order."""
+def _symplectic_pairing(u: Sequence, w: Sequence):
+    """u^T J w."""
     jw = apply_j(w)
-    if exact:
-        terms = [a * b for a, b in zip(u, jw) if a and b]
-        return sum(terms[1:], terms[0]) if terms else 0
     total = u[0] * jw[0]
     for a, b in zip(u[1:], jw[1:]):
         total = total + a * b
@@ -241,9 +234,9 @@ def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupE
     rv2 = rotation(g1.t, freqs).apply(g2.v)
     z = g1.z + g2.z
     if g1.is_exact():
-        pairing = _symplectic_pairing(g1.v, rv2, exact=True)
-        if pairing:
-            z = z + pairing / 2
+        terms = [a * b for a, b in zip(g1.v, apply_j(rv2)) if a and b]
+        if terms:
+            z = z + sum(terms[1:], terms[0]) / 2
         v = tuple(rat_add(a, b) for a, b in zip(g1.v, rv2))
     else:
         z = z + _symplectic_pairing(g1.v, rv2) / 2

@@ -313,7 +313,7 @@ def test_exact_multiply_matches_float(data):
 def test_exact_quarter_turns_match_the_general_product(v):
     for k in range(4):
         r = rotation(HALF_PI * k, F1)
-        assert r.quarters == (k,)
+        assert r.cos_sin == (((1, 0), (0, 1), (-1, 0), (0, -1))[k],)
         swapped = r.apply(v)
         assert swapped == rotate_pairs(r.cos_sin, v)
         assert all(type(x) is Fraction for x in swapped)
