@@ -302,6 +302,8 @@ class PiPoly:
         return PiPoly.lift(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return PiPoly([c * other for c in self.coeffs])
         o = PiPoly.lift(other)
         if not self.coeffs or not o.coeffs:
             return PiPoly()

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, gram_matrix
-from .exact import ExactScalar, PiPoly
+from .exact import ExactScalar, PiPoly, as_exact
 from .group import GroupElement, multiply, rotation
 
 
@@ -145,6 +145,56 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
         z_p = z_p + (bc2 / (2 * a_p)) * s_p / lam
         z_p = z_p - (bc2 * sin) / (2 * a_p * a_p) / (lam * lam)
     return GroupElement(z_p.to_exact(), v, t_out)
+
+
+def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
+    """point(r) -> (s, eval_geodesic_exact(x, s, freqs)) at s = r * t_step / a.
+
+    With s_1 = t_step / a and R(period * t_step) = Id the closed form splits
+    in r:  t = r t_step,  v = V(r mod period),  z = r L + P(r mod period),
+    L = (d + sum_j (b_j^2+c_j^2) / (2 a lambda_j)) s_1.  L is computed here,
+    V and P once per residue, each by the divisions of eval_geodesic_exact,
+    so point(r) raises ValueError exactly when that evaluation does; a
+    ValueError here means every point would.
+    """
+    if x.n != freqs.n:
+        raise ValueError("initial velocity does not match frequencies")
+    t_step = as_exact(t_step)
+    a_p = PiPoly.lift(x.a)
+    s_1 = PiPoly.lift(t_step) / a_p
+    bcs = [(PiPoly.lift(b), PiPoly.lift(c)) for b, c in x.bc]
+    bc2s = [b_p * b_p + c_p * c_p for b_p, c_p in bcs]
+    slope = PiPoly.lift(x.d) * s_1
+    for lam, bc2 in zip(freqs.lambdas, bc2s):
+        slope = slope + (bc2 / (2 * a_p)) * s_1 / lam
+    residues: dict = {}
+
+    def residue(r: int):
+        v = []
+        p = PiPoly()
+        rot = rotation(t_step * r, freqs)
+        for lam, (b_p, c_p), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
+            vx = (b_p * sin + c_p * (kos - 1)) / (a_p * lam)
+            vy = (b_p * (1 - kos) + c_p * sin) / (a_p * lam)
+            v.extend((vx.to_fraction(), vy.to_fraction()))
+            p = p - (bc2 * sin) / (2 * a_p * a_p) / (lam * lam)
+        return v, p
+
+    def point(r: int):
+        key = r % period
+        if key not in residues:
+            try:
+                residues[key] = residue(r)
+            except ValueError as exc:
+                residues[key] = exc
+        found = residues[key]
+        if isinstance(found, ValueError):
+            raise found.with_traceback(None)
+        v, p = found
+        z = (slope * r + p).to_exact()
+        return (s_1 * r).to_exact(), GroupElement(z, v, t_step * r)
+
+    return point
 
 
 def causal_character(geo: Geodesic) -> CausalClass:

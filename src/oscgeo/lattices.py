@@ -114,16 +114,29 @@ class _ProductFormFamily(LatticeSpec):
             return False
         return _in_pi_step_lattice(g.t, self.t0_pi_coeff)
 
-    def profile(self) -> LatticeProfile:
-        t0 = ExactScalar(0, self.t0_pi_coeff)
+    def profile(self) -> LatticeProfile:  # stays a method: perfbench patches it by name
+        return self._profile
+
+    @cached_property
+    def _profile(self) -> LatticeProfile:
         return LatticeProfile(
-            t0=t0,
+            t0=ExactScalar(0, self.t0_pi_coeff),
             k0=_minimal_rotation_period(self.freqs, self.t0_pi_coeff),
             central_w=ExactScalar(self.z_step(), 0),
             has_pure_t=True,
         )
 
+    @cached_property
+    def period_rotations(self) -> tuple:
+        """R(c * t0) for c = 0..K0-1, the rotations of the t-steps."""
+        prof = self.profile()
+        return tuple(rotation(prof.t0 * c, self.freqs) for c in range(prof.k0))
+
     def generators(self) -> list[GroupElement]:
+        return list(self._generators)
+
+    @cached_property
+    def _generators(self) -> tuple[GroupElement, ...]:
         n2 = 2 * self.freqs.n
         zeros = (0,) * n2
         gens = [GroupElement(self.z_step(), zeros, 0)]
@@ -132,7 +145,7 @@ class _ProductFormFamily(LatticeSpec):
             v[i] = 1
             gens.append(GroupElement(0, v, 0))
         gens.append(GroupElement(0, zeros, ExactScalar(0, self.t0_pi_coeff)))
-        return gens
+        return tuple(gens)
 
     def sample_member(self, rng) -> GroupElement:
         n2 = 2 * self.freqs.n
@@ -249,7 +262,11 @@ class Twisted(LatticeSpec):
         pre = GroupElement(z_back.to_exact(), g.v, g.t)
         return self.base.contains(pre)
 
-    def profile(self) -> LatticeProfile:
+    def profile(self) -> LatticeProfile:  # stays a method: perfbench patches it by name
+        return self._profile
+
+    @cached_property
+    def _profile(self) -> LatticeProfile:
         base_prof = self.base.profile()
         return LatticeProfile(
             t0=base_prof.t0,
@@ -275,7 +292,11 @@ class Twisted(LatticeSpec):
         return self._pure_t_multiple(self.base.profile())
 
     def generators(self) -> list[GroupElement]:
-        return [self.twist_forward(g) for g in self.base.generators()]
+        return list(self._generators)
+
+    @cached_property
+    def _generators(self) -> tuple[GroupElement, ...]:
+        return tuple(self.twist_forward(g) for g in self.base.generators())
 
     def sample_member(self, rng) -> GroupElement:
         return self.twist_forward(self.base.sample_member(rng))

@@ -36,14 +36,8 @@ from .group import (
     invert,
     is_quarter_turn,
     multiply,
-    rotation,
 )
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
-
-
-def _period_rotations(spec) -> list:
-    prof = spec.profile()
-    return [rotation(prof.t0 * c, spec.freqs) for c in range(prof.k0)]
 
 
 def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
@@ -58,7 +52,7 @@ def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
         return False  # (A)
     v = g.v
     inv_k = Fraction(1, spec.k)
-    for rc in _period_rotations(spec):
+    for rc in spec.period_rotations:
         rv = rc.apply(v)
         if any((x - y).denominator != 1 for x, y in zip(v, rv)):
             return False  # (B)

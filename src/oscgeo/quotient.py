@@ -9,6 +9,12 @@ bounded closure search for arbitrary initial velocities, and settles the
 product-with-a-line variant where lightlike closure depends on whether the
 squared line step is a rational multiple of 2*pi.
 
+The closure search tries the candidate times r * t0 / a.  Its setup is done
+once per search: the exact candidates repeat their rotation part with
+r mod K0 (`geodesics.exact_orbit`), so each one costs a few integer
+multiples of pi-polynomials, and the float candidates share one float
+geodesic and the lattice constants of the snap.
+
 Certificates are verified before being returned: the target lattice point
 is checked by exact membership, the closed-form evaluation is re-run in
 float mode against it, and -- whenever the data stays inside the exact
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
 from .exact import ExactScalar, PiPoly, as_exact
-from .geodesics import Geodesic, eval_geodesic, eval_geodesic_exact
+from .geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exact_orbit
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
 from .lattices import (
     Dim4Family,
@@ -298,7 +304,10 @@ def search_closed(
 ) -> ClosedGeodesicCertificate | None:
     """First verified lattice hit at candidate times r * t0 / a, r <= r_max.
 
-    None means "no closure within the bound", never a proof of openness.
+    Set up once per search; the exact candidates repeat with r mod K0, and
+    a candidate the closed form cannot evaluate exactly takes the float
+    snap.  None means "no closure within the bound", never a proof of
+    openness.
     """
     _require_profiled(spec)
     if x.n != spec.freqs.n:
@@ -313,66 +322,71 @@ def search_closed(
     if not exact_input and float(x.a) == 0.0:
         return None  # line search needs exact data
     a_sign = 1 if float(x.a) > 0 else -1  # keep candidate times positive
+    try:
+        orbit = exact_orbit(x, prof.t0 * a_sign, prof.k0, freqs) if exact_input else None
+    except ValueError:
+        orbit = None  # no candidate stays exact: every one takes the float snap
+    initial = x.to_floats()
+    geo = Geodesic(initial, freqs)
+    t0_f, a_f = float(prof.t0), float(x.a)
+    snap = _lattice_snap(spec, prof.t0, float_tol)
     for r in range(1, r_max + 1):
-        r_signed = r * a_sign
-        if exact_input:
-            s_r = (PiPoly.lift(prof.t0) * r_signed) / PiPoly.lift(x.a)
+        if orbit is not None:
             try:
-                s_exact = s_r.to_exact()
-                point = eval_geodesic_exact(x, s_exact, freqs)
+                s_exact, point = orbit(r)
             except ValueError:
-                point = None
-            if point is not None:
+                pass
+            else:
                 if spec.contains(point):
                     cert = ClosedGeodesicCertificate(
-                        x.to_floats(), s_exact, point, causal_class(x, freqs), x
+                        initial, s_exact, point, causal_class(x, freqs), x
                     )
                     cert.verify(spec)
                     return cert
                 continue
         # float fallback: snap to the lattice at float_tol, then decide
         # membership of the snapped candidate exactly
-        s = r_signed * float(prof.t0) / float(x.a)
-        approached = eval_geodesic(Geodesic(x.to_floats(), freqs), s)
-        snapped = _snap_to_lattice(approached, spec, float_tol)
+        s = r * a_sign * t0_f / a_f
+        snapped = snap(eval_geodesic(geo, s))
         if snapped is not None:
-            cert = ClosedGeodesicCertificate(
-                x.to_floats(), s, snapped, causal_class(x, freqs)
-            )
+            cert = ClosedGeodesicCertificate(initial, s, snapped, causal_class(x, freqs))
             cert.verify(spec, tol=float_tol)
             return cert
     return None
 
 
-def _snap_to_lattice(
-    point: GroupElement, spec: LatticeSpec, tol: float
-) -> GroupElement | None:
-    """Nearest exact lattice member within tol per coordinate, if any."""
+def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
+    """point -> the nearest exact member of spec within tol per coordinate,
+    or None; t0 is the spec's t-step, and the constants are read once."""
     core, twist = _twist_total(spec)
-    if not isinstance(core, (Dim4Family, Dim6Family)):
-        return None
     tw = float(twist)
-    t_step = float(core.profile().t0)
-    j = round(point.t / t_step)
-    t_exact = core.profile().t0 * j
-    if abs(point.t - j * t_step) > tol:
-        return None
-    v_exact = []
-    for c in point.v:
-        vi = round(c)
-        if abs(c - vi) > tol:
-            return None
-        v_exact.append(Fraction(vi))
+    t_step = float(t0)
     z_step = core.z_step()
-    z_core = point.z - tw * float(t_exact)
-    u = round(z_core / float(z_step))
-    if abs(z_core - u * float(z_step)) > tol:
-        return None
-    z_exact = (
-        PiPoly.lift(ExactScalar(z_step * u)) + PiPoly.lift(twist) * PiPoly.lift(t_exact)
-    ).to_exact()
-    candidate = GroupElement(z_exact, v_exact, t_exact)
-    return candidate if spec.contains(candidate) else None
+    z_step_f = float(z_step)
+    twist_p = PiPoly.lift(twist)
+
+    def snap(point: GroupElement) -> GroupElement | None:
+        j = round(point.t / t_step)
+        if abs(point.t - j * t_step) > tol:
+            return None
+        v_exact = []
+        for c in point.v:
+            vi = round(c)
+            if abs(c - vi) > tol:
+                return None
+            v_exact.append(Fraction(vi))
+        t_exact = t0 * j
+        z_core = point.z - tw * float(t_exact)
+        u = round(z_core / z_step_f)
+        if abs(z_core - u * z_step_f) > tol:
+            return None
+        z_exact = (
+            PiPoly.lift(ExactScalar(z_step * u)) + twist_p * PiPoly.lift(t_exact)
+        ).to_exact()
+        candidate = GroupElement(z_exact, v_exact, t_exact)
+        return candidate if spec.contains(candidate) else None
+
+    return snap
 
 
 # -- the product-with-a-line variant ------------------------------------------

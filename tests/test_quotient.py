@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class
-from oscgeo.exact import ExactScalar, PI
-from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact
+from oscgeo.exact import ExactScalar, PI, PiPoly
+from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exact_orbit
 from oscgeo.group import GroupElement, max_coord_dist, multiply
 from oscgeo.lattices import (
     Dim4Family,
@@ -15,6 +18,7 @@ from oscgeo.lattices import (
     UnsupportedSpec,
 )
 from oscgeo.quotient import (
+    FLOAT_VERIFY_TOL,
     ClosedGeodesicCertificate,
     CertificateVerificationFailed,
     classify_lightlike,
@@ -136,6 +140,21 @@ class TestSearchClosed:
         assert cert.lattice_point.is_exact()
         assert spec.contains(cert.lattice_point)
 
+    def test_non_monomial_a_takes_the_float_snap(self):
+        # a = 1 + pi: no candidate time r t0 / a is an exact scalar, so every
+        # candidate is snapped in float mode, as its float copy's are
+        spec = Dim4Family(1, TWO_PI)
+        x = AlgebraVector(0, [(0, 0)], ExactScalar(1, 1))
+        cert = search_closed(x, spec, r_max=5)
+        assert cert is not None
+        assert cert.lattice_point == GroupElement(0, (0, 0), TWO_PI)
+        assert cert.initial_exact is None
+        assert cert.s_star == search_closed(x.to_floats(), spec, r_max=5).s_star
+        cert.verify(spec)
+        y = AlgebraVector(Fraction(-1, 4), [(1, 0)], ExactScalar(1, 1))
+        assert search_closed(y.to_floats(), spec, r_max=5) is None
+        assert search_closed(y, spec, r_max=5) is None
+
     def test_spacelike_line_closes(self):
         spec = Dim4Family(2, TWO_PI)
         x = AlgebraVector(Fraction(1, 3), [(Fraction(2), Fraction(-1, 2))], 0)
@@ -143,6 +162,154 @@ class TestSearchClosed:
         assert cert is not None
         assert cert.causal == CausalClass.SPACELIKE
         cert.verify(spec)
+
+
+# -- the search against its per-candidate definition ---------------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero = small.filter(bool)
+pi_multiples = small.map(lambda q: ExactScalar(0, q))
+dim4_specs = st.builds(Dim4Family, st.integers(1, 3), st.sampled_from([TWO_PI, PI, HALF_PI]))
+dim6_specs = st.tuples(
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 4])
+).filter(lambda a: math.gcd(a[1], a[2]) == 1 and (a[3] == 1 or a[2] % 2)).map(
+    lambda a: Dim6Family(*a)
+)
+product_specs = dim4_specs | dim6_specs
+# pi twists left out: a snapped member with t != 0 would need a pi^2 z-part
+search_specs = product_specs | st.builds(
+    Twisted, product_specs, st.integers(-3, 3) | small
+)
+
+
+@st.composite
+def exact_velocities(draw, freqs, twist=0):
+    """Exact velocities with rational, pi-multiple or mixed q1 + q2 pi entries
+    and a of either sign (rational, a pi multiple, or neither).
+
+    The exact points stay exact for rational a with rational b, c, and for
+    pi-multiple a with pi-multiple b, c; optionally d then cancels the
+    drift's pi part up to the twist, so that the curve may close."""
+    kind = draw(st.sampled_from(["rational", "pi", "mixed"]))
+    mixed = small | pi_multiples | st.builds(ExactScalar, small, small)
+    entries = {"rational": small, "pi": pi_multiples, "mixed": mixed}[kind]
+    a = draw(
+        {
+            "rational": nonzero,
+            "pi": nonzero.map(lambda q: ExactScalar(0, q)),
+            "mixed": nonzero | st.builds(ExactScalar, nonzero, nonzero),
+        }[kind]
+    )
+    bc = [(draw(entries), draw(entries)) for _ in range(freqs.n)]
+    d = PiPoly.lift(draw(mixed))
+    if kind != "mixed" and draw(st.booleans()):
+        drift = sum(
+            ((PiPoly.lift(b) * PiPoly.lift(b) + PiPoly.lift(c) * PiPoly.lift(c)) / lam
+             for (b, c), lam in zip(bc, freqs.lambdas)),
+            PiPoly(),
+        ) / (2 * PiPoly.lift(a))
+        d = PiPoly([draw(small) if kind == "pi" else 0]) - drift + PiPoly.lift(a) * twist
+    return AlgebraVector(d.to_exact(), bc, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exact_orbit_matches_eval_geodesic_exact(data):
+    spec = data.draw(product_specs)
+    freqs, prof = spec.freqs, spec.profile()
+    x = data.draw(exact_velocities(freqs))
+    a_sign = 1 if float(x.a) > 0 else -1
+    # a fraction of the lattice step: then some residues are no quarter turns
+    m = data.draw(st.integers(1, 3))
+    t_step, period = prof.t0 * a_sign / m, prof.k0 * m
+
+    def expected(r):
+        try:
+            s = ((PiPoly.lift(t_step) * r) / PiPoly.lift(x.a)).to_exact()
+            return s, eval_geodesic_exact(x, s, freqs)
+        except ValueError:
+            return None
+
+    try:
+        orbit = exact_orbit(x, t_step, period, freqs)
+    except ValueError:
+        orbit = None
+    for r in range(1, 2 * period + 2):
+        if orbit is None:
+            assert expected(r) is None
+            continue
+        try:
+            got = orbit(r)
+        except ValueError:
+            got = None
+        assert got == expected(r)
+
+
+def _reference_snap(point, spec, tol):
+    core, twist = spec, ExactScalar(0)
+    while isinstance(core, Twisted):
+        core, twist = core.base, twist + core.m
+    t_step = float(core.profile().t0)
+    j = round(point.t / t_step)
+    t_exact = core.profile().t0 * j
+    if abs(point.t - j * t_step) > tol:
+        return None
+    v_exact = []
+    for c in point.v:
+        if abs(c - round(c)) > tol:
+            return None
+        v_exact.append(Fraction(round(c)))
+    z_step = core.z_step()
+    z_core = point.z - float(twist) * float(t_exact)
+    u = round(z_core / float(z_step))
+    if abs(z_core - u * float(z_step)) > tol:
+        return None
+    z_exact = (
+        PiPoly.lift(ExactScalar(z_step * u)) + PiPoly.lift(twist) * PiPoly.lift(t_exact)
+    ).to_exact()
+    candidate = GroupElement(z_exact, v_exact, t_exact)
+    return candidate if spec.contains(candidate) else None
+
+
+def _reference_search(x, spec, r_max, tol=FLOAT_VERIFY_TOL):
+    """search_closed as a loop evaluating each candidate from scratch;
+    (s_star, lattice_point, causal) of the first hit."""
+    freqs, prof = spec.freqs, spec.profile()
+    a_sign = 1 if float(x.a) > 0 else -1
+    for r in range(1, r_max + 1):
+        if x.is_exact():
+            try:
+                s = ((PiPoly.lift(prof.t0) * (r * a_sign)) / PiPoly.lift(x.a)).to_exact()
+                point = eval_geodesic_exact(x, s, freqs)
+            except ValueError:
+                point = None
+            if point is not None:
+                if spec.contains(point):
+                    return s, point, causal_class(x, freqs)
+                continue
+        s = r * a_sign * float(prof.t0) / float(x.a)
+        approached = eval_geodesic(Geodesic(x.to_floats(), freqs), s)
+        snapped = _reference_snap(approached, spec, tol)
+        if snapped is not None:
+            return s, snapped, causal_class(x, freqs)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_search_closed_matches_the_per_candidate_loop(data):
+    spec = data.draw(search_specs)
+    x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
+    if data.draw(st.booleans()):
+        x = x.to_floats()
+    r_max = data.draw(st.integers(0, 2 * spec.profile().k0 + 1))
+    cert = search_closed(x, spec, r_max=r_max)
+    expected = _reference_search(x, spec, r_max)
+    if expected is None:
+        assert cert is None
+    else:
+        assert cert is not None
+        assert (cert.s_star, cert.lattice_point, cert.causal) == expected
 
 
 class TestClosedCausalCertificates:
