@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI, PiPoly
-from oscgeo.group import GroupElement, invert, multiply
+from oscgeo.group import GroupElement, invert, multiply, rotation
 from oscgeo.lattices import (
     Dim4Family,
     Dim6Family,
@@ -145,6 +145,22 @@ class TestProfiles:
     def test_unsupported(self):
         with pytest.raises(UnsupportedSpec):
             ProductWithLine(Dim4Family(1, TWO_PI), w=1).profile()
+
+    @pytest.mark.parametrize(
+        "spec", [Dim4Family(1, HALF_PI), Dim6Family(2, 2, 3, 4), Twisted(Dim4Family(2, PI), 3)]
+    )
+    def test_per_spec_constants_are_built_once(self, spec):
+        assert spec.profile() is spec.profile()
+        gens = spec.generators()
+        gens.append(gens[0])  # a caller's list is its own
+        assert spec.generators() == gens[:-1]
+        assert spec.generators() is not spec.generators()
+        assert spec == from_json(spec.to_json())  # equality ignores the caches
+        if not isinstance(spec, Twisted):
+            prof = spec.profile()
+            assert spec.period_rotations == tuple(
+                rotation(prof.t0 * c, spec.freqs) for c in range(prof.k0)
+            )
 
 
 class TestDistinguishedElements:
