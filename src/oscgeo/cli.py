@@ -1,11 +1,6 @@
 """Command-line front end: JSON reports and CSV geodesic samples.
 
-Verbs:
-    geodesic eval | integrate | character
-    lattice  info | contains
-    quotient classify | closed-search | certify-causal | product-line
-    isometry check-matrix | normalizer | fiber | relations | decompose
-
+The verbs and their options are declared once, in the VERBS table below.
 Lattices are given either as inline JSON or as colon shorthand such as
 ``dim4:k=1:angle=2pi`` and ``dim6:k=1:p=1:q=1:M=4``.  Reports are JSON with
 a fixed field set (verdicts, certificates, tables, diagnostics, version,
@@ -18,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import re
@@ -114,6 +110,8 @@ def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
+        if "bc" not in obj:
+            raise CliValidationError('velocity JSON needs "bc", a list of [b, c] pairs')
         return AlgebraVector(
             _num(obj.get("d", 0)), [(_num(b), _num(c)) for b, c in obj["bc"]],
             _num(obj.get("a", 0)),
@@ -192,7 +190,7 @@ def make_report(args, payload: dict) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "command": f"{args.group} {args.verb}",
+        "command": " ".join(filter(None, (args.group, args.verb))),
         "seed": args.seed,
         "exact": args.mode != "float",
         "verdicts": {},
@@ -217,9 +215,9 @@ def emit(args, report: dict) -> None:
 
 
 def _freqs_from_args(args) -> FrequencyList:
-    if getattr(args, "lattice", None):
+    if args.lattice:
         return parse_lattice(args.lattice).freqs
-    if getattr(args, "freqs", None):
+    if args.freqs:
         return FrequencyList.from_json(args.freqs)
     return FrequencyList([1])
 
@@ -367,8 +365,6 @@ def cmd_isometry_decompose(args) -> dict:
 
 
 def cmd_isometry_normalizer(args) -> dict:
-    if args.grid not in (None, "default"):
-        raise CliValidationError(f"unknown grid {args.grid!r} (only 'default' exists)")
     if args.grid_points < 1:
         raise CliValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
     spec = parse_lattice(args.lattice)
@@ -450,26 +446,71 @@ def cmd_isometry_relations(args) -> dict:
     return {"verdicts": {"relations": out}, "diagnostics": diagnostics}
 
 
-HANDLERS = {
-    ("geodesic", "eval"): cmd_geodesic_eval,
-    ("geodesic", "integrate"): cmd_geodesic_integrate,
-    ("geodesic", "character"): cmd_geodesic_character,
-    ("lattice", "info"): cmd_lattice_info,
-    ("lattice", "contains"): cmd_lattice_contains,
-    ("quotient", "classify"): cmd_quotient_classify,
-    ("quotient", "closed-search"): cmd_quotient_closed_search,
-    ("quotient", "certify-causal"): cmd_quotient_certify_causal,
-    ("quotient", "product-line"): cmd_quotient_product_line,
-    ("isometry", "check-matrix"): cmd_isometry_check_matrix,
-    ("isometry", "normalizer"): cmd_isometry_normalizer,
-    ("isometry", "fiber"): cmd_isometry_fiber,
-    ("isometry", "relations"): cmd_isometry_relations,
-    ("isometry", "decompose"): cmd_isometry_decompose,
+# -- the verb table and the parser built from it ---------------------------------
+
+
+X = ("--X", dict(required=True))
+LATTICE = ("--lattice", dict(required=True))
+# --freqs or an optional --lattice, read by _freqs_from_args (default [1])
+FREQUENCIES = (("--freqs", {}), ("--lattice", {}))
+MATRIX = ("--matrix", dict(required=True))
+
+# (group, verb) -> (handler, option specs as (flag, add_argument keywords));
+# the parser is built from this table
+VERBS = {
+    ("geodesic", "eval"): (cmd_geodesic_eval, (
+        X, ("--s", dict(required=True, help="parameter range a..b")),
+        ("--samples", dict(type=int, default=5)), ("--csv", {}), *FREQUENCIES)),
+    ("geodesic", "integrate"): (cmd_geodesic_integrate, (
+        X, ("--s-end", dict(type=float, required=True)),
+        ("--step", dict(type=float, default=1e-3)), *FREQUENCIES)),
+    ("geodesic", "character"): (cmd_geodesic_character, (X, *FREQUENCIES)),
+    ("lattice", "info"): (cmd_lattice_info, (LATTICE,)),
+    ("lattice", "contains"): (cmd_lattice_contains, (LATTICE, ("--element", dict(required=True)))),
+    ("quotient", "classify"): (cmd_quotient_classify, (LATTICE,)),
+    ("quotient", "closed-search"): (cmd_quotient_closed_search, (
+        LATTICE, X, ("--r-max", dict(type=int, default=1000)))),
+    ("quotient", "certify-causal"): (cmd_quotient_certify_causal, (LATTICE,)),
+    ("quotient", "product-line"): (cmd_quotient_product_line, (LATTICE,)),
+    ("isometry", "check-matrix"): (cmd_isometry_check_matrix, (MATRIX, *FREQUENCIES)),
+    ("isometry", "decompose"): (cmd_isometry_decompose, (MATRIX, *FREQUENCIES)),
+    ("isometry", "normalizer"): (cmd_isometry_normalizer, (
+        LATTICE, ("--element", {}), ("--grid", dict(choices=["default"])),
+        ("--grid-points", dict(type=int, default=600, help="cap on base grid points, at least 1; "
+                               "grids are padded to 500 points")))),
+    ("isometry", "fiber"): (cmd_isometry_fiber, (
+        LATTICE, ("--map", dict(required=True, help="inversion | theta | left:JSON | inner:JSON")),
+        ("--blocks", {}), ("--normalized", dict(action="store_true")),
+        ("--samples", dict(type=int, default=60)))),
+    ("isometry", "relations"): (cmd_isometry_relations, (
+        ("--blocks", dict(required=True)), ("--v", dict(required=True)),
+        ("--t", dict(type=float, required=True)), ("--verbatim", dict(action="store_true")),
+        *FREQUENCIES)),
 }
 
+# what a report says when the command line does not parse
+PARSER_DEFAULTS = {"mode": "exact", "seed": 0, "output": None}
 
+
+class CliParseError(CliValidationError):
+    """A command line that does not parse, with the group and verb it named."""
+
+    def __init__(self, message: str, group=None, verb=None):
+        super().__init__(message)
+        self.group, self.verb = group, verb
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # prog reads "oscgeo", "oscgeo GROUP" or "oscgeo GROUP VERB"
+        raise CliParseError(message, *self.prog.split()[1:])
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of every verb in VERBS, built on first use and then shared:
+    parsing does not change it."""
+    parser = _Parser(
         prog="oscgeo",
         description="Oscillator-group geometry: geodesics, lattices, isometries.",
     )
@@ -483,102 +524,43 @@ def build_parser() -> argparse.ArgumentParser:
                       default=argparse.SUPPRESS)
     mode.add_argument("--float", dest="mode", action="store_const", const="float",
                       default=argparse.SUPPRESS)
-    parser.set_defaults(mode="exact", seed=0, output=None)
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def leaf(group_parser, name):
-        return group_parser.add_parser(name, parents=[common])
-
-    geo = sub.add_parser("geodesic").add_subparsers(dest="verb", required=True)
-    p = leaf(geo, "eval")
-    p.add_argument("--X", required=True)
-    p.add_argument("--s", required=True, help="parameter range a..b")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--csv", type=str, default=None)
-    p.add_argument("--freqs", type=str, default=None)
-    p.add_argument("--lattice", type=str, default=None)
-    p = leaf(geo, "integrate")
-    p.add_argument("--X", required=True)
-    p.add_argument("--s-end", dest="s_end", type=float, required=True)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--freqs", type=str, default=None)
-    p.add_argument("--lattice", type=str, default=None)
-    p = leaf(geo, "character")
-    p.add_argument("--X", required=True)
-    p.add_argument("--freqs", type=str, default=None)
-    p.add_argument("--lattice", type=str, default=None)
-
-    lat = sub.add_parser("lattice").add_subparsers(dest="verb", required=True)
-    p = leaf(lat, "info")
-    p.add_argument("--lattice", required=True)
-    p = leaf(lat, "contains")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--element", required=True)
-
-    quo = sub.add_parser("quotient").add_subparsers(dest="verb", required=True)
-    p = leaf(quo, "classify")
-    p.add_argument("--lattice", required=True)
-    p = leaf(quo, "closed-search")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--X", required=True)
-    p.add_argument("--r-max", dest="r_max", type=int, default=1000)
-    p = leaf(quo, "certify-causal")
-    p.add_argument("--lattice", required=True)
-    p = leaf(quo, "product-line")
-    p.add_argument("--lattice", required=True)
-
-    iso = sub.add_parser("isometry").add_subparsers(dest="verb", required=True)
-    p = leaf(iso, "check-matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--freqs", type=str, default=None)
-    p.add_argument("--lattice", type=str, default=None)
-    p = leaf(iso, "decompose")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--freqs", type=str, default=None)
-    p.add_argument("--lattice", type=str, default=None)
-    p = leaf(iso, "normalizer")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--element", type=str, default=None)
-    p.add_argument("--grid", type=str, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=600,
-                   help="cap on base grid points, at least 1; grids are padded to 500 points")
-    p = leaf(iso, "fiber")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--map", required=True, help="inversion | theta | left:JSON | inner:JSON")
-    p.add_argument("--blocks", type=str, default=None)
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--samples", type=int, default=60)
-    p = leaf(iso, "relations")
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--verbatim", action="store_true")
-    p.add_argument("--freqs", type=str, default=None)
-    p.add_argument("--lattice", type=str, default=None)
-
+    parser.set_defaults(**PARSER_DEFAULTS)
+    groups = parser.add_subparsers(dest="group", required=True)
+    verbs = {}
+    for (group, verb), (_, options) in VERBS.items():
+        if group not in verbs:
+            verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
+        leaf = verbs[group].add_parser(verb, parents=[common])
+        for flag, kwargs in options:
+            leaf.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    handler = HANDLERS.get((args.group, args.verb))
-    try:
-        payload = handler(args)
+        args, unknown = build_parser().parse_known_args(argv)
+        # argparse reads "--flag=--" as an empty list of values: refuse it too
+        unknown += [f"--{name.replace('_', '-')}=--" for name, v in vars(args).items() if v == []]
+        if unknown:
+            raise CliParseError(f"unrecognized arguments: {' '.join(unknown)}",
+                                args.group, args.verb)
+        code, payload = EXIT_OK, VERBS[args.group, args.verb][0](args)
+    except SystemExit:  # --help has printed its text
+        return EXIT_OK
+    except CliParseError as exc:
+        args = argparse.Namespace(**PARSER_DEFAULTS, group=exc.group, verb=exc.verb)
+        code, payload = EXIT_VALIDATION, {"diagnostics": [f"validation error: {exc}"]}
     except CertificateVerificationFailed as exc:
-        emit(args, make_report(args, {"diagnostics": [f"verification failed: {exc}"]}))
-        return EXIT_VERIFICATION
-    except (CliValidationError, UnsupportedSpec, json.JSONDecodeError) as exc:
+        code, payload = EXIT_VERIFICATION, {"diagnostics": [f"verification failed: {exc}"]}
+    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
+        code, payload = EXIT_VALIDATION, {"diagnostics": [f"validation error: {exc}"]}
+    try:
+        emit(args, make_report(args, payload))
+    except (OSError, ValueError) as exc:  # --output cannot be written; emit printed nothing
+        args.output = None
         emit(args, make_report(args, {"diagnostics": [f"validation error: {exc}"]}))
         return EXIT_VALIDATION
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        emit(args, make_report(args, {"diagnostics": [f"validation error: {exc}"]}))
-        return EXIT_VALIDATION
-    emit(args, make_report(args, payload))
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -239,7 +239,10 @@ def integrate_geodesic_batch(
     dim = freqs.dim
     if initials.shape[1] != dim:
         raise ValueError(f"initial velocities must have length {dim}")
-    n_steps = max(1, round(abs(s_end) / step))
+    steps = abs(s_end) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"step count |s_end| / step = {steps} is not finite")
+    n_steps = max(1, round(steps))
     h = s_end / n_steps
     state = np.concatenate([np.zeros_like(initials), initials], axis=1)
     for _ in range(n_steps):

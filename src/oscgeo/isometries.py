@@ -54,6 +54,15 @@ def _run_sizes(freqs: FrequencyList) -> list[int]:
     return [2 * m for _, m in freqs.runs()]
 
 
+def _float_blocks(blocks, freqs: FrequencyList) -> list[np.ndarray]:
+    """Blocks as float arrays; ShapeMismatch unless they are square matrices
+    sized like the equal-frequency runs."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if [b.shape for b in blocks] != [(m, m) for m in _run_sizes(freqs)]:
+        raise ShapeMismatch("blocks do not match the equal-frequency runs")
+    return blocks
+
+
 def _run_values(freqs: FrequencyList) -> list[Fraction]:
     return [val for val, _ in freqs.runs()]
 
@@ -238,10 +247,7 @@ def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = Fa
     """
     if g.n != freqs.n:
         raise ValueError("element does not match frequencies")
-    sizes = _run_sizes(freqs)
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if [b.shape[0] for b in blocks] != sizes:
-        raise ShapeMismatch("blocks do not match the equal-frequency runs")
+    blocks = _float_blocks(blocks, freqs)
     if g.is_exact():
         return _theta_exact(blocks, g, freqs, normalized)
     return _theta_float(blocks, g, freqs, normalized, lambda s, x: s @ x)
@@ -334,13 +340,8 @@ def validate_theta(
     """
     rng = random.Random(seed)
     dim = freqs.dim
-    expected = np.zeros((dim, dim))
-    expected[0, 0] = expected[dim - 1, dim - 1] = 1.0
-    offset = 1
-    for b in blocks:
-        size = np.asarray(b).shape[0]
-        expected[offset: offset + size, offset: offset + size] = np.asarray(b)
-        offset += size
+    expected = np.eye(dim)
+    expected[1:-1, 1:-1] = _full_block(blocks, freqs)
     diff_err = float(
         np.max(np.abs(theta_differential_at_identity(blocks, freqs, normalized) - expected))
     )
@@ -467,13 +468,29 @@ def _exact_angle_grid(spec, count: int, rng) -> list[GroupElement]:
     return grid
 
 
+def _check_fits(f, freqs: FrequencyList) -> None:
+    """ShapeMismatch unless every part of the map acts on vectors of size 2n;
+    theta blocks split unlike the frequency runs pass (theta_B refuses them)."""
+    if isinstance(f, (LeftTranslation, Inner)) and f.h.n != freqs.n:
+        raise ShapeMismatch(f"the map's element has n = {f.h.n}, the lattice has n = {freqs.n}")
+    if isinstance(f, Theta):
+        sizes = [b.shape[0] for b in f.blocks if b.ndim == 2 and b.shape[0] == b.shape[1]]
+        if len(sizes) != len(f.blocks) or sum(sizes) != 2 * freqs.n:
+            raise ShapeMismatch(f"theta blocks are not square matrices of total size {2 * freqs.n}")
+    if isinstance(f, Composite):
+        for part in f.maps:
+            _check_fits(part, freqs)
+
+
 def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdict:
     """Counterexample search for f(g)^{-1} f(g lam) in the lattice.
 
     A found counterexample is a proof; exhausting the grid is reported as
     "no counterexample found".  Membership is only ever decided exactly, so
-    the grid uses exact points with quarter-turn-compatible angles.
+    the grid uses exact points with quarter-turn-compatible angles.  A map
+    that does not fit the lattice raises ShapeMismatch.
     """
+    _check_fits(f, spec.freqs)
     rng = random.Random(seed)
     freqs = spec.freqs
     lams = spec.generators()
@@ -591,11 +608,8 @@ def structure_relations_check(
 
 
 def _full_block(blocks, freqs: FrequencyList) -> np.ndarray:
-    sizes = _run_sizes(freqs)
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if [b.shape[0] for b in blocks] != sizes:
-        raise ShapeMismatch("blocks do not match the equal-frequency runs")
-    n2 = sum(sizes)
+    blocks = _float_blocks(blocks, freqs)
+    n2 = 2 * freqs.n
     out = np.zeros((n2, n2))
     offset = 0
     for b in blocks:

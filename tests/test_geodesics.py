@@ -158,6 +158,13 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             integrate_geodesic(AlgebraVector.T(1), 1.0, -0.1, F1)
 
+    @pytest.mark.parametrize("s_end, step", [
+        (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3), (1e300, 1e-300), (1.0, math.nan),
+    ])
+    def test_rejects_non_finite_step_count(self, s_end, step):
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_geodesic(AlgebraVector.T(1), s_end, step, F1)
+
 
 class TestOneParameterLaw:
     def test_flow_property(self):

@@ -95,6 +95,18 @@ class TestSearchClosed:
         assert cert.lattice_point == GroupElement(0, (0, 0), TWO_PI)
         assert cert.causal == CausalClass.LIGHTLIKE
 
+    @pytest.mark.xfail(strict=True, reason="the float snap rounds non-finite or coarse floats")
+    @pytest.mark.parametrize("spec, x", [
+        # s = t0 / a near 1e162 carries z past the float range: OverflowError
+        (Dim4Family(1, TWO_PI), AlgebraVector(Fraction(0), [(0.0, 1.0)], 3.920691809501315e-162)),
+        # float spacing near |z| = 1e258 is far coarser than the tolerance: the
+        # snapped certificate fails verify
+        (Twisted(Dim4Family(3, TWO_PI), -1),
+         AlgebraVector(8.011244602412807e257, [(0.0, 0.0)], 1.95)),
+    ])
+    def test_float_candidates_too_coarse_to_snap_are_skipped(self, spec, x):
+        assert search_closed(x, spec, r_max=3) is None
+
     def test_negative_a_still_finds_positive_time(self):
         spec = Dim4Family(1, TWO_PI)
         x = AlgebraVector(Fraction(1, 4), [(1, 0)], -2)
