@@ -12,6 +12,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import ExactScalar, PiPoly, rat
@@ -48,6 +49,11 @@ class FrequencyList:
     @property
     def dim(self) -> int:
         return 2 * self.n + 2
+
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """The frequencies as floats, for the float kernels."""
+        return tuple(float(l) for l in self.lambdas)
 
     def runs(self) -> list[tuple[Fraction, int]]:
         """Consecutive equal-value runs (value, multiplicity) in given order."""
@@ -110,9 +116,7 @@ class AlgebraVector:
     def from_coords(cls, coords: Sequence) -> "AlgebraVector":
         if len(coords) < 4 or len(coords) % 2 != 0:
             raise ValueError(f"coordinate length {len(coords)} is not 2n+2")
-        n = (len(coords) - 2) // 2
-        bc = [(coords[1 + 2 * i], coords[2 + 2 * i]) for i in range(n)]
-        return cls(coords[0], bc, coords[-1])
+        return cls(coords[0], zip(coords[1:-1:2], coords[2:-1:2]), coords[-1])
 
     @classmethod
     def zero(cls, n: int) -> "AlgebraVector":

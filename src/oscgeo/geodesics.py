@@ -59,7 +59,6 @@ class Geodesic:
 def _flow_coords(x: AlgebraVector, s: float, freqs: FrequencyList):
     d = float(x.d)
     a = float(x.a)
-    lams = [float(l) for l in freqs.lambdas]
     if a == 0.0:
         v = []
         for b, c in x.bc:
@@ -67,7 +66,7 @@ def _flow_coords(x: AlgebraVector, s: float, freqs: FrequencyList):
         return d * s, v, 0.0
     z = d * s
     v = []
-    for lam, (b, c) in zip(lams, x.bc):
+    for lam, (b, c) in zip(freqs.floats, x.bc):
         b, c = float(b), float(c)
         th = lam * a * s
         sin_th = math.sin(th)
@@ -82,7 +81,7 @@ def _flow_coords(x: AlgebraVector, s: float, freqs: FrequencyList):
 def eval_geodesic(geo: Geodesic, s: float) -> GroupElement:
     """Point of the geodesic at parameter s (float mode)."""
     z, v, t = _flow_coords(geo.initial, float(s), geo.freqs)
-    point = GroupElement(z, v, t)
+    point = GroupElement._of(z, tuple(v), t)
     if geo.basepoint is None:
         return point
     return multiply(geo.basepoint.to_floats(), point, geo.freqs)
@@ -95,7 +94,6 @@ def eval_geodesic_velocity(geo: Geodesic, s: float) -> list[float]:
     x = geo.initial
     a = float(x.a)
     s = float(s)
-    lams = [float(l) for l in geo.freqs.lambdas]
     if a == 0.0:
         out = [float(x.d)]
         for b, c in x.bc:
@@ -104,7 +102,7 @@ def eval_geodesic_velocity(geo: Geodesic, s: float) -> list[float]:
         return out
     zdot = float(x.d)
     vel = []
-    for lam, (b, c) in zip(lams, x.bc):
+    for lam, (b, c) in zip(geo.freqs.floats, x.bc):
         b, c = float(b), float(c)
         th = lam * a * s
         vel.append(b * math.cos(th) - c * math.sin(th))
@@ -133,18 +131,24 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
             v.append((PiPoly.lift(c) * s_p).to_fraction())
         return GroupElement(z, v, ExactScalar(0))
     t_out = (a_p * s_p).to_exact()
-    z_p = d_p * s_p
-    v = []
-    rot = rotation(t_out, freqs)  # block angles lambda_j * a * s
-    for lam, (b, c), (kos, sin) in zip(freqs.lambdas, x.bc, rot.cos_sin):
-        b_p, c_p = PiPoly.lift(b), PiPoly.lift(c)
+    bcs = [(PiPoly.lift(b), PiPoly.lift(c)) for b, c in x.bc]
+    bc2s = [b_p * b_p + c_p * c_p for b_p, c_p in bcs]
+    v, z_p = _oscillation(a_p, bcs, bc2s, rotation(t_out, freqs), freqs)
+    for lam, bc2 in zip(freqs.lambdas, bc2s):
+        z_p = z_p + (bc2 / (2 * a_p)) * s_p / lam
+    return GroupElement((z_p + d_p * s_p).to_exact(), v, t_out)
+
+
+def _oscillation(a_p: PiPoly, bcs, bc2s, rot, freqs: FrequencyList) -> tuple[list, PiPoly]:
+    """v of the closed form at the block rotations rot = R(a s), and the part
+    -sum_j (b_j^2+c_j^2) sin / (2 a^2 lambda_j^2) of z that oscillates."""
+    v, p = [], PiPoly()
+    for lam, (b_p, c_p), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
         vx = (b_p * sin + c_p * (kos - 1)) / (a_p * lam)
         vy = (b_p * (1 - kos) + c_p * sin) / (a_p * lam)
         v.extend((vx.to_fraction(), vy.to_fraction()))
-        bc2 = b_p * b_p + c_p * c_p
-        z_p = z_p + (bc2 / (2 * a_p)) * s_p / lam
-        z_p = z_p - (bc2 * sin) / (2 * a_p * a_p) / (lam * lam)
-    return GroupElement(z_p.to_exact(), v, t_out)
+        p = p - (bc2 * sin) / (2 * a_p * a_p) / (lam * lam)
+    return v, p
 
 
 def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
@@ -153,9 +157,9 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
     With s_1 = t_step / a and R(period * t_step) = Id the closed form splits
     in r:  t = r t_step,  v = V(r mod period),  z = r L + P(r mod period),
     L = (d + sum_j (b_j^2+c_j^2) / (2 a lambda_j)) s_1.  L is computed here,
-    V and P once per residue, each by the divisions of eval_geodesic_exact,
-    so point(r) raises ValueError exactly when that evaluation does; a
-    ValueError here means every point would.
+    V and P once per residue, each by the divisions of eval_geodesic_exact
+    (`_oscillation`), so point(r) raises ValueError exactly when that
+    evaluation does; a ValueError here means every point would.
     """
     if x.n != freqs.n:
         raise ValueError("initial velocity does not match frequencies")
@@ -169,22 +173,11 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
         slope = slope + (bc2 / (2 * a_p)) * s_1 / lam
     residues: dict = {}
 
-    def residue(r: int):
-        v = []
-        p = PiPoly()
-        rot = rotation(t_step * r, freqs)
-        for lam, (b_p, c_p), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
-            vx = (b_p * sin + c_p * (kos - 1)) / (a_p * lam)
-            vy = (b_p * (1 - kos) + c_p * sin) / (a_p * lam)
-            v.extend((vx.to_fraction(), vy.to_fraction()))
-            p = p - (bc2 * sin) / (2 * a_p * a_p) / (lam * lam)
-        return v, p
-
     def point(r: int):
         key = r % period
         if key not in residues:
             try:
-                residues[key] = residue(r)
+                residues[key] = _oscillation(a_p, bcs, bc2s, rotation(t_step * r, freqs), freqs)
             except ValueError as exc:
                 residues[key] = exc
         found = residues[key]
@@ -204,26 +197,39 @@ def causal_character(geo: Geodesic) -> CausalClass:
 # -- second-order system and RK4 oracle -------------------------------------
 
 
-def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
+def geodesic_rhs(state: np.ndarray, freqs: FrequencyList, *, lams=None, out=None) -> np.ndarray:
     """Derivative of (position, velocity); batched over leading axes.
 
     z'' = (t'/2) sum_k lambda_k (x_k' x_k + y_k' y_k)
     x_i'' = -lambda_i y_i' t',   y_i'' = lambda_i x_i' t',   t'' = 0.
+
+    A caller that steps many times passes `lams`, np.array(freqs.floats),
+    and `out`, an array shaped like state that is written and returned.
     """
     state = np.asarray(state, dtype=float)
     dim = freqs.dim
     if state.shape[-1] != 2 * dim:
         raise ValueError(f"state must have length {2 * dim}, got {state.shape[-1]}")
+    lams = np.array(freqs.floats) if lams is None else lams
+    out = np.empty_like(state) if out is None else out
     pos, vel = state[..., :dim], state[..., dim:]
-    lams = np.array([float(l) for l in freqs.lambdas])
-    acc = np.zeros_like(pos)
     xp, yp = vel[..., 1:-1:2], vel[..., 2:-1:2]
     x, y = pos[..., 1:-1:2], pos[..., 2:-1:2]
     tp = vel[..., -1:]
-    acc[..., 0] = 0.5 * tp[..., 0] * np.sum(lams * (xp * x + yp * y), axis=-1)
-    acc[..., 1:-1:2] = -lams * yp * tp
-    acc[..., 2:-1:2] = lams * xp * tp
-    return np.concatenate([vel, acc], axis=-1)
+    out[..., :dim] = vel
+    acc = out[..., dim:]
+    # the sum runs along contiguous rows, as it would on a fresh array, so a
+    # column-major batch sums in the same order as a row-major one
+    terms = np.ascontiguousarray(lams * (xp * x + yp * y))
+    np.multiply(0.5 * tp[..., 0], np.add.reduce(terms, axis=-1), out=acc[..., 0])
+    np.multiply(-lams * yp, tp, out=acc[..., 1:-1:2])
+    np.multiply(lams * xp, tp, out=acc[..., 2:-1:2])
+    acc[..., -1] = 0.0
+    return out
+
+
+# an RK4 run above this many steps is refused before it starts
+MAX_RK4_STEPS = 10**7
 
 
 def integrate_geodesic_batch(
@@ -231,7 +237,10 @@ def integrate_geodesic_batch(
 ) -> np.ndarray:
     """RK4 from the identity for a batch of initial velocities.
 
-    Returns final positions, shape (batch, 2n+2).
+    Returns final positions, shape (batch, 2n+2).  The state and the stages
+    live in buffers allocated once, column-major so that each operation runs
+    along the batch; each element sees the operations of
+    state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -242,18 +251,26 @@ def integrate_geodesic_batch(
     steps = abs(s_end) / step
     if not math.isfinite(steps):
         raise ValueError(f"step count |s_end| / step = {steps} is not finite")
+    if steps > MAX_RK4_STEPS:
+        raise ValueError(f"step count |s_end| / step = {steps:.6g} exceeds {MAX_RK4_STEPS}")
     n_steps = max(1, round(steps))
     h = s_end / n_steps
-    state = np.concatenate([np.zeros_like(initials), initials], axis=1)
+    lams = np.array(freqs.floats)
+    state, k1, k2, k3, k4, tmp = np.zeros((6, 2 * dim, len(initials))).transpose(0, 2, 1)
+    state[:, dim:] = initials
+    stages = ((k1, h / 2, k2), (k2, h / 2, k3), (k3, h, k4))
     for _ in range(n_steps):
-        k1 = geodesic_rhs(state, freqs)
-        k2 = geodesic_rhs(state + (h / 2) * k1, freqs)
-        k3 = geodesic_rhs(state + (h / 2) * k2, freqs)
-        k4 = geodesic_rhs(state + h * k3, freqs)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
+        geodesic_rhs(state, freqs, lams=lams, out=k1)
+        for k, c, k_next in stages:  # k_next = rhs(state + c k)
+            np.add(state, np.multiply(k, c, out=tmp), out=tmp)
+            geodesic_rhs(tmp, freqs, lams=lams, out=k_next)
+        np.add(k1, np.multiply(k2, 2, out=tmp), out=tmp)
+        np.add(tmp, np.multiply(k3, 2, out=k3), out=tmp)
+        np.add(tmp, k4, out=tmp)
+        np.add(state, np.multiply(tmp, h / 6, out=tmp), out=state)
+        if not np.isfinite(state).all():
             raise FloatingPointError("non-finite state during integration")
-    return state[:, :dim]
+    return state[:, :dim].copy()
 
 
 def integrate_geodesic(

@@ -120,7 +120,7 @@ def rotation(t, freqs: FrequencyList) -> RotationMatrix:
         return RotationMatrix(tuple(cos_sin))
     tf = float(t)
     return RotationMatrix(
-        tuple((math.cos(th), math.sin(th)) for th in (float(lam) * tf for lam in freqs.lambdas))
+        tuple((math.cos(th), math.sin(th)) for th in (lam * tf for lam in freqs.floats))
     )
 
 

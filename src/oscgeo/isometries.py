@@ -140,8 +140,7 @@ def _bracket_tensor(freqs: FrequencyList) -> np.ndarray:
     dim = freqs.dim
     c = np.zeros((dim, dim, dim))
     tt = dim - 1
-    for i, lam in enumerate(freqs.lambdas):
-        lam = float(lam)
+    for i, lam in enumerate(freqs.floats):
         xi, yi = 1 + 2 * i, 2 + 2 * i
         c[xi, yi, 0] = 1.0
         c[yi, xi, 0] = -1.0

@@ -366,6 +366,11 @@ class TestContractBreaches:
         assert code == 2
         assert any("not finite" in d for d in rep["diagnostics"])
 
+    def test_step_count_above_bound_is_exit_2(self, capsys):
+        code, rep = run_cli(capsys, "geodesic", "integrate", "--X", "T", "--s-end", "1e300")
+        assert code == 2
+        assert any("exceeds" in d for d in rep["diagnostics"])
+
     def test_velocity_json_without_bc_is_exit_2(self, capsys):
         code, rep = run_cli(capsys, "geodesic", "character", "--X", '{"d": 1}')
         assert code == 2

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, CausalClass, FrequencyList, causal_quantity, inner
+from oscgeo import geodesics
 from oscgeo.exact import ExactScalar, PI
 from oscgeo.geodesics import (
+    MAX_RK4_STEPS,
     Geodesic,
     _inverse_metric_rows,
     _metric_rows,
@@ -164,6 +166,79 @@ class TestIntegrator:
     def test_rejects_non_finite_step_count(self, s_end, step):
         with pytest.raises(ValueError, match="not finite"):
             integrate_geodesic(AlgebraVector.T(1), s_end, step, F1)
+
+    def test_rejects_step_count_above_bound(self):
+        # 1e303 steps of the default size: refused at once, not started
+        with pytest.raises(ValueError, match=f"exceeds {MAX_RK4_STEPS}"):
+            integrate_geodesic(AlgebraVector.T(1), 1e300, 1e-3, F1)
+
+    def test_step_count_bound_admits_the_bound(self, monkeypatch):
+        monkeypatch.setattr(geodesics, "MAX_RK4_STEPS", 10)
+        out = integrate_geodesic(AlgebraVector.T(1), 1.0, 0.1, F1)
+        assert max_coord_dist(out, GroupElement(0.0, (0, 0), 1.0)) < 1e-12
+        with pytest.raises(ValueError, match="exceeds 10"):
+            integrate_geodesic(AlgebraVector.T(1), -1.2, 0.1, F1)
+
+
+def reference_rhs(state, freqs):
+    """geodesic_rhs in its plain form: fresh arrays on every call."""
+    dim = freqs.dim
+    pos, vel = state[..., :dim], state[..., dim:]
+    lams = np.array([float(l) for l in freqs.lambdas])
+    acc = np.zeros_like(pos)
+    xp, yp = vel[..., 1:-1:2], vel[..., 2:-1:2]
+    x, y = pos[..., 1:-1:2], pos[..., 2:-1:2]
+    tp = vel[..., -1:]
+    acc[..., 0] = 0.5 * tp[..., 0] * np.sum(lams * (xp * x + yp * y), axis=-1)
+    acc[..., 1:-1:2] = -lams * yp * tp
+    acc[..., 2:-1:2] = lams * xp * tp
+    return np.concatenate([vel, acc], axis=-1)
+
+
+def reference_rk4(initials, s_end, step, freqs):
+    """integrate_geodesic_batch in its plain form: fresh arrays per stage."""
+    n_steps = max(1, round(abs(s_end) / step))
+    h = s_end / n_steps
+    state = np.concatenate([np.zeros_like(initials), initials], axis=1)
+    for _ in range(n_steps):
+        k1 = reference_rhs(state, freqs)
+        k2 = reference_rhs(state + (h / 2) * k1, freqs)
+        k3 = reference_rhs(state + (h / 2) * k2, freqs)
+        k4 = reference_rhs(state + h * k3, freqs)
+        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state[:, :freqs.dim]
+
+
+small_positive = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lams=st.lists(small_positive, min_size=1, max_size=3),
+    batch=st.integers(1, 40),
+    steps=st.integers(1, 200),
+    s_end=st.floats(0.01, 3) | st.floats(-3, -0.01),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk4_is_bit_identical_to_the_plain_form(lams, batch, steps, s_end, seed):
+    freqs = FrequencyList(lams)
+    rng = np.random.default_rng(seed)
+    initials = rng.uniform(-2, 2, size=(batch, freqs.dim))
+    step = abs(s_end) / steps
+    got = integrate_geodesic_batch(initials, s_end, step, freqs)
+    assert np.array_equal(got, reference_rk4(initials, s_end, step, freqs))
+    states = rng.uniform(-2, 2, size=(batch, 2 * freqs.dim))
+    rows = geodesic_rhs(states, freqs)
+    assert np.array_equal(rows, reference_rhs(states, freqs))
+    assert np.array_equal(geodesic_rhs(states[0], freqs), rows[0])
+
+
+def test_rk4_is_bit_identical_to_the_plain_form_for_many_blocks():
+    # from 8 terms on, numpy sums a contiguous row pairwise, not in sequence
+    freqs = FrequencyList([Fraction(k, 3) for k in range(1, 10)])
+    initials = np.random.default_rng(9).uniform(-2, 2, size=(32, freqs.dim))
+    got = integrate_geodesic_batch(initials, -0.4, 0.02, freqs)
+    assert np.array_equal(got, reference_rk4(initials, -0.4, 0.02, freqs))
 
 
 class TestOneParameterLaw:
