@@ -556,6 +556,11 @@ def main(argv=None) -> int:
         code, payload = EXIT_VALIDATION, {"diagnostics": [f"validation error: {exc}"]}
     try:
         emit(args, make_report(args, payload))
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left (and the flush at exit)
+        # to devnull, as the Python docs advise, and print nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (OSError, ValueError) as exc:  # --output cannot be written; emit printed nothing
         args.output = None
         emit(args, make_report(args, {"diagnostics": [f"validation error: {exc}"]}))

@@ -177,15 +177,16 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
         key = r % period
         if key not in residues:
             try:
-                residues[key] = _oscillation(a_p, bcs, bc2s, rotation(t_step * r, freqs), freqs)
+                v, p = _oscillation(a_p, bcs, bc2s, rotation(t_step * r, freqs), freqs)
+                residues[key] = GroupElement(0, v, 0), p  # v scaled to ints once
             except ValueError as exc:
                 residues[key] = exc
         found = residues[key]
         if isinstance(found, ValueError):
             raise found.with_traceback(None)
-        v, p = found
+        v_only, p = found
         z = (slope * r + p).to_exact()
-        return (s_1 * r).to_exact(), GroupElement(z, v, t_step * r)
+        return (s_1 * r).to_exact(), GroupElement._exact(z, v_only.num, v_only.den, t_step * r)
 
     return point
 

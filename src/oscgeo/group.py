@@ -10,20 +10,23 @@ requirement that the closed-form geodesics are one-parameter subgroups
 (tested in the geodesics suite).
 
 A rotation R(t) is held as one (cos, sin) pair per block and applied pair
-by pair; no dense 2n x 2n matrix is built.  Exact mode keeps z, t as
-ExactScalar and v as rationals; rotations are then restricted to angles
-where every lambda_i * t is an integer multiple of pi/2 (`is_quarter_turn`),
-so each block's (cos, sin) is a signed quarter turn, ints in {-1, 0, 1}.
-`rotation` is the only place an exact angle becomes (cos, sin); an exact
-rotation is applied as a signed swap per block.  `multiply` and `invert`
-build results without re-coercing their typed entries, and in exact mode
-skip zero terms; float arithmetic keeps its operation order.
+by pair; no dense 2n x 2n matrix is built.
+
+Exact mode keeps z, t as ExactScalar and v as `num / den`: a tuple of ints
+over one int den > 0 with gcd(den, *num) == 1, so equal elements have equal
+fields; `v` is a Fraction view built on first read.  Exact rotations need
+every lambda_i * t in (pi/2)Z (`is_quarter_turn`); `rotation` is the only
+place an exact angle becomes (cos, sin), a signed quarter turn per block
+applied as a signed swap of ints.  The exact product is int arithmetic: the
+pairing v1^T J R(t1) v2 is one int sum added to z as pair / (2 d1 d2), and
+v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when d1 == d2),
+reduced by one gcd.  Float arithmetic keeps its operation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -124,69 +127,107 @@ def rotation(t, freqs: FrequencyList) -> RotationMatrix:
     )
 
 
-def apply_j(v: Sequence) -> tuple:
-    """Apply J (blocks [[0,1],[-1,0]]): (x, y) -> (y, -x) per pair."""
-    out = []
-    for i in range(len(v) // 2):
-        out.extend((v[2 * i + 1], -v[2 * i]))
-    return tuple(out)
-
-
 def _symplectic_pairing(u: Sequence, w: Sequence):
-    """u^T J w."""
-    jw = apply_j(w)
+    """u^T J w for floats, summed term by term in index order."""
+    jw = [c for x, y in zip(w[0::2], w[1::2]) for c in (y, -x)]
     total = u[0] * jw[0]
     for a, b in zip(u[1:], jw[1:]):
         total = total + a * b
     return total
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element (z, v, t); z and t share the mode of the v entries."""
+def int_pairing(u: Sequence[int], w: Sequence[int]) -> int:
+    """u^T J w for int vectors, as one exact sum."""
+    return sum([a * d - b * c for a, b, c, d in zip(u[0::2], u[1::2], w[0::2], w[1::2])])
 
-    z: object
-    v: tuple
-    t: object
+
+class GroupElement:
+    """Element (z, v, t); z and t share the mode of the v entries.
+
+    Exact elements hold v = num / den in lowest terms (module docstring);
+    float elements hold v as floats, with num and den None.
+    """
+
+    __slots__ = ("z", "num", "den", "t", "_v")
 
     def __init__(self, z, v: Sequence, t):
         v = tuple(v)
         if len(v) % 2 != 0:
             raise ValueError("v must have even length 2n")
-        exact_zt = isinstance(z, (ExactScalar, int, Fraction, str)) and isinstance(
-            t, (ExactScalar, int, Fraction, str)
-        )
-        exact_v = all(isinstance(x, (int, Fraction, str)) for x in v)
-        if exact_zt and exact_v:
-            z, t = as_exact(z), as_exact(t)
-            v = tuple(rat(x) for x in v)
+        if (
+            isinstance(z, _EXACT_SCALARS)
+            and isinstance(t, _EXACT_SCALARS)
+            and all(isinstance(x, _EXACT_ENTRIES) for x in v)
+        ):
+            # ints and Fractions are in lowest terms, so scaling them to
+            # their least common denominator leaves gcd(den, *num) == 1
+            v = [rat(x) if isinstance(x, str) else x for x in v]
+            den = math.lcm(*[x.denominator for x in v])
+            num = tuple([x.numerator * (den // x.denominator) for x in v])
+            _init(self, as_exact(z), num, den, as_exact(t), None)
         else:
-            z, t = float(z), float(t)
-            v = tuple(float(x) for x in v)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", t)
+            _init(self, float(z), None, None, float(t), tuple(float(x) for x in v))
 
     @classmethod
-    def _of(cls, z, v: tuple, t) -> "GroupElement":
-        """Internal constructor without coercion: z and t ExactScalars with a
-        tuple v of Fractions, or all floats."""
+    def _exact(cls, z: ExactScalar, num: tuple, den: int, t: ExactScalar) -> "GroupElement":
+        """Internal constructor: v = num / den for a tuple of ints over an
+        int den > 0, reduced here to lowest terms."""
+        common = math.gcd(den, *num)
+        if common != 1:
+            num, den = tuple([x // common for x in num]), den // common
         g = object.__new__(cls)
-        object.__setattr__(g, "z", z)
-        object.__setattr__(g, "v", v)
-        object.__setattr__(g, "t", t)
+        _init(g, z, num, den, t, None)
+        return g
+
+    @classmethod
+    def _of(cls, z: float, v: tuple, t: float) -> "GroupElement":
+        """Internal constructor of a float element, without coercion."""
+        g = object.__new__(cls)
+        _init(g, z, None, None, t, v)
         return g
 
     @property
+    def v(self) -> tuple:
+        """The v coordinates: floats, or Fractions read from num / den."""
+        v = self._v
+        if v is None:
+            den = self.den
+            v = tuple([Fraction(x, den) for x in self.num])
+            _SET_V(self, v)
+        return v
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        if self.num is None:
+            return (self.z, self._v, self.t)
+        return (self.z, self.num, self.den, self.t)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GroupElement(z={self.z!r}, v={self.v!r}, t={self.t!r})"
+
+    @property
     def n(self) -> int:
-        return len(self.v) // 2
+        return len(self._v if self.num is None else self.num) // 2
 
     @property
     def mode(self) -> str:
-        return "exact" if isinstance(self.z, ExactScalar) else "float"
+        return "float" if self.num is None else "exact"
 
     def is_exact(self) -> bool:
-        return self.mode == "exact"
+        return self.num is not None
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
@@ -200,7 +241,7 @@ class GroupElement:
 
     def is_identity(self, tol: float = 0.0) -> bool:
         if self.is_exact():
-            return self.z.is_zero() and self.t.is_zero() and all(x == 0 for x in self.v)
+            return self.z.is_zero() and self.t.is_zero() and not any(self.num)
         return all(abs(c) <= tol for c in self.coords())
 
     def to_json(self) -> dict:
@@ -222,26 +263,48 @@ class GroupElement:
         return cls(exact_from_json(z), [rat(x) for x in v], exact_from_json(t))
 
 
+_EXACT_SCALARS = (ExactScalar, int, Fraction, str)
+_EXACT_ENTRIES = (int, Fraction, str)
+
+
+# the slots' own setters, which bypass the frozen __setattr__
+_SET_Z, _SET_NUM, _SET_DEN, _SET_T, _SET_V = (
+    GroupElement.__dict__[name].__set__ for name in GroupElement.__slots__
+)
+
+
+def _init(g: GroupElement, z, num, den, t, v) -> None:
+    _SET_Z(g, z)
+    _SET_NUM(g, num)
+    _SET_DEN(g, den)
+    _SET_T(g, t)
+    _SET_V(g, v)
+
+
 def _check_pair(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> None:
     if g1.n != freqs.n or g2.n != freqs.n:
         raise ValueError("group element dimension does not match frequencies")
-    if g1.mode != g2.mode:
+    if (g1.num is None) != (g2.num is None):
         raise ValueError(f"mixed modes: {g1.mode} vs {g2.mode}")
 
 
 def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupElement:
     _check_pair(g1, g2, freqs)
-    rv2 = rotation(g1.t, freqs).apply(g2.v)
     z = g1.z + g2.z
-    if g1.is_exact():
-        terms = [a * b for a, b in zip(g1.v, apply_j(rv2)) if a and b]
-        if terms:
-            z = z + sum(terms[1:], terms[0]) / 2
-        v = tuple(rat_add(a, b) for a, b in zip(g1.v, rv2))
+    if g1.num is None:
+        rv2 = rotation(g1.t, freqs).apply(g2._v)
+        z = z + _symplectic_pairing(g1._v, rv2) / 2
+        return GroupElement._of(z, tuple(a + b for a, b in zip(g1._v, rv2)), g1.t + g2.t)
+    n1, d1, d2 = g1.num, g1.den, g2.den
+    rn2 = rotation(g1.t, freqs).apply(g2.num)
+    pair = int_pairing(n1, rn2)
+    if pair:  # (1/2) v1^T J R v2 = pair / (2 d1 d2)
+        z = ExactScalar._of(rat_add(z.q1, Fraction(pair, 2 * d1 * d2)), z.q2)
+    if d1 == d2:
+        num, den = tuple([a + b for a, b in zip(n1, rn2)]), d1
     else:
-        z = z + _symplectic_pairing(g1.v, rv2) / 2
-        v = tuple(a + b for a, b in zip(g1.v, rv2))
-    return GroupElement._of(z, v, g1.t + g2.t)
+        num, den = tuple([a * d2 + b * d1 for a, b in zip(n1, rn2)]), d1 * d2
+    return GroupElement._exact(z, num, den, g1.t + g2.t)
 
 
 def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
@@ -249,7 +312,9 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
     if g.n != freqs.n:
         raise ValueError("group element dimension does not match frequencies")
     r = rotation(-g.t, freqs)
-    return GroupElement._of(-g.z, tuple(-x for x in r.apply(g.v)), -g.t)
+    if g.num is None:
+        return GroupElement._of(-g.z, tuple(-x for x in r.apply(g._v)), -g.t)
+    return GroupElement._exact(-g.z, tuple([-x for x in r.apply(g.num)]), g.den, -g.t)
 
 
 def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupElement:

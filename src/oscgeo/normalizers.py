@@ -25,18 +25,13 @@ instead of reconciling them silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .exact import ExactScalar, PI
-from .group import (
-    GroupElement,
-    apply_j,
-    invert,
-    is_quarter_turn,
-    multiply,
-)
+from .group import GroupElement, int_pairing, invert, is_quarter_turn, multiply
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
 
@@ -50,16 +45,14 @@ def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
         raise ValueError("element dimension does not match the lattice")
     if not is_quarter_turn(g.t, spec.freqs):
         return False  # (A)
-    v = g.v
-    inv_k = Fraction(1, spec.k)
+    num, den, k = g.num, g.den, spec.k  # v = num / den
     for rc in spec.period_rotations:
-        rv = rc.apply(v)
-        if any((x - y).denominator != 1 for x, y in zip(v, rv)):
+        rn = rc.apply(num)
+        if any((x - y) % den for x, y in zip(num, rn)):
             return False  # (B)
-        pair = sum(x * jy for x, jy in zip(v, apply_j(rv)))
-        if (pair / inv_k).denominator != 1:
+        if k * int_pairing(num, rn) % (den * den):
             return False  # (C)
-        if any(((x + y) / inv_k).denominator != 1 for x, y in zip(v, rv)):
+        if any(k * (x + y) % den for x, y in zip(num, rn)):
             return False  # (D)
     return True
 
@@ -213,6 +206,8 @@ def verification_grid(
         Fraction(1, 2 * spec.k),
     ]
     v_values = sorted(set(v_values))
+    den = math.lcm(*(x.denominator for x in v_values))
+    v_scaled = [x.numerator * (den // x.denominator) for x in v_values]  # v = scaled / den
     t_values = [
         ExactScalar(0),
         PI / 4,
@@ -223,7 +218,7 @@ def verification_grid(
         -PI * q / 2,
     ]
     z_values = [ExactScalar(0), ExactScalar(Fraction(1, 3))]
-    combos = list(product(v_values, repeat=n2))
+    combos = list(product(v_scaled, repeat=n2))
     if max_points is not None and len(combos) > max_points:
         stride = len(combos) / max_points
         combos = [combos[int(i * stride)] for i in range(max_points)]
@@ -231,12 +226,12 @@ def verification_grid(
     for idx, vs in enumerate(combos):
         t = t_values[idx % len(t_values)]
         z = z_values[idx % len(z_values)]
-        grid.append(GroupElement(z, vs, t))
+        grid.append(GroupElement._exact(z, vs, den, t))
     # pad with sign variations until the requested size
     idx = 0
     while len(grid) < min_points:
         vs = tuple(-v for v in combos[idx % len(combos)])
-        grid.append(GroupElement(z_values[0], vs, t_values[idx % len(t_values)]))
+        grid.append(GroupElement._exact(z_values[0], vs, den, t_values[idx % len(t_values)]))
         idx += 1
     return grid
 

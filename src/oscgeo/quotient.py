@@ -366,19 +366,25 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
     twist_p = PiPoly.lift(twist)
 
     def snap(point: GroupElement) -> GroupElement | None:
-        j = round(point.t / t_step)
-        if abs(point.t - j * t_step) > tol:
-            return None
-        v_exact = []
-        for c in point.v:
-            vi = round(c)
-            if abs(c - vi) > tol:
+        # a coordinate that is not finite (round raises) or whose float
+        # spacing exceeds tol (it places no member within tol) is refused;
+        # the spacing is read only once the proximity test has passed
+        try:
+            j = round(point.t / t_step)
+            if abs(point.t - j * t_step) > tol or math.ulp(point.t) > tol:
                 return None
-            v_exact.append(Fraction(vi))
-        t_exact = t0 * j
-        z_core = point.z - tw * float(t_exact)
-        u = round(z_core / z_step_f)
-        if abs(z_core - u * z_step_f) > tol:
+            v_exact = []
+            for c in point.v:
+                vi = round(c)
+                if abs(c - vi) > tol or math.ulp(c) > tol:
+                    return None
+                v_exact.append(vi)
+            t_exact = t0 * j
+            z_core = point.z - tw * float(t_exact)
+            u = round(z_core / z_step_f)
+        except (OverflowError, ValueError):
+            return None
+        if abs(z_core - u * z_step_f) > tol or math.ulp(z_core) > tol:
             return None
         z_exact = (
             PiPoly.lift(ExactScalar(z_step * u)) + twist_p * PiPoly.lift(t_exact)

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -423,6 +425,22 @@ class TestEntryPoint:
         assert json.loads(out.stdout)["verdicts"]["causal"] == "lightlike"
 
 
+    def test_closed_stdout_is_not_a_traceback(self):
+        # the read end closes before the report is written, as with `| head`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "oscgeo.cli", "geodesic", "eval", "--X", "X1 + T",
+                 "--s", "0..6", "--samples", "13"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in out.stderr
+        assert out.returncode == 0
+
+
 class TestSharedParser:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -621,3 +639,65 @@ def test_every_command_line_gets_one_json_report(scratch_dir, argv):
     assert report["schema_version"] == 1
     if code != 0:
         assert report["diagnostics"]
+
+
+# -- reports fixed byte for byte -------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports"
+# name -> argv of an exact-mode command whose report (less its timestamp line)
+# is stored as GOLDEN / f"{name}.json"
+GOLDEN_COMMANDS = {
+    "lattice_contains_dim4": [
+        "lattice", "contains", "--lattice", "dim4:k=2:angle=2pi",
+        "--element", '{"z": "1/4", "v": [3, -1], "t": "2pi"}'],
+    "lattice_contains_dim6_half": [
+        "lattice", "contains", "--lattice", "dim6:k=1:p=1:q=3:M=2",
+        "--element", '{"z": "1/2", "v": ["1/2", "3/2", 1, 0], "t": "3pi"}'],
+    "lattice_contains_twisted": [
+        "lattice", "contains",
+        "--lattice", '{"family": "twisted", "m": "1/2", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}',
+        "--element", '{"z": "pi", "v": [1, "4/2"], "t": "2pi"}'],
+    "lattice_contains_generators": [
+        "lattice", "contains",
+        "--lattice", '{"family": "generators", "freqs": [1], "depth": 4, "elements": '
+                     '[{"z": 0, "v": [1, 0], "t": 0}, {"z": 0, "v": [0, 1], "t": 0}]}',
+        "--element", '{"z": "1/2", "v": [1, 1], "t": 0}'],
+    "normalizer_element_dim4": [
+        "isometry", "normalizer", "--lattice", "dim4:k=2:angle=pi/2",
+        "--element", '{"z": 0, "v": ["1/2", "1/2"], "t": 0}'],
+    "normalizer_element_dim6": [
+        "isometry", "normalizer", "--lattice", "dim6:k=2:p=1:q=3:M=4",
+        "--element", '{"z": "1/3", "v": ["1/4", "2/4", "1/4", "3/2"], "t": "3/2 pi"}'],
+    "normalizer_element_dim6_in": [
+        "isometry", "normalizer", "--lattice", "dim6:k=2:p=1:q=3:M=4",
+        "--element", '{"z": "1/3", "v": ["1/2", "2/4", "1/2", "1/2"], "t": "3/2 pi"}'],
+    "normalizer_grid_dim4": [
+        "isometry", "normalizer", "--lattice", "dim4:k=2:angle=pi/2", "--grid-points", "60"],
+    "normalizer_grid_dim6": [
+        "isometry", "normalizer", "--lattice", "dim6:k=2:p=2:q=3:M=4", "--grid-points", "60"],
+    "fiber_left_dim4": [
+        "isometry", "fiber", "--lattice", "dim4:k=2:angle=pi/2",
+        "--map", 'left:{"z": "1/3", "v": ["1/2", "1/2"], "t": "pi/2"}'],
+    "fiber_inner_dim6": [
+        "isometry", "fiber", "--lattice", "dim6:k=1:p=1:q=1:M=4",
+        "--map", 'inner:{"z": 0, "v": [1, "1/2", 0, 0], "t": "pi/2"}'],
+    "closed_search_dim4": [
+        "quotient", "closed-search", "--lattice", LATTICE, "--X", "T"],
+    "closed_search_twisted": [
+        "quotient", "closed-search",
+        "--lattice", '{"family": "twisted", "m": "1/2", "base": {"family": "dim4", "k": 2, "angle": "pi"}}',
+        "--X", "X1 + T"],
+    "certify_dim4": [
+        "quotient", "certify-causal", "--lattice", "dim4:k=1:angle=pi/2"],
+    "certify_twisted_dim6": [
+        "quotient", "certify-causal",
+        "--lattice", '{"family": "twisted", "m": "-2/3", "base": '
+                     '{"family": "dim6", "k": 3, "p": 2, "q": 3, "M": 1}}'],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_report_is_byte_identical_to_the_golden_one(capsys, name):
+    main(GOLDEN_COMMANDS[name])
+    out = re.sub(r'^  "timestamp": "[^"]*",?\n', "", capsys.readouterr().out, flags=re.M)
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

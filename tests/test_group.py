@@ -349,3 +349,102 @@ def test_products_and_inverses_match_the_coercing_constructor(data):
         assert type(g.z) is ExactScalar and type(g.t) is ExactScalar
         assert all(type(q) is Fraction for q in (g.z.q1, g.z.q2, g.t.q1, g.t.q2))
         assert GroupElement.from_json(g.to_json()) == g
+
+
+# -- the int-scaled exact v ---------------------------------------------------------
+
+# rationals as (numerator, denominator) pairs, with a common factor kept in
+unreduced = st.tuples(st.integers(-12, 12), st.integers(1, 12), st.integers(1, 4))
+
+
+def v_entries(n2):
+    """2n exact entries of mixed input types: ints, Fractions, rational strings."""
+    entry = st.one_of(
+        st.integers(-6, 6),
+        small_rationals,
+        unreduced.map(lambda p: f"{p[0] * p[2]}/{p[1] * p[2]}"),
+    )
+    return st.lists(entry, min_size=n2, max_size=n2)
+
+
+def assert_canonical(g):
+    assert type(g.den) is int and g.den > 0
+    assert all(type(x) is int for x in g.num)
+    assert math.gcd(g.den, *g.num) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stored_v_is_canonical_and_reads_back_as_built(data):
+    fl = data.draw(freq_lists)
+    entries = data.draw(v_entries(2 * fl.n))
+    g = GroupElement(data.draw(small_rationals), entries, data.draw(quarter_turns(fl)))
+    assert_canonical(g)
+    assert g.v == tuple(Fraction(x) for x in entries)
+    assert all(type(x) is Fraction for x in g.v)
+    a = data.draw(exact_elements(fl))
+    for h in (multiply(a, g, fl), multiply(g, a, fl), invert(g, fl)):
+        assert_canonical(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(unreduced, min_size=2, max_size=4).filter(lambda p: len(p) % 2 == 0))
+def test_equal_values_from_every_constructor_are_equal_and_hash_equal(pairs):
+    z, t = ExactScalar(Fraction(1, 3)), HALF_PI
+    from_strings = GroupElement(z, [f"{n * m}/{d * m}" for n, d, m in pairs], t)
+    from_fractions = GroupElement(z, [Fraction(n, d) for n, d, _ in pairs], t)
+    # ints over a common denominator that is not in lowest terms
+    den = math.prod(d * m for _, d, m in pairs)
+    internal = GroupElement._exact(z, tuple(n * (den // d) for n, d, _ in pairs), den, t)
+    assert from_strings == from_fractions == internal
+    assert hash(from_strings) == hash(from_fractions) == hash(internal)
+    assert len({from_strings, from_fractions, internal}) == 1
+
+
+def test_half_from_every_constructor():
+    built = [
+        GroupElement(0, ("2/4", 1), PI),
+        GroupElement(0, (Fraction(1, 2), "3/3"), PI),
+        GroupElement._exact(ExactScalar(0), (1, 2), 2, PI),
+        GroupElement._exact(ExactScalar(0), (3, 6), 6, PI),
+    ]
+    assert all(g == built[0] and hash(g) == hash(built[0]) for g in built)
+    assert all((g.num, g.den) == ((1, 2), 2) for g in built)
+    assert built[0].v == (Fraction(1, 2), Fraction(1))
+
+
+def _reference_rotation(t, fl, v):
+    """R(t) v in Fractions, each block's quarter turn read off lambda_i t."""
+    out = []
+    for lam, x, y in zip(fl.lambdas, v[0::2], v[1::2]):
+        quarters = lam * t.q2 * 2
+        assert t.q1 == 0 and quarters.denominator == 1
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[int(quarters) % 4]
+        out.extend((c * x - s * y, s * x + c * y))
+    return out
+
+
+def _reference_product(g1, g2, fl):
+    """(z1 + z2 + (1/2) v1^T J R(t1) v2,  v1 + R(t1) v2,  t1 + t2)."""
+    w = _reference_rotation(g1.t, fl, list(g2.v))
+    pairing = sum(
+        (x1 * wy - y1 * wx for x1, y1, wx, wy in zip(g1.v[0::2], g1.v[1::2], w[0::2], w[1::2])),
+        Fraction(0),
+    )
+    z = g1.z + g2.z + ExactScalar(pairing / 2)
+    return z, [a + b for a, b in zip(g1.v, w)], g1.t + g2.t
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multiply_and_invert_match_a_fraction_evaluation_of_the_law(data):
+    fl = data.draw(freq_lists)  # one block (dimension 4) or two (dimension 6)
+    a, b = data.draw(exact_elements(fl)), data.draw(exact_elements(fl))
+    z, v, t = _reference_product(a, b, fl)
+    product = multiply(a, b, fl)
+    assert (product.z, product.v, product.t) == (z, tuple(v), t)
+    assert product == GroupElement(z, v, t)
+    inverse = invert(a, fl)
+    v_inv = [-x for x in _reference_rotation(-a.t, fl, list(a.v))]
+    assert (inverse.z, inverse.v, inverse.t) == (-a.z, tuple(v_inv), -a.t)
+    assert inverse == GroupElement(-a.z, v_inv, -a.t)

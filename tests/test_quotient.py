@@ -21,6 +21,7 @@ from oscgeo.quotient import (
     FLOAT_VERIFY_TOL,
     ClosedGeodesicCertificate,
     CertificateVerificationFailed,
+    _lattice_snap,
     classify_lightlike,
     closed_timelike_and_spacelike,
     product_line_lightlike,
@@ -95,7 +96,6 @@ class TestSearchClosed:
         assert cert.lattice_point == GroupElement(0, (0, 0), TWO_PI)
         assert cert.causal == CausalClass.LIGHTLIKE
 
-    @pytest.mark.xfail(strict=True, reason="the float snap rounds non-finite or coarse floats")
     @pytest.mark.parametrize("spec, x", [
         # s = t0 / a near 1e162 carries z past the float range: OverflowError
         (Dim4Family(1, TWO_PI), AlgebraVector(Fraction(0), [(0.0, 1.0)], 3.920691809501315e-162)),
@@ -103,9 +103,24 @@ class TestSearchClosed:
         # snapped certificate fails verify
         (Twisted(Dim4Family(3, TWO_PI), -1),
          AlgebraVector(8.011244602412807e257, [(0.0, 0.0)], 1.95)),
+        # t and v snap, but z = d s is past the float range: round(inf) raises
+        (Dim4Family(1, TWO_PI), AlgebraVector(1e308, [(0.0, 0.0)], 1.0)),
     ])
     def test_float_candidates_too_coarse_to_snap_are_skipped(self, spec, x):
         assert search_closed(x, spec, r_max=3) is None
+
+    @pytest.mark.parametrize("z, v, t", [
+        # float spacings of 2e-4 to 1e-3, far above the tolerance
+        (2.0**40, (0.0, 0.0), 2 * math.pi),
+        (0.0, (2.0**40, 0.0), 2 * math.pi),
+        (0.0, (0.0, 0.0), 2 * math.pi * 2**40),
+    ])
+    def test_snap_refuses_a_coordinate_coarser_than_the_tolerance(self, z, v, t):
+        # each point is a member, and sits exactly on its lattice coordinates
+        spec = Dim4Family(1, TWO_PI)
+        snap = _lattice_snap(spec, spec.profile().t0, 1e-9)
+        assert snap(GroupElement(0.0, (1.0, 0.0), 2 * math.pi)) == GroupElement(0, (1, 0), TWO_PI)
+        assert snap(GroupElement(z, v, t)) is None
 
     def test_negative_a_still_finds_positive_time(self):
         spec = Dim4Family(1, TWO_PI)
