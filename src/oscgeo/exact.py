@@ -6,18 +6,22 @@ rational arithmetic once numbers are kept in this split form.  Linear
 independence of {1, pi} over the rationals makes equality and sign
 decidable; signs are settled with shrinking rational enclosures of pi
 (pi is transcendental, so any rational comparison terminates).
+
+Polynomials in pi (`PiPoly`) hold int numerators over one int denominator,
+and `pi_poly_sign` compares int sums against an int form of each enclosure,
+built once per precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
-
-Rational = Fraction
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _Q0 = Fraction(0)
@@ -42,46 +46,49 @@ def rat(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
-
-
 def pi_bounds(prec: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure lo < pi < hi with width about 2**(2-prec)."""
     with mpmath.workprec(prec):
-        apx = _mpf_to_fraction(+mpmath.pi)
+        _, man, exp, _ = (+mpmath.pi)._mpf_  # sign bit 0: pi > 0
+    apx = Fraction(man) * (Fraction(2) ** exp)
     eps = Fraction(1, 2 ** (prec - 2))
     return apx - eps, apx + eps
 
 
+@functools.cache  # one entry per precision reached: 64 * 2**k, k <= 10
+def _pi_scaled(prec: int) -> tuple[int, int, int]:
+    """pi_bounds(prec) as ints (lo, hi, den): lo / den < pi < hi / den."""
+    lo, hi = pi_bounds(prec)
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
 def pi_poly_sign(coeffs) -> int:
-    """Sign of sum(coeffs[k] * pi**k).
+    """Sign of sum(coeffs[k] * pi**k), for a PiPoly or a sequence of rationals.
 
     Decidable because pi is transcendental: the value is zero only when
-    every coefficient is zero.
+    every coefficient is zero.  The sum is bounded over the enclosure
+    pi_bounds(prec), prec = 64, 128, ..., until the bounds share a sign;
+    both bounds are scaled by den**degree > 0, so they stay ints.
     """
-    cs = [rat(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
+    num = (coeffs if isinstance(coeffs, PiPoly) else PiPoly(coeffs)).num
+    if not num:
         return 0
-    if len(cs) == 1:
-        return -1 if cs[0] < 0 else 1
+    if len(num) == 1:
+        return -1 if num[0] < 0 else 1
     prec = 64
     while True:
-        lo, hi = pi_bounds(prec)
-        val_lo, val_hi = cs[0], cs[0]
-        p_lo, p_hi = Fraction(1), Fraction(1)
-        for c in cs[1:]:
+        lo, hi, den = _pi_scaled(prec)
+        val_lo = val_hi = num[0]
+        p_lo = p_hi = 1
+        for c in num[1:]:
             p_lo, p_hi = p_lo * lo, p_hi * hi  # pi > 0 keeps powers ordered
             if c >= 0:
-                val_lo += c * p_lo
-                val_hi += c * p_hi
+                val_lo = val_lo * den + c * p_lo
+                val_hi = val_hi * den + c * p_hi
             else:
-                val_lo += c * p_hi
-                val_hi += c * p_lo
+                val_lo = val_lo * den + c * p_hi
+                val_hi = val_hi * den + c * p_lo
         if val_lo > 0:
             return 1
         if val_hi < 0:
@@ -122,7 +129,7 @@ class ExactScalar:
         return self.q1 == 0 and self.q2 == 0
 
     def sign(self) -> int:
-        return pi_poly_sign([self.q1, self.q2])
+        return pi_poly_sign(PiPoly.lift(self))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -262,101 +269,123 @@ class PiPoly:
     Intermediate geodesic quantities (squares of pi-valued velocities and
     the like) leave the q1 + q2*pi form; carrying them as polynomials keeps
     every step exact.  Conversion back to ExactScalar requires degree <= 1.
+
+    Coefficient k is num[k] / den, for a tuple of ints over one int den > 0
+    with gcd(den, *num) == 1 and no trailing zero, so equal polynomials have
+    equal fields.  Arithmetic runs on the ints, one gcd per result;
+    `coeffs` is a Fraction view built when read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*[c.denominator for c in cs])
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den = p.num, p.den
 
     @classmethod
     def lift(cls, x) -> "PiPoly":
         if isinstance(x, PiPoly):
             return x
+        if isinstance(x, (int, Fraction)):
+            return _poly([x.numerator], x.denominator)
         e = as_exact(x)
-        return cls((e.q1, e.q2))
+        den = math.lcm(e.q1.denominator, e.q2.denominator)
+        return _poly([q.numerator * (den // q.denominator) for q in (e.q1, e.q2)], den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple([Fraction(x, self.den) for x in self.num])
 
     def __add__(self, other):
         o = PiPoly.lift(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return PiPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (o.coeffs[i] if i < len(o.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        d1, d2 = self.den, o.den
+        out = [x * d2 + y * d1 for x, y in zip_longest(self.num, o.num, fillvalue=0)]
+        return _poly(out, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiPoly([-c for c in self.coeffs])
+        return _poly([-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-PiPoly.lift(other))
+        return self + -PiPoly.lift(other)
 
     def __rsub__(self, other):
-        return PiPoly.lift(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return PiPoly([c * other for c in self.coeffs])
+            return _poly([x * other for x in self.num], self.den)
         o = PiPoly.lift(other)
-        if not self.coeffs or not o.coeffs:
-            return PiPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
+        out = [0] * (len(self.num) + len(o.num) - 1)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(o.num):
                 out[i + j] += a * b
-        return PiPoly(out)
+        return _poly(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Exact division by a monomial c * pi^k."""
         o = PiPoly.lift(other)
-        nz = [i for i, c in enumerate(o.coeffs) if c != 0]
+        nz = [i for i, c in enumerate(o.num) if c != 0]
         if len(nz) != 1:
             raise ValueError("pi-polynomial division needs a monomial divisor")
-        k, c = nz[0], o.coeffs[nz[0]]
-        if any(self.coeffs[i] != 0 for i in range(min(k, len(self.coeffs)))):
+        k = nz[0]
+        if any(self.num[:k]):
             raise ValueError(f"division by pi^{k} is not exact here")
-        return PiPoly([x / c for x in self.coeffs[k:]])
+        c = o.num[k]  # the divisor is (c / o.den) pi^k
+        scale = o.den if c > 0 else -o.den
+        return _poly([x * scale for x in self.num[k:]], abs(c) * self.den)
 
     def __eq__(self, other):
-        return self.coeffs == PiPoly.lift(other).coeffs
+        o = PiPoly.lift(other)
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def sign(self) -> int:
-        return pi_poly_sign(self.coeffs)
+        return pi_poly_sign(self)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def to_exact(self) -> ExactScalar:
-        if len(self.coeffs) > 2:
+        if len(self.num) > 2:
             raise ValueError(f"degree {self.degree()} exceeds the q1 + q2*pi form")
-        c = self.coeffs + (Fraction(0),) * (2 - len(self.coeffs))
-        return ExactScalar(c[0], c[1])
+        q1, q2 = [Fraction(x, self.den) if x else _Q0 for x in (*self.num, 0, 0)[:2]]
+        return ExactScalar._of(q1, q2)
 
     def to_fraction(self) -> Fraction:
-        if len(self.coeffs) > 1:
+        if len(self.num) > 1:
             raise ValueError("pi-polynomial is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else _Q0
 
     def __float__(self):
-        return float(sum(float(c) * math.pi**i for i, c in enumerate(self.coeffs)))
+        return float(sum(x / self.den * math.pi**i for i, x in enumerate(self.num)))
 
     def __repr__(self):
         return f"PiPoly({list(self.coeffs)!r})"
+
+
+def _poly(num: list, den: int) -> PiPoly:
+    """The PiPoly num / den for a list of ints over an int den > 0, trimmed
+    and reduced to lowest terms here."""
+    while num and not num[-1]:
+        num.pop()
+    common = math.gcd(den, *num)
+    if common != 1:
+        num, den = [x // common for x in num], den // common
+    p = object.__new__(PiPoly)
+    p.num, p.den = tuple(num), den
+    return p
 
 
 def exact_to_json(x: ExactScalar):

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, gram_matrix
-from .exact import ExactScalar, PiPoly, as_exact
+from .exact import ExactScalar, PiPoly
 from .group import GroupElement, multiply, rotation
 
 
@@ -142,12 +142,13 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
 def _oscillation(a_p: PiPoly, bcs, bc2s, rot, freqs: FrequencyList) -> tuple[list, PiPoly]:
     """v of the closed form at the block rotations rot = R(a s), and the part
     -sum_j (b_j^2+c_j^2) sin / (2 a^2 lambda_j^2) of z that oscillates."""
-    v, p = [], PiPoly()
+    v, p, two_a2 = [], PiPoly(), 2 * a_p * a_p
     for lam, (b_p, c_p), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
-        vx = (b_p * sin + c_p * (kos - 1)) / (a_p * lam)
-        vy = (b_p * (1 - kos) + c_p * sin) / (a_p * lam)
+        a_lam = a_p * lam
+        vx = (b_p * sin + c_p * (kos - 1)) / a_lam
+        vy = (b_p * (1 - kos) + c_p * sin) / a_lam
         v.extend((vx.to_fraction(), vy.to_fraction()))
-        p = p - (bc2 * sin) / (2 * a_p * a_p) / (lam * lam)
+        p = p - (bc2 * sin) / two_a2 / (lam * lam)
     return v, p
 
 
@@ -163,9 +164,9 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
     """
     if x.n != freqs.n:
         raise ValueError("initial velocity does not match frequencies")
-    t_step = as_exact(t_step)
+    t_p = PiPoly.lift(t_step)
     a_p = PiPoly.lift(x.a)
-    s_1 = PiPoly.lift(t_step) / a_p
+    s_1 = t_p / a_p
     bcs = [(PiPoly.lift(b), PiPoly.lift(c)) for b, c in x.bc]
     bc2s = [b_p * b_p + c_p * c_p for b_p, c_p in bcs]
     slope = PiPoly.lift(x.d) * s_1
@@ -174,10 +175,10 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
     residues: dict = {}
 
     def point(r: int):
-        key = r % period
+        key, t = r % period, (t_p * r).to_exact()
         if key not in residues:
             try:
-                v, p = _oscillation(a_p, bcs, bc2s, rotation(t_step * r, freqs), freqs)
+                v, p = _oscillation(a_p, bcs, bc2s, rotation(t, freqs), freqs)
                 residues[key] = GroupElement(0, v, 0), p  # v scaled to ints once
             except ValueError as exc:
                 residues[key] = exc
@@ -186,7 +187,7 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
             raise found.with_traceback(None)
         v_only, p = found
         z = (slope * r + p).to_exact()
-        return (s_1 * r).to_exact(), GroupElement._exact(z, v_only.num, v_only.den, t_step * r)
+        return (s_1 * r).to_exact(), GroupElement._exact(z, v_only.num, v_only.den, t)
 
     return point
 

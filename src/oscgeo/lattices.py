@@ -238,13 +238,17 @@ class Twisted(LatticeSpec):
     def z_step(self) -> Fraction:
         return self.base.z_step()
 
+    @cached_property
+    def _m_poly(self) -> PiPoly:
+        return PiPoly.lift(self.m)
+
     def twist_forward(self, g: GroupElement) -> GroupElement:
-        shift = (PiPoly.lift(self.m) * PiPoly.lift(g.t) + PiPoly.lift(g.z)).to_exact()
+        shift = (self._m_poly * PiPoly.lift(g.t) + PiPoly.lift(g.z)).to_exact()
         return GroupElement._exact(shift, g.num, g.den, g.t)
 
     def contains(self, g: GroupElement) -> bool:
         self._require_exact(g)
-        z_back = PiPoly.lift(g.z) - PiPoly.lift(self.m) * PiPoly.lift(g.t)
+        z_back = PiPoly.lift(g.z) - self._m_poly * PiPoly.lift(g.t)
         if z_back.degree() > 1:
             # a pi^2 component can never land in the base z-lattice
             if isinstance(self.base, (_ProductFormFamily, Twisted)):
@@ -272,7 +276,7 @@ class Twisted(LatticeSpec):
         (0,0,t) is a member iff (-m t, 0, t) lies in the base, i.e. m*j*t0
         falls in the base z-lattice; any pi-power in m*t0 rules that out.
         """
-        shift = PiPoly.lift(self.m) * PiPoly.lift(base_prof.t0)
+        shift = self._m_poly * PiPoly.lift(base_prof.t0)
         if shift.degree() > 0:
             return None
         r = shift.to_fraction()

@@ -364,6 +364,7 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
     z_step = core.z_step()
     z_step_f = float(z_step)
     twist_p = PiPoly.lift(twist)
+    q1, q2 = t0.q1, t0.q2
 
     def snap(point: GroupElement) -> GroupElement | None:
         # a coordinate that is not finite (round raises) or whose float
@@ -379,13 +380,15 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
                 if abs(c - vi) > tol or math.ulp(c) > tol:
                     return None
                 v_exact.append(vi)
-            t_exact = t0 * j
-            z_core = point.z - tw * float(t_exact)
+            # float(t0 * j) from ints; the exact t is built only for a member
+            t_f = q1.numerator * j / q1.denominator + q2.numerator * j / q2.denominator * math.pi
+            z_core = point.z - tw * t_f
             u = round(z_core / z_step_f)
         except (OverflowError, ValueError):
             return None
         if abs(z_core - u * z_step_f) > tol or math.ulp(z_core) > tol:
             return None
+        t_exact = t0 * j
         z_exact = (
             PiPoly.lift(ExactScalar(z_step * u)) + twist_p * PiPoly.lift(t_exact)
         ).to_exact()

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscgeo.algebra import AlgebraVector, CausalClass
 from oscgeo.cli import VERBS, CliValidationError, build_parser, main, parse_lattice, parse_velocity
 from oscgeo.exact import PI
+from oscgeo.group import GroupElement
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
+from oscgeo.quotient import ClosedGeodesicCertificate
 
 LATTICE = "dim4:k=1:angle=2pi"
 VACUOUS = pytest.mark.xfail(
@@ -397,6 +400,29 @@ class TestContractBreaches:
         assert rep["verdicts"] == {"in_normalizer": False, "oracle": False}
 
 
+class TestPiTwist:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="exits 2 with 'degree 2 exceeds the q1 + q2*pi form': the member it "
+        "meets has a pi^2 z-part, so the fix needs a degree-2 exact scalar (ROADMAP item 2)",
+    )
+    def test_float_search_on_a_pi_twist_is_certified(self, capsys):
+        lattice = '{"family": "twisted", "m": "pi", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
+        code, report = run_cli(
+            capsys, "quotient", "closed-search", "--lattice", lattice,
+            "--X", '{"d": 3.141592653589793, "bc": [[0, 0]], "a": 1.0}', "--r-max", "3")
+        assert code == 0
+        assert report["verdicts"]["closed"] is True
+        (cert,) = report["certificates"]
+        init = cert["initial"]
+        ClosedGeodesicCertificate(
+            AlgebraVector(init["d"], [tuple(p) for p in init["bc"]], init["a"]),
+            float(cert["s_star"]),
+            GroupElement.from_json(cert["lattice_point"]),
+            CausalClass(cert["causal"]),
+        ).verify(parse_lattice(lattice))
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, capsys):
         argv = ["quotient", "certify-causal", "--lattice", "dim4:k=1:angle=pi/2", "--seed", "7"]
@@ -693,6 +719,23 @@ GOLDEN_COMMANDS = {
         "quotient", "certify-causal",
         "--lattice", '{"family": "twisted", "m": "-2/3", "base": '
                      '{"family": "dim6", "k": 3, "p": 2, "q": 3, "M": 1}}'],
+    # K0 = 4: the certificate comes from the sign scan of the K0 > 1 builder
+    "certify_int_twisted_dim6_k0_4": [
+        "quotient", "certify-causal",
+        "--lattice", '{"family": "twisted", "m": "2", "base": '
+                     '{"family": "dim6", "k": 1, "p": 1, "q": 3, "M": 4}}'],
+    # exact rational --X (its entries cannot be pi-valued); s and z are pi-valued:
+    # the member it meets at t = t0 has z = 1/2 + pi/2
+    "closed_search_rational_twist_exact": [
+        "quotient", "closed-search",
+        "--lattice", '{"family": "twisted", "m": "1/3", "base": '
+                     '{"family": "dim6", "k": 1, "p": 1, "q": 3, "M": 4}}',
+        "--X", '{"d": "-1/3", "bc": [[0, 2], [0, 0]], "a": 2}'],
+    # the verdict's residue is read from w^2 = (3/4) pi as pi_coeffs
+    "product_line_pi_coeffs": [
+        "quotient", "product-line",
+        "--lattice", '{"family": "product_line", "base": {"family": "dim4", "k": 1, '
+                     '"angle": "2pi"}, "w2": {"pi_coeffs": ["0", "3/4"]}}'],
 }
 
 

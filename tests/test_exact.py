@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oscgeo import exact
 from oscgeo.exact import (
     ExactScalar,
     PI,
+    PiPoly,
     as_exact,
     exact_from_json,
     exact_to_json,
     parse_exact,
+    pi_bounds,
     pi_poly_sign,
 )
 
@@ -117,3 +120,212 @@ def test_json_roundtrip():
 def test_as_exact_rejects_float():
     with pytest.raises(TypeError):
         as_exact(0.5)
+
+
+# -- PiPoly against a Fraction evaluation of its coefficient lists -------------
+
+poly_coeffs = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=30), max_size=5
+)
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+def _trim(coeffs) -> tuple:
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _assert_canonical(p: PiPoly) -> None:
+    """The one stored form: int numerators over one int den > 0, lowest
+    terms, no trailing zero numerator."""
+    assert type(p.num) is tuple and all(type(x) is int for x in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@given(a=poly_coeffs, b=poly_coeffs)
+def test_pi_poly_ring_ops_match_fraction_lists(a, b):
+    p, q = PiPoly(a), PiPoly(b)
+    assert p.coeffs == _trim(a)
+    assert (p + q).coeffs == _ref_add(a, b)
+    assert (p - q).coeffs == _ref_add(a, [-c for c in b])
+    assert (-p).coeffs == _trim([-c for c in a])
+    assert (p * q).coeffs == _ref_mul(a, b)
+    assert (q * p).coeffs == _ref_mul(a, b)
+
+
+@given(a=poly_coeffs, q1=rationals, q2=rationals, k=st.integers(-50, 50))
+def test_pi_poly_mixed_operands_match_fraction_lists(a, q1, q2, k):
+    p, e = PiPoly(a), ExactScalar(q1, q2)
+    # ExactScalar on the left raises TypeError: it does not defer to PiPoly
+    assert (p + e).coeffs == _ref_add(a, [q1, q2])
+    assert (p - e).coeffs == _ref_add(a, [-q1, -q2])
+    assert (p * e).coeffs == _ref_mul(a, [q1, q2])
+    assert (p * k).coeffs == (k * p).coeffs == _trim([c * k for c in a])
+    assert (p + k).coeffs == (k - (-p)).coeffs == _ref_add(a, [k])
+    assert (p * q1).coeffs == _trim([c * q1 for c in a])
+
+
+@given(a=poly_coeffs, c=nonzero_rationals, k=st.integers(0, 3))
+def test_pi_poly_monomial_division(a, c, k):
+    divisor = PiPoly([0] * k + [c])
+    cs = _trim(a)
+    if any(cs[:k]):
+        with pytest.raises(ValueError, match=rf"division by pi\^{k} is not exact"):
+            PiPoly(a) / divisor
+    else:
+        assert (PiPoly(a) / divisor).coeffs == _trim([x / c for x in cs[k:]])
+        if k <= 1:
+            assert PiPoly(a) / divisor == PiPoly(a) / ExactScalar(*([0] * k + [c]))
+
+
+@given(a=poly_coeffs, b=st.lists(nonzero_rationals, min_size=2, max_size=3))
+def test_pi_poly_division_needs_a_monomial(a, b):
+    for divisor in (PiPoly(b), PiPoly(), 0):
+        with pytest.raises(ValueError, match="needs a monomial divisor"):
+            PiPoly(a) / divisor
+
+
+@given(a=poly_coeffs, b=poly_coeffs, zeros=st.integers(0, 3))
+def test_pi_poly_equality_and_hash(a, b, zeros):
+    p = PiPoly(a)
+    padded = PiPoly(list(a) + [0] * zeros)
+    assert p == padded and hash(p) == hash(padded)
+    assert (p == PiPoly(b)) == (_trim(a) == _trim(b))
+    assert p.degree() == len(_trim(a)) - 1
+    assert p.is_zero() == (not _trim(a))
+
+
+@given(a=poly_coeffs)
+def test_pi_poly_to_exact_and_to_fraction(a):
+    cs, p = _trim(a), PiPoly(a)
+    if len(cs) <= 2:
+        e = p.to_exact()
+        assert e == ExactScalar(*(cs + (0, 0))[:2])
+        assert type(e.q1) is Fraction and type(e.q2) is Fraction
+        assert PiPoly.lift(e) == p
+    else:
+        with pytest.raises(ValueError, match="exceeds the q1 \\+ q2\\*pi form"):
+            p.to_exact()
+    if len(cs) <= 1:
+        x = p.to_fraction()
+        assert type(x) is Fraction and x == (cs[0] if cs else 0)
+    else:
+        with pytest.raises(ValueError, match="not rational"):
+            p.to_fraction()
+    assert float(p) == pytest.approx(sum(float(c) * math.pi**i for i, c in enumerate(cs)))
+
+
+@given(a=poly_coeffs, b=poly_coeffs, q1=rationals, q2=rationals, c=nonzero_rationals,
+       k=st.integers(-50, 50))
+def test_pi_poly_results_are_canonical(a, b, q1, q2, c, k):
+    p, q = PiPoly(a), PiPoly(b)
+    results = [p, q, p + q, p - q, -p, p * q, p * k, p * c, PiPoly.lift(ExactScalar(q1, q2)),
+               PiPoly.lift(q1), PiPoly.lift(k), p / c, (p * PiPoly([0, c])) / PiPoly([0, c])]
+    for r in results:
+        _assert_canonical(r)
+
+
+# -- pi_poly_sign against the Fraction-enclosure loop ----------------------------
+
+
+def _reference_sign(coeffs) -> tuple[int, int | None]:
+    """The Fraction loop pi_poly_sign ran before its int enclosure: the sign,
+    and the precision of the enclosure that decided it (None if none did)."""
+    cs = _trim(coeffs)
+    if not cs:
+        return 0, None
+    if len(cs) == 1:
+        return (-1 if cs[0] < 0 else 1), None
+    prec = 64
+    while True:
+        lo, hi = pi_bounds(prec)
+        val_lo, val_hi = cs[0], cs[0]
+        p_lo, p_hi = Fraction(1), Fraction(1)
+        for c in cs[1:]:
+            p_lo, p_hi = p_lo * lo, p_hi * hi
+            if c >= 0:
+                val_lo += c * p_lo
+                val_hi += c * p_hi
+            else:
+                val_lo += c * p_hi
+                val_hi += c * p_lo
+        if val_lo > 0:
+            return 1, prec
+        if val_hi < 0:
+            return -1, prec
+        prec *= 2
+
+
+def _pi_convergent(min_bits: int) -> tuple[int, int]:
+    """The first continued-fraction convergent p/q of pi with q >= 2**min_bits."""
+    with mpmath.workprec(4 * min_bits + 64):
+        x = +mpmath.pi
+        h_prev, h, k_prev, k = 0, 1, 1, 0
+        while k.bit_length() <= min_bits:
+            a = int(mpmath.floor(x))
+            h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
+            x = 1 / (x - a)
+    return h, k
+
+
+@given(coeffs=poly_coeffs)
+def test_pi_poly_sign_matches_the_fraction_loop(coeffs):
+    expected, _ = _reference_sign(coeffs)
+    assert pi_poly_sign(coeffs) == expected
+    assert PiPoly(coeffs).sign() == expected
+
+
+# (bits of the convergent's denominator, precision the enclosure reaches)
+ESCALATIONS = [(40, 128), (64, 256), (128, 512)]
+
+
+@pytest.mark.parametrize("bits,prec", ESCALATIONS)
+def test_pi_poly_sign_escalates_past_64_bits(bits, prec):
+    p, q = _pi_convergent(bits)
+    cases = [[-p, q], [p, -q], [p * p, 0, -q * q], [Fraction(-p, 7), Fraction(q, 7), 0]]
+    for coeffs in cases:
+        expected, reached = _reference_sign(coeffs)
+        assert reached == prec
+        assert pi_poly_sign(coeffs) == expected
+        assert PiPoly(coeffs).sign() == expected
+
+
+@pytest.mark.parametrize("bits,prec", ESCALATIONS)
+def test_pi_poly_sign_asks_for_the_enclosures_of_the_fraction_loop(monkeypatch, bits, prec):
+    p, q = _pi_convergent(bits)
+    asked = []
+    real = exact.pi_bounds
+    monkeypatch.setattr(exact, "pi_bounds", lambda n: asked.append(n) or real(n))
+    exact._pi_scaled.cache_clear()
+    try:
+        pi_poly_sign([-p, q])
+    finally:
+        exact._pi_scaled.cache_clear()
+    expected = [64]
+    while expected[-1] < prec:
+        expected.append(2 * expected[-1])
+    assert asked == expected
+
+
+def test_int_enclosure_is_pi_bounds():
+    for prec in (64, 128, 256, 512, 1024):
+        lo, hi, den = exact._pi_scaled(prec)
+        assert (Fraction(lo, den), Fraction(hi, den)) == pi_bounds(prec)

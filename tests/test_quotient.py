@@ -190,6 +190,20 @@ class TestSearchClosed:
         assert cert.causal == CausalClass.SPACELIKE
         cert.verify(spec)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="the snapped member's z = pi * 2pi needs a pi^2 part, which the "
+        "q1 + q2*pi form cannot hold; the fix needs a degree-2 exact scalar (ROADMAP item 2)",
+    )
+    def test_pi_twist_float_search_is_certified(self):
+        # the geodesic meets (2 pi^2, 0, 2pi), a member of the pi twist, at s = 2pi
+        spec = Twisted(Dim4Family(1, TWO_PI), PI)
+        x = AlgebraVector(math.pi, [(0.0, 0.0)], 1.0)
+        cert = search_closed(x, spec, r_max=3)
+        assert cert is not None
+        cert.verify(spec)
+
 
 # -- the search against its per-candidate definition ---------------------------
 
