@@ -2,8 +2,8 @@
 
 Basis order is fixed as (Z, X_1, Y_1, ..., X_n, Y_n, T); a vector is stored
 by its coefficients (d, (b_1, c_1), ..., (b_n, c_n), a) in that basis.
-Coefficients may be exact (rationals or q1 + q2*pi scalars) or floats;
-operations preserve the type.
+Coefficients may be exact (rationals or ExactScalar polynomials in pi) or
+floats; operations preserve the type.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import ExactScalar, PiPoly, rat
+from .exact import ExactScalar, as_exact, rat
 
 # float-mode tolerance for sign decisions of the causal quantity; inputs in
 # the shipped tests are exact, so only representation noise needs absorbing
@@ -218,10 +218,9 @@ def causal_class(
     x: AlgebraVector, freqs: FrequencyList, tol: float | None = None
 ) -> CausalClass:
     """Causal type of x: the exact sign of <x, x> for an exact x (entries
-    q1 + q2*pi included), the float sign up to tol otherwise."""
+    polynomials in pi included), the float sign up to tol otherwise."""
     if x.is_exact():
-        lifted = AlgebraVector.from_coords([PiPoly.lift(c) for c in x.coords()])
-        sign = causal_quantity(lifted, freqs).sign()
+        sign = as_exact(causal_quantity(x, freqs)).sign()
     else:
         q = causal_quantity(x.to_floats(), freqs)
         tol = CAUSAL_TOL if tol is None else tol

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraVector, FrequencyList
-from .exact import rat
+from .exact import parse_exact
 from .geodesics import (
     Geodesic,
     causal_character,
@@ -162,10 +162,10 @@ def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
 def _num(x):
     if isinstance(x, float):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return rat(x)
+        return parse_exact(x)
     raise CliValidationError(f"bad numeric entry {x!r}")
 
 

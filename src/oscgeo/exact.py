@@ -1,14 +1,15 @@
-"""Exact scalars of the form q1 + q2*pi with rational q1, q2.
+"""Exact scalars: polynomials in pi with rational coefficients, Q[pi].
 
 Lattice z-components live in rational lattices while t-components live in
-pi-rational lattices, so membership questions reduce to componentwise
-rational arithmetic once numbers are kept in this split form.  Linear
-independence of {1, pi} over the rationals makes equality and sign
-decidable; signs are settled with shrinking rational enclosures of pi
-(pi is transcendental, so any rational comparison terminates).
+pi-rational lattices; twists and closed-form geodesics multiply the two, so
+z-components reach pi^2 and beyond.  One type, `ExactScalar`, holds every
+exact coordinate.  Because pi is transcendental, a polynomial in pi is zero
+only when every coefficient is, so equality is equality of coefficients and
+signs are decidable: `pi_poly_sign` bounds the value over shrinking rational
+enclosures of pi, which separates the sign of every nonzero polynomial.
 
-Polynomials in pi (`PiPoly`) hold int numerators over one int denominator,
-and `pi_poly_sign` compares int sums against an int form of each enclosure,
+An ExactScalar holds int numerators over one int denominator, and
+`pi_poly_sign` compares int sums against an int form of each enclosure,
 built once per precision.
 """
 
@@ -17,19 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 import mpmath
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_Q0 = Fraction(0)
-
-
-def rat_add(a: Fraction, b: Fraction) -> Fraction:
-    """a + b for two Fractions, building no new Fraction when one is zero."""
-    return a + b if a and b else a or b
 
 
 def rat(x) -> Fraction:
@@ -64,14 +58,14 @@ def _pi_scaled(prec: int) -> tuple[int, int, int]:
 
 
 def pi_poly_sign(coeffs) -> int:
-    """Sign of sum(coeffs[k] * pi**k), for a PiPoly or a sequence of rationals.
+    """Sign of sum(coeffs[k] * pi**k), for an ExactScalar or a sequence of rationals.
 
     Decidable because pi is transcendental: the value is zero only when
     every coefficient is zero.  The sum is bounded over the enclosure
     pi_bounds(prec), prec = 64, 128, ..., until the bounds share a sign;
     both bounds are scaled by den**degree > 0, so they stay ints.
     """
-    num = (coeffs if isinstance(coeffs, PiPoly) else PiPoly(coeffs)).num
+    num = (coeffs if isinstance(coeffs, ExactScalar) else ExactScalar(*coeffs)).num
     if not num:
         return 0
     if len(num) == 1:
@@ -98,115 +92,171 @@ def pi_poly_sign(coeffs) -> int:
             raise RuntimeError("pi enclosure failed to separate sign")
 
 
-@dataclass(frozen=True)
+def _scalar(num: list, den: int) -> "ExactScalar":
+    """The ExactScalar with numerators num over den, for a list of ints and
+    an int den > 0; trimmed and reduced to lowest terms here."""
+    while num and not num[-1]:
+        num.pop()
+    common = math.gcd(den, *num)
+    if common != 1:
+        num, den = [x // common for x in num], den // common
+    x = object.__new__(ExactScalar)
+    x.num, x.den = tuple(num), den
+    return x
+
+
 class ExactScalar:
-    """The number q1 + q2*pi, componentwise exact."""
+    """The number c0 + c1 pi + c2 pi^2 + ..., built as ExactScalar(c0, c1, ...)
+    from ints, Fractions or rational strings.
 
-    q1: Fraction
-    q2: Fraction
+    Coefficient k is num[k] / den, for a tuple of ints over one int den > 0
+    with gcd(den, *num) == 1 and no trailing zero, so equal numbers have
+    equal fields (zero is num == ()).  Arithmetic runs on the ints, one gcd
+    per result; ints, Fractions and rational strings mix in on either side.
+    Division needs a monomial divisor c pi^k.  `coeffs` is a Fraction view
+    built when read.
+    """
 
-    def __init__(self, q1=0, q2=0):
-        object.__setattr__(self, "q1", rat(q1))
-        object.__setattr__(self, "q2", rat(q2))
+    __slots__ = ("num", "den")
 
-    @classmethod
-    def _of(cls, q1: Fraction, q2: Fraction) -> "ExactScalar":
-        """Internal constructor for components that are already Fractions."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "q1", q1)
-        object.__setattr__(x, "q2", q2)
-        return x
+    def __init__(self, *coeffs):
+        cs = [rat(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        x = _scalar([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den = x.num, x.den
+
+    _of = staticmethod(_scalar)  # internal constructor from ints
 
     # -- queries ----------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.q2 == 0
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple([Fraction(x, self.den) for x in self.num])
 
-    def is_pi_multiple(self) -> bool:
-        return self.q1 == 0
+    def degree(self) -> int:
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return self.q1 == 0 and self.q2 == 0
+        return not self.num
 
     def sign(self) -> int:
-        return pi_poly_sign(PiPoly.lift(self))
+        return pi_poly_sign(self)
+
+    def to_fraction(self) -> Fraction:
+        if len(self.num) > 1:
+            raise ValueError("pi-polynomial is not rational")
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_exact(other)
-        return ExactScalar._of(rat_add(self.q1, other.q1), rat_add(self.q2, other.q2))
+        o = other if type(other) is ExactScalar else as_exact(other)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _scalar([x + y for x, y in zip_longest(self.num, o.num, fillvalue=0)], d1)
+        out = [x * d2 + y * d1 for x, y in zip_longest(self.num, o.num, fillvalue=0)]
+        return _scalar(out, d1 * d2)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        x = object.__new__(ExactScalar)
+        x.num, x.den = tuple([-c for c in self.num]), self.den
+        return x
+
     def __sub__(self, other):
-        other = as_exact(other)
-        return ExactScalar._of(self.q1 - other.q1, self.q2 - other.q2)
+        o = other if type(other) is ExactScalar else as_exact(other)
+        return self + -o
 
     def __rsub__(self, other):
-        return as_exact(other) - self
-
-    def __neg__(self):
-        return ExactScalar._of(-self.q1, -self.q2)
+        return -self + other
 
     def __mul__(self, other):
-        other = as_exact(other)
-        if self.is_rational():
-            return ExactScalar._of(self.q1 * other.q1, self.q1 * other.q2)
-        if other.is_rational():
-            return ExactScalar._of(self.q1 * other.q1, self.q2 * other.q1)
-        raise ValueError(
-            "product of two irrational exact scalars leaves the q1 + q2*pi form"
-        )
+        if type(other) is int:
+            return _scalar([x * other for x in self.num], self.den)
+        o = other if type(other) is ExactScalar else as_exact(other)
+        out = [0] * (len(self.num) + len(o.num) - 1)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(o.num):
+                out[i + j] += a * b
+        return _scalar(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_exact(other)
-        if other.is_zero():
-            raise ZeroDivisionError("exact scalar division by zero")
-        if other.is_rational():
-            return ExactScalar._of(self.q1 / other.q1, self.q2 / other.q1)
-        if other.is_pi_multiple() and self.is_pi_multiple():
-            # (a*pi) / (b*pi) is rational
-            return ExactScalar._of(self.q2 / other.q2, _Q0)
-        raise ValueError("quotient leaves the q1 + q2*pi form")
+        """Exact division by a monomial c * pi^k."""
+        o = other if type(other) is ExactScalar else as_exact(other)
+        nz = [i for i, c in enumerate(o.num) if c]
+        if len(nz) != 1:
+            raise ValueError("pi-polynomial division needs a monomial divisor")
+        k = nz[0]
+        if any(self.num[:k]):
+            raise ValueError(f"division by pi^{k} is not exact here")
+        c = o.num[k]  # the divisor is (c / o.den) pi^k
+        scale = o.den if c > 0 else -o.den
+        return _scalar([x * scale for x in self.num[k:]], abs(c) * self.den)
+
+    def __eq__(self, other):
+        if type(other) is not ExactScalar:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __lt__(self, other):
-        return (self - as_exact(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - as_exact(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - as_exact(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - as_exact(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        return float(self.q1) + float(self.q2) * math.pi
+        num, den = self.num, self.den
+        if not num:
+            return 0.0
+        total = num[0] / den
+        for k in range(1, len(num)):
+            total += num[k] / den * math.pi**k
+        return total
 
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.q2 == 0:
-            return str(self.q1)
-        pi_part = "pi" if self.q2 == 1 else f"{self.q2} pi" if self.q2 != -1 else "-pi"
-        if self.q1 == 0:
-            return pi_part
-        if self.q2 > 0:
-            return f"{self.q1} + {pi_part}"
-        return f"{self.q1} - {pi_part.lstrip('-')}"
+        out = ""
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                term = str(c)
+            else:
+                power = "pi" if k == 1 else f"pi^{k}"
+                term = power if c == 1 else f"-{power}" if c == -1 else f"{c} {power}"
+            if not out:
+                out = term
+            else:
+                out += f" + {term}" if c > 0 else f" - {term.lstrip('-')}"
+        return out or "0"
 
     def __repr__(self) -> str:
-        return f"ExactScalar({self.q1!r}, {self.q2!r})"
+        cs = (*self.coeffs, Fraction(0), Fraction(0))[: max(2, len(self.num))]
+        return f"ExactScalar({', '.join(map(repr, cs))})"
 
 
-ZERO = ExactScalar(0, 0)
+ZERO = ExactScalar()
 PI = ExactScalar(0, 1)
 
 
@@ -215,15 +265,27 @@ def as_exact(x) -> ExactScalar:
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar._of(rat(x), _Q0)
+        return _scalar([x.numerator], x.denominator)
     if isinstance(x, str):
         return parse_exact(x)
     raise TypeError(f"cannot lift {type(x).__name__} to ExactScalar")
 
 
-# Accepted token forms: "3/2", "3/2 + 1/4 pi", "2pi", "-pi/2", "1/2 - pi".
+def pi_coefficient(x: ExactScalar) -> tuple[int, int] | None:
+    """(n, d) with x == (n / d) pi in lowest terms and d > 0, or None when x
+    is not a rational multiple of pi."""
+    num = x.num
+    if not num:
+        return 0, 1
+    if len(num) == 2 and not num[0]:
+        return num[1], x.den
+    return None
+
+
+# Accepted token forms: "3/2", "3/2 + 1/4 pi", "2pi", "-pi/2", "1/2 - pi", "2 pi^2".
 _PI_TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*pi(?:\s*/\s*(?P<den>\d+))?$"
+    r"^(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*pi"
+    r"(?:\s*\^\s*(?P<power>\d+))?(?:\s*/\s*(?P<den>\d+))?$"
 )
 
 
@@ -233,17 +295,17 @@ def _parse_term(term: str) -> ExactScalar:
         m = _PI_TERM_RE.match(term)
         if not m:
             raise ValueError(f"bad pi term: {term!r}")
-        q2 = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        c = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("sign") == "-":
-            q2 = -q2
+            c = -c
         if m.group("den"):
-            q2 /= int(m.group("den"))
-        return ExactScalar(0, q2)
-    return ExactScalar(rat(term), 0)
+            c /= int(m.group("den"))
+        return ExactScalar(*[0] * int(m.group("power") or 1), c)
+    return as_exact(rat(term))
 
 
 def parse_exact(text: str) -> ExactScalar:
-    """Parse the grammar  Q ( '+' Q 'pi' )?  and natural variants."""
+    """Parse a sum of terms  Q  and  Q pi^k  (k defaults to 1), and natural variants."""
     s = text.strip().replace("π", "pi")
     if not s:
         raise ValueError("empty exact scalar")
@@ -263,135 +325,10 @@ def parse_exact(text: str) -> ExactScalar:
     return total
 
 
-class PiPoly:
-    """Polynomial in pi with rational coefficients.
-
-    Intermediate geodesic quantities (squares of pi-valued velocities and
-    the like) leave the q1 + q2*pi form; carrying them as polynomials keeps
-    every step exact.  Conversion back to ExactScalar requires degree <= 1.
-
-    Coefficient k is num[k] / den, for a tuple of ints over one int den > 0
-    with gcd(den, *num) == 1 and no trailing zero, so equal polynomials have
-    equal fields.  Arithmetic runs on the ints, one gcd per result;
-    `coeffs` is a Fraction view built when read.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        den = math.lcm(*[c.denominator for c in cs])
-        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
-        self.num, self.den = p.num, p.den
-
-    @classmethod
-    def lift(cls, x) -> "PiPoly":
-        if isinstance(x, PiPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _poly([x.numerator], x.denominator)
-        e = as_exact(x)
-        den = math.lcm(e.q1.denominator, e.q2.denominator)
-        return _poly([q.numerator * (den // q.denominator) for q in (e.q1, e.q2)], den)
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as Fractions, lowest degree first."""
-        return tuple([Fraction(x, self.den) for x in self.num])
-
-    def __add__(self, other):
-        o = PiPoly.lift(other)
-        d1, d2 = self.den, o.den
-        out = [x * d2 + y * d1 for x, y in zip_longest(self.num, o.num, fillvalue=0)]
-        return _poly(out, d1 * d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly([-x for x in self.num], self.den)
-
-    def __sub__(self, other):
-        return self + -PiPoly.lift(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _poly([x * other for x in self.num], self.den)
-        o = PiPoly.lift(other)
-        out = [0] * (len(self.num) + len(o.num) - 1)
-        for i, a in enumerate(self.num):
-            for j, b in enumerate(o.num):
-                out[i + j] += a * b
-        return _poly(out, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Exact division by a monomial c * pi^k."""
-        o = PiPoly.lift(other)
-        nz = [i for i, c in enumerate(o.num) if c != 0]
-        if len(nz) != 1:
-            raise ValueError("pi-polynomial division needs a monomial divisor")
-        k = nz[0]
-        if any(self.num[:k]):
-            raise ValueError(f"division by pi^{k} is not exact here")
-        c = o.num[k]  # the divisor is (c / o.den) pi^k
-        scale = o.den if c > 0 else -o.den
-        return _poly([x * scale for x in self.num[k:]], abs(c) * self.den)
-
-    def __eq__(self, other):
-        o = PiPoly.lift(other)
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def sign(self) -> int:
-        return pi_poly_sign(self)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def degree(self) -> int:
-        return len(self.num) - 1
-
-    def to_exact(self) -> ExactScalar:
-        if len(self.num) > 2:
-            raise ValueError(f"degree {self.degree()} exceeds the q1 + q2*pi form")
-        q1, q2 = [Fraction(x, self.den) if x else _Q0 for x in (*self.num, 0, 0)[:2]]
-        return ExactScalar._of(q1, q2)
-
-    def to_fraction(self) -> Fraction:
-        if len(self.num) > 1:
-            raise ValueError("pi-polynomial is not rational")
-        return Fraction(self.num[0], self.den) if self.num else _Q0
-
-    def __float__(self):
-        return float(sum(x / self.den * math.pi**i for i, x in enumerate(self.num)))
-
-    def __repr__(self):
-        return f"PiPoly({list(self.coeffs)!r})"
-
-
-def _poly(num: list, den: int) -> PiPoly:
-    """The PiPoly num / den for a list of ints over an int den > 0, trimmed
-    and reduced to lowest terms here."""
-    while num and not num[-1]:
-        num.pop()
-    common = math.gcd(den, *num)
-    if common != 1:
-        num, den = [x // common for x in num], den // common
-    p = object.__new__(PiPoly)
-    p.num, p.den = tuple(num), den
-    return p
-
-
 def exact_to_json(x: ExactScalar):
     """JSON form: plain number for integers, string otherwise."""
-    if x.is_rational() and x.q1.denominator == 1:
-        return int(x.q1)
+    if len(x.num) <= 1 and x.den == 1:
+        return x.num[0] if x.num else 0
     return str(x)
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, gram_matrix
-from .exact import ExactScalar, PiPoly
+from .exact import ExactScalar, as_exact
 from .group import GroupElement, multiply, rotation
 
 
@@ -115,38 +115,37 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
     """Exact evaluation at parameter s.
 
     Velocity entries may be rationals or ExactScalars; every rotation angle
-    lambda_j * a * s must land in (pi/2)Z and every group coordinate must
-    stay inside its exact form, otherwise a ValueError propagates.
+    lambda_j * a * s must land in (pi/2)Z, every division must be by a
+    monomial in pi and v must stay rational, otherwise a ValueError
+    propagates.
     """
     if x.n != freqs.n:
         raise ValueError("initial velocity does not match frequencies")
-    s_p = PiPoly.lift(s)
-    a_p = PiPoly.lift(x.a)
-    d_p = PiPoly.lift(x.d)
-    if a_p.is_zero():
-        z = (d_p * s_p).to_exact()
+    s = as_exact(s)
+    a = as_exact(x.a)
+    if a.is_zero():
         v = []
         for b, c in x.bc:
-            v.append((PiPoly.lift(b) * s_p).to_fraction())
-            v.append((PiPoly.lift(c) * s_p).to_fraction())
-        return GroupElement(z, v, ExactScalar(0))
-    t_out = (a_p * s_p).to_exact()
-    bcs = [(PiPoly.lift(b), PiPoly.lift(c)) for b, c in x.bc]
-    bc2s = [b_p * b_p + c_p * c_p for b_p, c_p in bcs]
-    v, z_p = _oscillation(a_p, bcs, bc2s, rotation(t_out, freqs), freqs)
+            v.append((as_exact(b) * s).to_fraction())
+            v.append((as_exact(c) * s).to_fraction())
+        return GroupElement(x.d * s, v, ExactScalar(0))
+    t_out = a * s
+    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
+    bc2s = [b * b + c * c for b, c in bcs]
+    v, z = _oscillation(a, bcs, bc2s, rotation(t_out, freqs), freqs)
     for lam, bc2 in zip(freqs.lambdas, bc2s):
-        z_p = z_p + (bc2 / (2 * a_p)) * s_p / lam
-    return GroupElement((z_p + d_p * s_p).to_exact(), v, t_out)
+        z = z + (bc2 / (2 * a)) * s / lam
+    return GroupElement(z + x.d * s, v, t_out)
 
 
-def _oscillation(a_p: PiPoly, bcs, bc2s, rot, freqs: FrequencyList) -> tuple[list, PiPoly]:
+def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList) -> tuple[list, ExactScalar]:
     """v of the closed form at the block rotations rot = R(a s), and the part
     -sum_j (b_j^2+c_j^2) sin / (2 a^2 lambda_j^2) of z that oscillates."""
-    v, p, two_a2 = [], PiPoly(), 2 * a_p * a_p
-    for lam, (b_p, c_p), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
-        a_lam = a_p * lam
-        vx = (b_p * sin + c_p * (kos - 1)) / a_lam
-        vy = (b_p * (1 - kos) + c_p * sin) / a_lam
+    v, p, two_a2 = [], ExactScalar(), 2 * a * a
+    for lam, (b, c), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
+        a_lam = a * lam
+        vx = (b * sin + c * (kos - 1)) / a_lam
+        vy = (b * (1 - kos) + c * sin) / a_lam
         v.extend((vx.to_fraction(), vy.to_fraction()))
         p = p - (bc2 * sin) / two_a2 / (lam * lam)
     return v, p
@@ -164,21 +163,21 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
     """
     if x.n != freqs.n:
         raise ValueError("initial velocity does not match frequencies")
-    t_p = PiPoly.lift(t_step)
-    a_p = PiPoly.lift(x.a)
-    s_1 = t_p / a_p
-    bcs = [(PiPoly.lift(b), PiPoly.lift(c)) for b, c in x.bc]
-    bc2s = [b_p * b_p + c_p * c_p for b_p, c_p in bcs]
-    slope = PiPoly.lift(x.d) * s_1
+    t_step = as_exact(t_step)
+    a = as_exact(x.a)
+    s_1 = t_step / a
+    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
+    bc2s = [b * b + c * c for b, c in bcs]
+    slope = s_1 * x.d
     for lam, bc2 in zip(freqs.lambdas, bc2s):
-        slope = slope + (bc2 / (2 * a_p)) * s_1 / lam
+        slope = slope + (bc2 / (2 * a)) * s_1 / lam
     residues: dict = {}
 
     def point(r: int):
-        key, t = r % period, (t_p * r).to_exact()
+        key, t = r % period, t_step * r
         if key not in residues:
             try:
-                v, p = _oscillation(a_p, bcs, bc2s, rotation(t, freqs), freqs)
+                v, p = _oscillation(a, bcs, bc2s, rotation(t, freqs), freqs)
                 residues[key] = GroupElement(0, v, 0), p  # v scaled to ints once
             except ValueError as exc:
                 residues[key] = exc
@@ -186,8 +185,7 @@ def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
         if isinstance(found, ValueError):
             raise found.with_traceback(None)
         v_only, p = found
-        z = (slope * r + p).to_exact()
-        return (s_1 * r).to_exact(), GroupElement._exact(z, v_only.num, v_only.den, t)
+        return s_1 * r, GroupElement._exact(slope * r + p, v_only.num, v_only.den, t)
 
     return point
 

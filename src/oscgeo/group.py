@@ -12,15 +12,17 @@ requirement that the closed-form geodesics are one-parameter subgroups
 A rotation R(t) is held as one (cos, sin) pair per block and applied pair
 by pair; no dense 2n x 2n matrix is built.
 
-Exact mode keeps z, t as ExactScalar and v as `num / den`: a tuple of ints
+Exact mode keeps z and t as ExactScalar, polynomials in pi held as int
+numerators over one int denominator, and v as `num / den`: a tuple of ints
 over one int den > 0 with gcd(den, *num) == 1, so equal elements have equal
 fields; `v` is a Fraction view built on first read.  Exact rotations need
 every lambda_i * t in (pi/2)Z (`is_quarter_turn`); `rotation` is the only
 place an exact angle becomes (cos, sin), a signed quarter turn per block
 applied as a signed swap of ints.  The exact product is int arithmetic: the
-pairing v1^T J R(t1) v2 is one int sum added to z as pair / (2 d1 d2), and
-v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when d1 == d2),
-reduced by one gcd.  Float arithmetic keeps its operation order.
+pairing v1^T J R(t1) v2 is one int sum added to z as pair / (2 d1 d2), z and
+t are summed on their ints, and v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2
+(n1 + n2 over d when d1 == d2), reduced by one gcd.  Float arithmetic keeps
+its operation order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import FrequencyList
-from .exact import ExactScalar, as_exact, exact_from_json, exact_to_json, rat, rat_add
+from .exact import (
+    ExactScalar,
+    as_exact,
+    exact_from_json,
+    exact_to_json,
+    pi_coefficient,
+    rat,
+)
 
 
 class ExactModeUnsupportedAngle(ValueError):
@@ -46,10 +55,12 @@ _QUARTER = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 def _half_turns(t: ExactScalar, freqs: FrequencyList) -> list | None:
     """Each block angle lambda_i * t in units of pi/2, as an unreduced
-    (numerator, denominator) int pair; None if t has a rational part."""
-    if t.q1 != 0:
+    (numerator, denominator) int pair; None if t is not a rational multiple
+    of pi."""
+    pc = pi_coefficient(t)
+    if pc is None:
         return None
-    num, den = 2 * t.q2.numerator, t.q2.denominator
+    num, den = 2 * pc[0], pc[1]
     return [(lam.numerator * num, lam.denominator * den) for lam in freqs.lambdas]
 
 
@@ -110,8 +121,9 @@ def rotation(t, freqs: FrequencyList) -> RotationMatrix:
     if isinstance(t, ExactScalar):
         half_turns = _half_turns(t, freqs)
         if half_turns is None:
+            part = "a nonzero rational part" if t.num[0] else "a power of pi above 1"
             raise ExactModeUnsupportedAngle(
-                f"angle {t} has a nonzero rational part; rotation entries would be irrational"
+                f"angle {t} has {part}; rotation entries would be irrational"
             )
         cos_sin = []
         for num, den in half_turns:
@@ -299,7 +311,7 @@ def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupE
     rn2 = rotation(g1.t, freqs).apply(g2.num)
     pair = int_pairing(n1, rn2)
     if pair:  # (1/2) v1^T J R v2 = pair / (2 d1 d2)
-        z = ExactScalar._of(rat_add(z.q1, Fraction(pair, 2 * d1 * d2)), z.q2)
+        z = z + ExactScalar._of([pair], 2 * d1 * d2)
     if d1 == d2:
         num, den = tuple([a + b for a, b in zip(n1, rn2)]), d1
     else:

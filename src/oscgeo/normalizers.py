@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exact import ExactScalar, PI
+from .exact import PI, ExactScalar, pi_coefficient
 from .group import GroupElement, int_pairing, invert, is_quarter_turn, multiply
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
@@ -63,10 +63,11 @@ def normalizer_oracle(g: GroupElement, spec: LatticeSpec) -> bool:
     if not g.is_exact():
         raise TypeError("the oracle works on exact elements")
     if not is_quarter_turn(g.t, spec.freqs):
-        # a nonzero rational part q1 of t leaves cos and sin of every block
-        # angle not both rational: exp(i lambda_i q1) is transcendental by
-        # Lindemann-Weierstrass and exp(i lambda_i q2 pi) is algebraic.  A
-        # pi-rational non-quarter turn cannot have both rational either.
+        # a nonzero rational part q1 of t = q1 + q2 pi leaves cos and sin of
+        # every block angle not both rational: exp(i lambda_i q1) is
+        # transcendental by Lindemann-Weierstrass and exp(i lambda_i q2 pi)
+        # is algebraic.  A pi-rational non-quarter turn cannot have both
+        # rational either.
         # Either way R(t) e_i leaves Z^{2n}, so conjugating a v-generator
         # leaves the integer lattice
         return False
@@ -127,7 +128,7 @@ class NormalizerTable:
                 Fraction(2): f"Z^2/{2 * k}",
                 Fraction(1): "Z^2/2",
                 Fraction(1, 2): "Z^2",
-            }[spec.angle.q2]
+            }[spec.t0_pi_coeff]
             return cls(
                 params={"family": "dim4", "k": k, "angle": str(spec.angle)},
                 factors=("R", v_factor, "(pi/2) Z"),
@@ -155,9 +156,8 @@ class NormalizerTable:
         if not g.is_exact():
             raise TypeError("table membership is decided in exact mode")
         q = self.params.get("q", 1)
-        if g.t.q1 != 0:
-            return g.t.is_zero()
-        if (g.t.q2 / Fraction(q, 2)).denominator != 1:
+        pc = pi_coefficient(g.t)  # t = (n / d) pi must lie in (q pi / 2) Z
+        if pc is None or 2 * pc[0] % (pc[1] * q):
             return False
         pairs = [(g.v[2 * i], g.v[2 * i + 1]) for i in range(g.n)]
         sets = self.factors[1:-1]

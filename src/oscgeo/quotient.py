@@ -12,13 +12,13 @@ squared line step is a rational multiple of 2*pi.
 The closure search tries the candidate times r * t0 / a.  Its setup is done
 once per search: the exact candidates repeat their rotation part with
 r mod K0 (`geodesics.exact_orbit`), so each one costs a few integer
-multiples of pi-polynomials, and the float candidates share one float
+multiples of exact scalars, and the float candidates share one float
 geodesic and the lattice constants of the snap.
 
 Certificates are verified before being returned: the target lattice point
 is checked by exact membership, the closed-form evaluation is re-run in
-float mode against it, and -- whenever the data stays inside the exact
-forms -- the evaluation is also replayed exactly.
+float mode against it, and -- whenever the initial data is exact -- the
+evaluation is also replayed exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
-from .exact import ExactScalar, PiPoly, as_exact
+from .exact import PI, ExactScalar, as_exact, pi_coefficient
 from .geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exact_orbit
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
 from .lattices import (
@@ -148,14 +148,13 @@ def _twist_total(spec: LatticeSpec) -> tuple[LatticeSpec, ExactScalar]:
 def _certificate_k0_one(spec, prof, sign_wanted: int) -> ClosedGeodesicCertificate:
     """Velocity a = t0, b = c = 0, d = mu*w + z over members (z, 0, t0)."""
     core, twist = _twist_total(spec)
-    w = prof.central_w.q1
+    w = prof.central_w.to_fraction()
     t_hat = prof.t0
-    tau = t_hat.q2
-    z_base = (PiPoly.lift(twist) * PiPoly.lift(t_hat)).to_exact()  # twisted shift
+    z_base = twist * t_hat  # twisted shift
     for mu in _alternating_scan():
-        d = z_base + ExactScalar(mu * w)
-        # causal quantity 2 a d with a = tau*pi
-        sign = PiPoly([0, 2 * tau * d.q1, 2 * tau * d.q2]).sign()
+        d = z_base + mu * w
+        # causal quantity 2 a d with a = t_hat
+        sign = (2 * t_hat * d).sign()
         if sign != sign_wanted:
             continue
         target = GroupElement(d, (0,) * (2 * spec.freqs.n), t_hat)
@@ -176,9 +175,9 @@ def _certificate_k0_many(spec, prof, sign_wanted: int) -> ClosedGeodesicCertific
     """Solve the per-block linear systems for a member (x, u, (K0-1) t0)."""
     core, twist = _twist_total(spec)
     freqs = spec.freqs
-    w = prof.central_w.q1
+    w = prof.central_w.to_fraction()
     t_hat = prof.t0 * (prof.k0 - 1)
-    tau = t_hat.q2
+    tau = t_hat.coeffs[1]  # t_hat = tau pi
     blocks = []  # (u_j, beta_j, gamma_j, sin_j) with velocities beta*pi, gamma*pi
     for lam, (kos, sin) in zip(freqs.lambdas, rotation(t_hat, freqs).cos_sin):
         if kos == 1:  # singular block: stays at the origin, target 0 there
@@ -201,19 +200,18 @@ def _certificate_k0_many(spec, prof, sign_wanted: int) -> ClosedGeodesicCertific
         (b * b + g * g) * s / (lam * lam)
         for (_, b, g, s), lam in zip(blocks, freqs.lambdas)
     )
-    z_twist = (PiPoly.lift(twist) * PiPoly.lift(t_hat)).to_exact()
+    z_twist = twist * t_hat
     for mu in _alternating_scan():
-        z_hat = z_twist + ExactScalar(mu * w)
-        # Q = 2 a z_hat + (1/a) sum sin_k (b_k^2+c_k^2)/lam_k^2, all over pi
-        q_poly = PiPoly(
-            [0, 2 * tau * z_hat.q1 + sum_bc_sin_over_lam2 / tau, 2 * tau * z_hat.q2]
-        )
-        sign = q_poly.sign()
+        z_hat = z_twist + mu * w
+        # Q = 2 a z_hat + (1/a) sum sin_k (b_k^2+c_k^2)/lam_k^2 with a = tau pi
+        # and (b_k, c_k) = (beta_k, gamma_k) pi
+        sign = (2 * t_hat * z_hat + sum_bc_sin_over_lam2 / tau * PI).sign()
         if sign != sign_wanted:
             continue
-        d = ExactScalar(
-            z_hat.q1 + sum_bc_sin_over_lam2 / (2 * tau * tau),
-            z_hat.q2 - sum_bc_over_lam / (2 * tau),
+        d = (
+            z_hat
+            + sum_bc_sin_over_lam2 / (2 * tau * tau)
+            - sum_bc_over_lam / (2 * tau) * PI
         )
         bc_exact = [
             (ExactScalar(0, b), ExactScalar(0, g)) for (_, b, g, _) in blocks
@@ -247,9 +245,10 @@ def closed_timelike_and_spacelike(
     """A verified closed timelike and closed spacelike geodesic certificate."""
     _require_profiled(spec)
     core, twist = _twist_total(spec)
-    if (PiPoly.lift(twist) * PiPoly.lift(core.profile().t0)).degree() > 1:
+    if (twist * core.profile().t0).degree() > 1:
         raise UnsupportedSpec(
-            "twist times t-step leaves the exact scalar form; members are not representable"
+            "twist times t-step has a pi^2 term; certificates for pi-twisted lattices "
+            "are not built yet"
         )
     prof = spec.profile()
     builder = _certificate_k0_one if prof.k0 == 1 else _certificate_k0_many
@@ -273,8 +272,8 @@ def _search_line_case(
     x: AlgebraVector, spec: LatticeSpec, freqs: FrequencyList
 ) -> ClosedGeodesicCertificate | None:
     """Lattice hits of the straight line (d s, (b_j s, c_j s), 0)."""
-    d = PiPoly.lift(x.d).to_fraction()
-    bcs = [PiPoly.lift(c).to_fraction() for pair in x.bc for c in pair]
+    d = as_exact(x.d).to_fraction()
+    bcs = [as_exact(c).to_fraction() for pair in x.bc for c in pair]
     steps: list[Fraction] = []
     if d != 0:
         steps.append(spec.z_step() / abs(d))
@@ -317,7 +316,7 @@ def search_closed(
     freqs = spec.freqs
     prof = spec.profile()
     exact_input = x.is_exact()
-    if exact_input and PiPoly.lift(x.a).is_zero():
+    if exact_input and as_exact(x.a).is_zero():
         return _search_line_case(x, spec, freqs)
     if not exact_input and float(x.a) == 0.0:
         return None  # line search needs exact data
@@ -363,8 +362,7 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
     t_step = float(t0)
     z_step = core.z_step()
     z_step_f = float(z_step)
-    twist_p = PiPoly.lift(twist)
-    q1, q2 = t0.q1, t0.q2
+    t0_num, t0_den = pi_coefficient(t0)  # t0 = (t0_num / t0_den) pi
 
     def snap(point: GroupElement) -> GroupElement | None:
         # a coordinate that is not finite (round raises) or whose float
@@ -381,7 +379,7 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
                     return None
                 v_exact.append(vi)
             # float(t0 * j) from ints; the exact t is built only for a member
-            t_f = q1.numerator * j / q1.denominator + q2.numerator * j / q2.denominator * math.pi
+            t_f = t0_num * j / t0_den * math.pi
             z_core = point.z - tw * t_f
             u = round(z_core / z_step_f)
         except (OverflowError, ValueError):
@@ -389,9 +387,7 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
         if abs(z_core - u * z_step_f) > tol or math.ulp(z_core) > tol:
             return None
         t_exact = t0 * j
-        z_exact = (
-            PiPoly.lift(ExactScalar(z_step * u)) + twist_p * PiPoly.lift(t_exact)
-        ).to_exact()
+        z_exact = twist * t_exact + z_step * u
         candidate = GroupElement(z_exact, v_exact, t_exact)
         return candidate if spec.contains(candidate) else None
 

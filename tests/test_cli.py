@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, CausalClass
 from oscgeo.cli import VERBS, CliValidationError, build_parser, main, parse_lattice, parse_velocity
-from oscgeo.exact import PI
+from oscgeo.exact import PI, parse_exact
 from oscgeo.group import GroupElement
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
-from oscgeo.quotient import ClosedGeodesicCertificate
+from oscgeo.quotient import ClosedGeodesicCertificate, search_closed
 
 LATTICE = "dim4:k=1:angle=2pi"
+PI_TWIST = '{"family": "twisted", "m": "pi", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
 VACUOUS = pytest.mark.xfail(
     strict=True,
     reason="a fiber search that checks no (g, lam) pair still reports 'preserving': the "
@@ -401,13 +402,8 @@ class TestContractBreaches:
 
 
 class TestPiTwist:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="exits 2 with 'degree 2 exceeds the q1 + q2*pi form': the member it "
-        "meets has a pi^2 z-part, so the fix needs a degree-2 exact scalar (ROADMAP item 2)",
-    )
     def test_float_search_on_a_pi_twist_is_certified(self, capsys):
-        lattice = '{"family": "twisted", "m": "pi", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
+        lattice = PI_TWIST
         code, report = run_cli(
             capsys, "quotient", "closed-search", "--lattice", lattice,
             "--X", '{"d": 3.141592653589793, "bc": [[0, 0]], "a": 1.0}', "--r-max", "3")
@@ -421,6 +417,26 @@ class TestPiTwist:
             GroupElement.from_json(cert["lattice_point"]),
             CausalClass(cert["causal"]),
         ).verify(parse_lattice(lattice))
+
+    @pytest.mark.parametrize("lattice", [LATTICE, PI_TWIST])
+    @pytest.mark.parametrize("d,a", [("pi", "2"), ("pi", "1"), ("1/2 + pi", "pi/2")])
+    def test_pi_valued_velocity_entries_are_read_exactly(self, capsys, lattice, d, a):
+        x = json.dumps({"d": d, "bc": [[0, 0]], "a": a})
+        code, report = run_cli(capsys, "quotient", "closed-search", "--lattice", lattice, "--X", x)
+        assert code == 0
+        exact = AlgebraVector(parse_exact(d), [(0, 0)], parse_exact(a))
+        expected = search_closed(exact, parse_lattice(lattice))
+        assert report["verdicts"]["closed"] is (expected is not None)
+        if expected is not None:
+            (cert,) = report["certificates"]
+            assert cert["lattice_point"] == expected.lattice_point.to_json()
+            assert cert["exact_initial_data"] is True
+
+    def test_boolean_velocity_entry_is_exit_2(self, capsys):
+        code, rep = run_cli(capsys, "quotient", "closed-search", "--lattice", LATTICE,
+                            "--X", '{"d": true, "bc": [[0, 0]], "a": 1}')
+        assert code == 2
+        assert any("bad numeric entry True" in d for d in rep["diagnostics"])
 
 
 class TestDeterminism:
@@ -533,7 +549,8 @@ def elements(draw, n):
 @st.composite
 def velocities(draw, n):
     if draw(st.booleans()):
-        entries = SMALL_RATS.map(str) | st.floats(-3, 3) | FLOATS
+        entries = SMALL_RATS.map(str) | st.floats(-3, 3) | FLOATS | st.sampled_from(
+            ["pi", "-pi/2", "1/2 + pi", "pi^2"])
         bc = [draw(st.lists(entries, min_size=2, max_size=2)) for _ in range(n)]
         return json.dumps({"d": draw(entries), "bc": bc, "a": draw(entries)})
     basis = ["Z", "T", *(f"{xy}{j}" for j in range(1, n + 1) for xy in "XY")]
@@ -724,8 +741,8 @@ GOLDEN_COMMANDS = {
         "quotient", "certify-causal",
         "--lattice", '{"family": "twisted", "m": "2", "base": '
                      '{"family": "dim6", "k": 1, "p": 1, "q": 3, "M": 4}}'],
-    # exact rational --X (its entries cannot be pi-valued); s and z are pi-valued:
-    # the member it meets at t = t0 has z = 1/2 + pi/2
+    # exact rational --X; s and z are pi-valued: the member it meets at t = t0
+    # has z = 1/2 + pi/2
     "closed_search_rational_twist_exact": [
         "quotient", "closed-search",
         "--lattice", '{"family": "twisted", "m": "1/3", "base": '
@@ -736,6 +753,10 @@ GOLDEN_COMMANDS = {
         "quotient", "product-line",
         "--lattice", '{"family": "product_line", "base": {"family": "dim4", "k": 1, '
                      '"angle": "2pi"}, "w2": {"pi_coeffs": ["0", "3/4"]}}'],
+    # the float search on a pi twist snaps to the member (2 pi^2, 0, 2pi)
+    "closed_search_pi_twist": [
+        "quotient", "closed-search", "--lattice", PI_TWIST,
+        "--X", '{"d": 3.141592653589793, "bc": [[0, 0]], "a": 1.0}', "--r-max", "3"],
 }
 
 

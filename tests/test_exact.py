@@ -10,7 +10,6 @@ from oscgeo import exact
 from oscgeo.exact import (
     ExactScalar,
     PI,
-    PiPoly,
     as_exact,
     exact_from_json,
     exact_to_json,
@@ -24,8 +23,10 @@ rationals = st.fractions(max_denominator=50)
 
 def test_zero_iff_both_components_zero():
     assert ExactScalar(0, 0).is_zero()
+    assert ExactScalar(0, 0, 0).is_zero() and ExactScalar().is_zero()
     assert not ExactScalar(0, Fraction(1, 10**9)).is_zero()
     assert not ExactScalar(Fraction(1, 10**9), 0).is_zero()
+    assert not ExactScalar(0, 0, Fraction(1, 10**9)).is_zero()
 
 
 def test_arithmetic_basics():
@@ -38,9 +39,10 @@ def test_arithmetic_basics():
     assert float(a) == pytest.approx(0.5 + 0.75 * math.pi)
 
 
-def test_pi_times_pi_rejected():
-    with pytest.raises(ValueError):
-        PI * PI
+def test_pi_times_pi_is_pi_squared():
+    assert PI * PI == ExactScalar(0, 0, 1)
+    assert (PI * PI).degree() == 2 and str(PI * PI) == "pi^2"
+    assert (PI * PI) / PI == PI
 
 
 def test_pi_over_pi_is_rational():
@@ -93,16 +95,42 @@ def test_pi_poly_sign():
         ("-3 - 1/2 pi", ExactScalar(-3, Fraction(-1, 2))),
         ("0", ExactScalar(0, 0)),
         ("1/2pi", ExactScalar(0, Fraction(1, 2))),
+        ("pi^2", ExactScalar(0, 0, 1)),
+        ("1/2 + 2 pi^2", ExactScalar(Fraction(1, 2), 0, 2)),
+        ("-3/4 pi^3 + pi - 1", ExactScalar(-1, 1, 0, Fraction(-3, 4))),
+        ("pi^2/2", ExactScalar(0, 0, Fraction(1, 2))),
+        ("pi^10", ExactScalar(*[0] * 10, 1)),
     ],
 )
 def test_parse(text, expected):
     assert parse_exact(text) == expected
 
 
-@given(q1=rationals, q2=rationals)
-def test_str_roundtrip(q1, q2):
-    x = ExactScalar(q1, q2)
+@given(coeffs=st.lists(rationals, max_size=4))
+def test_str_roundtrip(coeffs):
+    x = ExactScalar(*coeffs)
     assert parse_exact(str(x)) == x
+
+
+@pytest.mark.parametrize(
+    "x,text",
+    [
+        (ExactScalar(), "0"),
+        (ExactScalar(Fraction(-3, 2)), "-3/2"),
+        (ExactScalar(0, 1), "pi"),
+        (ExactScalar(0, -1), "-pi"),
+        (ExactScalar(0, Fraction(-3, 4)), "-3/4 pi"),
+        (ExactScalar(Fraction(1, 2), 1), "1/2 + pi"),
+        (ExactScalar(Fraction(1, 2), -1), "1/2 - pi"),
+        (ExactScalar(-3, Fraction(-1, 2)), "-3 - 1/2 pi"),
+        (ExactScalar(Fraction(1, 2), 0, 2), "1/2 + 2 pi^2"),
+        (ExactScalar(0, 0, -1), "-pi^2"),
+        (ExactScalar(1, -2, 0, Fraction(1, 3)), "1 - 2 pi + 1/3 pi^3"),
+    ],
+)
+def test_str_forms(x, text):
+    # degree <= 1 prints as the q1 + q2*pi form always did
+    assert str(x) == text
 
 
 def test_parse_rejects_garbage():
@@ -111,10 +139,13 @@ def test_parse_rejects_garbage():
             parse_exact(bad)
 
 
-def test_json_roundtrip():
-    for x in (ExactScalar(2, 0), ExactScalar(Fraction(1, 2), 0), ExactScalar(0, 2)):
+@given(coeffs=st.lists(rationals, max_size=4))
+def test_json_roundtrip(coeffs):
+    for x in (ExactScalar(2, 0), ExactScalar(Fraction(1, 2), 0), ExactScalar(0, 2),
+              ExactScalar(*coeffs)):
         assert exact_from_json(exact_to_json(x)) == x
     assert exact_to_json(ExactScalar(2, 0)) == 2
+    assert exact_to_json(ExactScalar(0, 0, 2)) == "2 pi^2"
 
 
 def test_as_exact_rejects_float():
@@ -122,7 +153,7 @@ def test_as_exact_rejects_float():
         as_exact(0.5)
 
 
-# -- PiPoly against a Fraction evaluation of its coefficient lists -------------
+# -- ExactScalar against a Fraction evaluation of its coefficient lists --------
 
 poly_coeffs = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=30), max_size=5
@@ -150,7 +181,7 @@ def _ref_mul(a, b) -> tuple:
     return _trim(out)
 
 
-def _assert_canonical(p: PiPoly) -> None:
+def _assert_canonical(p: ExactScalar) -> None:
     """The one stored form: int numerators over one int den > 0, lowest
     terms, no trailing zero numerator."""
     assert type(p.num) is tuple and all(type(x) is int for x in p.num)
@@ -162,7 +193,7 @@ def _assert_canonical(p: PiPoly) -> None:
 
 @given(a=poly_coeffs, b=poly_coeffs)
 def test_pi_poly_ring_ops_match_fraction_lists(a, b):
-    p, q = PiPoly(a), PiPoly(b)
+    p, q = ExactScalar(*a), ExactScalar(*b)
     assert p.coeffs == _trim(a)
     assert (p + q).coeffs == _ref_add(a, b)
     assert (p - q).coeffs == _ref_add(a, [-c for c in b])
@@ -173,57 +204,62 @@ def test_pi_poly_ring_ops_match_fraction_lists(a, b):
 
 @given(a=poly_coeffs, q1=rationals, q2=rationals, k=st.integers(-50, 50))
 def test_pi_poly_mixed_operands_match_fraction_lists(a, q1, q2, k):
-    p, e = PiPoly(a), ExactScalar(q1, q2)
-    # ExactScalar on the left raises TypeError: it does not defer to PiPoly
-    assert (p + e).coeffs == _ref_add(a, [q1, q2])
+    # degree <= 1, ints, Fractions and rational strings, on either side
+    p, e = ExactScalar(*a), ExactScalar(q1, q2)
+    neg_a = [-c for c in a]
+    assert (p + e).coeffs == (e + p).coeffs == _ref_add(a, [q1, q2])
     assert (p - e).coeffs == _ref_add(a, [-q1, -q2])
-    assert (p * e).coeffs == _ref_mul(a, [q1, q2])
+    assert (e - p).coeffs == _ref_add([q1, q2], neg_a)
+    assert (p * e).coeffs == (e * p).coeffs == _ref_mul(a, [q1, q2])
     assert (p * k).coeffs == (k * p).coeffs == _trim([c * k for c in a])
-    assert (p + k).coeffs == (k - (-p)).coeffs == _ref_add(a, [k])
-    assert (p * q1).coeffs == _trim([c * q1 for c in a])
+    assert (p + k).coeffs == (k + p).coeffs == (k - (-p)).coeffs == _ref_add(a, [k])
+    assert (p - k).coeffs == _ref_add(a, [-k])
+    assert (p * q1).coeffs == (q1 * p).coeffs == _trim([c * q1 for c in a])
+    assert (p + q1).coeffs == (q1 + p).coeffs == _ref_add(a, [q1])
+    assert (q1 - p).coeffs == _ref_add([q1], neg_a)
+    text = str(q1)
+    assert (p + text).coeffs == (text + p).coeffs == _ref_add(a, [q1])
+    assert (text - p).coeffs == _ref_add([q1], neg_a)
 
 
 @given(a=poly_coeffs, c=nonzero_rationals, k=st.integers(0, 3))
 def test_pi_poly_monomial_division(a, c, k):
-    divisor = PiPoly([0] * k + [c])
+    divisor = ExactScalar(*[0] * k, c)
     cs = _trim(a)
     if any(cs[:k]):
         with pytest.raises(ValueError, match=rf"division by pi\^{k} is not exact"):
-            PiPoly(a) / divisor
+            ExactScalar(*a) / divisor
     else:
-        assert (PiPoly(a) / divisor).coeffs == _trim([x / c for x in cs[k:]])
-        if k <= 1:
-            assert PiPoly(a) / divisor == PiPoly(a) / ExactScalar(*([0] * k + [c]))
+        assert (ExactScalar(*a) / divisor).coeffs == _trim([x / c for x in cs[k:]])
+        if k == 0:
+            assert ExactScalar(*a) / divisor == ExactScalar(*a) / c == ExactScalar(*a) / str(c)
 
 
 @given(a=poly_coeffs, b=st.lists(nonzero_rationals, min_size=2, max_size=3))
 def test_pi_poly_division_needs_a_monomial(a, b):
-    for divisor in (PiPoly(b), PiPoly(), 0):
+    for divisor in (ExactScalar(*b), ExactScalar(), 0):
         with pytest.raises(ValueError, match="needs a monomial divisor"):
-            PiPoly(a) / divisor
+            ExactScalar(*a) / divisor
 
 
 @given(a=poly_coeffs, b=poly_coeffs, zeros=st.integers(0, 3))
 def test_pi_poly_equality_and_hash(a, b, zeros):
-    p = PiPoly(a)
-    padded = PiPoly(list(a) + [0] * zeros)
+    p = ExactScalar(*a)
+    padded = ExactScalar(*a, *[0] * zeros)
     assert p == padded and hash(p) == hash(padded)
-    assert (p == PiPoly(b)) == (_trim(a) == _trim(b))
+    assert (p == ExactScalar(*b)) == (_trim(a) == _trim(b))
     assert p.degree() == len(_trim(a)) - 1
     assert p.is_zero() == (not _trim(a))
 
 
 @given(a=poly_coeffs)
-def test_pi_poly_to_exact_and_to_fraction(a):
-    cs, p = _trim(a), PiPoly(a)
+def test_to_fraction_and_float(a):
+    cs, p = _trim(a), ExactScalar(*a)
+    assert ExactScalar(*p.coeffs) == p
     if len(cs) <= 2:
-        e = p.to_exact()
-        assert e == ExactScalar(*(cs + (0, 0))[:2])
-        assert type(e.q1) is Fraction and type(e.q2) is Fraction
-        assert PiPoly.lift(e) == p
-    else:
-        with pytest.raises(ValueError, match="exceeds the q1 \\+ q2\\*pi form"):
-            p.to_exact()
+        # float keeps the order of the q1 + q2*pi form
+        q1, q2 = (*cs, Fraction(0), Fraction(0))[:2]
+        assert float(p) == float(q1) + float(q2) * math.pi
     if len(cs) <= 1:
         x = p.to_fraction()
         assert type(x) is Fraction and x == (cs[0] if cs else 0)
@@ -236,9 +272,9 @@ def test_pi_poly_to_exact_and_to_fraction(a):
 @given(a=poly_coeffs, b=poly_coeffs, q1=rationals, q2=rationals, c=nonzero_rationals,
        k=st.integers(-50, 50))
 def test_pi_poly_results_are_canonical(a, b, q1, q2, c, k):
-    p, q = PiPoly(a), PiPoly(b)
-    results = [p, q, p + q, p - q, -p, p * q, p * k, p * c, PiPoly.lift(ExactScalar(q1, q2)),
-               PiPoly.lift(q1), PiPoly.lift(k), p / c, (p * PiPoly([0, c])) / PiPoly([0, c])]
+    p, q, e = ExactScalar(*a), ExactScalar(*b), ExactScalar(q1, q2)
+    results = [p, q, e, p + q, p - q, -p, p * q, p * k, p * c, e + p, c - p, c * p,
+               as_exact(q1), as_exact(k), p / c, (p * ExactScalar(0, c)) / ExactScalar(0, c)]
     for r in results:
         _assert_canonical(r)
 
@@ -290,7 +326,7 @@ def _pi_convergent(min_bits: int) -> tuple[int, int]:
 def test_pi_poly_sign_matches_the_fraction_loop(coeffs):
     expected, _ = _reference_sign(coeffs)
     assert pi_poly_sign(coeffs) == expected
-    assert PiPoly(coeffs).sign() == expected
+    assert ExactScalar(*coeffs).sign() == expected
 
 
 # (bits of the convergent's denominator, precision the enclosure reaches)
@@ -305,7 +341,7 @@ def test_pi_poly_sign_escalates_past_64_bits(bits, prec):
         expected, reached = _reference_sign(coeffs)
         assert reached == prec
         assert pi_poly_sign(coeffs) == expected
-        assert PiPoly(coeffs).sign() == expected
+        assert ExactScalar(*coeffs).sign() == expected
 
 
 @pytest.mark.parametrize("bits,prec", ESCALATIONS)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
-from oscgeo.exact import ExactScalar, PI, PiPoly
+from oscgeo.exact import ExactScalar, PI
 from oscgeo.group import GroupElement, invert, multiply, rotation
 from oscgeo.lattices import (
     Dim4Family,
@@ -95,10 +95,13 @@ class TestMembershipTwisted:
         spec = Twisted(Dim4Family(1, TWO_PI), Fraction(1, 2))
         assert spec.contains(GroupElement(PI + Fraction(1, 2), (1, 0), TWO_PI))
 
-    def test_pi_twist_never_contains_nonzero_t(self):
+    def test_pi_twist_members_have_pi_squared_z(self):
         spec = Twisted(Dim4Family(1, TWO_PI), PI)
         assert not spec.contains(GroupElement(0, (0, 0), TWO_PI))
         assert spec.contains(GroupElement(Fraction(1, 2), (1, 1), 0))
+        # the twisted image of (0, 0, 2pi)
+        assert spec.contains(GroupElement(2 * PI * PI, (0, 0), TWO_PI))
+        assert not spec.contains(GroupElement(PI * PI, (0, 0), TWO_PI))
 
     def test_nested_twists_compose(self):
         inner = Twisted(Dim4Family(1, TWO_PI), 1)
@@ -133,7 +136,7 @@ class TestProfiles:
         ):
             prof = spec.profile()
             for lam in spec.freqs.lambdas:
-                k_i = lam * prof.k0 * prof.t0.q2 / 2
+                k_i = lam * prof.k0 * (prof.t0 / PI).to_fraction() / 2
                 assert k_i.denominator == 1
 
     def test_twisted_profile(self):
@@ -196,10 +199,11 @@ dim6_specs = st.tuples(
 ).filter(lambda a: math.gcd(a[1], a[2]) == 1 and (a[3] == 1 or a[2] % 2)).map(
     lambda a: Dim6Family(*a)
 )
-# integer and rational twists only: with a pi twist, m * t has a pi^2 term
-# for every nonzero t in the pi-rational step lattice, so twist_forward (and
-# with it sample_member) raises ValueError on most samples
-twists = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+twists = (
+    st.integers(-4, 4)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    | st.sampled_from([PI, PI / 2, -2 * PI])
+)
 closure_specs = st.one_of(
     dim4_specs,
     dim6_specs,
@@ -239,7 +243,7 @@ class TestClosureAndDiscreteness:
 
     def test_discreteness_proxy(self):
         spec = Dim4Family(2, HALF_PI)
-        step = min(Fraction(1, 4), Fraction(1), spec.profile().t0.q2)
+        step = min(Fraction(1, 4), Fraction(1), (spec.profile().t0 / PI).to_fraction())
         rng = random.Random(5)
         for _ in range(40):
             g = spec.sample_member(rng)
@@ -254,7 +258,7 @@ class TestClosureAndDiscreteness:
         seen_exact_t0 = False
         for _ in range(40):
             g = spec.sample_member(rng)
-            ratio = (PiPoly.lift(g.t) / PiPoly.lift(t0)).to_fraction()
+            ratio = (g.t / t0).to_fraction()
             assert ratio.denominator == 1
             seen_exact_t0 |= ratio == 1
         assert spec.contains(GroupElement(0, (0,) * 4, t0))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class
-from oscgeo.exact import ExactScalar, PI, PiPoly
+from oscgeo.exact import ExactScalar, PI, as_exact
 from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exact_orbit
 from oscgeo.group import GroupElement, max_coord_dist, multiply
 from oscgeo.lattices import (
@@ -190,12 +190,6 @@ class TestSearchClosed:
         assert cert.causal == CausalClass.SPACELIKE
         cert.verify(spec)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ValueError,
-        reason="the snapped member's z = pi * 2pi needs a pi^2 part, which the "
-        "q1 + q2*pi form cannot hold; the fix needs a degree-2 exact scalar (ROADMAP item 2)",
-    )
     def test_pi_twist_float_search_is_certified(self):
         # the geodesic meets (2 pi^2, 0, 2pi), a member of the pi twist, at s = 2pi
         spec = Twisted(Dim4Family(1, TWO_PI), PI)
@@ -217,9 +211,8 @@ dim6_specs = st.tuples(
     lambda a: Dim6Family(*a)
 )
 product_specs = dim4_specs | dim6_specs
-# pi twists left out: a snapped member with t != 0 would need a pi^2 z-part
 search_specs = product_specs | st.builds(
-    Twisted, product_specs, st.integers(-3, 3) | small
+    Twisted, product_specs, st.integers(-3, 3) | small | st.sampled_from([PI, PI / 2, -2 * PI])
 )
 
 
@@ -242,15 +235,13 @@ def exact_velocities(draw, freqs, twist=0):
         }[kind]
     )
     bc = [(draw(entries), draw(entries)) for _ in range(freqs.n)]
-    d = PiPoly.lift(draw(mixed))
+    d = as_exact(draw(mixed))
     if kind != "mixed" and draw(st.booleans()):
         drift = sum(
-            ((PiPoly.lift(b) * PiPoly.lift(b) + PiPoly.lift(c) * PiPoly.lift(c)) / lam
-             for (b, c), lam in zip(bc, freqs.lambdas)),
-            PiPoly(),
-        ) / (2 * PiPoly.lift(a))
-        d = PiPoly([draw(small) if kind == "pi" else 0]) - drift + PiPoly.lift(a) * twist
-    return AlgebraVector(d.to_exact(), bc, a)
+            ((b * b + c * c) / lam for (b, c), lam in zip(bc, freqs.lambdas)), ExactScalar()
+        ) / (2 * a)
+        d = (draw(small) if kind == "pi" else 0) - drift + a * twist
+    return AlgebraVector(d, bc, a)
 
 
 @settings(max_examples=80, deadline=None)
@@ -266,7 +257,7 @@ def test_exact_orbit_matches_eval_geodesic_exact(data):
 
     def expected(r):
         try:
-            s = ((PiPoly.lift(t_step) * r) / PiPoly.lift(x.a)).to_exact()
+            s = t_step * r / x.a
             return s, eval_geodesic_exact(x, s, freqs)
         except ValueError:
             return None
@@ -305,9 +296,7 @@ def _reference_snap(point, spec, tol):
     u = round(z_core / float(z_step))
     if abs(z_core - u * float(z_step)) > tol:
         return None
-    z_exact = (
-        PiPoly.lift(ExactScalar(z_step * u)) + PiPoly.lift(twist) * PiPoly.lift(t_exact)
-    ).to_exact()
+    z_exact = twist * t_exact + z_step * u
     candidate = GroupElement(z_exact, v_exact, t_exact)
     return candidate if spec.contains(candidate) else None
 
@@ -320,7 +309,7 @@ def _reference_search(x, spec, r_max, tol=FLOAT_VERIFY_TOL):
     for r in range(1, r_max + 1):
         if x.is_exact():
             try:
-                s = ((PiPoly.lift(prof.t0) * (r * a_sign)) / PiPoly.lift(x.a)).to_exact()
+                s = prof.t0 * (r * a_sign) / x.a
                 point = eval_geodesic_exact(x, s, freqs)
             except ValueError:
                 point = None
