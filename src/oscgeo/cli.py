@@ -62,6 +62,7 @@ from .quotient import (
     CertificateVerificationFailed,
     classify_lightlike,
     closed_timelike_and_spacelike,
+    decide_closed,
     product_line_lightlike,
     search_closed,
 )
@@ -327,6 +328,13 @@ def cmd_quotient_closed_search(args) -> dict:
     return {"verdicts": {"closed": True}, "certificates": [cert.to_json()]}
 
 
+def cmd_quotient_decide_closed(args) -> dict:
+    spec = parse_lattice(args.lattice)
+    decision = decide_closed(parse_velocity(args.X, spec.freqs.n), spec)
+    certs = [decision.certificate.to_json()] if decision.closes else []
+    return {"verdicts": {"closure": decision.to_json()}, "certificates": certs}
+
+
 def cmd_quotient_certify_causal(args) -> dict:
     spec = parse_lattice(args.lattice)
     time_cert, space_cert = closed_timelike_and_spacelike(spec)
@@ -470,6 +478,7 @@ VERBS = {
     ("quotient", "classify"): (cmd_quotient_classify, (LATTICE,)),
     ("quotient", "closed-search"): (cmd_quotient_closed_search, (
         LATTICE, X, ("--r-max", dict(type=int, default=1000)))),
+    ("quotient", "decide-closed"): (cmd_quotient_decide_closed, (LATTICE, X)),
     ("quotient", "certify-causal"): (cmd_quotient_certify_causal, (LATTICE,)),
     ("quotient", "product-line"): (cmd_quotient_product_line, (LATTICE,)),
     ("isometry", "check-matrix"): (cmd_isometry_check_matrix, (MATRIX, *FREQUENCIES)),

@@ -56,7 +56,9 @@ class Geodesic:
             raise ValueError("basepoint does not match frequencies")
 
 
-def _flow_coords(x: AlgebraVector, s: float, freqs: FrequencyList):
+def flow_coords(x: AlgebraVector, s, freqs: FrequencyList, sin=math.sin):
+    """(z, v, t) of the closed form at s; with sin=np.sin, s may be an array
+    of parameters, evaluated by the same operations in the same order."""
     d = float(x.d)
     a = float(x.a)
     if a == 0.0:
@@ -69,8 +71,8 @@ def _flow_coords(x: AlgebraVector, s: float, freqs: FrequencyList):
     for lam, (b, c) in zip(freqs.floats, x.bc):
         b, c = float(b), float(c)
         th = lam * a * s
-        sin_th = math.sin(th)
-        cosm1 = -2.0 * math.sin(th / 2.0) ** 2  # cos(th) - 1, cancellation-free
+        sin_th = sin(th)
+        cosm1 = -2.0 * sin(th / 2.0) ** 2  # cos(th) - 1, cancellation-free
         v.append((b * sin_th + c * cosm1) / (a * lam))
         v.append((-b * cosm1 + c * sin_th) / (a * lam))  # c*sin - b*(cos-1)
         bc2 = b * b + c * c
@@ -80,7 +82,7 @@ def _flow_coords(x: AlgebraVector, s: float, freqs: FrequencyList):
 
 def eval_geodesic(geo: Geodesic, s: float) -> GroupElement:
     """Point of the geodesic at parameter s (float mode)."""
-    z, v, t = _flow_coords(geo.initial, float(s), geo.freqs)
+    z, v, t = flow_coords(geo.initial, float(s), geo.freqs)
     point = GroupElement._of(z, tuple(v), t)
     if geo.basepoint is None:
         return point
@@ -151,43 +153,52 @@ def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList) -> tuple[
     return v, p
 
 
-def exact_orbit(x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
-    """point(r) -> (s, eval_geodesic_exact(x, s, freqs)) at s = r * t_step / a.
+class ExactOrbit:
+    """The points of the curve at s = r * t_step / a, for integers r.
 
     With s_1 = t_step / a and R(period * t_step) = Id the closed form splits
     in r:  t = r t_step,  v = V(r mod period),  z = r L + P(r mod period),
-    L = (d + sum_j (b_j^2+c_j^2) / (2 a lambda_j)) s_1.  L is computed here,
-    V and P once per residue, each by the divisions of eval_geodesic_exact
-    (`_oscillation`), so point(r) raises ValueError exactly when that
-    evaluation does; a ValueError here means every point would.
+    L = (d + sum_j (b_j^2+c_j^2) / (2 a lambda_j)) s_1.  L (`slope`) is
+    computed here, V and P once per residue (`residue`), each by the
+    divisions of eval_geodesic_exact (`_oscillation`), so a point raises
+    ValueError exactly when that evaluation does; a ValueError here means
+    every point would.
     """
-    if x.n != freqs.n:
-        raise ValueError("initial velocity does not match frequencies")
-    t_step = as_exact(t_step)
-    a = as_exact(x.a)
-    s_1 = t_step / a
-    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
-    bc2s = [b * b + c * c for b, c in bcs]
-    slope = s_1 * x.d
-    for lam, bc2 in zip(freqs.lambdas, bc2s):
-        slope = slope + (bc2 / (2 * a)) * s_1 / lam
-    residues: dict = {}
 
-    def point(r: int):
-        key, t = r % period, t_step * r
-        if key not in residues:
+    def __init__(self, x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
+        if x.n != freqs.n:
+            raise ValueError("initial velocity does not match frequencies")
+        self.t_step, self.period, self.freqs = as_exact(t_step), period, freqs
+        self.a = as_exact(x.a)
+        self.s_1 = self.t_step / self.a
+        self.bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
+        self.bc2s = [b * b + c * c for b, c in self.bcs]
+        slope = self.s_1 * x.d
+        for lam, bc2 in zip(freqs.lambdas, self.bc2s):
+            slope = slope + (bc2 / (2 * self.a)) * self.s_1 / lam
+        self.slope = slope
+        self._residues: dict = {}
+
+    def residue(self, c: int) -> tuple[GroupElement, ExactScalar]:
+        """(0, V(c), 0) and P(c), for 0 <= c < period; a ValueError is kept
+        and raised again on each call."""
+        if c not in self._residues:
             try:
-                v, p = _oscillation(a, bcs, bc2s, rotation(t, freqs), freqs)
-                residues[key] = GroupElement(0, v, 0), p  # v scaled to ints once
+                rot = rotation(self.t_step * c, self.freqs)
+                v, p = _oscillation(self.a, self.bcs, self.bc2s, rot, self.freqs)
+                self._residues[c] = GroupElement(0, v, 0), p  # v scaled to ints once
             except ValueError as exc:
-                residues[key] = exc
-        found = residues[key]
+                self._residues[c] = exc
+        found = self._residues[c]
         if isinstance(found, ValueError):
             raise found.with_traceback(None)
-        v_only, p = found
-        return s_1 * r, GroupElement._exact(slope * r + p, v_only.num, v_only.den, t)
+        return found
 
-    return point
+    def __call__(self, r: int) -> tuple[ExactScalar, GroupElement]:
+        """(s, eval_geodesic_exact(x, s, freqs)) at s = r * t_step / a."""
+        v_only, p = self.residue(r % self.period)
+        point = GroupElement._exact(self.slope * r + p, v_only.num, v_only.den, self.t_step * r)
+        return self.s_1 * r, point
 
 
 def causal_character(geo: Geodesic) -> CausalClass:

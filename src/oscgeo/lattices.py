@@ -461,7 +461,10 @@ def from_json(obj: dict) -> LatticeSpec:
     if family == "product_line":
         w2 = obj.get("w2")
         if isinstance(w2, dict):
-            w2 = ExactScalar(*w2["pi_coeffs"])
+            coeffs = w2.get("pi_coeffs")
+            if not isinstance(coeffs, list):
+                raise ValueError(f'"pi_coeffs" must be a list of rationals, got {coeffs!r}')
+            w2 = ExactScalar(*coeffs)
         w = obj.get("w")
         return ProductWithLine(
             from_json(obj["base"]),

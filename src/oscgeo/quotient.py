@@ -4,16 +4,23 @@ A geodesic through the identity descends to a closed curve on the quotient
 by a lattice exactly when it meets the lattice at a positive parameter.
 This module decides the lightlike dichotomy (either every lightlike
 geodesic closes, or only the central direction does), constructs closed
-timelike and spacelike geodesics hitting explicit lattice points, runs a
-bounded closure search for arbitrary initial velocities, and settles the
-product-with-a-line variant where lightlike closure depends on whether the
-squared line step is a rational multiple of 2*pi.
+timelike and spacelike geodesics hitting explicit lattice points, decides
+closure for exact initial velocities, runs a bounded closure search for
+arbitrary ones, and settles the product-with-a-line variant where lightlike
+closure depends on whether the squared line step is a rational multiple of
+2*pi.
 
-The closure search tries the candidate times r * t0 / a.  Its setup is done
-once per search: the exact candidates repeat their rotation part with
-r mod K0 (`geodesics.exact_orbit`), so each one costs a few integer
-multiples of exact scalars, and the float candidates share one float
-geodesic and the lattice constants of the snap.
+The candidate times are r * t0 / a.  For an exact velocity with a = c pi^k
+the point at r repeats its rotation part with r mod K0
+(`geodesics.ExactOrbit`), and membership is linear in r within each
+residue class, so `decide_closed` finds the least closing r, or proves
+there is none, from K0 classes instead of a scan.  The bounded search is
+that decision capped at r_max.  Float velocities, any other a, and the
+classes the closed form cannot evaluate exactly take a float snap: one
+numpy screen over every candidate, then the scalar snap on the few that
+pass.  Only a miss of the float snap is never a proof: elsewhere a `never`
+verdict proves the geodesic open, and a search that returns None proves
+that no candidate up to r_max closes.
 
 Certificates are verified before being returned: the target lattice point
 is checked by exact membership, the closed-form evaluation is re-run in
@@ -26,10 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+
+import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
 from .exact import PI, ExactScalar, as_exact, pi_coefficient
-from .geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exact_orbit
+from .geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact, flow_coords
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
 from .lattices import (
     Dim4Family,
@@ -42,7 +52,6 @@ from .lattices import (
 )
 
 FLOAT_VERIFY_TOL = 1e-9
-M_SCAN_CAP = 10**6
 
 
 class CertificateVerificationFailed(Exception):
@@ -145,30 +154,50 @@ def _twist_total(spec: LatticeSpec) -> tuple[LatticeSpec, ExactScalar]:
     return spec, twist
 
 
+def _first_mu(e0: ExactScalar, slope: ExactScalar, sign_wanted: int) -> int:
+    """First mu of 0, 1, -1, 2, -2, ... with sign(e0 + mu slope) == sign_wanted.
+
+    With slope > 0 the wanted sign holds on the half-line beyond the root
+    -e0 / slope, so the answer is 0 or the integer of that half-line nearest
+    0: a float guess, corrected by exact sign checks.
+    """
+
+    def wanted(mu: int) -> bool:
+        return (e0 + slope * mu).sign() == sign_wanted
+
+    if wanted(0):
+        return 0
+    step = sign_wanted  # the side of 0 the half-line lies on
+    mu = step * max(1, math.floor(-step * float(e0) / float(slope)) + 1)
+    while mu != step and wanted(mu - step):
+        mu -= step
+    while not wanted(mu):
+        mu += step
+    return mu
+
+
+def _verified(spec, initial, target, sign_wanted: int, initial_exact):
+    """The verified certificate of a closed geodesic of the wanted causal
+    sign, meeting target at s = 1."""
+    causal = CausalClass.TIMELIKE if sign_wanted < 0 else CausalClass.SPACELIKE
+    cert = ClosedGeodesicCertificate(initial, ExactScalar(1), target, causal, initial_exact)
+    cert.verify(spec)
+    return cert
+
+
 def _certificate_k0_one(spec, prof, sign_wanted: int) -> ClosedGeodesicCertificate:
     """Velocity a = t0, b = c = 0, d = mu*w + z over members (z, 0, t0)."""
     core, twist = _twist_total(spec)
     w = prof.central_w.to_fraction()
     t_hat = prof.t0
     z_base = twist * t_hat  # twisted shift
-    for mu in _alternating_scan():
-        d = z_base + mu * w
-        # causal quantity 2 a d with a = t_hat
-        sign = (2 * t_hat * d).sign()
-        if sign != sign_wanted:
-            continue
-        target = GroupElement(d, (0,) * (2 * spec.freqs.n), t_hat)
-        initial_exact = AlgebraVector(d, [(0, 0)] * spec.freqs.n, t_hat)
-        initial = AlgebraVector(
-            float(d), [(0.0, 0.0)] * spec.freqs.n, float(t_hat)
-        )
-        causal = CausalClass.TIMELIKE if sign < 0 else CausalClass.SPACELIKE
-        cert = ClosedGeodesicCertificate(
-            initial, ExactScalar(1), target, causal, initial_exact
-        )
-        cert.verify(spec)
-        return cert
-    raise CertificateVerificationFailed("sign scan exhausted")  # pragma: no cover
+    # causal quantity 2 a d with a = t_hat
+    mu = _first_mu(2 * t_hat * z_base, 2 * t_hat * w, sign_wanted)
+    d = z_base + mu * w
+    target = GroupElement(d, (0,) * (2 * spec.freqs.n), t_hat)
+    initial_exact = AlgebraVector(d, [(0, 0)] * spec.freqs.n, t_hat)
+    initial = AlgebraVector(float(d), [(0.0, 0.0)] * spec.freqs.n, float(t_hat))
+    return _verified(spec, initial, target, sign_wanted, initial_exact)
 
 
 def _certificate_k0_many(spec, prof, sign_wanted: int) -> ClosedGeodesicCertificate:
@@ -201,42 +230,19 @@ def _certificate_k0_many(spec, prof, sign_wanted: int) -> ClosedGeodesicCertific
         for (_, b, g, s), lam in zip(blocks, freqs.lambdas)
     )
     z_twist = twist * t_hat
-    for mu in _alternating_scan():
-        z_hat = z_twist + mu * w
-        # Q = 2 a z_hat + (1/a) sum sin_k (b_k^2+c_k^2)/lam_k^2 with a = tau pi
-        # and (b_k, c_k) = (beta_k, gamma_k) pi
-        sign = (2 * t_hat * z_hat + sum_bc_sin_over_lam2 / tau * PI).sign()
-        if sign != sign_wanted:
-            continue
-        d = (
-            z_hat
-            + sum_bc_sin_over_lam2 / (2 * tau * tau)
-            - sum_bc_over_lam / (2 * tau) * PI
-        )
-        bc_exact = [
-            (ExactScalar(0, b), ExactScalar(0, g)) for (_, b, g, _) in blocks
-        ]
-        initial_exact = AlgebraVector(d, bc_exact, t_hat)
-        initial = AlgebraVector(
-            float(d),
-            [(float(b), float(c)) for b, c in bc_exact],
-            float(t_hat),
-        )
-        target = GroupElement(z_hat, u_flat, t_hat)
-        causal = CausalClass.TIMELIKE if sign < 0 else CausalClass.SPACELIKE
-        cert = ClosedGeodesicCertificate(
-            initial, ExactScalar(1), target, causal, initial_exact
-        )
-        cert.verify(spec)
-        return cert
-    raise CertificateVerificationFailed("sign scan exhausted")  # pragma: no cover
-
-
-def _alternating_scan():
-    yield 0
-    for m in range(1, M_SCAN_CAP):
-        yield m
-        yield -m
+    # Q = 2 a z_hat + (1/a) sum sin_k (b_k^2+c_k^2)/lam_k^2 with a = tau pi,
+    # (b_k, c_k) = (beta_k, gamma_k) pi and z_hat = z_twist + mu w
+    e0 = 2 * t_hat * z_twist + sum_bc_sin_over_lam2 / tau * PI
+    mu = _first_mu(e0, 2 * t_hat * w, sign_wanted)
+    z_hat = z_twist + mu * w
+    d = z_hat + sum_bc_sin_over_lam2 / (2 * tau * tau) - sum_bc_over_lam / (2 * tau) * PI
+    bc_exact = [(ExactScalar(0, b), ExactScalar(0, g)) for (_, b, g, _) in blocks]
+    initial_exact = AlgebraVector(d, bc_exact, t_hat)
+    initial = AlgebraVector(
+        float(d), [(float(b), float(c)) for b, c in bc_exact], float(t_hat)
+    )
+    target = GroupElement(z_hat, u_flat, t_hat)
+    return _verified(spec, initial, target, sign_wanted, initial_exact)
 
 
 def closed_timelike_and_spacelike(
@@ -295,6 +301,163 @@ def _search_line_case(
     return cert
 
 
+# -- the closure decision for exact velocities ------------------------------------
+
+# the reasons a residue class r = c (mod K0) holds no closing r
+V_NOT_INTEGRAL = "v is not integral"
+NOT_IN_Q_PI = "v or z is not in Q[pi]"
+PI_POWER = "the pi^{k} coefficient of z vanishes at no r of the class"
+CONGRUENCE = "z misses the z-lattice at every r of the class"
+
+
+@dataclass(frozen=True)
+class ClosureDecision:
+    """Whether the geodesic closes: the least closing r with its verified
+    certificate, or, when it never closes, the obstruction of each residue
+    class of r mod K0.  r is None for a line (a = 0)."""
+
+    certificate: ClosedGeodesicCertificate | None
+    r: int | None = None
+    obstructions: tuple = ()  # (residue, reason) pairs
+
+    @property
+    def closes(self) -> bool:
+        return self.certificate is not None
+
+    def to_json(self) -> dict:
+        if not self.closes:
+            return {
+                "kind": "never",
+                "obstructions": [{"residue": c, "reason": why} for c, why in self.obstructions],
+            }
+        return {"kind": "closes"} if self.r is None else {"kind": "closes", "r": self.r}
+
+
+def _least_r(slope: ExactScalar, p: ExactScalar, w: ExactScalar, c: int, k0: int):
+    """Least r >= 1 with r = c (mod k0) and r slope + p in w Z, for a
+    rational w > 0, or the reason there is none.
+
+    Each pi^k coefficient, k >= 1, must vanish: it fixes r or rules the class
+    out.  The constant one is a linear congruence, solved with r = c (mod k0)
+    by modular inverses.  Everything runs on the int numerators over the
+    common denominator den of slope and p.
+    """
+    den = math.lcm(slope.den, p.den)
+    coeffs = [(x * (den // slope.den), y * (den // p.den))
+              for x, y in zip_longest(slope.num, p.num, fillvalue=0)]
+    (a, b), *higher = coeffs or [(0, 0)]
+    fixed = None
+    for k, (a_k, b_k) in enumerate(higher, 1):
+        if a_k == 0 and b_k == 0:
+            continue
+        r = -b_k // a_k if a_k and b_k % a_k == 0 else None  # a_k r + b_k = 0
+        if r is None or r < 1 or (r - c) % k0 or fixed not in (None, r):
+            return PI_POWER.format(k=k)
+        fixed = r
+    # (a r + b) / den in (wn / wd) Z  <=>  wd a r = -wd b  (mod den wn)
+    mod = den * w.num[0]
+    a, b = a * w.den, -b * w.den
+    if fixed is not None:
+        return fixed if (a * fixed - b) % mod == 0 else CONGRUENCE
+    g = math.gcd(a, mod)
+    if b % g:
+        return CONGRUENCE
+    m = mod // g
+    r0 = b // g * pow(a // g, -1, m) % m  # r = r0 (mod m)
+    g2 = math.gcd(m, k0)
+    if (c - r0) % g2:
+        return CONGRUENCE
+    period = m // g2 * k0
+    r = (r0 + m * ((c - r0) // g2 * pow(m // g2, -1, k0 // g2))) % period
+    return r or period
+
+
+def _decide_residues(orbit: ExactOrbit, spec: LatticeSpec, limit: int | None = None):
+    """(least closing r or None, {residue: obstruction}).
+
+    The classes are taken in the order of their least member, r = 1, ...,
+    K0, and the scan stops once no class can beat the best r found or
+    `limit`; a class whose point cannot be evaluated exactly is reported as
+    NOT_IN_Q_PI.
+    """
+    twist = _twist_total(spec)[1]
+    w = spec.profile().central_w  # the z-lattice of the untwisted core is w Z
+    slope = orbit.slope - twist * orbit.t_step  # z - twist t = r slope + P(c)
+    best, obstructions = None, {}
+    for r_min in range(1, orbit.period + 1):
+        if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
+            break
+        c = r_min % orbit.period
+        try:
+            v_only, p = orbit.residue(c)
+        except ValueError:
+            obstructions[c] = NOT_IN_Q_PI
+            continue
+        found = V_NOT_INTEGRAL if v_only.den != 1 else _least_r(slope, p, w, c, orbit.period)
+        if isinstance(found, str):
+            obstructions[c] = found
+        elif best is None or found < best:
+            best = found
+    return best, obstructions
+
+
+def _orbit(x: AlgebraVector, spec: LatticeSpec) -> ExactOrbit:
+    """The exact candidate points of x, at positive times; ValueError when a
+    is not c pi^k."""
+    prof = spec.profile()
+    return ExactOrbit(x, prof.t0 * _a_sign(x), prof.k0, spec.freqs)
+
+
+def _a_sign(x: AlgebraVector) -> int:
+    return 1 if float(x.a) > 0 else -1  # keeps the candidate times positive
+
+
+def _exact_hit(x: AlgebraVector, spec: LatticeSpec, orbit: ExactOrbit, r: int):
+    s, point = orbit(r)
+    cert = ClosedGeodesicCertificate(x.to_floats(), s, point, causal_class(x, spec.freqs), x)
+    cert.verify(spec)
+    return cert
+
+
+def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
+    _require_profiled(spec)
+    if x.n != spec.freqs.n:
+        raise ValueError("velocity does not match the lattice dimension")
+
+
+def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
+    """Decide whether the geodesic with exact initial velocity x closes.
+
+    For a = c pi^k the candidate times r t0 / a, r >= 1, are all the times
+    at which t lies in t0 Z, and with c = r mod K0 the point there is
+    (r L + P(c), V(c), r t0) (`ExactOrbit`).  So it is a member iff V(c) is
+    integral and r (L - twist t0) + P(c) lies in the z-lattice: per class,
+    conditions linear in r (`_least_r`).  Since pi is transcendental, a class
+    whose V(c) or P(c) leaves Q[pi] holds no member.  A line (a = 0) closes
+    at its least common lattice step.
+    """
+    _check_search_input(x, spec)
+    if not x.is_exact():
+        raise ValueError("the closure decision needs exact initial data; "
+                         "closed-search snaps float data")
+    if as_exact(x.a).is_zero():
+        cert = _search_line_case(x, spec, spec.freqs)
+        if cert is None:
+            raise ValueError("the zero velocity gives the constant curve, closed at every s")
+        return ClosureDecision(cert)
+    try:
+        orbit = _orbit(x, spec)
+    except ValueError as exc:
+        raise ValueError(f"closure is decided for a = c pi^k only: {exc}") from None
+    best, obstructions = _decide_residues(orbit, spec)
+    if best is None:
+        return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
+    return ClosureDecision(_exact_hit(x, spec, orbit, best), best)
+
+
+# -- bounded closure search ----------------------------------------------------
+
+
 def search_closed(
     x: AlgebraVector,
     spec: LatticeSpec,
@@ -303,74 +466,90 @@ def search_closed(
 ) -> ClosedGeodesicCertificate | None:
     """First verified lattice hit at candidate times r * t0 / a, r <= r_max.
 
-    Set up once per search; the exact candidates repeat with r mod K0, and
-    a candidate the closed form cannot evaluate exactly takes the float
-    snap.  None means "no closure within the bound", never a proof of
-    openness.
+    An exact velocity with a = c pi^k is decided in closed form
+    (`_decide_residues`), capped at r_max.  The candidates the closed form
+    cannot evaluate exactly -- all of them for float input or any other a,
+    the residue classes of NOT_IN_Q_PI otherwise -- take the float snap, run
+    only on the r that pass its screen.  None proves that no candidate up
+    to r_max closes, except for float input and for the candidates that
+    took the float snap, where it is never a proof of openness.
     """
-    _require_profiled(spec)
-    if x.n != spec.freqs.n:
-        raise ValueError("velocity does not match the lattice dimension")
+    _check_search_input(x, spec)
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
-    freqs = spec.freqs
-    prof = spec.profile()
     exact_input = x.is_exact()
     if exact_input and as_exact(x.a).is_zero():
-        return _search_line_case(x, spec, freqs)
+        return _search_line_case(x, spec, spec.freqs)
     if not exact_input and float(x.a) == 0.0:
         return None  # line search needs exact data
-    a_sign = 1 if float(x.a) > 0 else -1  # keep candidate times positive
     try:
-        orbit = exact_orbit(x, prof.t0 * a_sign, prof.k0, freqs) if exact_input else None
+        orbit = _orbit(x, spec) if exact_input else None
     except ValueError:
         orbit = None  # no candidate stays exact: every one takes the float snap
+    if orbit is None:
+        return _float_search(x, spec, r_max, None, float_tol)
+    best, obstructions = _decide_residues(orbit, spec, r_max)
+    snapped = [c for c, why in obstructions.items() if why == NOT_IN_Q_PI]
+    end = r_max if best is None else min(best - 1, r_max)
+    cert = _float_search(x, spec, end, snapped, float_tol) if snapped else None
+    if cert is None and best is not None and best <= r_max:
+        cert = _exact_hit(x, spec, orbit, best)
+    return cert
+
+
+SCREEN_CHUNK = 1024  # candidates screened per numpy pass
+# np.sin may differ from math.sin by a few ulps of 1, and each later rounding
+# by one ulp of its result: a coordinate whose terms are all below M in size
+# differs between the two evaluations by far less than SCREEN_SLACK * M
+SCREEN_SLACK = 2.0**-46  # 64 ulps of 1
+
+
+def _float_search(x, spec, r_end: int, residues, tol: float):
+    """First verified float-snap hit at r * |t0 / a|, 1 <= r <= r_end, r mod
+    K0 in residues (every r for None).  The scalar snap runs only on the r
+    that pass the screen, in increasing order."""
+    prof, freqs, a_sign = spec.profile(), spec.freqs, _a_sign(x)
     initial = x.to_floats()
     geo = Geodesic(initial, freqs)
     t0_f, a_f = float(prof.t0), float(x.a)
-    snap = _lattice_snap(spec, prof.t0, float_tol)
-    for r in range(1, r_max + 1):
-        if orbit is not None:
-            try:
-                s_exact, point = orbit(r)
-            except ValueError:
-                pass
-            else:
-                if spec.contains(point):
-                    cert = ClosedGeodesicCertificate(
-                        initial, s_exact, point, causal_class(x, freqs), x
-                    )
-                    cert.verify(spec)
-                    return cert
-                continue
-        # float fallback: snap to the lattice at float_tol, then decide
-        # membership of the snapped candidate exactly
-        s = r * a_sign * t0_f / a_f
-        snapped = snap(eval_geodesic(geo, s))
-        if snapped is not None:
-            cert = ClosedGeodesicCertificate(initial, s, snapped, causal_class(x, freqs))
-            cert.verify(spec, tol=float_tol)
-            return cert
+    snap = _LatticeSnap(spec, prof.t0, tol)
+    for start in range(1, r_end + 1, SCREEN_CHUNK):
+        rs = np.arange(start, min(start + SCREEN_CHUNK, r_end + 1))
+        if residues is not None:
+            rs = rs[np.isin(rs % prof.k0, residues)]
+        with np.errstate(all="ignore"):
+            s = rs * a_sign * t0_f / a_f
+        for r in rs[snap.screen(initial, freqs, s)].tolist():
+            s = r * a_sign * t0_f / a_f
+            snapped = snap(eval_geodesic(geo, s))
+            if snapped is not None:
+                cert = ClosedGeodesicCertificate(initial, s, snapped, causal_class(x, freqs))
+                cert.verify(spec, tol=tol)
+                return cert
     return None
 
 
-def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
+class _LatticeSnap:
     """point -> the nearest exact member of spec within tol per coordinate,
     or None; t0 is the spec's t-step, and the constants are read once."""
-    core, twist = _twist_total(spec)
-    tw = float(twist)
-    t_step = float(t0)
-    z_step = core.z_step()
-    z_step_f = float(z_step)
-    t0_num, t0_den = pi_coefficient(t0)  # t0 = (t0_num / t0_den) pi
 
-    def snap(point: GroupElement) -> GroupElement | None:
+    def __init__(self, spec: LatticeSpec, t0: ExactScalar, tol: float):
+        self.spec, self.t0, self.tol = spec, t0, tol
+        core, self.twist = _twist_total(spec)
+        self.tw = float(self.twist)
+        self.t_step = float(t0)
+        self.z_step = core.z_step()
+        self.z_step_f = float(self.z_step)
+        self.t0_num, self.t0_den = pi_coefficient(t0)  # t0 = (t0_num / t0_den) pi
+
+    def __call__(self, point: GroupElement) -> GroupElement | None:
         # a coordinate that is not finite (round raises) or whose float
         # spacing exceeds tol (it places no member within tol) is refused;
         # the spacing is read only once the proximity test has passed
+        tol = self.tol
         try:
-            j = round(point.t / t_step)
-            if abs(point.t - j * t_step) > tol or math.ulp(point.t) > tol:
+            j = round(point.t / self.t_step)
+            if abs(point.t - j * self.t_step) > tol or math.ulp(point.t) > tol:
                 return None
             v_exact = []
             for c in point.v:
@@ -379,19 +558,52 @@ def _lattice_snap(spec: LatticeSpec, t0: ExactScalar, tol: float):
                     return None
                 v_exact.append(vi)
             # float(t0 * j) from ints; the exact t is built only for a member
-            t_f = t0_num * j / t0_den * math.pi
-            z_core = point.z - tw * t_f
-            u = round(z_core / z_step_f)
+            t_f = self.t0_num * j / self.t0_den * math.pi
+            z_core = point.z - self.tw * t_f
+            u = round(z_core / self.z_step_f)
         except (OverflowError, ValueError):
             return None
-        if abs(z_core - u * z_step_f) > tol or math.ulp(z_core) > tol:
+        if abs(z_core - u * self.z_step_f) > tol or math.ulp(z_core) > tol:
             return None
-        t_exact = t0 * j
-        z_exact = twist * t_exact + z_step * u
+        t_exact = self.t0 * j
+        z_exact = self.twist * t_exact + self.z_step * u
         candidate = GroupElement(z_exact, v_exact, t_exact)
-        return candidate if spec.contains(candidate) else None
+        return candidate if self.spec.contains(candidate) else None
 
-    return snap
+    def screen(self, x: AlgebraVector, freqs: FrequencyList, s: np.ndarray) -> np.ndarray:
+        """Mask of the parameters s at which the scalar snap of the float
+        closed form may return a member, or raise.
+
+        The points are the closed form's (`flow_coords`) with np.sin, and each
+        coordinate must lie within tol + SCREEN_SLACK * M of its lattice value,
+        M bounding its terms.  A point the scalar snap accepts differs from
+        this one by less than the slack, so it always passes; t and the
+        lattice index j take no sine and agree exactly.  A parameter whose
+        scalar evaluation raises (math.sin of an infinite angle, a division
+        by a zero a lambda) passes too, so that it still raises.
+        """
+        a, tol = float(x.a), self.tol
+        if any(a * lam == 0.0 or 2.0 * lam * lam * a * a == 0.0 for lam in freqs.floats):
+            return np.ones(s.shape, dtype=bool)
+        with np.errstate(all="ignore"):  # a non-finite coordinate fails the test
+            z, v, t = flow_coords(x, s, freqs, sin=np.sin)
+            j = np.round(t / self.t_step)
+            ok = np.abs(t - j * self.t_step) <= tol + SCREEN_SLACK * np.abs(t)
+            raises = np.zeros(s.shape, dtype=bool)
+            z_size = np.abs(float(x.d) * s)
+            for k, (lam, (b, c)) in enumerate(zip(freqs.floats, x.bc)):
+                b, c = abs(float(b)), abs(float(c))
+                v_slack = tol + SCREEN_SLACK * 3 * (b + c) / abs(a * lam)
+                for vi in v[2 * k: 2 * k + 2]:
+                    ok &= np.abs(vi - np.round(vi)) <= v_slack
+                th = lam * a * s
+                raises |= np.isinf(th)
+                z_size += (b * b + c * c) * (np.abs(th) + 2) / (2 * lam * lam * a * a)
+            shift = self.tw * (self.t0_num * j / self.t0_den * math.pi)
+            z_core = z - shift
+            z_off = z_core - np.round(z_core / self.z_step_f) * self.z_step_f
+            ok &= np.abs(z_off) <= tol + SCREEN_SLACK * (z_size + np.abs(shift) + np.abs(z_core))
+        return ok | raises
 
 
 # -- the product-with-a-line variant ------------------------------------------

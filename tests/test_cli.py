@@ -134,6 +134,34 @@ class TestCommands:
         )
         assert code == 0 and rep["verdicts"]["closed"] is True
 
+    def test_quotient_decide_closed(self, capsys):
+        # the least closing r is 1001, past closed-search's default bound of 1000
+        code, rep = run_cli(
+            capsys, "quotient", "decide-closed", "--lattice", "dim4:k=1:angle=2pi",
+            "--X", '{"d": "1/2002", "bc": [[0, 0]], "a": "pi"}',
+        )
+        assert code == 0
+        assert rep["verdicts"]["closure"] == {"kind": "closes", "r": 1001}
+        assert rep["certificates"][0]["s_star"] == "2002"
+
+    def test_quotient_decide_closed_never(self, capsys):
+        lattice = '{"family": "twisted", "m": "1", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
+        code, rep = run_cli(
+            capsys, "quotient", "decide-closed", "--lattice", lattice,
+            "--X", '{"d": "-1/4", "bc": [[1, 0]], "a": 2}',
+        )
+        assert code == 0
+        assert rep["verdicts"]["closure"]["kind"] == "never"
+        assert rep["certificates"] == []
+
+    def test_quotient_decide_closed_refuses_float_data(self, capsys):
+        code, rep = run_cli(
+            capsys, "quotient", "decide-closed", "--lattice", "dim4:k=1:angle=2pi",
+            "--X", '{"d": 0.5, "bc": [[0, 0]], "a": 1.0}',
+        )
+        assert code == 2
+        assert any("exact initial data" in d for d in rep["diagnostics"])
+
     def test_quotient_product_line(self, capsys):
         lattice = '{"family": "product_line", "w2": "1", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
         code, rep = run_cli(capsys, "quotient", "product-line", "--lattice", lattice)
@@ -391,6 +419,15 @@ class TestContractBreaches:
     def test_lattice_json_missing_key_is_exit_2(self, capsys):
         code, rep = run_cli(capsys, "lattice", "info", "--lattice", '{"family": "dim4"}')
         assert code == 2
+
+    @pytest.mark.parametrize("coeffs", ['"34"', "34", '{"0": 3}', "null"])
+    def test_pi_coeffs_that_are_not_a_list_are_exit_2(self, capsys, coeffs):
+        # a string was read digit by digit: "34" became 3 + 4 pi
+        lattice = ('{"family": "product_line", "base": {"family": "dim4", "k": 1, '
+                   f'"angle": "2pi"}}, "w2": {{"pi_coeffs": {coeffs}}}}}')
+        code, rep = run_cli(capsys, "lattice", "info", "--lattice", lattice)
+        assert code == 2
+        assert any("pi_coeffs" in d for d in rep["diagnostics"])
 
     def test_compound_angle_element_is_exit_0(self, capsys):
         code, rep = run_cli(

@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class
 from oscgeo.exact import ExactScalar, PI, as_exact
-from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exact_orbit
+from oscgeo.geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact
 from oscgeo.group import GroupElement, max_coord_dist, multiply
 from oscgeo.lattices import (
     Dim4Family,
@@ -21,9 +22,12 @@ from oscgeo.quotient import (
     FLOAT_VERIFY_TOL,
     ClosedGeodesicCertificate,
     CertificateVerificationFailed,
-    _lattice_snap,
+    _LatticeSnap,
+    _first_mu,
+    _least_r,
     classify_lightlike,
     closed_timelike_and_spacelike,
+    decide_closed,
     product_line_lightlike,
     search_closed,
 )
@@ -118,7 +122,7 @@ class TestSearchClosed:
     def test_snap_refuses_a_coordinate_coarser_than_the_tolerance(self, z, v, t):
         # each point is a member, and sits exactly on its lattice coordinates
         spec = Dim4Family(1, TWO_PI)
-        snap = _lattice_snap(spec, spec.profile().t0, 1e-9)
+        snap = _LatticeSnap(spec, spec.profile().t0, 1e-9)
         assert snap(GroupElement(0.0, (1.0, 0.0), 2 * math.pi)) == GroupElement(0, (1, 0), TWO_PI)
         assert snap(GroupElement(z, v, t)) is None
 
@@ -263,7 +267,7 @@ def test_exact_orbit_matches_eval_geodesic_exact(data):
             return None
 
     try:
-        orbit = exact_orbit(x, t_step, period, freqs)
+        orbit = ExactOrbit(x, t_step, period, freqs)
     except ValueError:
         orbit = None
     for r in range(1, 2 * period + 2):
@@ -340,6 +344,150 @@ def test_search_closed_matches_the_per_candidate_loop(data):
     else:
         assert cert is not None
         assert (cert.s_star, cert.lattice_point, cert.causal) == expected
+
+
+# -- the closure decision ---------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_decide_closed_matches_the_per_candidate_loop(data):
+    # the loop runs up to the decided r, however far beyond a search bound
+    spec = data.draw(search_specs)
+    x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
+    try:
+        decision = decide_closed(x, spec)
+    except ValueError:  # a is not c pi^k: not decided in closed form
+        assume(False)
+    if decision.closes:
+        cert = decision.certificate
+        expected = _reference_search(x, spec, decision.r)
+        assert (cert.s_star, cert.lattice_point, cert.causal) == expected
+        assert cert.s_star == spec.profile().t0 * decision.r / abs(as_exact(x.a))
+    else:
+        assert decision.obstructions
+        assert _reference_search(x, spec, 4 * spec.profile().k0 + 40) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lightlike_closure_depends_only_on_the_lattice(data):
+    # the lightlike dichotomy: every lightlike geodesic with a != 0 closes on
+    # an all_closed lattice, and none closes on an only_central_direction one
+    spec = data.draw(search_specs)
+    freqs = spec.freqs
+    scale = data.draw(st.sampled_from([ExactScalar(1), PI]))
+    a = data.draw(nonzero) * scale
+    bc = [(data.draw(small) * scale, data.draw(small) * scale) for _ in range(freqs.n)]
+    drift = sum(((b * b + c * c) / lam for (b, c), lam in zip(bc, freqs.lambdas)), ExactScalar())
+    x = AlgebraVector(-drift / (2 * a), bc, a)
+    assert causal_class(x, freqs) == CausalClass.LIGHTLIKE
+    decision = decide_closed(x, spec)
+    assert decision.closes == classify_lightlike(spec).all_closed
+    if decision.closes:
+        decision.certificate.verify(spec)
+        assert decision.certificate.causal == CausalClass.LIGHTLIKE
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slope=st.builds(ExactScalar, small, small), p=st.builds(ExactScalar, small, small),
+    z_step=st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6),
+    k0=st.integers(1, 4), data=st.data(),
+)
+def test_least_r_is_the_first_r_of_the_class(slope, p, z_step, k0, data):
+    c = data.draw(st.integers(0, k0 - 1))
+
+    def member(r):
+        z = slope * r + p
+        return z.degree() <= 0 and (z.to_fraction() / z_step).denominator == 1
+
+    found = _least_r(slope, p, as_exact(z_step), c, k0)
+    bound = found if isinstance(found, int) else 2000
+    hits = [r for r in range(1, bound + 1) if r % k0 == c and member(r)]
+    assert hits[:1] == ([found] if isinstance(found, int) else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(e0=st.builds(ExactScalar, small, small, small), w=small.filter(lambda q: q > 0),
+       sign_wanted=st.sampled_from([-1, 1]))
+def test_first_mu_is_the_first_of_the_alternating_order(e0, w, sign_wanted):
+    slope = as_exact(w) * PI
+    order = (m for k in range(10**4) for m in ((0,) if k == 0 else (k, -k)))
+    first = next(m for m in order if (e0 + slope * m).sign() == sign_wanted)
+    assert _first_mu(e0, slope, sign_wanted) == first
+
+
+class TestDecideClosed:
+    def test_closure_beyond_the_search_bound(self):
+        # z = s / 2002 meets (1/2)Z only at s = 2002 = 1001 * 2pi / pi
+        spec = Dim4Family(1, TWO_PI)
+        x = AlgebraVector(Fraction(1, 2002), [(0, 0)], PI)
+        assert search_closed(x, spec, r_max=1000) is None
+        decision = decide_closed(x, spec)
+        assert decision.r == 1001
+        assert decision.certificate.s_star == ExactScalar(2002)
+        assert decision.certificate.lattice_point == GroupElement(1, (0, 0), 2002 * PI)
+        assert search_closed(x, spec, r_max=1001).lattice_point == decision.certificate.lattice_point
+
+    def test_open_direction_names_its_obstruction(self):
+        spec = Twisted(Dim4Family(1, TWO_PI), 1)
+        decision = decide_closed(AlgebraVector(Fraction(-1, 4), [(1, 0)], 2), spec)
+        assert not decision.closes and decision.r is None
+        assert decision.to_json() == {"kind": "never", "obstructions": [
+            {"residue": 0, "reason": "the pi^1 coefficient of z vanishes at no r of the class"}]}
+
+    def test_every_residue_class_is_named(self):
+        # K0 = 4; x = X1/2 + T: v is not integral at r = 1, 3 (mod 4), and z has
+        # the pi part r pi/16 at r = 0, 2 (mod 4)
+        spec = Dim4Family(1, HALF_PI)
+        decision = decide_closed(AlgebraVector(0, [(Fraction(1, 2), 0)], 1), spec)
+        reasons = dict(decision.obstructions)
+        assert sorted(reasons) == [0, 1, 2, 3]
+        assert reasons[1] == reasons[3] == "v is not integral"
+
+    def test_line_closes_without_r(self):
+        spec = Dim4Family(2, TWO_PI)
+        decision = decide_closed(AlgebraVector(Fraction(1, 3), [(2, Fraction(-1, 2))], 0), spec)
+        assert decision.closes and decision.r is None
+        assert decision.to_json() == {"kind": "closes"}
+
+    @pytest.mark.parametrize("x", [
+        AlgebraVector(0.0, [(0.0, 0.0)], 1.0),                  # float data
+        AlgebraVector(0, [(0, 0)], ExactScalar(1, 1)),          # a = 1 + pi
+        AlgebraVector(0, [(0, 0)], 0),                          # the zero velocity
+    ])
+    def test_undecided_input_raises(self, x):
+        with pytest.raises(ValueError):
+            decide_closed(x, Dim4Family(1, TWO_PI))
+
+
+class TestFloatScreen:
+    SPEC = Dim4Family(1, TWO_PI)
+
+    def test_hit_at_the_edge_of_the_tolerance_is_found(self):
+        # at r = 3 (s = 6pi) z lands about 6e-10 above the member (1/2, 0, 6pi)
+        x = AlgebraVector((0.5 + 6e-10) / (6 * math.pi) - 0.045, [(0.3, 0.0)], 1.0)
+        point = eval_geodesic(Geodesic(x, self.SPEC.freqs), 6 * math.pi)
+        edge = abs(point.z - 0.5)
+        cert = search_closed(x, self.SPEC, r_max=5, float_tol=edge)
+        assert cert is not None
+        assert cert.lattice_point == GroupElement(Fraction(1, 2), (0, 0), 6 * PI)
+        assert (cert.s_star, cert.lattice_point, cert.causal) == _reference_search(
+            x, self.SPEC, 5, tol=edge)
+        assert search_closed(x, self.SPEC, r_max=5, float_tol=edge * (1 - 1e-6)) is None
+
+    def test_coordinate_too_coarse_to_snap_passes_the_screen_and_is_skipped(self):
+        # z = 2^40 r exactly at every candidate s = 2pi r, a member whose float
+        # spacing (2e-4) is far coarser than the tolerance
+        d = 2.0**40 / (2 * math.pi)
+        while d * (2 * math.pi) != 2.0**40:
+            d = math.nextafter(d, math.inf if d * (2 * math.pi) < 2.0**40 else -math.inf)
+        x = AlgebraVector(d, [(0.0, 0.0)], 1.0)
+        snap = _LatticeSnap(self.SPEC, self.SPEC.profile().t0, FLOAT_VERIFY_TOL)
+        s = np.arange(1, 4) * (2 * math.pi)
+        assert snap.screen(x, self.SPEC.freqs, s).all()
+        assert search_closed(x, self.SPEC, r_max=3) is None
 
 
 class TestClosedCausalCertificates:
