@@ -282,6 +282,23 @@ def pi_coefficient(x: ExactScalar) -> tuple[int, int] | None:
     return None
 
 
+def rational_ratio(x: ExactScalar, y: ExactScalar) -> tuple[int, int] | None:
+    """(n, d) with x == (n / d) y in lowest terms and d > 0, for a nonzero y,
+    or None when x / y is not rational: x and y must be proportional
+    coefficient by coefficient."""
+    if not x.num:
+        return 0, 1
+    if len(x.num) != len(y.num):
+        return None
+    k = next(i for i, c in enumerate(y.num) if c)
+    p, q = x.num[k], y.num[k]
+    if any(a * q != b * p for a, b in zip(x.num, y.num)):
+        return None
+    n, d = p * y.den, q * x.den
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
 # Accepted token forms: "3/2", "3/2 + 1/4 pi", "2pi", "-pi/2", "1/2 - pi", "2 pi^2".
 _PI_TERM_RE = re.compile(
     r"^(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*pi"

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, gram_matrix
-from .exact import ExactScalar, as_exact
+from .exact import ExactScalar, as_exact, rational_ratio
 from .group import GroupElement, multiply, rotation
 
 
@@ -116,53 +116,66 @@ def eval_geodesic_velocity(geo: Geodesic, s: float) -> list[float]:
 def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupElement:
     """Exact evaluation at parameter s.
 
-    Velocity entries may be rationals or ExactScalars; every rotation angle
-    lambda_j * a * s must land in (pi/2)Z, every division must be by a
-    monomial in pi and v must stay rational, otherwise a ValueError
-    propagates.
+    Velocity entries may be rationals or ExactScalars, and every rotation
+    angle lambda_j * a * s must land in (pi/2)Z.  The closed form is taken
+    cleared of a (`_oscillation`, `_drift`) and divided once at the end, so
+    a ValueError propagates exactly when the point leaves Q[pi] or its v is
+    not rational.
     """
     if x.n != freqs.n:
         raise ValueError("initial velocity does not match frequencies")
     s = as_exact(s)
     a = as_exact(x.a)
     if a.is_zero():
-        v = []
-        for b, c in x.bc:
-            v.append((as_exact(b) * s).to_fraction())
-            v.append((as_exact(c) * s).to_fraction())
+        v = [(as_exact(e) * s).to_fraction() for pair in x.bc for e in pair]
         return GroupElement(x.d * s, v, ExactScalar(0))
     t_out = a * s
     bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
     bc2s = [b * b + c * c for b, c in bcs]
-    v, z = _oscillation(a, bcs, bc2s, rotation(t_out, freqs), freqs)
-    for lam, bc2 in zip(freqs.lambdas, bc2s):
-        z = z + (bc2 / (2 * a)) * s / lam
-    return GroupElement(z + x.d * s, v, t_out)
+    v, p = _oscillation(a, bcs, bc2s, rotation(t_out, freqs), freqs)
+    if v is None:
+        raise ValueError("v of the point is not rational")
+    z = t_out * _drift(a, x.d, bc2s, freqs) + p  # a^2 z
+    return GroupElement._exact(z / (a * a) if z.num else z, *v, t_out)
 
 
-def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList) -> tuple[list, ExactScalar]:
-    """v of the closed form at the block rotations rot = R(a s), and the part
-    -sum_j (b_j^2+c_j^2) sin / (2 a^2 lambda_j^2) of z that oscillates."""
-    v, p, two_a2 = [], ExactScalar(), 2 * a * a
+def _drift(a: ExactScalar, d, bc2s, freqs: FrequencyList) -> ExactScalar:
+    """a d + sum_j (b_j^2+c_j^2) / (2 lambda_j); a^2 z is t times this, plus a^2 P."""
+    return a * d + sum((bc2 / lam for bc2, lam in zip(bc2s, freqs.lambdas)), ExactScalar()) / 2
+
+
+def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList):
+    """v of the closed form at the block rotations rot = R(a s), as ints
+    (num, den), or None when an entry is irrational; and a^2 times the part
+    of z that oscillates, -sum_j (b_j^2+c_j^2) sin / (2 lambda_j^2).
+
+    Nothing divides by a: a lambda_j v_j is (b sin + c (cos - 1),
+    b (1 - cos) + c sin), and `rational_ratio` reads v_j off it when v_j is
+    rational.
+    """
+    ratios, p = [], ExactScalar()
     for lam, (b, c), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
         a_lam = a * lam
-        vx = (b * sin + c * (kos - 1)) / a_lam
-        vy = (b * (1 - kos) + c * sin) / a_lam
-        v.extend((vx.to_fraction(), vy.to_fraction()))
-        p = p - (bc2 * sin) / two_a2 / (lam * lam)
-    return v, p
+        ratios.append(rational_ratio(b * sin + c * (kos - 1), a_lam))
+        ratios.append(rational_ratio(b * (1 - kos) + c * sin, a_lam))
+        if sin:  # -sin / (2 lambda^2) as ints
+            p = p + bc2 * ExactScalar._of([-sin * lam.denominator**2], 2 * lam.numerator**2)
+    if None in ratios:
+        return None, p
+    den = math.lcm(*[d for _, d in ratios])
+    return (tuple([n * (den // d) for n, d in ratios]), den), p
 
 
 class ExactOrbit:
     """The points of the curve at s = r * t_step / a, for integers r.
 
-    With s_1 = t_step / a and R(period * t_step) = Id the closed form splits
-    in r:  t = r t_step,  v = V(r mod period),  z = r L + P(r mod period),
-    L = (d + sum_j (b_j^2+c_j^2) / (2 a lambda_j)) s_1.  L (`slope`) is
-    computed here, V and P once per residue (`residue`), each by the
-    divisions of eval_geodesic_exact (`_oscillation`), so a point raises
-    ValueError exactly when that evaluation does; a ValueError here means
-    every point would.
+    With R(period * t_step) = Id the closed form splits in r:  t = r t_step,
+    v = V(r mod period),  z = r L + P(r mod period).  They are held cleared
+    of a, so that nothing divides by it and every a is taken:  a^2 L
+    (`slope`) once, and per residue (`residue`) V as ints when rational and
+    a^2 P, by `_oscillation`; a residue raises ValueError only when its
+    rotation is no quarter turn.  The closure decision reads only these;
+    calling the orbit at r divides, as `eval_geodesic_exact` does.
     """
 
     def __init__(self, x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
@@ -170,35 +183,28 @@ class ExactOrbit:
             raise ValueError("initial velocity does not match frequencies")
         self.t_step, self.period, self.freqs = as_exact(t_step), period, freqs
         self.a = as_exact(x.a)
-        self.s_1 = self.t_step / self.a
         self.bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
         self.bc2s = [b * b + c * c for b, c in self.bcs]
-        slope = self.s_1 * x.d
-        for lam, bc2 in zip(freqs.lambdas, self.bc2s):
-            slope = slope + (bc2 / (2 * self.a)) * self.s_1 / lam
-        self.slope = slope
+        self.slope = self.t_step * _drift(self.a, x.d, self.bc2s, freqs)
         self._residues: dict = {}
 
-    def residue(self, c: int) -> tuple[GroupElement, ExactScalar]:
-        """(0, V(c), 0) and P(c), for 0 <= c < period; a ValueError is kept
-        and raised again on each call."""
+    def residue(self, c: int) -> tuple:
+        """(V(c) as ints (num, den), or None when it is not rational, and
+        a^2 P(c)), for 0 <= c < period."""
         if c not in self._residues:
-            try:
-                rot = rotation(self.t_step * c, self.freqs)
-                v, p = _oscillation(self.a, self.bcs, self.bc2s, rot, self.freqs)
-                self._residues[c] = GroupElement(0, v, 0), p  # v scaled to ints once
-            except ValueError as exc:
-                self._residues[c] = exc
-        found = self._residues[c]
-        if isinstance(found, ValueError):
-            raise found.with_traceback(None)
-        return found
+            rot = rotation(self.t_step * c, self.freqs)
+            self._residues[c] = _oscillation(self.a, self.bcs, self.bc2s, rot, self.freqs)
+        return self._residues[c]
 
     def __call__(self, r: int) -> tuple[ExactScalar, GroupElement]:
-        """(s, eval_geodesic_exact(x, s, freqs)) at s = r * t_step / a."""
-        v_only, p = self.residue(r % self.period)
-        point = GroupElement._exact(self.slope * r + p, v_only.num, v_only.den, self.t_step * r)
-        return self.s_1 * r, point
+        """(s, eval_geodesic_exact(x, s, freqs)) at s = r * t_step / a; a
+        ValueError when s or the point leaves Q[pi], as there."""
+        s = self.t_step * r / self.a
+        v, p = self.residue(r % self.period)
+        if v is None:
+            raise ValueError("v of the point is not rational")
+        z = (self.slope * r + p) / (self.a * self.a)
+        return s, GroupElement._exact(z, *v, self.t_step * r)
 
 
 def causal_character(geo: Geodesic) -> CausalClass:
@@ -270,17 +276,18 @@ def integrate_geodesic_batch(
     state, k1, k2, k3, k4, tmp = np.zeros((6, 2 * dim, len(initials))).transpose(0, 2, 1)
     state[:, dim:] = initials
     stages = ((k1, h / 2, k2), (k2, h / 2, k3), (k3, h, k4))
-    for _ in range(n_steps):
-        geodesic_rhs(state, freqs, lams=lams, out=k1)
-        for k, c, k_next in stages:  # k_next = rhs(state + c k)
-            np.add(state, np.multiply(k, c, out=tmp), out=tmp)
-            geodesic_rhs(tmp, freqs, lams=lams, out=k_next)
-        np.add(k1, np.multiply(k2, 2, out=tmp), out=tmp)
-        np.add(tmp, np.multiply(k3, 2, out=k3), out=tmp)
-        np.add(tmp, k4, out=tmp)
-        np.add(state, np.multiply(tmp, h / 6, out=tmp), out=state)
-        if not np.isfinite(state).all():
-            raise FloatingPointError("non-finite state during integration")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        for _ in range(n_steps):
+            geodesic_rhs(state, freqs, lams=lams, out=k1)
+            for k, c, k_next in stages:  # k_next = rhs(state + c k)
+                np.add(state, np.multiply(k, c, out=tmp), out=tmp)
+                geodesic_rhs(tmp, freqs, lams=lams, out=k_next)
+            np.add(k1, np.multiply(k2, 2, out=tmp), out=tmp)
+            np.add(tmp, np.multiply(k3, 2, out=k3), out=tmp)
+            np.add(tmp, k4, out=tmp)
+            np.add(state, np.multiply(tmp, h / 6, out=tmp), out=state)
+            if not np.isfinite(state).all():
+                raise FloatingPointError("non-finite state during integration")
     return state[:, :dim].copy()
 
 

@@ -5,27 +5,23 @@ by a lattice exactly when it meets the lattice at a positive parameter.
 This module decides the lightlike dichotomy (either every lightlike
 geodesic closes, or only the central direction does), constructs closed
 timelike and spacelike geodesics hitting explicit lattice points, decides
-closure for exact initial velocities, runs a bounded closure search for
-arbitrary ones, and settles the product-with-a-line variant where lightlike
-closure depends on whether the squared line step is a rational multiple of
-2*pi.
+closure for exact initial velocities, runs a bounded closure search, and
+settles the product-with-a-line variant where lightlike closure depends on
+whether the squared line step is a rational multiple of 2*pi.
 
-The candidate times are r * t0 / a.  For an exact velocity with a = c pi^k
-the point at r repeats its rotation part with r mod K0
-(`geodesics.ExactOrbit`), and membership is linear in r within each
-residue class, so `decide_closed` finds the least closing r, or proves
-there is none, from K0 classes instead of a scan.  The bounded search is
-that decision capped at r_max.  Float velocities, any other a, and the
-classes the closed form cannot evaluate exactly take a float snap: one
-numpy screen over every candidate, then the scalar snap on the few that
-pass.  Only a miss of the float snap is never a proof: elsewhere a `never`
-verdict proves the geodesic open, and a search that returns None proves
-that no candidate up to r_max closes.
+The candidate times are r * t0 / a.  For an exact velocity the point at r
+repeats its rotation part with r mod K0 (`geodesics.ExactOrbit`), and
+membership, cleared of a, is linear in r within each residue class, so
+`decide_closed` finds the least closing r, or proves there is none, from
+K0 classes, for every a != 0.  The bounded search is that decision capped
+at r_max.  Float data alone takes the float snap: one numpy screen over
+every candidate, then the scalar snap on the few that pass.  Only its miss
+is never a proof of openness.
 
 Certificates are verified before being returned: the target lattice point
 is checked by exact membership, the closed-form evaluation is re-run in
-float mode against it, and -- whenever the initial data is exact -- the
-evaluation is also replayed exactly.
+float mode against it, and -- whenever the initial data and the parameter
+are exact -- the evaluation is also replayed exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
-from .exact import PI, ExactScalar, as_exact, pi_coefficient
+from .exact import PI, ExactScalar, as_exact, pi_coefficient, rational_ratio
 from .geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact, flow_coords
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
 from .lattices import (
@@ -77,17 +73,18 @@ class LightlikeVerdict:
 @dataclass(frozen=True)
 class ClosedGeodesicCertificate:
     initial: AlgebraVector          # float form, for closed-form evaluation
-    s_star: object                  # positive parameter; exact where possible
+    s_star: object                  # positive; exact when x and t0 / a are exact
     lattice_point: GroupElement     # exact member hit at s_star
     causal: CausalClass
     initial_exact: AlgebraVector | None = None  # exact entries when available
 
-    def verify(self, spec: LatticeSpec, tol: float = FLOAT_VERIFY_TOL) -> None:
+    def verify(self, spec: LatticeSpec, tol: float = FLOAT_VERIFY_TOL):
+        """The certificate itself, once it has passed every check."""
         if not spec.contains(self.lattice_point):
             raise CertificateVerificationFailed(
                 f"target {self.lattice_point} is not a lattice member"
             )
-        s = float(self.s_star) if not isinstance(self.s_star, float) else self.s_star
+        s = float(self.s_star)
         if s <= 0:
             raise CertificateVerificationFailed("closure parameter must be positive")
         approached = eval_geodesic(Geodesic(self.initial.to_floats(), spec.freqs), s)
@@ -102,6 +99,7 @@ class ClosedGeodesicCertificate:
                 raise CertificateVerificationFailed(
                     "exact replay disagrees with the certified lattice point"
                 )
+        return self
 
     def to_json(self) -> dict:
         init = self.initial.to_floats()
@@ -111,19 +109,11 @@ class ClosedGeodesicCertificate:
                 "bc": [list(p) for p in init.bc],
                 "a": init.a,
             },
-            "s_star": _scalar_to_json(self.s_star),
+            "s_star": self.s_star if isinstance(self.s_star, float) else str(self.s_star),
             "lattice_point": self.lattice_point.to_json(),
             "causal": self.causal.value,
             "exact_initial_data": self.initial_exact is not None,
         }
-
-
-def _scalar_to_json(s):
-    if isinstance(s, float):
-        return s
-    if isinstance(s, Fraction):
-        return str(s)
-    return str(as_exact(s))
 
 
 def _require_profiled(spec: LatticeSpec) -> None:
@@ -181,8 +171,7 @@ def _verified(spec, initial, target, sign_wanted: int, initial_exact):
     sign, meeting target at s = 1."""
     causal = CausalClass.TIMELIKE if sign_wanted < 0 else CausalClass.SPACELIKE
     cert = ClosedGeodesicCertificate(initial, ExactScalar(1), target, causal, initial_exact)
-    cert.verify(spec)
-    return cert
+    return cert.verify(spec)
 
 
 def _certificate_k0_one(spec, prof, sign_wanted: int) -> ClosedGeodesicCertificate:
@@ -290,23 +279,20 @@ def _search_line_case(
     point = eval_geodesic_exact(x, s_star, freqs)
     if not spec.contains(point):
         return None
-    cert = ClosedGeodesicCertificate(
+    return ClosedGeodesicCertificate(
         x.to_floats(),
         s_star,
         point,
         CausalClass.LIGHTLIKE if all(b == 0 for b in bcs) else CausalClass.SPACELIKE,
         x,
-    )
-    cert.verify(spec)
-    return cert
+    ).verify(spec)
 
 
 # -- the closure decision for exact velocities ------------------------------------
 
 # the reasons a residue class r = c (mod K0) holds no closing r
 V_NOT_INTEGRAL = "v is not integral"
-NOT_IN_Q_PI = "v or z is not in Q[pi]"
-PI_POWER = "the pi^{k} coefficient of z vanishes at no r of the class"
+PI_POWER = "the pi^{k} coefficient of {z} vanishes at no r of the class"
 CONGRUENCE = "z misses the z-lattice at every r of the class"
 
 
@@ -335,28 +321,34 @@ class ClosureDecision:
 
 def _least_r(slope: ExactScalar, p: ExactScalar, w: ExactScalar, c: int, k0: int):
     """Least r >= 1 with r = c (mod k0) and r slope + p in w Z, for a
-    rational w > 0, or the reason there is none.
+    nonzero w in Q[pi], or the reason there is none.
 
-    Each pi^k coefficient, k >= 1, must vanish: it fixes r or rules the class
-    out.  The constant one is a linear congruence, solved with r = c (mod k0)
-    by modular inverses.  Everything runs on the int numerators over the
-    common denominator den of slope and p.
+    Row k of the condition reads slope_k r + p_k = w_k u, u an integer.
+    The first row with w_k != 0 gives u; eliminated from every other row, it
+    leaves one linear equation in r, which fixes r or rules the class out.
+    The row of u is a linear congruence, solved with r = c (mod k0) by
+    modular inverses.  Everything runs on the int numerators over the
+    common denominator of slope, p and w.  With w = a^2 times the z-step and
+    a = c pi^m, a reason names the power of pi in z itself; for any other
+    a, the row of a^2 z.
     """
-    den = math.lcm(slope.den, p.den)
-    coeffs = [(x * (den // slope.den), y * (den // p.den))
-              for x, y in zip_longest(slope.num, p.num, fillvalue=0)]
-    (a, b), *higher = coeffs or [(0, 0)]
+    den = math.lcm(slope.den, p.den, w.den)
+    rows = [(x * (den // slope.den), y * (den // p.den), g * (den // w.den))
+            for x, y, g in zip_longest(slope.num, p.num, w.num, fillvalue=0)]
+    k_u = next(k for k, row in enumerate(rows) if row[2])
+    a, b, g = rows[k_u]
+    shift, z = (k_u, "z") if sum(map(bool, w.num)) == 1 else (0, "a^2 z")
     fixed = None
-    for k, (a_k, b_k) in enumerate(higher, 1):
+    for k, (a_k, b_k, g_k) in enumerate(rows):
+        a_k, b_k = a_k * g - g_k * a, b_k * g - g_k * b  # u eliminated; 0 at k_u
         if a_k == 0 and b_k == 0:
             continue
         r = -b_k // a_k if a_k and b_k % a_k == 0 else None  # a_k r + b_k = 0
         if r is None or r < 1 or (r - c) % k0 or fixed not in (None, r):
-            return PI_POWER.format(k=k)
+            return PI_POWER.format(k=k - shift, z=z)
         fixed = r
-    # (a r + b) / den in (wn / wd) Z  <=>  wd a r = -wd b  (mod den wn)
-    mod = den * w.num[0]
-    a, b = a * w.den, -b * w.den
+    # a r + b = g u  <=>  a r = -b  (mod |g|)
+    mod, b = abs(g), -b
     if fixed is not None:
         return fixed if (a * fixed - b) % mod == 0 else CONGRUENCE
     g = math.gcd(a, mod)
@@ -372,51 +364,57 @@ def _least_r(slope: ExactScalar, p: ExactScalar, w: ExactScalar, c: int, k0: int
     return r or period
 
 
-def _decide_residues(orbit: ExactOrbit, spec: LatticeSpec, limit: int | None = None):
-    """(least closing r or None, {residue: obstruction}).
+def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
+    """(least closing r, the member met there, {residue: obstruction}); r
+    and the member are None when no r up to `limit` closes.
 
-    The classes are taken in the order of their least member, r = 1, ...,
-    K0, and the scan stops once no class can beat the best r found or
-    `limit`; a class whose point cannot be evaluated exactly is reported as
-    NOT_IN_Q_PI.
+    With c = r mod K0 and t_step = +-t0, the point at r is (r L + P(c),
+    V(c), r t_step) (`ExactOrbit`).  Cleared of a, it is a member iff V(c)
+    is integral and r alpha + a^2 P(c) lies in gamma Z, with alpha =
+    a^2 (L - twist t_step) and gamma = a^2 w (`_least_r`).  The classes are
+    taken in the order of their least member, r = 1, ..., K0, and the scan
+    stops once no class can beat the best r found or `limit`.
     """
-    twist = _twist_total(spec)[1]
-    w = spec.profile().central_w  # the z-lattice of the untwisted core is w Z
-    slope = orbit.slope - twist * orbit.t_step  # z - twist t = r slope + P(c)
+    prof = spec.profile()
+    orbit = ExactOrbit(x, prof.t0 * _a_sign(x), prof.k0, spec.freqs)
+    twist, w = _twist_total(spec)[1], prof.central_w  # the untwisted core's z-lattice is w Z
+    a2 = orbit.a * orbit.a
+    alpha, gamma = orbit.slope - a2 * twist * orbit.t_step, a2 * w
     best, obstructions = None, {}
     for r_min in range(1, orbit.period + 1):
         if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
             break
         c = r_min % orbit.period
-        try:
-            v_only, p = orbit.residue(c)
-        except ValueError:
-            obstructions[c] = NOT_IN_Q_PI
-            continue
-        found = V_NOT_INTEGRAL if v_only.den != 1 else _least_r(slope, p, w, c, orbit.period)
+        v, p = orbit.residue(c)
+        integral = v is not None and v[1] == 1
+        found = _least_r(alpha, p, gamma, c, orbit.period) if integral else V_NOT_INTEGRAL
         if isinstance(found, str):
             obstructions[c] = found
         elif best is None or found < best:
             best = found
-    return best, obstructions
-
-
-def _orbit(x: AlgebraVector, spec: LatticeSpec) -> ExactOrbit:
-    """The exact candidate points of x, at positive times; ValueError when a
-    is not c pi^k."""
-    prof = spec.profile()
-    return ExactOrbit(x, prof.t0 * _a_sign(x), prof.k0, spec.freqs)
+    if best is None or (limit is not None and best > limit):
+        return None, None, obstructions
+    (v_num, _), p = orbit.residue(best % orbit.period)
+    u, _ = rational_ratio(alpha * best + p, gamma)
+    t = orbit.t_step * best
+    return best, GroupElement._exact(twist * t + w * u, v_num, 1, t), obstructions
 
 
 def _a_sign(x: AlgebraVector) -> int:
     return 1 if float(x.a) > 0 else -1  # keeps the candidate times positive
 
 
-def _exact_hit(x: AlgebraVector, spec: LatticeSpec, orbit: ExactOrbit, r: int):
-    s, point = orbit(r)
-    cert = ClosedGeodesicCertificate(x.to_floats(), s, point, causal_class(x, spec.freqs), x)
-    cert.verify(spec)
-    return cert
+def _hit(x: AlgebraVector, spec: LatticeSpec, r: int, point: GroupElement):
+    """The verified certificate of the member met at s = r t0 / |a|.  s is
+    exact, and replayed exactly, when t0 / a is in Q[pi]; otherwise it is
+    the float the snap computes."""
+    t0 = spec.profile().t0
+    try:
+        s, initial_exact = t0 * (r * _a_sign(x)) / x.a, x
+    except ValueError:
+        s, initial_exact = r * _a_sign(x) * float(t0) / float(x.a), None
+    causal = causal_class(x, spec.freqs)
+    return ClosedGeodesicCertificate(x.to_floats(), s, point, causal, initial_exact).verify(spec)
 
 
 def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
@@ -428,13 +426,12 @@ def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
 def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
     """Decide whether the geodesic with exact initial velocity x closes.
 
-    For a = c pi^k the candidate times r t0 / a, r >= 1, are all the times
-    at which t lies in t0 Z, and with c = r mod K0 the point there is
-    (r L + P(c), V(c), r t0) (`ExactOrbit`).  So it is a member iff V(c) is
-    integral and r (L - twist t0) + P(c) lies in the z-lattice: per class,
-    conditions linear in r (`_least_r`).  Since pi is transcendental, a class
-    whose V(c) or P(c) leaves Q[pi] holds no member.  A line (a = 0) closes
-    at its least common lattice step.
+    For a != 0 the candidate times r t0 / a, r >= 1, are all the times at
+    which t lies in t0 Z, and membership there is, per residue class of r
+    mod K0, conditions linear in r (`_decide`).  Since pi is transcendental,
+    a class whose v is irrational holds no member.  So a `never` verdict
+    proves the geodesic open.  A line (a = 0) closes at its least common
+    lattice step.
     """
     _check_search_input(x, spec)
     if not x.is_exact():
@@ -445,14 +442,10 @@ def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
         if cert is None:
             raise ValueError("the zero velocity gives the constant curve, closed at every s")
         return ClosureDecision(cert)
-    try:
-        orbit = _orbit(x, spec)
-    except ValueError as exc:
-        raise ValueError(f"closure is decided for a = c pi^k only: {exc}") from None
-    best, obstructions = _decide_residues(orbit, spec)
-    if best is None:
+    r, point, obstructions = _decide(x, spec)
+    if r is None:
         return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
-    return ClosureDecision(_exact_hit(x, spec, orbit, best), best)
+    return ClosureDecision(_hit(x, spec, r, point), r)
 
 
 # -- bounded closure search ----------------------------------------------------
@@ -466,35 +459,20 @@ def search_closed(
 ) -> ClosedGeodesicCertificate | None:
     """First verified lattice hit at candidate times r * t0 / a, r <= r_max.
 
-    An exact velocity with a = c pi^k is decided in closed form
-    (`_decide_residues`), capped at r_max.  The candidates the closed form
-    cannot evaluate exactly -- all of them for float input or any other a,
-    the residue classes of NOT_IN_Q_PI otherwise -- take the float snap, run
-    only on the r that pass its screen.  None proves that no candidate up
-    to r_max closes, except for float input and for the candidates that
-    took the float snap, where it is never a proof of openness.
+    Exact input is decided in closed form (`_decide`), capped at r_max, so
+    None proves that no candidate up to r_max closes.  Float input takes
+    the float snap, run only on the r that pass its screen; there None is
+    never a proof of openness.
     """
     _check_search_input(x, spec)
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
-    exact_input = x.is_exact()
-    if exact_input and as_exact(x.a).is_zero():
+    if not x.is_exact():
+        return None if float(x.a) == 0.0 else _float_search(x, spec, r_max, float_tol)
+    if as_exact(x.a).is_zero():
         return _search_line_case(x, spec, spec.freqs)
-    if not exact_input and float(x.a) == 0.0:
-        return None  # line search needs exact data
-    try:
-        orbit = _orbit(x, spec) if exact_input else None
-    except ValueError:
-        orbit = None  # no candidate stays exact: every one takes the float snap
-    if orbit is None:
-        return _float_search(x, spec, r_max, None, float_tol)
-    best, obstructions = _decide_residues(orbit, spec, r_max)
-    snapped = [c for c, why in obstructions.items() if why == NOT_IN_Q_PI]
-    end = r_max if best is None else min(best - 1, r_max)
-    cert = _float_search(x, spec, end, snapped, float_tol) if snapped else None
-    if cert is None and best is not None and best <= r_max:
-        cert = _exact_hit(x, spec, orbit, best)
-    return cert
+    r, point, _ = _decide(x, spec, r_max)
+    return None if r is None else _hit(x, spec, r, point)
 
 
 SCREEN_CHUNK = 1024  # candidates screened per numpy pass
@@ -504,10 +482,10 @@ SCREEN_CHUNK = 1024  # candidates screened per numpy pass
 SCREEN_SLACK = 2.0**-46  # 64 ulps of 1
 
 
-def _float_search(x, spec, r_end: int, residues, tol: float):
-    """First verified float-snap hit at r * |t0 / a|, 1 <= r <= r_end, r mod
-    K0 in residues (every r for None).  The scalar snap runs only on the r
-    that pass the screen, in increasing order."""
+def _float_search(x, spec, r_end: int, tol: float):
+    """First verified float-snap hit at r * |t0 / a|, 1 <= r <= r_end.  The
+    scalar snap runs only on the r that pass the screen, in increasing
+    order."""
     prof, freqs, a_sign = spec.profile(), spec.freqs, _a_sign(x)
     initial = x.to_floats()
     geo = Geodesic(initial, freqs)
@@ -515,8 +493,6 @@ def _float_search(x, spec, r_end: int, residues, tol: float):
     snap = _LatticeSnap(spec, prof.t0, tol)
     for start in range(1, r_end + 1, SCREEN_CHUNK):
         rs = np.arange(start, min(start + SCREEN_CHUNK, r_end + 1))
-        if residues is not None:
-            rs = rs[np.isin(rs % prof.k0, residues)]
         with np.errstate(all="ignore"):
             s = rs * a_sign * t0_f / a_f
         for r in rs[snap.screen(initial, freqs, s)].tolist():
@@ -524,8 +500,7 @@ def _float_search(x, spec, r_end: int, residues, tol: float):
             snapped = snap(eval_geodesic(geo, s))
             if snapped is not None:
                 cert = ClosedGeodesicCertificate(initial, s, snapped, causal_class(x, freqs))
-                cert.verify(spec, tol=tol)
-                return cert
+                return cert.verify(spec, tol=tol)
     return None
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,17 @@ class TestCommands:
         )
         assert code == 2
         assert any("exact initial data" in d for d in rep["diagnostics"])
+
+    def test_closed_search_certifies_no_near_miss_of_an_irrational_v(self, capsys):
+        # v = (b/pi, b/pi) at s = 1/2 is irrational, though within 1e-9 of (1, 1)
+        code, rep = run_cli(
+            capsys, "quotient", "closed-search", "--lattice", "dim4:k=1:angle=pi/2",
+            "--X", '{"d": "-103993/66204", "bc": [["103993/33102", 0]], "a": "pi"}',
+            "--r-max", "10",
+        )
+        assert code == 0
+        assert rep["verdicts"]["closed"] is False
+        assert rep["certificates"] == []
 
     def test_quotient_product_line(self, capsys):
         lattice = '{"family": "product_line", "w2": "1", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
@@ -404,6 +416,16 @@ class TestContractBreaches:
         code, rep = run_cli(capsys, "geodesic", "integrate", "--X", "T", "--s-end", "1e300")
         assert code == 2
         assert any("exceeds" in d for d in rep["diagnostics"])
+
+    def test_overflowing_integration_warns_nothing(self, capsys):
+        # numpy overflows on the first step; the refusal is the only output
+        x = '{"d": 1e300, "bc": [[1e300, 1e300]], "a": 1e300}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "geodesic", "integrate", "--X", x,
+                                "--s-end", "0.01", "--step", "0.01")
+        assert code == 2
+        assert any("non-finite" in d for d in rep["diagnostics"])
 
     def test_velocity_json_without_bc_is_exit_2(self, capsys):
         code, rep = run_cli(capsys, "geodesic", "character", "--X", '{"d": 1}')

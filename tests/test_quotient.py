@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscgeo import quotient
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class
 from oscgeo.exact import ExactScalar, PI, as_exact
 from oscgeo.geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact
@@ -172,8 +174,9 @@ class TestSearchClosed:
         assert spec.contains(cert.lattice_point)
 
     def test_non_monomial_a_takes_the_float_snap(self):
-        # a = 1 + pi: no candidate time r t0 / a is an exact scalar, so every
-        # candidate is snapped in float mode, as its float copy's are
+        # a = 1 + pi: no candidate time r t0 / a is an exact scalar; the closure
+        # is decided exactly, and the certificate carries the float time that
+        # the float snap of its float copy writes
         spec = Dim4Family(1, TWO_PI)
         x = AlgebraVector(0, [(0, 0)], ExactScalar(1, 1))
         cert = search_closed(x, spec, r_max=5)
@@ -355,15 +358,13 @@ def test_decide_closed_matches_the_per_candidate_loop(data):
     # the loop runs up to the decided r, however far beyond a search bound
     spec = data.draw(search_specs)
     x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
-    try:
-        decision = decide_closed(x, spec)
-    except ValueError:  # a is not c pi^k: not decided in closed form
-        assume(False)
+    decision = decide_closed(x, spec)
     if decision.closes:
         cert = decision.certificate
         expected = _reference_search(x, spec, decision.r)
         assert (cert.s_star, cert.lattice_point, cert.causal) == expected
-        assert cert.s_star == spec.profile().t0 * decision.r / abs(as_exact(x.a))
+        if cert.initial_exact is not None:  # t0 / a is in Q[pi]
+            assert cert.s_star == spec.profile().t0 * decision.r / abs(as_exact(x.a))
     else:
         assert decision.obstructions
         assert _reference_search(x, spec, 4 * spec.profile().k0 + 40) is None
@@ -376,17 +377,30 @@ def test_lightlike_closure_depends_only_on_the_lattice(data):
     # an all_closed lattice, and none closes on an only_central_direction one
     spec = data.draw(search_specs)
     freqs = spec.freqs
-    scale = data.draw(st.sampled_from([ExactScalar(1), PI]))
-    a = data.draw(nonzero) * scale
-    bc = [(data.draw(small) * scale, data.draw(small) * scale) for _ in range(freqs.n)]
-    drift = sum(((b * b + c * c) / lam for (b, c), lam in zip(bc, freqs.lambdas)), ExactScalar())
-    x = AlgebraVector(-drift / (2 * a), bc, a)
+    scale = data.draw(st.sampled_from([ExactScalar(1), PI, 1 + PI]))
+    a0 = data.draw(nonzero)
+    bc0 = [(data.draw(small), data.draw(small)) for _ in range(freqs.n)]
+    q = sum((b * b + c * c) / lam for (b, c), lam in zip(bc0, freqs.lambdas))
+    # d = -scale^2 q / (2 scale a0), with no division by scale
+    x = AlgebraVector(scale * (-q / (2 * a0)), [(scale * b, scale * c) for b, c in bc0], scale * a0)
     assert causal_class(x, freqs) == CausalClass.LIGHTLIKE
     decision = decide_closed(x, spec)
     assert decision.closes == classify_lightlike(spec).all_closed
     if decision.closes:
         decision.certificate.verify(spec)
         assert decision.certificate.causal == CausalClass.LIGHTLIKE
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_input_never_takes_the_float_search(data):
+    # every exact velocity with a != 0 is decided in closed form
+    spec = data.draw(search_specs)
+    x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
+    r_max = data.draw(st.integers(0, 2 * spec.profile().k0 + 1))
+    with mock.patch.object(quotient, "_float_search", side_effect=AssertionError("float path")):
+        search_closed(x, spec, r_max=r_max)
+        decide_closed(x, spec)
 
 
 @settings(max_examples=100, deadline=None)
@@ -454,12 +468,35 @@ class TestDecideClosed:
 
     @pytest.mark.parametrize("x", [
         AlgebraVector(0.0, [(0.0, 0.0)], 1.0),                  # float data
-        AlgebraVector(0, [(0, 0)], ExactScalar(1, 1)),          # a = 1 + pi
+        AlgebraVector(0, [(0, 0), (0, 0)], 1),                  # n = 2 on an n = 1 lattice
         AlgebraVector(0, [(0, 0)], 0),                          # the zero velocity
     ])
     def test_undecided_input_raises(self, x):
         with pytest.raises(ValueError):
             decide_closed(x, Dim4Family(1, TWO_PI))
+
+    def test_non_monomial_a_is_decided(self):
+        # a = 1 + pi: t0 / a is not in Q[pi], so the certificate carries the
+        # float time the snap writes and replays in float only
+        spec = Dim4Family(1, TWO_PI)
+        decision = decide_closed(AlgebraVector(0, [(0, 0)], ExactScalar(1, 1)), spec)
+        assert decision.r == 1
+        cert = decision.certificate
+        assert cert.lattice_point == GroupElement(0, (0, 0), TWO_PI)
+        assert cert.initial_exact is None
+        assert cert.s_star == 1 * 1 * (2 * math.pi) / (1 + math.pi)
+        y = AlgebraVector(Fraction(-1, 4), [(1, 0)], ExactScalar(1, 1))
+        assert not decide_closed(y, spec).closes
+
+    def test_near_miss_of_an_irrational_v_is_no_closure(self):
+        # a = pi and b = 103993/33102, a convergent of pi: at s = 1/2, v = (b/pi, b/pi)
+        # is irrational, yet its float lies within 1e-9 of (1, 1), and the float
+        # snap certified the member (-1/2, (1, 1), pi/2) there
+        spec = Dim4Family(1, HALF_PI)
+        b = Fraction(103993, 33102)
+        x = AlgebraVector(-b / 2, [(b, 0)], PI)
+        assert search_closed(x, spec, r_max=10) is None
+        assert decide_closed(x, spec).to_json()["kind"] == "never"
 
 
 class TestFloatScreen:
