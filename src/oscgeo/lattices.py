@@ -5,7 +5,9 @@ group coordinates; twisting by the automorphism (z, v, t) -> (z + m t, v, t)
 and the product with a line (for the product-group analysis) build on them.
 Membership is decided exactly on polynomials in pi (`ExactScalar`); a
 generator-list spec only supports a bounded word search and refuses rather
-than guessing.
+than guessing.  A `LatticeProfile` (t0, K0, central step, total twist, pure-t
+step) is all the quotient code reads of a lattice; product forms and their
+twists have one.
 
 Lattices exist only when the frequencies generate a discrete subgroup of
 the reals, which forces them rational after normalization; the frequency
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import FrequencyList
-from .exact import ExactScalar, as_exact, exact_from_json, pi_coefficient
+from .exact import ExactScalar, as_exact, exact_from_json, pi_coefficient, rational_ratio
 from .group import GroupElement, invert, multiply, rotation
 
 
@@ -34,10 +36,18 @@ class UnsupportedSpec(ValueError):
 
 @dataclass(frozen=True)
 class LatticeProfile:
+    """The lattice as the quotient code reads it: the members are exactly
+    (twist * t + central_w * u, v, t) with t in t0 Z, v integral, u in Z."""
+
     t0: ExactScalar          # positive generator of the t-component subgroup
     k0: int                  # minimal K >= 1 with R(K * t0) = Id
     central_w: ExactScalar   # minimal w > 0 with (w, 0, 0) in the lattice
-    has_pure_t: bool         # whether some (0, 0, t), t != 0, is a member
+    twist: ExactScalar       # the sum of the nested twists; 0 for a product form
+    pure_t: ExactScalar | None  # least t > 0 with (0, 0, t) a member, if any
+
+    @property
+    def has_pure_t(self) -> bool:
+        return self.pure_t is not None
 
 
 def _minimal_rotation_period(freqs: FrequencyList, t0_pi_coeff: Fraction) -> int:
@@ -57,7 +67,9 @@ class LatticeSpec:
         raise NotImplementedError
 
     def profile(self) -> LatticeProfile:
-        raise UnsupportedSpec(f"profile is not defined for {type(self).__name__}")
+        raise UnsupportedSpec(
+            f"{type(self).__name__} does not support profile-based classification"
+        )
 
     def generators(self) -> list[GroupElement]:
         raise UnsupportedSpec(f"no generator list for {type(self).__name__}")
@@ -110,11 +122,13 @@ class _ProductFormFamily(LatticeSpec):
 
     @cached_property
     def _profile(self) -> LatticeProfile:
+        t0 = ExactScalar(0, self.t0_pi_coeff)
         return LatticeProfile(
-            t0=ExactScalar(0, self.t0_pi_coeff),
+            t0=t0,
             k0=_minimal_rotation_period(self.freqs, self.t0_pi_coeff),
             central_w=ExactScalar(self.z_step(), 0),
-            has_pure_t=True,
+            twist=ExactScalar(0),
+            pure_t=t0,
         )
 
     @cached_property
@@ -252,28 +266,18 @@ class Twisted(LatticeSpec):
 
     @cached_property
     def _profile(self) -> LatticeProfile:
-        base_prof = self.base.profile()
+        base = self.base.profile()
+        twist = base.twist + self.m
+        # (0, 0, j t0) is a member iff twist j t0 lies in central_w Z: the
+        # least j is the denominator of twist t0 / central_w, when rational
+        ratio = rational_ratio(twist * base.t0, base.central_w)
         return LatticeProfile(
-            t0=base_prof.t0,
-            k0=base_prof.k0,
-            central_w=base_prof.central_w,
-            has_pure_t=self._pure_t_multiple(base_prof) is not None,
+            t0=base.t0,
+            k0=base.k0,
+            central_w=base.central_w,
+            twist=twist,
+            pure_t=None if ratio is None else base.t0 * ratio[1],
         )
-
-    def _pure_t_multiple(self, base_prof: LatticeProfile) -> int | None:
-        """Minimal j >= 1 with (0, 0, j*t0) a member, if any.
-
-        (0,0,t) is a member iff (-m t, 0, t) lies in the base, i.e. m*j*t0
-        falls in the base z-lattice; any pi-power in m*t0 rules that out.
-        """
-        shift = self.m * base_prof.t0
-        if shift.degree() > 0:
-            return None
-        # minimal j with j*shift in z_step*Z
-        return (shift.to_fraction() / self.z_step()).denominator
-
-    def pure_t_multiple(self) -> int | None:
-        return self._pure_t_multiple(self.base.profile())
 
     def generators(self) -> list[GroupElement]:
         return list(self._generators)
@@ -438,11 +442,7 @@ def pure_t_element(spec: LatticeSpec) -> GroupElement | None:
     prof = spec.profile()
     if not prof.has_pure_t:
         return None
-    n2 = 2 * spec.freqs.n
-    if isinstance(spec, Twisted):
-        j = spec.pure_t_multiple()
-        return GroupElement(0, (0,) * n2, prof.t0 * j)
-    return GroupElement(0, (0,) * n2, prof.t0)
+    return GroupElement(0, (0,) * (2 * spec.freqs.n), prof.pure_t)
 
 
 def rotation_step_matrix(spec: LatticeSpec):

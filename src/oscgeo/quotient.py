@@ -18,10 +18,13 @@ at r_max.  Float data alone takes the float snap: one numpy screen over
 every candidate, then the scalar snap on the few that pass.  Only its miss
 is never a proof of openness.
 
-Certificates are verified before being returned: the target lattice point
-is checked by exact membership, the closed-form evaluation is re-run in
-float mode against it, and -- whenever the initial data and the parameter
-are exact -- the evaluation is also replayed exactly.
+The lattice is read only through its `LatticeProfile` and membership.  The
+closed timelike and spacelike certificates come from one construction: the
+velocity that the closed form carries to a member at s = 1.  Certificates
+are verified before being returned: the target lattice point is checked by
+exact membership, the closed-form evaluation is re-run in float mode
+against it, and -- whenever the initial data and the parameter are exact --
+the evaluation is also replayed exactly.
 """
 
 from __future__ import annotations
@@ -33,19 +36,11 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
-from .exact import PI, ExactScalar, as_exact, pi_coefficient, rational_ratio
+from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, causal_quantity
+from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
 from .geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact, flow_coords
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
-from .lattices import (
-    Dim4Family,
-    Dim6Family,
-    LatticeSpec,
-    ProductWithLine,
-    Twisted,
-    UnsupportedSpec,
-    pure_t_element,
-)
+from .lattices import LatticeSpec, ProductWithLine, UnsupportedSpec, pure_t_element
 
 FLOAT_VERIFY_TOL = 1e-9
 
@@ -116,32 +111,15 @@ class ClosedGeodesicCertificate:
         }
 
 
-def _require_profiled(spec: LatticeSpec) -> None:
-    if not isinstance(spec, (Dim4Family, Dim6Family, Twisted)):
-        raise UnsupportedSpec(
-            f"{type(spec).__name__} does not support profile-based classification"
-        )
-
-
 def classify_lightlike(spec: LatticeSpec) -> LightlikeVerdict:
     """Either every lightlike geodesic on the quotient closes, or only the
     central direction does; decided by the pure-t membership question."""
-    _require_profiled(spec)
     if spec.profile().has_pure_t:
         return LightlikeVerdict("all_closed", witness=pure_t_element(spec))
     return LightlikeVerdict("only_central_direction")
 
 
 # -- constructive closed timelike / spacelike geodesics ----------------------
-
-
-def _twist_total(spec: LatticeSpec) -> tuple[LatticeSpec, ExactScalar]:
-    """Unwrap nested twists down to the product-form core."""
-    twist = ExactScalar(0)
-    while isinstance(spec, Twisted):
-        twist = twist + spec.m
-        spec = spec.base
-    return spec, twist
 
 
 def _first_mu(e0: ExactScalar, slope: ExactScalar, sign_wanted: int) -> int:
@@ -166,88 +144,46 @@ def _first_mu(e0: ExactScalar, slope: ExactScalar, sign_wanted: int) -> int:
     return mu
 
 
-def _verified(spec, initial, target, sign_wanted: int, initial_exact):
-    """The verified certificate of a closed geodesic of the wanted causal
-    sign, meeting target at s = 1."""
-    causal = CausalClass.TIMELIKE if sign_wanted < 0 else CausalClass.SPACELIKE
-    cert = ClosedGeodesicCertificate(initial, ExactScalar(1), target, causal, initial_exact)
-    return cert.verify(spec)
-
-
-def _certificate_k0_one(spec, prof, sign_wanted: int) -> ClosedGeodesicCertificate:
-    """Velocity a = t0, b = c = 0, d = mu*w + z over members (z, 0, t0)."""
-    core, twist = _twist_total(spec)
-    w = prof.central_w.to_fraction()
-    t_hat = prof.t0
-    z_base = twist * t_hat  # twisted shift
-    # causal quantity 2 a d with a = t_hat
-    mu = _first_mu(2 * t_hat * z_base, 2 * t_hat * w, sign_wanted)
-    d = z_base + mu * w
-    target = GroupElement(d, (0,) * (2 * spec.freqs.n), t_hat)
-    initial_exact = AlgebraVector(d, [(0, 0)] * spec.freqs.n, t_hat)
-    initial = AlgebraVector(float(d), [(0.0, 0.0)] * spec.freqs.n, float(t_hat))
-    return _verified(spec, initial, target, sign_wanted, initial_exact)
-
-
-def _certificate_k0_many(spec, prof, sign_wanted: int) -> ClosedGeodesicCertificate:
-    """Solve the per-block linear systems for a member (x, u, (K0-1) t0)."""
-    core, twist = _twist_total(spec)
-    freqs = spec.freqs
-    w = prof.central_w.to_fraction()
-    t_hat = prof.t0 * (prof.k0 - 1)
-    tau = t_hat.coeffs[1]  # t_hat = tau pi
-    blocks = []  # (u_j, beta_j, gamma_j, sin_j) with velocities beta*pi, gamma*pi
-    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t_hat, freqs).cos_sin):
-        if kos == 1:  # singular block: stays at the origin, target 0 there
-            blocks.append(((Fraction(0), Fraction(0)), Fraction(0), Fraction(0), sin))
-            continue
-        u_j = (Fraction(1), Fraction(0))
-        det = Fraction(sin * sin + (1 - kos) * (1 - kos))
-        rhs = (lam * tau * u_j[0], lam * tau * u_j[1])
-        # inverse of the rotation shape [[sin, kos-1], [1-kos, sin]]: transpose / det
-        beta, gamma = (x / det for x in rotate_pairs([(sin, kos - 1)], rhs))
-        blocks.append((u_j, beta, gamma, sin))
-    u_flat = []
-    for (u_j, _, _, _) in blocks:
-        u_flat.extend(u_j)
-    # constants for the z-equation and the causal sign
-    sum_bc_over_lam = sum(
-        (b * b + g * g) / lam for (_, b, g, _), lam in zip(blocks, freqs.lambdas)
-    )
-    sum_bc_sin_over_lam2 = sum(
-        (b * b + g * g) * s / (lam * lam)
-        for (_, b, g, s), lam in zip(blocks, freqs.lambdas)
-    )
-    z_twist = twist * t_hat
-    # Q = 2 a z_hat + (1/a) sum sin_k (b_k^2+c_k^2)/lam_k^2 with a = tau pi,
-    # (b_k, c_k) = (beta_k, gamma_k) pi and z_hat = z_twist + mu w
-    e0 = 2 * t_hat * z_twist + sum_bc_sin_over_lam2 / tau * PI
-    mu = _first_mu(e0, 2 * t_hat * w, sign_wanted)
-    z_hat = z_twist + mu * w
-    d = z_hat + sum_bc_sin_over_lam2 / (2 * tau * tau) - sum_bc_over_lam / (2 * tau) * PI
-    bc_exact = [(ExactScalar(0, b), ExactScalar(0, g)) for (_, b, g, _) in blocks]
-    initial_exact = AlgebraVector(d, bc_exact, t_hat)
-    initial = AlgebraVector(
-        float(d), [(float(b), float(c)) for b, c in bc_exact], float(t_hat)
-    )
-    target = GroupElement(z_hat, u_flat, t_hat)
-    return _verified(spec, initial, target, sign_wanted, initial_exact)
-
-
 def closed_timelike_and_spacelike(
     spec: LatticeSpec,
 ) -> tuple[ClosedGeodesicCertificate, ClosedGeodesicCertificate]:
-    """A verified closed timelike and closed spacelike geodesic certificate."""
-    _require_profiled(spec)
-    core, twist = _twist_total(spec)
-    if (twist * core.profile().t0).degree() > 1:
+    """A verified closed timelike and closed spacelike geodesic certificate.
+
+    Both meet a member (z, u, t) at s = 1, with a = t = t0 when K0 = 1 and
+    t = (K0 - 1) t0 otherwise.  Each block that R(t) turns gets u_j = (1, 0)
+    and the (b, c) that the closed form carries to it; an unturned block
+    stays at the origin.  z is affine in d with slope s = 1, so the member
+    (twist t + mu w, u, t) is met at d = twist t + mu w - z(1) of d = 0, and
+    <x, x> is affine in mu with slope 2 t w: for each causal sign, mu is the
+    first of 0, 1, -1, ... giving it.
+    """
+    prof, freqs = spec.profile(), spec.freqs
+    if (prof.twist * prof.t0).degree() > 1:
         raise UnsupportedSpec(
             "twist times t-step has a pi^2 term; certificates for pi-twisted lattices "
             "are not built yet"
         )
-    prof = spec.profile()
-    builder = _certificate_k0_one if prof.k0 == 1 else _certificate_k0_many
-    return builder(spec, prof, -1), builder(spec, prof, +1)
+    t = prof.t0 * max(1, prof.k0 - 1)
+    tau = t.coeffs[1]  # t = tau pi
+    bc = []  # velocities beta pi, gamma pi
+    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t, freqs).cos_sin):
+        if kos == 1:
+            bc.append((ExactScalar(0), ExactScalar(0)))
+            continue
+        det = Fraction(sin * sin + (1 - kos) * (1 - kos))
+        # inverse of the rotation shape [[sin, kos-1], [1-kos, sin]]: transpose / det
+        beta, gamma = (x / det for x in rotate_pairs([(sin, kos - 1)], (lam * tau, 0)))
+        bc.append((ExactScalar(0, beta), ExactScalar(0, gamma)))
+    reached = eval_geodesic_exact(AlgebraVector(0, bc, t), 1, freqs)
+    d0 = prof.twist * t - reached.z
+    e0, slope = causal_quantity(AlgebraVector(d0, bc, t), freqs), 2 * t * prof.central_w
+    certs = []
+    for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
+        x = AlgebraVector(d0 + _first_mu(e0, slope, sign_wanted) * prof.central_w, bc, t)
+        target = GroupElement._exact(reached.z + x.d, reached.num, reached.den, t)
+        cert = ClosedGeodesicCertificate(x.to_floats(), ExactScalar(1), target, causal, x)
+        certs.append(cert.verify(spec))
+    return tuple(certs)
 
 
 # -- bounded closure search ----------------------------------------------------
@@ -263,20 +199,18 @@ def _rational_lcm(values: list[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def _search_line_case(
-    x: AlgebraVector, spec: LatticeSpec, freqs: FrequencyList
-) -> ClosedGeodesicCertificate | None:
+def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCertificate | None:
     """Lattice hits of the straight line (d s, (b_j s, c_j s), 0)."""
     d = as_exact(x.d).to_fraction()
     bcs = [as_exact(c).to_fraction() for pair in x.bc for c in pair]
     steps: list[Fraction] = []
     if d != 0:
-        steps.append(spec.z_step() / abs(d))
+        steps.append(spec.profile().central_w.to_fraction() / abs(d))
     steps.extend(1 / abs(b) for b in bcs if b != 0)
     if not steps:
         return None  # zero velocity: the constant curve closes trivially
     s_star = _rational_lcm(steps)
-    point = eval_geodesic_exact(x, s_star, freqs)
+    point = eval_geodesic_exact(x, s_star, spec.freqs)
     if not spec.contains(point):
         return None
     return ClosedGeodesicCertificate(
@@ -377,7 +311,7 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
     """
     prof = spec.profile()
     orbit = ExactOrbit(x, prof.t0 * _a_sign(x), prof.k0, spec.freqs)
-    twist, w = _twist_total(spec)[1], prof.central_w  # the untwisted core's z-lattice is w Z
+    twist, w = prof.twist, prof.central_w
     a2 = orbit.a * orbit.a
     alpha, gamma = orbit.slope - a2 * twist * orbit.t_step, a2 * w
     best, obstructions = None, {}
@@ -401,7 +335,11 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
 
 
 def _a_sign(x: AlgebraVector) -> int:
-    return 1 if float(x.a) > 0 else -1  # keeps the candidate times positive
+    """The sign of a, which keeps the candidate times positive; exact for
+    exact a, which may lie beyond the float range."""
+    if x.is_exact():
+        return as_exact(x.a).sign()
+    return 1 if x.a > 0 else -1
 
 
 def _hit(x: AlgebraVector, spec: LatticeSpec, r: int, point: GroupElement):
@@ -418,7 +356,7 @@ def _hit(x: AlgebraVector, spec: LatticeSpec, r: int, point: GroupElement):
 
 
 def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
-    _require_profiled(spec)
+    spec.profile()  # refuses a lattice the decision cannot read
     if x.n != spec.freqs.n:
         raise ValueError("velocity does not match the lattice dimension")
 
@@ -438,7 +376,7 @@ def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
         raise ValueError("the closure decision needs exact initial data; "
                          "closed-search snaps float data")
     if as_exact(x.a).is_zero():
-        cert = _search_line_case(x, spec, spec.freqs)
+        cert = _search_line_case(x, spec)
         if cert is None:
             raise ValueError("the zero velocity gives the constant curve, closed at every s")
         return ClosureDecision(cert)
@@ -470,7 +408,7 @@ def search_closed(
     if not x.is_exact():
         return None if float(x.a) == 0.0 else _float_search(x, spec, r_max, float_tol)
     if as_exact(x.a).is_zero():
-        return _search_line_case(x, spec, spec.freqs)
+        return _search_line_case(x, spec)
     r, point, _ = _decide(x, spec, r_max)
     return None if r is None else _hit(x, spec, r, point)
 
@@ -510,10 +448,10 @@ class _LatticeSnap:
 
     def __init__(self, spec: LatticeSpec, t0: ExactScalar, tol: float):
         self.spec, self.t0, self.tol = spec, t0, tol
-        core, self.twist = _twist_total(spec)
+        prof = spec.profile()
+        self.twist, self.z_step = prof.twist, prof.central_w.to_fraction()
         self.tw = float(self.twist)
         self.t_step = float(t0)
-        self.z_step = core.z_step()
         self.z_step_f = float(self.z_step)
         self.t0_num, self.t0_den = pi_coefficient(t0)  # t0 = (t0_num / t0_den) pi
 

@@ -155,6 +155,28 @@ class TestCommands:
         assert rep["verdicts"]["closure"]["kind"] == "never"
         assert rep["certificates"] == []
 
+    @pytest.mark.parametrize("a", ["1/1" + "0" * 400, "1" + "0" * 400])
+    def test_quotient_decide_closed_with_a_beyond_the_float_range(self, capsys, a):
+        # the decision is exact, but the certificate's float time is out of range
+        x = json.dumps({"d": 0, "bc": [[0, 0]], "a": a})
+        code, rep = run_cli(
+            capsys, "quotient", "decide-closed", "--lattice", LATTICE, "--X", x)
+        assert code == 2
+        assert rep["diagnostics"]
+
+    @pytest.mark.parametrize("inner,outer", [("1", "-1"), ("pi", "-pi")])
+    def test_cancelling_nested_twists(self, capsys, inner, outer):
+        lattice = json.dumps({"family": "twisted", "m": outer, "base": {
+            "family": "twisted", "m": inner, "base": {"family": "dim4", "k": 1, "angle": "2pi"}}})
+        code, rep = run_cli(capsys, "lattice", "info", "--lattice", lattice)
+        assert code == 0
+        assert rep["tables"]["profile"]["has_pure_t"] is True
+        assert rep["tables"]["pure_t_element"]["t"] == "2 pi"
+        code, rep = run_cli(capsys, "quotient", "classify", "--lattice", lattice)
+        assert code == 0
+        assert rep["verdicts"]["lightlike"]["kind"] == "all_closed"
+        assert rep["verdicts"]["lightlike"]["witness"]["t"] == "2 pi"
+
     def test_quotient_decide_closed_refuses_float_data(self, capsys):
         code, rep = run_cli(
             capsys, "quotient", "decide-closed", "--lattice", "dim4:k=1:angle=2pi",
@@ -800,6 +822,9 @@ GOLDEN_COMMANDS = {
         "quotient", "certify-causal",
         "--lattice", '{"family": "twisted", "m": "2", "base": '
                      '{"family": "dim6", "k": 1, "p": 1, "q": 3, "M": 4}}'],
+    # K0 = 2: the certificate turns the block by t = t0 = pi
+    "certify_dim4_k0_2": [
+        "quotient", "certify-causal", "--lattice", "dim4:k=2:angle=pi"],
     # exact rational --X; s and z are pi-valued: the member it meets at t = t0
     # has z = 1/2 + pi/2
     "closed_search_rational_twist_exact": [

@@ -19,6 +19,7 @@ from oscgeo.lattices import (
     ProductWithLine,
     Twisted,
     UnsupportedSpec,
+    pure_t_element,
 )
 from oscgeo.quotient import (
     FLOAT_VERIFY_TOL,
@@ -218,8 +219,14 @@ dim6_specs = st.tuples(
     lambda a: Dim6Family(*a)
 )
 product_specs = dim4_specs | dim6_specs
-search_specs = product_specs | st.builds(
-    Twisted, product_specs, st.integers(-3, 3) | small | st.sampled_from([PI, PI / 2, -2 * PI])
+twists = st.integers(-3, 3) | small | st.sampled_from([PI, PI / 2, -2 * PI])
+twisted_specs = st.builds(Twisted, product_specs, twists)
+# nested twists, among them twists that cancel
+search_specs = (
+    product_specs
+    | twisted_specs
+    | st.builds(Twisted, twisted_specs, twists)
+    | twisted_specs.map(lambda spec: Twisted(spec, -spec.m))
 )
 
 
@@ -249,6 +256,35 @@ def exact_velocities(draw, freqs, twist=0):
         ) / (2 * a)
         d = (draw(small) if kind == "pi" else 0) - drift + a * twist
     return AlgebraVector(d, bc, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=search_specs, u=st.integers(-5, 5), j=st.integers(-5, 5), data=st.data())
+def test_the_profile_describes_the_lattice(spec, u, j, data):
+    # members are (twist t + w u, v, t) with t in t0 Z and v integral
+    prof, n2 = spec.profile(), 2 * spec.freqs.n
+    v = data.draw(st.lists(st.integers(-5, 5), min_size=n2, max_size=n2))
+    t, w = prof.t0 * j, prof.central_w
+    z = prof.twist * t + w * u
+    assert spec.contains(GroupElement(z, v, t))
+    i = data.draw(st.integers(0, n2 - 1))
+    for non_member in (
+        GroupElement(z + w / 2, v, t),
+        GroupElement(z, v[:i] + [Fraction(1, 2)] + v[i + 1:], t),
+        GroupElement(z, v, t + prof.t0 / 2),
+    ):
+        assert not spec.contains(non_member)
+    # pure_t is the least t > 0 with (0, 0, t) a member
+    pure = pure_t_element(spec)
+    if prof.pure_t is None:
+        assert pure is None and not prof.has_pure_t
+        steps = 12
+    else:
+        assert pure == GroupElement(0, (0,) * n2, prof.pure_t) and spec.contains(pure)
+        multiple = (prof.pure_t / prof.t0).to_fraction()
+        assert multiple.denominator == 1
+        steps = multiple.numerator
+    assert not any(spec.contains(GroupElement(0, (0,) * n2, prof.t0 * k)) for k in range(1, steps))
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,7 +372,7 @@ def _reference_search(x, spec, r_max, tol=FLOAT_VERIFY_TOL):
 @given(data=st.data())
 def test_search_closed_matches_the_per_candidate_loop(data):
     spec = data.draw(search_specs)
-    x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
+    x = data.draw(exact_velocities(spec.freqs, spec.profile().twist))
     if data.draw(st.booleans()):
         x = x.to_floats()
     r_max = data.draw(st.integers(0, 2 * spec.profile().k0 + 1))
@@ -357,7 +393,7 @@ def test_search_closed_matches_the_per_candidate_loop(data):
 def test_decide_closed_matches_the_per_candidate_loop(data):
     # the loop runs up to the decided r, however far beyond a search bound
     spec = data.draw(search_specs)
-    x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
+    x = data.draw(exact_velocities(spec.freqs, spec.profile().twist))
     decision = decide_closed(x, spec)
     if decision.closes:
         cert = decision.certificate
@@ -396,7 +432,7 @@ def test_lightlike_closure_depends_only_on_the_lattice(data):
 def test_exact_input_never_takes_the_float_search(data):
     # every exact velocity with a != 0 is decided in closed form
     spec = data.draw(search_specs)
-    x = data.draw(exact_velocities(spec.freqs, spec.m if isinstance(spec, Twisted) else 0))
+    x = data.draw(exact_velocities(spec.freqs, spec.profile().twist))
     r_max = data.draw(st.integers(0, 2 * spec.profile().k0 + 1))
     with mock.patch.object(quotient, "_float_search", side_effect=AssertionError("float path")):
         search_closed(x, spec, r_max=r_max)
@@ -497,6 +533,32 @@ class TestDecideClosed:
         x = AlgebraVector(-b / 2, [(b, 0)], PI)
         assert search_closed(x, spec, r_max=10) is None
         assert decide_closed(x, spec).to_json()["kind"] == "never"
+
+    @pytest.mark.parametrize("a_sign", [1, -1])
+    def test_sign_of_an_a_below_the_float_range_is_exact(self, a_sign):
+        # a = +-1/10^400 reads as a float zero; the candidate times stay
+        # positive, so the member met first has t = 2pi sign(a)
+        x = AlgebraVector(0, [(0, 0)], Fraction(a_sign, 10**400))
+        r, point, _ = quotient._decide(x, Dim4Family(1, TWO_PI))
+        assert r == 1
+        assert point == GroupElement(0, (0, 0), a_sign * TWO_PI)
+
+
+# twists that cancel: both are the untwisted lattice, where (0, 0, 2pi) is a member
+CANCELLING_TWISTS = [
+    Twisted(Twisted(Dim4Family(1, TWO_PI), 1), -1),
+    Twisted(Twisted(Dim4Family(1, TWO_PI), PI), -PI),
+]
+
+
+@pytest.mark.parametrize("spec", CANCELLING_TWISTS)
+def test_cancelling_nested_twists_close_every_lightlike_geodesic(spec):
+    verdict = classify_lightlike(spec)
+    assert verdict.kind == "all_closed"
+    assert verdict.witness == GroupElement(0, (0, 0), TWO_PI)
+    decision = decide_closed(AlgebraVector.T(1), spec)
+    assert decision.r == 1
+    assert decision.certificate.lattice_point == verdict.witness
 
 
 class TestFloatScreen:
