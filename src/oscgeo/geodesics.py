@@ -214,34 +214,79 @@ def causal_character(geo: Geodesic) -> CausalClass:
 # -- second-order system and RK4 oracle -------------------------------------
 
 
-def geodesic_rhs(state: np.ndarray, freqs: FrequencyList, *, lams=None, out=None) -> np.ndarray:
+def _reads(state: np.ndarray, n: int) -> tuple:
+    """Views of a state that the stage kernel reads: the velocity, the v
+    blocks of position and velocity, t' (also shaped to broadcast over the
+    (x, y) pairs), and the velocity pairs swapped to (y_k', x_k')."""
+    vel = state[..., 2 * n + 2:]
+    tp = vel[..., -1]
+    pairs = vel[..., 1:-1].reshape(*state.shape[:-1], n, 2)
+    return vel, state[..., 1:2 * n + 1], vel[..., 1:-1], tp, tp[..., None, None], pairs[..., ::-1]
+
+
+def _writes(out: np.ndarray, n: int) -> tuple:
+    """Views of a derivative that the stage kernel writes: the position
+    rate, z'' and the (x_k'', y_k'') pairs.  t'' is never written: the
+    buffer holds 0 there from allocation."""
+    acc = out[..., 2 * n + 2:]
+    return out[..., :2 * n + 2], acc[..., 0], acc[..., 1:-1].reshape(*out.shape[:-1], n, 2)
+
+
+def _scratch(lead: tuple, n: int) -> tuple:
+    """Work buffers for the z'' sum, the batch axes innermost in memory.
+
+    The sum over the n blocks must add its terms in the order np.sum takes
+    on a fresh row-major array: in sequence below 8 terms, pairwise from 8
+    on.  Below 8 the terms are stored (n, batch) and read as (batch, n):
+    numpy's reduce then adds whole columns in sequence, along the batch,
+    about 7x faster than short contiguous rows at batch 1000.  From 8 on
+    only the reduce over contiguous rows is pairwise, so they are stored
+    (batch, n).
+    """
+    prod = np.moveaxis(np.empty((2 * n, *lead)), 0, -1)
+    terms = np.moveaxis(np.empty((n, *lead)), 0, -1) if n < 8 else np.empty((*lead, n))
+    return prod, prod[..., 0::2], prod[..., 1::2], terms, np.empty(lead)
+
+
+def _factors(freqs: FrequencyList) -> tuple:
+    """lambda_k, the pair factors (-lambda_k, lambda_k) of (y_k', x_k'), and
+    1/2, as arrays: numpy then converts no Python scalar on each call."""
+    lams = np.array(freqs.floats)
+    return lams, np.stack([-lams, lams], axis=-1), np.array(0.5)
+
+
+def _stage(reads: tuple, writes: tuple, scratch: tuple, lams, pair_lams, one_half) -> None:
+    """One evaluation of the second-order system on bound views."""
+    vel, pos_v, vel_v, tp, tp_pairs, swapped = reads
+    k_pos, k_z, k_pairs = writes
+    prod, even, odd, terms, half = scratch
+    k_pos[...] = vel
+    np.multiply(vel_v, pos_v, prod)  # x_k' x_k and y_k' y_k, interleaved
+    np.add(even, odd, terms)
+    np.multiply(terms, lams, terms)
+    np.add.reduce(terms, -1, None, k_z)
+    np.multiply(tp, one_half, half)
+    np.multiply(half, k_z, k_z)
+    np.multiply(pair_lams, swapped, k_pairs)
+    np.multiply(k_pairs, tp_pairs, k_pairs)
+
+
+def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
     """Derivative of (position, velocity); batched over leading axes.
 
     z'' = (t'/2) sum_k lambda_k (x_k' x_k + y_k' y_k)
     x_i'' = -lambda_i y_i' t',   y_i'' = lambda_i x_i' t',   t'' = 0.
 
-    A caller that steps many times passes `lams`, np.array(freqs.floats),
-    and `out`, an array shaped like state that is written and returned.
+    Binds the views of the one stage kernel that `integrate_geodesic_batch`
+    steps with, for any leading axes, and runs it once into a fresh array;
+    the layout of the z'' sum's buffer depends on n (see `_scratch`), so
+    that the sum adds in np.sum's order on every batch shape.
     """
     state = np.asarray(state, dtype=float)
-    dim = freqs.dim
-    if state.shape[-1] != 2 * dim:
-        raise ValueError(f"state must have length {2 * dim}, got {state.shape[-1]}")
-    lams = np.array(freqs.floats) if lams is None else lams
-    out = np.empty_like(state) if out is None else out
-    pos, vel = state[..., :dim], state[..., dim:]
-    xp, yp = vel[..., 1:-1:2], vel[..., 2:-1:2]
-    x, y = pos[..., 1:-1:2], pos[..., 2:-1:2]
-    tp = vel[..., -1:]
-    out[..., :dim] = vel
-    acc = out[..., dim:]
-    # the sum runs along contiguous rows, as it would on a fresh array, so a
-    # column-major batch sums in the same order as a row-major one
-    terms = np.ascontiguousarray(lams * (xp * x + yp * y))
-    np.multiply(0.5 * tp[..., 0], np.add.reduce(terms, axis=-1), out=acc[..., 0])
-    np.multiply(-lams * yp, tp, out=acc[..., 1:-1:2])
-    np.multiply(lams * xp, tp, out=acc[..., 2:-1:2])
-    acc[..., -1] = 0.0
+    if state.shape[-1:] != (2 * freqs.dim,):
+        raise ValueError(f"state must have length {2 * freqs.dim}, got shape {state.shape}")
+    n, out = freqs.n, np.zeros(state.shape)
+    _stage(_reads(state, n), _writes(out, n), _scratch(state.shape[:-1], n), *_factors(freqs))
     return out
 
 
@@ -257,14 +302,20 @@ def integrate_geodesic_batch(
     Returns final positions, shape (batch, 2n+2).  The state and the stages
     live in buffers allocated once, column-major so that each operation runs
     along the batch; each element sees the operations of
-    state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.
+    state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.  The stage kernel's
+    views (the velocity, the v blocks, t', the swapped velocity pairs, and
+    each k's position rate, z'' and v outputs) are bound once per
+    integration, so a stage is nine numpy calls.  The z'' sum's buffer is
+    stored (n, batch) below 8 blocks and (batch, n) from 8 on: numpy sums 8
+    or more contiguous terms pairwise, as np.sum does on a fresh array.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     initials = np.atleast_2d(np.asarray(initials, dtype=float))
-    dim = freqs.dim
-    if initials.shape[1] != dim:
-        raise ValueError(f"initial velocities must have length {dim}")
+    dim, n = freqs.dim, freqs.n
+    if initials.ndim != 2 or initials.shape[1] != dim:
+        raise ValueError(f"initial velocities must have shape (batch, {dim}), "
+                         f"got {initials.shape}")
     steps = abs(s_end) / step
     if not math.isfinite(steps):
         raise ValueError(f"step count |s_end| / step = {steps} is not finite")
@@ -272,21 +323,26 @@ def integrate_geodesic_batch(
         raise ValueError(f"step count |s_end| / step = {steps:.6g} exceeds {MAX_RK4_STEPS}")
     n_steps = max(1, round(steps))
     h = s_end / n_steps
-    lams = np.array(freqs.floats)
     state, k1, k2, k3, k4, tmp = np.zeros((6, 2 * dim, len(initials))).transpose(0, 2, 1)
     state[:, dim:] = initials
-    stages = ((k1, h / 2, k2), (k2, h / 2, k3), (k3, h, k4))
+    factors, scratch = _factors(freqs), _scratch((len(initials),), n)
+    at_state, at_tmp = _reads(state, n), _reads(tmp, n)
+    into = [_writes(k, n) for k in (k1, k2, k3, k4)]
+    finite = np.empty_like(state, dtype=bool)
+    # 0-d arrays, as in _factors: no Python scalar is converted per call
+    half_h, full_h, sixth_h, two = (np.array(c) for c in (h / 2, h, h / 6, 2.0))
+    stages = ((k1, half_h, into[1]), (k2, half_h, into[2]), (k3, full_h, into[3]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         for _ in range(n_steps):
-            geodesic_rhs(state, freqs, lams=lams, out=k1)
+            _stage(at_state, into[0], scratch, *factors)
             for k, c, k_next in stages:  # k_next = rhs(state + c k)
-                np.add(state, np.multiply(k, c, out=tmp), out=tmp)
-                geodesic_rhs(tmp, freqs, lams=lams, out=k_next)
-            np.add(k1, np.multiply(k2, 2, out=tmp), out=tmp)
-            np.add(tmp, np.multiply(k3, 2, out=k3), out=tmp)
-            np.add(tmp, k4, out=tmp)
-            np.add(state, np.multiply(tmp, h / 6, out=tmp), out=state)
-            if not np.isfinite(state).all():
+                np.add(state, np.multiply(k, c, tmp), tmp)
+                _stage(at_tmp, k_next, scratch, *factors)
+            np.add(k1, np.multiply(k2, two, tmp), tmp)
+            np.add(tmp, np.multiply(k3, two, k3), tmp)
+            np.add(tmp, k4, tmp)
+            np.add(state, np.multiply(tmp, sixth_h, tmp), state)
+            if not np.isfinite(state, finite).all():
                 raise FloatingPointError("non-finite state during integration")
     return state[:, :dim].copy()
 

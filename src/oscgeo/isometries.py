@@ -447,7 +447,7 @@ def _exact_angle_grid(spec, count: int, rng) -> list[GroupElement]:
     """Deterministic exact grid plus seeded draws, all with exact angles."""
     freqs = spec.freqs
     n2 = 2 * freqs.n
-    step = spec.z_step()
+    step = spec.profile().central_w.to_fraction()
     # smallest positive t with every lambda_i * t in (pi/2)Z
     den = math.lcm(*(lam.denominator for lam in freqs.lambdas))
     t_unit = ExactScalar(0, Fraction(den, 2))  # (pi/2) * lcm of denominators

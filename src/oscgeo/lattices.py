@@ -74,9 +74,6 @@ class LatticeSpec:
     def generators(self) -> list[GroupElement]:
         raise UnsupportedSpec(f"no generator list for {type(self).__name__}")
 
-    def z_step(self) -> Fraction:
-        raise UnsupportedSpec(f"no z-step for {type(self).__name__}")
-
     def sample_member(self, rng) -> GroupElement:
         raise UnsupportedSpec(f"no member sampler for {type(self).__name__}")
 
@@ -249,9 +246,6 @@ class Twisted(LatticeSpec):
     @property
     def freqs(self) -> FrequencyList:
         return self.base.freqs
-
-    def z_step(self) -> Fraction:
-        return self.base.z_step()
 
     def twist_forward(self, g: GroupElement) -> GroupElement:
         return GroupElement._exact(g.z + self.m * g.t, g.num, g.den, g.t)

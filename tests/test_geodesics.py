@@ -137,6 +137,10 @@ class TestRhs:
         with pytest.raises(ValueError):
             geodesic_rhs(np.zeros(6), F1)
 
+    def test_scalar_state_is_refused(self):
+        with pytest.raises(ValueError, match="state must have length 8"):
+            geodesic_rhs(np.float64(1.0), F1)
+
 
 class TestIntegrator:
     def test_linear_solutions_exact(self):
@@ -159,6 +163,10 @@ class TestIntegrator:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             integrate_geodesic(AlgebraVector.T(1), 1.0, -0.1, F1)
+
+    def test_rejects_more_than_two_axes(self):
+        with pytest.raises(ValueError, match="initial velocities must have shape"):
+            integrate_geodesic_batch(np.zeros((2, 4, 4)), 0.1, 0.01, F1)
 
     @pytest.mark.parametrize("s_end, step", [
         (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3), (1e300, 1e-300), (1.0, math.nan),
@@ -239,6 +247,27 @@ def test_rk4_is_bit_identical_to_the_plain_form_for_many_blocks():
     initials = np.random.default_rng(9).uniform(-2, 2, size=(32, freqs.dim))
     got = integrate_geodesic_batch(initials, -0.4, 0.02, freqs)
     assert np.array_equal(got, reference_rk4(initials, -0.4, 0.02, freqs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # 1..12 blocks: numpy sums up to 7 terms in sequence, 8 on pairwise
+    lams=st.lists(small_positive, min_size=1, max_size=12),
+    batch=st.integers(1, 1000),
+    steps=st.integers(1, 3),
+    s_end=st.floats(0.01, 3) | st.floats(-3, -0.01),
+    lead=st.lists(st.integers(1, 6), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_stage_kernel_is_bit_identical_to_the_plain_form(lams, batch, steps, s_end, lead, seed):
+    freqs = FrequencyList(lams)
+    rng = np.random.default_rng(seed)
+    initials = rng.uniform(-2, 2, size=(batch, freqs.dim))
+    step = abs(s_end) / steps
+    got = integrate_geodesic_batch(initials, s_end, step, freqs)
+    assert np.array_equal(got, reference_rk4(initials, s_end, step, freqs))
+    states = rng.uniform(-2, 2, size=(*lead, 2 * freqs.dim))  # 1-D, 2-D or 3-D
+    assert np.array_equal(geodesic_rhs(states, freqs), reference_rhs(states, freqs))
 
 
 class TestOneParameterLaw:
