@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +21,9 @@ from .exact import ExactScalar, as_exact, rat
 # float-mode tolerance for sign decisions of the causal quantity; inputs in
 # the shipped tests are exact, so only representation noise needs absorbing
 CAUSAL_TOL = 1e-12
+
+# (cos, sin) of the angle k * pi/2, by k
+_QUARTER = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class CausalClass(enum.Enum):
@@ -54,6 +58,22 @@ class FrequencyList:
     def floats(self) -> tuple[float, ...]:
         """The frequencies as floats, for the float kernels."""
         return tuple(float(l) for l in self.lambdas)
+
+    @cached_property
+    def quarter_turns(self) -> tuple[int, int, tuple]:
+        """The exact angles, as ints (L, 2G, rows).
+
+        With lambda_i = p_i / q_i, L = lcm(q_i) and G = gcd(p_i), every block
+        angle lambda_i t is a whole quarter turn iff t = m (pi/2) L / G for an
+        integer m; block i then turns by m k_i quarter turns, with
+        k_i = (L / q_i)(p_i / G).  rows[m % 4] holds R(m (pi/2) L / G) as one
+        (cos, sin) per block.  The k_i are coprime, so only rows[0] is Id.
+        """
+        lcm = math.lcm(*(lam.denominator for lam in self.lambdas))
+        gcd = math.gcd(*(lam.numerator for lam in self.lambdas))
+        ks = [lcm // lam.denominator * (lam.numerator // gcd) for lam in self.lambdas]
+        rows = tuple(tuple(_QUARTER[m * k % 4] for k in ks) for m in range(4))
+        return lcm, 2 * gcd, rows
 
     def runs(self) -> list[tuple[Fraction, int]]:
         """Consecutive equal-value runs (value, multiplicity) in given order."""

@@ -59,6 +59,7 @@ from .normalizers import (
     verification_grid,
 )
 from .quotient import (
+    FLOAT_VERIFY_TOL,
     CertificateVerificationFailed,
     classify_lightlike,
     closed_timelike_and_spacelike,
@@ -71,10 +72,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
-
-
-def default_float_tol() -> float:
-    return float(os.environ.get("OSCGEO_FLOAT_TOL", "1e-9"))
 
 
 class CliValidationError(ValueError):
@@ -317,7 +314,7 @@ def cmd_quotient_classify(args) -> dict:
 def cmd_quotient_closed_search(args) -> dict:
     spec = parse_lattice(args.lattice)
     x = parse_velocity(args.X, spec.freqs.n)
-    cert = search_closed(x, spec, r_max=args.r_max, float_tol=default_float_tol())
+    cert = search_closed(x, spec, r_max=args.r_max, float_tol=FLOAT_VERIFY_TOL)
     if cert is None:
         return {
             "verdicts": {"closed": False},

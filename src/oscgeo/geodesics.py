@@ -154,7 +154,7 @@ def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList):
     rational.
     """
     ratios, p = [], ExactScalar()
-    for lam, (b, c), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot.cos_sin):
+    for lam, (b, c), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot):
         a_lam = a * lam
         ratios.append(rational_ratio(b * sin + c * (kos - 1), a_lam))
         ratios.append(rational_ratio(b * (1 - kos) + c * sin, a_lam))

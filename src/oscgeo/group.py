@@ -16,23 +16,22 @@ Exact mode keeps z and t as ExactScalar, polynomials in pi held as int
 numerators over one int denominator, and v as `num / den`: a tuple of ints
 over one int den > 0 with gcd(den, *num) == 1, so equal elements have equal
 fields; `v` is a Fraction view built on first read.  Exact rotations need
-every lambda_i * t in (pi/2)Z (`is_quarter_turn`); `rotation` is the only
-place an exact angle becomes (cos, sin), a signed quarter turn per block
-applied as a signed swap of ints.  The exact product is int arithmetic: the
-pairing v1^T J R(t1) v2 is one int sum added to z as pair / (2 d1 d2), z and
-t are summed on their ints, and v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2
-(n1 + n2 over d when d1 == d2), reduced by one gcd.  Float arithmetic keeps
-its operation order.
+every lambda_i * t in (pi/2)Z (`is_quarter_turn`), that is t a whole
+multiple m of the unit in the frequency list's one quarter-turn table
+(`FrequencyList.quarter_turns`); `rotation` reads R(t) off that table as a
+signed quarter turn per block, and `swap_pairs` applies it as a signed swap
+of ints.  The exact product is int arithmetic: the pairing v1^T J R(t1) v2
+is one int sum added to z as pair / (2 d1 d2), z and t are summed on their
+ints, and v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when
+d1 == d2), reduced by one gcd.  Float arithmetic keeps its operation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .algebra import FrequencyList
 from .exact import (
@@ -49,25 +48,20 @@ class ExactModeUnsupportedAngle(ValueError):
     """Rotation angle is not an integer multiple of pi/2 for some block."""
 
 
-# quarter-turn table: (cos, sin) for angle k * pi/2
-_QUARTER = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def _half_turns(t: ExactScalar, freqs: FrequencyList) -> list | None:
-    """Each block angle lambda_i * t in units of pi/2, as an unreduced
-    (numerator, denominator) int pair; None if t is not a rational multiple
-    of pi."""
+def quarter_turn_count(t: ExactScalar, freqs: FrequencyList) -> int | None:
+    """m with t = m (pi/2) L / G, the unit of `FrequencyList.quarter_turns`,
+    or None when some block angle lambda_i * t is not a multiple of pi/2."""
     pc = pi_coefficient(t)
     if pc is None:
         return None
-    num, den = 2 * pc[0], pc[1]
-    return [(lam.numerator * num, lam.denominator * den) for lam in freqs.lambdas]
+    lcm, two_gcd, _ = freqs.quarter_turns
+    m, rest = divmod(pc[0] * two_gcd, pc[1] * lcm)
+    return None if rest else m
 
 
 def is_quarter_turn(t: ExactScalar, freqs: FrequencyList) -> bool:
     """Whether every block angle lambda_i * t is an integer multiple of pi/2."""
-    half_turns = _half_turns(t, freqs)
-    return half_turns is not None and all(num % den == 0 for num, den in half_turns)
+    return quarter_turn_count(t, freqs) is not None
 
 
 def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
@@ -78,65 +72,42 @@ def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Block-diagonal rotation by angles lambda_i * t, one (cos, sin) per block.
-
-    Exact rotations hold signed quarter turns, ints in {-1, 0, 1}; float
-    rotations hold floats.
-    """
-
-    cos_sin: tuple
-
-    def block(self, i: int) -> tuple:
-        c, s = self.cos_sin[i]
-        return ((c, -s), (s, c))
-
-    def apply(self, v: Sequence) -> tuple:
-        if type(self.cos_sin[0][0]) is not int:
-            return rotate_pairs(self.cos_sin, v)
-        out = []  # exact: a signed swap per pair, no products by 0 or 1
-        for (c, s), x, y in zip(self.cos_sin, v[0::2], v[1::2], strict=True):
-            if c == 1:
-                out.extend((x, y))
-            elif c == -1:
-                out.extend((-x, -y))
-            elif s == 1:
-                out.extend((-y, x))
-            else:
-                out.extend((y, -x))
-        return tuple(out)
-
-    def as_array(self) -> np.ndarray:
-        n2 = 2 * len(self.cos_sin)
-        out = np.zeros((n2, n2))
-        for i in range(len(self.cos_sin)):
-            out[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = self.block(i)
-        return out
+def swap_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
+    """`rotate_pairs` for signed quarter turns: a signed swap per pair, with
+    no products by 0 or 1."""
+    out = []
+    for (c, s), x, y in zip(cos_sin, v[0::2], v[1::2], strict=True):
+        if c == 1:
+            out.extend((x, y))
+        elif c == -1:
+            out.extend((-x, -y))
+        elif s == 1:
+            out.extend((-y, x))
+        else:
+            out.extend((y, -x))
+    return tuple(out)
 
 
-def rotation(t, freqs: FrequencyList) -> RotationMatrix:
-    """R(t) = exp(t N_lambda); exact for an ExactScalar t, whose every
-    lambda_i*t must then lie in (pi/2)Z."""
+def rotation(t, freqs: FrequencyList) -> tuple:
+    """R(t) = exp(t N_lambda) as one (cos, sin) per block: signed quarter
+    turns, ints, for an ExactScalar t, whose every lambda_i*t must then lie
+    in (pi/2)Z; floats otherwise."""
     if isinstance(t, ExactScalar):
-        half_turns = _half_turns(t, freqs)
-        if half_turns is None:
+        m = quarter_turn_count(t, freqs)
+        if m is not None:
+            _, _, rows = freqs.quarter_turns
+            return rows[m % 4]
+        pc = pi_coefficient(t)
+        if pc is None:
             part = "a nonzero rational part" if t.num[0] else "a power of pi above 1"
             raise ExactModeUnsupportedAngle(
                 f"angle {t} has {part}; rotation entries would be irrational"
             )
-        cos_sin = []
-        for num, den in half_turns:
-            if num % den:
-                raise ExactModeUnsupportedAngle(
-                    f"angle {Fraction(num, 2 * den)}*pi is not a multiple of pi/2"
-                )
-            cos_sin.append(_QUARTER[num // den % 4])
-        return RotationMatrix(tuple(cos_sin))
+        angle = next(a for a in (lam * Fraction(*pc) for lam in freqs.lambdas)
+                     if (2 * a).denominator != 1)
+        raise ExactModeUnsupportedAngle(f"angle {angle}*pi is not a multiple of pi/2")
     tf = float(t)
-    return RotationMatrix(
-        tuple((math.cos(th), math.sin(th)) for th in (lam * tf for lam in freqs.floats))
-    )
+    return tuple((math.cos(th), math.sin(th)) for th in (lam * tf for lam in freqs.floats))
 
 
 def _symplectic_pairing(u: Sequence, w: Sequence):
@@ -304,11 +275,11 @@ def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupE
     _check_pair(g1, g2, freqs)
     z = g1.z + g2.z
     if g1.num is None:
-        rv2 = rotation(g1.t, freqs).apply(g2._v)
+        rv2 = rotate_pairs(rotation(g1.t, freqs), g2._v)
         z = z + _symplectic_pairing(g1._v, rv2) / 2
         return GroupElement._of(z, tuple(a + b for a, b in zip(g1._v, rv2)), g1.t + g2.t)
     n1, d1, d2 = g1.num, g1.den, g2.den
-    rn2 = rotation(g1.t, freqs).apply(g2.num)
+    rn2 = swap_pairs(rotation(g1.t, freqs), g2.num)
     pair = int_pairing(n1, rn2)
     if pair:  # (1/2) v1^T J R v2 = pair / (2 d1 d2)
         z = z + ExactScalar._of([pair], 2 * d1 * d2)
@@ -325,8 +296,8 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
         raise ValueError("group element dimension does not match frequencies")
     r = rotation(-g.t, freqs)
     if g.num is None:
-        return GroupElement._of(-g.z, tuple(-x for x in r.apply(g._v)), -g.t)
-    return GroupElement._exact(-g.z, tuple([-x for x in r.apply(g.num)]), g.den, -g.t)
+        return GroupElement._of(-g.z, tuple(-x for x in rotate_pairs(r, g._v)), -g.t)
+    return GroupElement._exact(-g.z, tuple([-x for x in swap_pairs(r, g.num)]), g.den, -g.t)
 
 
 def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupElement:

@@ -71,18 +71,17 @@ def _run_values(freqs: FrequencyList) -> list[Fraction]:
 class IsotropyElement:
     """Factored isometry fixing the identity.
 
-    eps and blocks/c describe the compact-and-translation part; inner is an
-    optional conjugation parameter (v, t); invert_flag marks composition
-    with the inversion map for the group-level factorization.
+    eps and blocks/c describe the compact-and-translation part; invert_flag
+    marks composition with the inversion map for the group-level
+    factorization.
     """
 
     eps: int
     blocks: tuple[np.ndarray, ...]
     c: tuple[np.ndarray, ...]
-    inner: tuple | None = None
     invert_flag: bool = False
 
-    def __init__(self, eps, blocks, c=None, inner=None, invert_flag=False):
+    def __init__(self, eps, blocks, c=None, invert_flag=False):
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
@@ -102,7 +101,6 @@ class IsotropyElement:
         object.__setattr__(self, "eps", int(eps))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "invert_flag", bool(invert_flag))
 
     def conforms_to(self, freqs: FrequencyList) -> bool:
@@ -110,7 +108,7 @@ class IsotropyElement:
 
 
 def isotropy_matrix(el: IsotropyElement, freqs: FrequencyList) -> np.ndarray:
-    """Differential of the eps/blocks/c part (inner and inversion excluded)."""
+    """Differential of the eps/blocks/c part (inversion excluded)."""
     if not el.conforms_to(freqs):
         raise ShapeMismatch(
             f"blocks sized {[b.shape[0] for b in el.blocks]} do not match runs "
@@ -281,7 +279,7 @@ def _theta_exact(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool
                for x, y in zip(row, rrow)):
             raise ValueError("exact theta needs rational blocks")
         rational_blocks.append(rb)
-    cos_sin = rotation(g.t, freqs).cos_sin
+    cos_sin = rotation(g.t, freqs)
     v = list(g.v)
     out: list[Fraction] = []
     offset = 0
@@ -448,9 +446,8 @@ def _exact_angle_grid(spec, count: int, rng) -> list[GroupElement]:
     freqs = spec.freqs
     n2 = 2 * freqs.n
     step = spec.profile().central_w.to_fraction()
-    # smallest positive t with every lambda_i * t in (pi/2)Z
-    den = math.lcm(*(lam.denominator for lam in freqs.lambdas))
-    t_unit = ExactScalar(0, Fraction(den, 2))  # (pi/2) * lcm of denominators
+    lcm, two_gcd, _ = freqs.quarter_turns
+    t_unit = ExactScalar(0, Fraction(lcm, two_gcd))  # least t > 0 turning by quarters
     v_values = [Fraction(0), step / 2, step / 3, step, Fraction(1), Fraction(1, 2)]
     grid: list[GroupElement] = []
     for j, tv in enumerate([0, 1, 2, 4]):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .algebra import FrequencyList
 from .exact import ExactScalar, as_exact, exact_from_json, pi_coefficient, rational_ratio
-from .group import GroupElement, invert, multiply, rotation
+from .group import GroupElement, invert, multiply, quarter_turn_count, rotation
 
 
 class MembershipUndecidable(Exception):
@@ -48,14 +48,6 @@ class LatticeProfile:
     @property
     def has_pure_t(self) -> bool:
         return self.pure_t is not None
-
-
-def _minimal_rotation_period(freqs: FrequencyList, t0_pi_coeff: Fraction) -> int:
-    """Smallest K >= 1 with every lambda_i * K * t0 in 2*pi*Z."""
-    k = 1
-    for lam in freqs.lambdas:
-        k = math.lcm(k, (lam * t0_pi_coeff / 2).denominator)
-    return k
 
 
 class LatticeSpec:
@@ -120,9 +112,10 @@ class _ProductFormFamily(LatticeSpec):
     @cached_property
     def _profile(self) -> LatticeProfile:
         t0 = ExactScalar(0, self.t0_pi_coeff)
+        # t0 is m0 quarter-turn units, and R(m units) = Id iff 4 divides m
         return LatticeProfile(
             t0=t0,
-            k0=_minimal_rotation_period(self.freqs, self.t0_pi_coeff),
+            k0=4 // math.gcd(4, quarter_turn_count(t0, self.freqs)),
             central_w=ExactScalar(self.z_step(), 0),
             twist=ExactScalar(0),
             pure_t=t0,
@@ -437,11 +430,6 @@ def pure_t_element(spec: LatticeSpec) -> GroupElement | None:
     if not prof.has_pure_t:
         return None
     return GroupElement(0, (0,) * (2 * spec.freqs.n), prof.pure_t)
-
-
-def rotation_step_matrix(spec: LatticeSpec):
-    """R(t0); integer signed-permutation blocks for the shipped families."""
-    return rotation(spec.profile().t0, spec.freqs)
 
 
 def from_json(obj: dict) -> LatticeSpec:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 
 from .exact import PI, ExactScalar, pi_coefficient
-from .group import GroupElement, int_pairing, invert, is_quarter_turn, multiply
+from .group import GroupElement, int_pairing, invert, is_quarter_turn, multiply, swap_pairs
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
 
@@ -47,7 +47,7 @@ def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
         return False  # (A)
     num, den, k = g.num, g.den, spec.k  # v = num / den
     for rc in spec.period_rotations:
-        rn = rc.apply(num)
+        rn = swap_pairs(rc, num)
         if any((x - y) % den for x, y in zip(num, rn)):
             return False  # (B)
         if k * int_pairing(num, rn) % (den * den):

@@ -166,7 +166,7 @@ def closed_timelike_and_spacelike(
     t = prof.t0 * max(1, prof.k0 - 1)
     tau = t.coeffs[1]  # t = tau pi
     bc = []  # velocities beta pi, gamma pi
-    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t, freqs).cos_sin):
+    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t, freqs)):
         if kos == 1:
             bc.append((ExactScalar(0), ExactScalar(0)))
             continue
@@ -428,7 +428,7 @@ def _float_search(x, spec, r_end: int, tol: float):
     initial = x.to_floats()
     geo = Geodesic(initial, freqs)
     t0_f, a_f = float(prof.t0), float(x.a)
-    snap = _LatticeSnap(spec, prof.t0, tol)
+    snap = _LatticeSnap(spec, tol)
     for start in range(1, r_end + 1, SCREEN_CHUNK):
         rs = np.arange(start, min(start + SCREEN_CHUNK, r_end + 1))
         with np.errstate(all="ignore"):
@@ -444,16 +444,16 @@ def _float_search(x, spec, r_end: int, tol: float):
 
 class _LatticeSnap:
     """point -> the nearest exact member of spec within tol per coordinate,
-    or None; t0 is the spec's t-step, and the constants are read once."""
+    or None; the constants of the spec's profile are read once."""
 
-    def __init__(self, spec: LatticeSpec, t0: ExactScalar, tol: float):
-        self.spec, self.t0, self.tol = spec, t0, tol
+    def __init__(self, spec: LatticeSpec, tol: float):
         prof = spec.profile()
+        self.spec, self.t0, self.tol = spec, prof.t0, tol
         self.twist, self.z_step = prof.twist, prof.central_w.to_fraction()
         self.tw = float(self.twist)
-        self.t_step = float(t0)
+        self.t_step = float(self.t0)
         self.z_step_f = float(self.z_step)
-        self.t0_num, self.t0_den = pi_coefficient(t0)  # t0 = (t0_num / t0_den) pi
+        self.t0_num, self.t0_den = pi_coefficient(self.t0)  # t0 = (t0_num / t0_den) pi
 
     def __call__(self, point: GroupElement) -> GroupElement | None:
         # a coordinate that is not finite (round raises) or whose float

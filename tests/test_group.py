@@ -19,7 +19,9 @@ from oscgeo.group import (
     multiply,
     rotate_pairs,
     rotation,
+    swap_pairs,
 )
+from oscgeo.lattices import Dim4Family, Dim6Family
 
 F1 = FrequencyList([1])
 HALF_PI = PI / 2
@@ -29,61 +31,75 @@ def g_exact(z, v, t):
     return GroupElement(z, v, t)
 
 
+def _blocks(r):
+    """The 2x2 blocks [[c, -s], [s, c]] of R, one per (cos, sin) pair."""
+    return [((c, -s), (s, c)) for c, s in r]
+
+
+def _dense(r):
+    out = np.zeros((2 * len(r), 2 * len(r)))
+    for i, block in enumerate(_blocks(r)):
+        out[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = block
+    return out
+
+
 class TestRotation:
     def test_identity_at_zero(self):
         r = rotation(ExactScalar(0), F1)
-        assert r.cos_sin == ((1, 0),)
-        assert r.block(0) == ((1, 0), (0, 1))
-        assert r.apply((Fraction(2, 3), Fraction(-5))) == (Fraction(2, 3), Fraction(-5))
+        assert r == ((1, 0),)
+        assert _blocks(r) == [((1, 0), (0, 1))]
+        assert swap_pairs(r, (Fraction(2, 3), Fraction(-5))) == (Fraction(2, 3), Fraction(-5))
 
     def test_half_turn(self):
         r = rotation(PI, F1)
-        assert r.cos_sin == ((-1, 0),)
-        assert r.block(0) == ((-1, 0), (0, -1))
-        assert r.apply((Fraction(2, 3), Fraction(-5))) == (Fraction(-2, 3), Fraction(5))
+        assert r == ((-1, 0),)
+        assert _blocks(r) == [((-1, 0), (0, -1))]
+        assert swap_pairs(r, (Fraction(2, 3), Fraction(-5))) == (Fraction(-2, 3), Fraction(5))
 
     def test_per_block_angles(self):
         fl = FrequencyList([1, Fraction(1, 2)])
         r = rotation(2 * PI, fl)
-        assert r.block(0) == ((1, 0), (0, 1))
-        assert r.block(1) == ((-1, 0), (0, -1))
+        assert _blocks(r) == [((1, 0), (0, 1)), ((-1, 0), (0, -1))]
 
     def test_exact_requires_quarter_turns(self):
         with pytest.raises(ExactModeUnsupportedAngle):
             rotation(PI / 3, F1)
         with pytest.raises(ExactModeUnsupportedAngle):
             rotation(ExactScalar(1), F1)
+        # the message names the first block that is no quarter turn
+        with pytest.raises(ExactModeUnsupportedAngle, match=r"^angle 1/6\*pi is not a multiple"):
+            rotation(HALF_PI, FrequencyList([1, Fraction(1, 3)]))
         # fine for the float path
         rotation(1.0, F1)
 
     def test_apply_rejects_wrong_dimension(self):
         r = rotation(PI, F1)
-        with pytest.raises(ValueError):
-            r.apply((Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
-        with pytest.raises(ValueError):
-            r.apply(())
+        for apply in (swap_pairs, rotate_pairs):
+            with pytest.raises(ValueError):
+                apply(r, (Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
+            with pytest.raises(ValueError):
+                apply(r, ())
 
     def test_orthogonal_and_homomorphism_float(self):
         fl = FrequencyList([1, 3])
         rng = random.Random(0)
         for _ in range(20):
             s, t = rng.uniform(-5, 5), rng.uniform(-5, 5)
-            rs, rt = rotation(s, fl), rotation(t, fl)
-            a = rs.as_array()
+            a = _dense(rotation(s, fl))
             assert np.allclose(a.T @ a, np.eye(4), atol=1e-12)
             assert np.allclose(
-                rotation(s + t, fl).as_array(), a @ rt.as_array(), atol=1e-12
+                _dense(rotation(s + t, fl)), a @ _dense(rotation(t, fl)), atol=1e-12
             )
 
     def test_exact_blocks_are_signed_permutations(self):
         fl = FrequencyList([1, Fraction(3, 2)])
         r = rotation(2 * PI, fl)  # angles 2pi and 3pi
-        assert r.cos_sin == ((1, 0), (-1, 0))
-        for i in range(fl.n):
-            for row in r.block(i):
+        assert r == ((1, 0), (-1, 0))
+        for block in _blocks(r):
+            for row in block:
                 assert all(type(x) is int and x in (-1, 0, 1) for x in row)
                 assert sum(x * x for x in row) == 1  # one unit entry per row
-        assert np.array_equal(r.as_array(), np.diag([1.0, 1.0, -1.0, -1.0]))
+        assert np.array_equal(_dense(r), np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 class TestGroupElement:
@@ -277,23 +293,76 @@ def test_exact_rotation_is_homomorphism(data):
     fl = data.draw(freq_lists)
     s, t = data.draw(quarter_turns(fl)), data.draw(quarter_turns(fl))
     v = tuple(data.draw(exact_vectors(fl)))
-    assert rotation(s + t, fl).apply(v) == rotation(s, fl).apply(rotation(t, fl).apply(v))
+    rotated = swap_pairs(rotation(s, fl), swap_pairs(rotation(t, fl), v))
+    assert swap_pairs(rotation(s + t, fl), v) == rotated
 
 
-@settings(max_examples=100, deadline=None)
+# numerators above 1 with a common factor, so that G = gcd(p_i) > 1 is drawn
+table_freq_lists = st.builds(
+    lambda common, lams: FrequencyList([common * lam for lam in lams]),
+    st.integers(1, 3),
+    st.lists(
+        st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3
+    ),
+)
+
+
+def _reference_quarters(t, fl):
+    """Each lambda_i * t in quarter turns, as Fractions, or None when t is no
+    rational multiple of pi."""
+    if t.degree() > 1 or (t.num and t.num[0]):
+        return None
+    return [2 * lam * (t / PI).to_fraction() for lam in fl.lambdas]
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_is_quarter_turn_iff_rotation_is_exact(data):
-    fl = data.draw(freq_lists)
+def test_quarter_turn_table_matches_fraction_arithmetic(data):
+    fl = data.draw(table_freq_lists)
+    p = [lam.numerator for lam in fl.lambdas]
+    q = [lam.denominator for lam in fl.lambdas]
+    unit = PI * Fraction(math.lcm(*q), 2 * math.gcd(*p))  # (pi/2) L / G
     t = data.draw(
-        quarter_turns(fl)
-        | st.builds(ExactScalar, st.just(0) | small_rationals, small_rationals)
+        st.builds(lambda j, d: unit * Fraction(j, d), st.integers(-12, 12), st.integers(1, 4))
+        | st.builds(ExactScalar, small_rationals.filter(bool), small_rationals)
+        | st.builds(ExactScalar, small_rationals, small_rationals, small_rationals.filter(bool))
     )
-    try:
-        rotation(t, fl)
-        exact = True
-    except ExactModeUnsupportedAngle:
-        exact = False
+    quarters = _reference_quarters(t, fl)
+    exact = quarters is not None and all(x.denominator == 1 for x in quarters)
     assert is_quarter_turn(t, fl) == exact
+    if exact:
+        turns = tuple(((1, 0), (0, 1), (-1, 0), (0, -1))[int(x) % 4] for x in quarters)
+        assert rotation(t, fl) == turns
+        return
+    if quarters is None:
+        part = "a nonzero rational part" if t.num[0] else "a power of pi above 1"
+        message = f"angle {t} has {part}; rotation entries would be irrational"
+    else:
+        angle = next(x / 2 for x in quarters if x.denominator != 1)
+        message = f"angle {angle}*pi is not a multiple of pi/2"
+    with pytest.raises(ExactModeUnsupportedAngle) as info:
+        rotation(t, fl)
+    assert str(info.value) == message
+
+
+dim6_args = st.tuples(
+    st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 2, 4])
+).filter(lambda args: math.gcd(args[1], args[2]) == 1)
+product_families = st.builds(
+    Dim4Family, st.integers(1, 3), st.sampled_from([2 * PI, PI, HALF_PI])
+) | dim6_args.map(lambda a: Dim6Family(a[0], a[1], a[2], a[3] if a[2] % 2 else 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=product_families)
+def test_k0_is_the_order_of_the_rotation_step(spec):
+    prof = spec.profile()
+    # K0 is the least K >= 1 with every block of R(K t0) a whole turn
+    order = next(
+        k for k in range(1, 9)
+        if all(x % 4 == 0 for x in _reference_quarters(prof.t0 * k, spec.freqs))
+    )
+    assert prof.k0 == order
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,9 +382,9 @@ def test_exact_multiply_matches_float(data):
 def test_exact_quarter_turns_match_the_general_product(v):
     for k in range(4):
         r = rotation(HALF_PI * k, F1)
-        assert r.cos_sin == (((1, 0), (0, 1), (-1, 0), (0, -1))[k],)
-        swapped = r.apply(v)
-        assert swapped == rotate_pairs(r.cos_sin, v)
+        assert r == (((1, 0), (0, 1), (-1, 0), (0, -1))[k],)
+        swapped = swap_pairs(r, v)
+        assert swapped == rotate_pairs(r, v)
         assert all(type(x) is Fraction for x in swapped)
 
 
@@ -325,7 +394,7 @@ def test_exact_rotations_match_the_general_product(data):
     fl = data.draw(freq_lists)
     r = rotation(data.draw(quarter_turns(fl)), fl)
     v = tuple(data.draw(exact_vectors(fl)))
-    assert r.apply(v) == rotate_pairs(r.cos_sin, v)
+    assert swap_pairs(r, v) == rotate_pairs(r, v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -416,8 +485,7 @@ def test_half_from_every_constructor():
 def _reference_rotation(t, fl, v):
     """R(t) v in Fractions, each block's quarter turn read off lambda_i t."""
     out = []
-    for lam, x, y in zip(fl.lambdas, v[0::2], v[1::2]):
-        quarters = lam * (t / PI).to_fraction() * 2
+    for quarters, x, y in zip(_reference_quarters(t, fl), v[0::2], v[1::2]):
         assert quarters.denominator == 1
         c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[int(quarters) % 4]
         out.extend((c * x - s * y, s * x + c * y))

@@ -349,8 +349,3 @@ class TestAutIntersection:
         assert aut_intersection_check(el)
         el2 = IsotropyElement(1, [np.eye(2)], [np.zeros(2)], invert_flag=True)
         assert not aut_intersection_check(el2)
-
-    def test_inner_part_is_irrelevant(self):
-        b = np.array([[0.0, -1.0], [1.0, 0.0]])
-        el = IsotropyElement(1, [b], [np.ones(2)], inner=((1.0, 0.0), 0.5))
-        assert aut_intersection_check(el)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI
-from oscgeo.group import GroupElement, invert, multiply, rotation
+from oscgeo.group import GroupElement, invert, multiply, rotation, swap_pairs
 from oscgeo.lattices import (
     Dim4Family,
     Dim6Family,
@@ -20,7 +20,6 @@ from oscgeo.lattices import (
     central_element,
     from_json,
     pure_t_element,
-    rotation_step_matrix,
 )
 
 TWO_PI = 2 * PI
@@ -265,9 +264,9 @@ class TestClosureAndDiscreteness:
 
     def test_rotation_step_preserves_integer_lattice(self):
         for spec in (Dim4Family(1, HALF_PI), Dim6Family(1, 2, 3, 4)):
-            r = rotation_step_matrix(spec)
-            for i in range(spec.freqs.n):
-                rows = r.block(i)
+            r = rotation(spec.profile().t0, spec.freqs)  # R(t0)
+            for c, s in r:
+                rows = ((c, -s), (s, c))
                 assert all(x.denominator == 1 for row in rows for x in row)
                 # signed permutation: one unit entry per row
                 for row in rows:
@@ -275,7 +274,7 @@ class TestClosureAndDiscreteness:
                     assert sum(x * x for x in row) == 1
             # so R(t0) maps Z^{2n} onto itself
             v = tuple(range(1, 2 * spec.freqs.n + 1))
-            assert sorted(abs(x) for x in r.apply(v)) == list(v)
+            assert sorted(abs(x) for x in swap_pairs(r, v)) == list(v)
 
 
 class TestGeneratorList:

@@ -125,7 +125,7 @@ class TestSearchClosed:
     def test_snap_refuses_a_coordinate_coarser_than_the_tolerance(self, z, v, t):
         # each point is a member, and sits exactly on its lattice coordinates
         spec = Dim4Family(1, TWO_PI)
-        snap = _LatticeSnap(spec, spec.profile().t0, 1e-9)
+        snap = _LatticeSnap(spec, 1e-9)
         assert snap(GroupElement(0.0, (1.0, 0.0), 2 * math.pi)) == GroupElement(0, (1, 0), TWO_PI)
         assert snap(GroupElement(z, v, t)) is None
 
@@ -583,7 +583,7 @@ class TestFloatScreen:
         while d * (2 * math.pi) != 2.0**40:
             d = math.nextafter(d, math.inf if d * (2 * math.pi) < 2.0**40 else -math.inf)
         x = AlgebraVector(d, [(0.0, 0.0)], 1.0)
-        snap = _LatticeSnap(self.SPEC, self.SPEC.profile().t0, FLOAT_VERIFY_TOL)
+        snap = _LatticeSnap(self.SPEC, FLOAT_VERIFY_TOL)
         s = np.arange(1, 4) * (2 * math.pi)
         assert snap.screen(x, self.SPEC.freqs, s).all()
         assert search_closed(x, self.SPEC, r_max=3) is None
