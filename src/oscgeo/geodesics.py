@@ -43,17 +43,14 @@ from .group import GroupElement, multiply, rotation
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Geodesic s -> basepoint * flow(s) with the given initial velocity."""
+    """Geodesic s -> flow(s) through the identity with the given initial velocity."""
 
     initial: AlgebraVector
     freqs: FrequencyList
-    basepoint: GroupElement | None = None
 
     def __post_init__(self):
         if self.initial.n != self.freqs.n:
             raise ValueError("initial velocity does not match frequencies")
-        if self.basepoint is not None and self.basepoint.n != self.freqs.n:
-            raise ValueError("basepoint does not match frequencies")
 
 
 def flow_coords(x: AlgebraVector, s, freqs: FrequencyList, sin=math.sin):
@@ -83,16 +80,11 @@ def flow_coords(x: AlgebraVector, s, freqs: FrequencyList, sin=math.sin):
 def eval_geodesic(geo: Geodesic, s: float) -> GroupElement:
     """Point of the geodesic at parameter s (float mode)."""
     z, v, t = flow_coords(geo.initial, float(s), geo.freqs)
-    point = GroupElement._of(z, tuple(v), t)
-    if geo.basepoint is None:
-        return point
-    return multiply(geo.basepoint.to_floats(), point, geo.freqs)
+    return GroupElement._of(z, tuple(v), t)
 
 
 def eval_geodesic_velocity(geo: Geodesic, s: float) -> list[float]:
-    """Coordinate velocity of the geodesic at s (identity-based geodesics)."""
-    if geo.basepoint is not None and not geo.basepoint.to_floats().is_identity(0.0):
-        raise ValueError("analytic velocity is provided for identity-based geodesics")
+    """Coordinate velocity of the geodesic at s."""
     x = geo.initial
     a = float(x.a)
     s = float(s)

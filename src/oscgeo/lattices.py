@@ -5,9 +5,10 @@ group coordinates; twisting by the automorphism (z, v, t) -> (z + m t, v, t)
 and the product with a line (for the product-group analysis) build on them.
 Membership is decided exactly on polynomials in pi (`ExactScalar`); a
 generator-list spec only supports a bounded word search and refuses rather
-than guessing.  A `LatticeProfile` (t0, K0, central step, total twist, pure-t
-step) is all the quotient code reads of a lattice; product forms and their
-twists have one.
+than guessing.  A `LatticeProfile` (t0, K0, central step w, total twist) is
+all the quotient code reads of a lattice; product forms and their twists
+have one, and their generators, sampled members and pure-t step are read
+off it: the members are (twist t + w u, v, t).
 
 Lattices exist only when the frequencies generate a discrete subgroup of
 the reals, which forces them rational after normalization; the frequency
@@ -17,7 +18,7 @@ type enforces that at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,7 +44,14 @@ class LatticeProfile:
     k0: int                  # minimal K >= 1 with R(K * t0) = Id
     central_w: ExactScalar   # minimal w > 0 with (w, 0, 0) in the lattice
     twist: ExactScalar       # the sum of the nested twists; 0 for a product form
-    pure_t: ExactScalar | None  # least t > 0 with (0, 0, t) a member, if any
+
+    @cached_property
+    def pure_t(self) -> ExactScalar | None:
+        """Least t > 0 with (0, 0, t) a member, if any.  (0, 0, j t0) is a
+        member iff twist j t0 lies in central_w Z: the least j is the
+        denominator of twist t0 / central_w, when rational (1 for twist 0)."""
+        ratio = rational_ratio(self.twist * self.t0, self.central_w)
+        return None if ratio is None else self.t0 * ratio[1]
 
     @property
     def has_pure_t(self) -> bool:
@@ -51,23 +59,41 @@ class LatticeProfile:
 
 
 class LatticeSpec:
-    """Base interface for lattice descriptions."""
+    """Base interface for lattice descriptions.  A spec with a profile
+    (`_profile`) gets its generators and sampled members from it."""
 
     freqs: FrequencyList
 
     def contains(self, g: GroupElement) -> bool:
         raise NotImplementedError
 
-    def profile(self) -> LatticeProfile:
+    def profile(self) -> LatticeProfile:  # stays a method: perfbench patches it by name
+        return self._profile
+
+    @property
+    def _profile(self) -> LatticeProfile:
         raise UnsupportedSpec(
             f"{type(self).__name__} does not support profile-based classification"
         )
 
     def generators(self) -> list[GroupElement]:
-        raise UnsupportedSpec(f"no generator list for {type(self).__name__}")
+        """(w, 0, 0), the unit v's, then (twist t0, 0, t0)."""
+        return list(self._generators)
+
+    @cached_property  # normalizer_oracle reads the generators for every element
+    def _generators(self) -> tuple[GroupElement, ...]:
+        prof, n2 = self._profile, 2 * self.freqs.n
+        units = [GroupElement(0, [int(i == j) for j in range(n2)], 0) for i in range(n2)]
+        return (GroupElement(prof.central_w, (0,) * n2, 0), *units,
+                GroupElement(prof.twist * prof.t0, (0,) * n2, prof.t0))
 
     def sample_member(self, rng) -> GroupElement:
-        raise UnsupportedSpec(f"no member sampler for {type(self).__name__}")
+        """(w i + twist t, v, t), drawing i, then v, then t = t0 j, from rng."""
+        prof = self._profile
+        i = rng.randint(-8, 8)
+        v = [rng.randint(-4, 4) for _ in range(2 * self.freqs.n)]
+        t = prof.t0 * rng.randint(-4, 4)
+        return GroupElement(prof.central_w * i + prof.twist * t, v, t)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -106,9 +132,6 @@ class _ProductFormFamily(LatticeSpec):
             and pc[0] * t0.denominator % (pc[1] * t0.numerator) == 0
         )
 
-    def profile(self) -> LatticeProfile:  # stays a method: perfbench patches it by name
-        return self._profile
-
     @cached_property
     def _profile(self) -> LatticeProfile:
         t0 = ExactScalar(0, self.t0_pi_coeff)
@@ -118,7 +141,6 @@ class _ProductFormFamily(LatticeSpec):
             k0=4 // math.gcd(4, quarter_turn_count(t0, self.freqs)),
             central_w=ExactScalar(self.z_step(), 0),
             twist=ExactScalar(0),
-            pure_t=t0,
         )
 
     @cached_property
@@ -126,28 +148,6 @@ class _ProductFormFamily(LatticeSpec):
         """R(c * t0) for c = 0..K0-1, the rotations of the t-steps."""
         prof = self.profile()
         return tuple(rotation(prof.t0 * c, self.freqs) for c in range(prof.k0))
-
-    def generators(self) -> list[GroupElement]:
-        return list(self._generators)
-
-    @cached_property
-    def _generators(self) -> tuple[GroupElement, ...]:
-        n2 = 2 * self.freqs.n
-        zeros = (0,) * n2
-        gens = [GroupElement(self.z_step(), zeros, 0)]
-        for i in range(n2):
-            v = [0] * n2
-            v[i] = 1
-            gens.append(GroupElement(0, v, 0))
-        gens.append(GroupElement(0, zeros, ExactScalar(0, self.t0_pi_coeff)))
-        return tuple(gens)
-
-    def sample_member(self, rng) -> GroupElement:
-        n2 = 2 * self.freqs.n
-        z = ExactScalar(self.z_step() * rng.randint(-8, 8), 0)
-        v = [rng.randint(-4, 4) for _ in range(n2)]
-        t = ExactScalar(0, self.t0_pi_coeff * rng.randint(-4, 4))
-        return GroupElement(z, v, t)
 
 
 @dataclass(frozen=True)
@@ -240,41 +240,15 @@ class Twisted(LatticeSpec):
     def freqs(self) -> FrequencyList:
         return self.base.freqs
 
-    def twist_forward(self, g: GroupElement) -> GroupElement:
-        return GroupElement._exact(g.z + self.m * g.t, g.num, g.den, g.t)
-
     def contains(self, g: GroupElement) -> bool:
         self._require_exact(g)
         pre = GroupElement._exact(g.z - self.m * g.t, g.num, g.den, g.t)
         return self.base.contains(pre)
 
-    def profile(self) -> LatticeProfile:  # stays a method: perfbench patches it by name
-        return self._profile
-
     @cached_property
     def _profile(self) -> LatticeProfile:
         base = self.base.profile()
-        twist = base.twist + self.m
-        # (0, 0, j t0) is a member iff twist j t0 lies in central_w Z: the
-        # least j is the denominator of twist t0 / central_w, when rational
-        ratio = rational_ratio(twist * base.t0, base.central_w)
-        return LatticeProfile(
-            t0=base.t0,
-            k0=base.k0,
-            central_w=base.central_w,
-            twist=twist,
-            pure_t=None if ratio is None else base.t0 * ratio[1],
-        )
-
-    def generators(self) -> list[GroupElement]:
-        return list(self._generators)
-
-    @cached_property
-    def _generators(self) -> tuple[GroupElement, ...]:
-        return tuple(self.twist_forward(g) for g in self.base.generators())
-
-    def sample_member(self, rng) -> GroupElement:
-        return self.twist_forward(self.base.sample_member(rng))
+        return replace(base, twist=base.twist + self.m)
 
     def to_json(self) -> dict:
         return {"family": "twisted", "m": str(self.m), "base": self.base.to_json()}

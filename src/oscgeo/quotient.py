@@ -200,25 +200,37 @@ def _rational_lcm(values: list[Fraction]) -> Fraction:
 
 
 def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCertificate | None:
-    """Lattice hits of the straight line (d s, (b_j s, c_j s), 0)."""
-    d = as_exact(x.d).to_fraction()
-    bcs = [as_exact(c).to_fraction() for pair in x.bc for c in pair]
-    steps: list[Fraction] = []
-    if d != 0:
-        steps.append(spec.profile().central_w.to_fraction() / abs(d))
-    steps.extend(1 / abs(b) for b in bcs if b != 0)
-    if not steps:
+    """Lattice hits of the straight line (d s, (b_j s, c_j s), 0).
+
+    The point at s is a member iff every entry of (d / w, b_j, c_j) times s
+    is an integer.  So every nonzero entry is a rational multiple q of one
+    positive entry e, or the line never closes; then it first meets the
+    member q sigma at s = sigma / e, sigma the least positive rational with
+    every q sigma an integer.  s is exact when e is rational; otherwise it
+    is a float and the certificate replays in float only, as in `_hit`.
+    """
+    w = spec.profile().central_w
+    entries = [as_exact(x.d) / w] + [as_exact(c) for pair in x.bc for c in pair]
+    e = next((y for y in entries if not y.is_zero()), None)
+    if e is None:
         return None  # zero velocity: the constant curve closes trivially
-    s_star = _rational_lcm(steps)
-    point = eval_geodesic_exact(x, s_star, spec.freqs)
-    if not spec.contains(point):
+    e = e if e.sign() > 0 else -e
+    ratios = [rational_ratio(y, e) for y in entries]
+    if None in ratios:
         return None
+    qs = [Fraction(*q) for q in ratios]
+    sigma = _rational_lcm([1 / q for q in qs if q])
+    if e.degree() == 0:
+        s, initial_exact = sigma / e.to_fraction(), x
+    else:
+        s, initial_exact = float(sigma) / float(e), None
+    point = GroupElement(w * (qs[0] * sigma), [q * sigma for q in qs[1:]], 0)
     return ClosedGeodesicCertificate(
         x.to_floats(),
-        s_star,
+        s,
         point,
-        CausalClass.LIGHTLIKE if all(b == 0 for b in bcs) else CausalClass.SPACELIKE,
-        x,
+        CausalClass.SPACELIKE if any(qs[1:]) else CausalClass.LIGHTLIKE,
+        initial_exact,
     ).verify(spec)
 
 
@@ -369,17 +381,17 @@ def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
     mod K0, conditions linear in r (`_decide`).  Since pi is transcendental,
     a class whose v is irrational holds no member.  So a `never` verdict
     proves the geodesic open.  A line (a = 0) closes at its least common
-    lattice step.
+    lattice step, or never when its entries are incommensurable
+    (`_search_line_case`).
     """
     _check_search_input(x, spec)
     if not x.is_exact():
         raise ValueError("the closure decision needs exact initial data; "
                          "closed-search snaps float data")
+    if all(as_exact(c).is_zero() for c in x.coords()):
+        raise ValueError("the zero velocity gives the constant curve, closed at every s")
     if as_exact(x.a).is_zero():
-        cert = _search_line_case(x, spec)
-        if cert is None:
-            raise ValueError("the zero velocity gives the constant curve, closed at every s")
-        return ClosureDecision(cert)
+        return ClosureDecision(_search_line_case(x, spec))
     r, point, obstructions = _decide(x, spec)
     if r is None:
         return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))

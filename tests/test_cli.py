@@ -155,6 +155,23 @@ class TestCommands:
         assert rep["verdicts"]["closure"]["kind"] == "never"
         assert rep["certificates"] == []
 
+    @pytest.mark.parametrize("x, point", [
+        ('{"d": "pi", "bc": [[0, 0]], "a": 0}', {"z": "1/2", "v": [0, 0], "t": 0}),
+        ('{"d": 1, "bc": [["pi", 0]], "a": 0}', None),
+        ('{"d": "pi", "bc": [["2pi", 0]], "a": 0}', {"z": "1/2", "v": [1, 0], "t": 0}),
+    ])
+    def test_line_with_a_pi_entry(self, capsys, x, point):
+        code, rep = run_cli(capsys, "quotient", "decide-closed", "--lattice", LATTICE, "--X", x)
+        assert code == 0
+        assert rep["verdicts"]["closure"]["kind"] == ("never" if point is None else "closes")
+        code, found = run_cli(capsys, "quotient", "closed-search", "--lattice", LATTICE, "--X", x)
+        assert code == 0 and found["verdicts"]["closed"] is (point is not None)
+        # s = 1 / (2 pi) is not in Q[pi]: the certificates replay in float only
+        expected = [] if point is None else [(point, False)]
+        for report in (rep, found):
+            certs = report["certificates"]
+            assert [(c["lattice_point"], c["exact_initial_data"]) for c in certs] == expected
+
     @pytest.mark.parametrize("a", ["1/1" + "0" * 400, "1" + "0" * 400])
     def test_quotient_decide_closed_with_a_beyond_the_float_range(self, capsys, a):
         # the decision is exact, but the certificate's float time is out of range

@@ -60,21 +60,6 @@ class TestEval:
         p = eval_geodesic(geo, 2 * math.pi)
         assert max_coord_dist(p, GroupElement(math.pi, (0.0, 0.0), 2 * math.pi)) < 1e-12
 
-    def test_starts_at_basepoint(self):
-        base = GroupElement(Fraction(1, 2), (1, 2), PI)
-        geo = Geodesic(AlgebraVector(1, [(2, 3)], 4), F1, basepoint=base)
-        assert max_coord_dist(eval_geodesic(geo, 0.0), base.to_floats()) == 0.0
-
-    def test_left_translation_of_identity_geodesic(self):
-        fl = FrequencyList([1, 2])
-        rng = random.Random(1)
-        base = GroupElement(0.3, (0.1, -0.2, 0.5, 0.7), 1.1)
-        x = rand_velocity(rng, 2)
-        for s in (0.5, 1.7):
-            translated = eval_geodesic(Geodesic(x, fl, basepoint=base), s)
-            at_e = eval_geodesic(Geodesic(x, fl), s)
-            assert max_coord_dist(translated, multiply(base, at_e, fl)) < 1e-12
-
 
 class TestExactEval:
     def test_matches_float(self):

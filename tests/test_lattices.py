@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
@@ -210,6 +210,35 @@ closure_specs = st.one_of(
 )
 
 
+@settings(max_examples=60, deadline=None)
+@given(base=dim4_specs | dim6_specs, ms=st.lists(twists, max_size=3), seed=st.integers(0, 2**16))
+@example(base=Dim4Family(1, TWO_PI), ms=[1, -1], seed=0)
+@example(base=Dim6Family(1, 1, 3, 4), ms=[PI, Fraction(1, 2), -PI - Fraction(1, 2)], seed=0)
+def test_the_profile_generates_the_lattice(base, ms, seed):
+    spec = base
+    for m in ms:
+        spec = Twisted(spec, m)
+    n2, t0 = 2 * spec.freqs.n, ExactScalar(0, base.t0_pi_coeff)
+    twist = sum(ms, ExactScalar(0))
+    # (w, 0, 0), the unit v's, (twist t0, 0, t0); each a member
+    units = [GroupElement(0, [int(i == j) for j in range(n2)], 0) for i in range(n2)]
+    expected = [GroupElement(base.z_step(), (0,) * n2, 0), *units,
+                GroupElement(twist * t0, (0,) * n2, t0)]
+    assert spec.generators() == expected
+    assert all(spec.contains(g) for g in expected)
+    # the same draws as the base sampler followed by z + m t at each twist level
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        z = ExactScalar(base.z_step() * ref.randint(-8, 8), 0)
+        v = [ref.randint(-4, 4) for _ in range(n2)]
+        t = ExactScalar(0, base.t0_pi_coeff * ref.randint(-4, 4))
+        for m in ms:
+            z = z + m * t
+        assert spec.sample_member(rng) == GroupElement(z, v, t)
+    # twist t0 has no constant term, so it lies in w Z only when the twist is 0
+    assert spec.profile().pure_t == (t0 if twist.is_zero() else None)
+
+
 class TestClosureAndDiscreteness:
     @pytest.mark.parametrize(
         "spec",
@@ -304,8 +333,6 @@ class TestGeneratorList:
         spec = self.spec()
         family = Dim4Family(1, TWO_PI)
         rng = random.Random(1)
-        for _ in range(5):
-            g = spec.sample_member if False else None
         for word_len in range(1, 3):
             els = list(spec.elements)
             g = els[0]

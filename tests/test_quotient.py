@@ -502,6 +502,35 @@ class TestDecideClosed:
         assert decision.closes and decision.r is None
         assert decision.to_json() == {"kind": "closes"}
 
+    @pytest.mark.parametrize("d, bc, z, v, s", [
+        (PI, (0, 0), Fraction(1, 2), (0, 0), 1 / (2 * math.pi)),
+        (PI, (TWO_PI, 0), Fraction(1, 2), (1, 0), 1 / (2 * math.pi)),
+        (-PI, (0, TWO_PI), Fraction(-1, 2), (0, 1), 1 / (2 * math.pi)),
+        (ExactScalar(1, 1), (ExactScalar(2, 2), 0), Fraction(1, 2), (1, 0), 1 / (2 + 2 * math.pi)),
+    ])
+    def test_line_with_pi_entries_closes(self, d, bc, z, v, s):
+        # every entry of (d / w, b, c) is a rational multiple of one e in
+        # Q[pi]: the line meets its member at s = 1 / e, which is not in Q[pi]
+        spec = Dim4Family(1, TWO_PI)  # z-lattice step w = 1/2
+        x = AlgebraVector(d, [bc], 0)
+        decision = decide_closed(x, spec)
+        assert decision.to_json() == {"kind": "closes"}
+        for cert in (decision.certificate, search_closed(x, spec)):
+            assert cert.lattice_point == GroupElement(z, v, 0)
+            assert cert.initial_exact is None
+            assert cert.s_star == pytest.approx(s, rel=1e-15)
+
+    @pytest.mark.parametrize("d, bc", [
+        (1, (PI, 0)),
+        (PI, (PI * PI, 0)),
+        (0, (PI, 1)),
+    ])
+    def test_line_with_incommensurable_entries_never_closes(self, d, bc):
+        spec = Dim4Family(1, TWO_PI)
+        x = AlgebraVector(d, [bc], 0)
+        assert decide_closed(x, spec).to_json() == {"kind": "never", "obstructions": []}
+        assert search_closed(x, spec) is None
+
     @pytest.mark.parametrize("x", [
         AlgebraVector(0.0, [(0.0, 0.0)], 1.0),                  # float data
         AlgebraVector(0, [(0, 0), (0, 0)], 1),                  # n = 2 on an n = 1 lattice
