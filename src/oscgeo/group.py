@@ -24,6 +24,17 @@ of ints.  The exact product is int arithmetic: the pairing v1^T J R(t1) v2
 is one int sum added to z as pair / (2 d1 d2), z and t are summed on their
 ints, and v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when
 d1 == d2), reduced by one gcd.  Float arithmetic keeps its operation order.
+
+Conjugation has the closed form, for h = (a, u, s) and g = (z, v, t),
+
+    h g h^(-1) = (z + (1/2) u^T J R(s) v - (1/2) (u + R(s) v)^T J R(t) u,
+                  u + R(s) v - R(t) u,  t),
+
+which exact `conjugate` evaluates in one int pass: with u = un / du,
+v = vn / dv, rv = R(s) vn and ru = R(t) un, the int
+du <un, rv> - dv <un, ru> - du <rv, ru> (<x, y> = x^T J y) is added to z
+over 2 du^2 dv, and v is un dv + rv du - ru dv over du dv, reduced by one
+gcd.  Floats keep the composed form (h g) h^(-1) and its operation order.
 """
 
 from __future__ import annotations
@@ -301,8 +312,20 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
 
 
 def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupElement:
-    """h g h^(-1)."""
-    return multiply(multiply(h, g, freqs), invert(h, freqs), freqs)
+    """h g h^(-1): one int pass on exact elements (module docstring), the
+    composed product on floats."""
+    _check_pair(h, g, freqs)
+    if h.num is None:
+        return multiply(multiply(h, g, freqs), invert(h, freqs), freqs)
+    un, du, vn, dv = h.num, h.den, g.num, g.den
+    rv = swap_pairs(rotation(h.t, freqs), vn)
+    ru = swap_pairs(rotation(g.t, freqs), un)
+    z = g.z
+    pair = du * int_pairing(un, rv) - dv * int_pairing(un, ru) - du * int_pairing(rv, ru)
+    if pair:
+        z = z + ExactScalar._of([pair], 2 * du * du * dv)
+    num = tuple([a * dv + b * du - c * dv for a, b, c in zip(un, rv, ru)])
+    return GroupElement._exact(z, num, du * dv, g.t)
 
 
 def max_coord_dist(g1: GroupElement, g2: GroupElement) -> float:

@@ -10,9 +10,11 @@ R_c = R(t0 * c) ranging over the rotation period c = 0..K0-1:
     (D) (Id + R_c) v in (1/k)Z^{2n}.
 
 `in_normalizer` evaluates these conditions; `normalizer_oracle` conjugates
-the generators directly (both directions) and is the arbiter.  The two are
-provably equivalent and the test suite checks them against each other on
-full grids.
+the generators directly (both directions, through the one-pass
+`group.conjugate`) and is the arbiter.  The two are provably equivalent and
+the test suite checks them against each other on full grids.  A
+verification grid reads only n, k and the t-step multiple q off the spec,
+so each is built once per (n, k, q) and size, and shared.
 
 `NormalizerTable` carries the commonly tabulated closed-form answers.  The
 tabulated dim-4 quarter-turn row and the dim-6 rows with p = 2 mod 4 are
@@ -28,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .exact import PI, ExactScalar, pi_coefficient
-from .group import GroupElement, int_pairing, invert, is_quarter_turn, multiply, swap_pairs
+from .group import GroupElement, conjugate, int_pairing, invert, is_quarter_turn, swap_pairs
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
 
@@ -74,11 +77,9 @@ def normalizer_oracle(g: GroupElement, spec: LatticeSpec) -> bool:
     freqs = spec.freqs
     g_inv = invert(g, freqs)
     for gen in spec.generators():
-        moved = multiply(multiply(g, gen, freqs), g_inv, freqs)
-        if not spec.contains(moved):
+        if not spec.contains(conjugate(g, gen, freqs)):
             return False
-        moved_back = multiply(multiply(g_inv, gen, freqs), g, freqs)
-        if not spec.contains(moved_back):
+        if not spec.contains(conjugate(g_inv, gen, freqs)):
             return False
     return True
 
@@ -188,14 +189,19 @@ def printed_table_membership(g: GroupElement, spec: LatticeSpec) -> bool:
 def verification_grid(
     spec: LatticeSpec, min_points: int = 500, max_points: int | None = None
 ) -> list[GroupElement]:
-    """Exact grid stressing the step, half-odd, and off-lattice cases."""
+    """Exact grid stressing the step, half-odd, and off-lattice cases: a fresh
+    list of immutable elements, built once per (n, k, q) and size."""
     if isinstance(spec, Dim4Family):
         q = 1
     elif isinstance(spec, Dim6Family):
         q = spec.q
     else:
         raise UnsupportedSpec("grids are built for the dim-4/dim-6 families")
-    n2 = 2 * spec.freqs.n
+    return list(_grid(spec.freqs.n, spec.k, q, min_points, max_points))
+
+
+@cache
+def _grid(n: int, k: int, q: int, min_points: int, max_points: int | None) -> tuple:
     v_values = [
         Fraction(0),
         Fraction(1, 4),
@@ -203,7 +209,7 @@ def verification_grid(
         Fraction(1, 2),
         Fraction(1),
         Fraction(3, 2),
-        Fraction(1, 2 * spec.k),
+        Fraction(1, 2 * k),
     ]
     v_values = sorted(set(v_values))
     den = math.lcm(*(x.denominator for x in v_values))
@@ -218,7 +224,7 @@ def verification_grid(
         -PI * q / 2,
     ]
     z_values = [ExactScalar(0), ExactScalar(Fraction(1, 3))]
-    combos = list(product(v_scaled, repeat=n2))
+    combos = list(product(v_scaled, repeat=2 * n))
     if max_points is not None and len(combos) > max_points:
         stride = len(combos) / max_points
         combos = [combos[int(i * stride)] for i in range(max_points)]
@@ -233,7 +239,7 @@ def verification_grid(
         vs = tuple(-v for v in combos[idx % len(combos)])
         grid.append(GroupElement._exact(z_values[0], vs, den, t_values[idx % len(t_values)]))
         idx += 1
-    return grid
+    return tuple(grid)
 
 
 def normalizer_table_report(

@@ -211,9 +211,7 @@ def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCert
     """
     w = spec.profile().central_w
     entries = [as_exact(x.d) / w] + [as_exact(c) for pair in x.bc for c in pair]
-    e = next((y for y in entries if not y.is_zero()), None)
-    if e is None:
-        return None  # zero velocity: the constant curve closes trivially
+    e = next(y for y in entries if not y.is_zero())  # the zero velocity is refused
     e = e if e.sign() > 0 else -e
     ratios = [rational_ratio(y, e) for y in entries]
     if None in ratios:
@@ -371,6 +369,9 @@ def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
     spec.profile()  # refuses a lattice the decision cannot read
     if x.n != spec.freqs.n:
         raise ValueError("velocity does not match the lattice dimension")
+    # ExactScalar(0) == 0 is False, so zero is read per type
+    if all(c.is_zero() if isinstance(c, ExactScalar) else c == 0 for c in x.coords()):
+        raise ValueError("the zero velocity gives the constant curve, closed at every s")
 
 
 def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
@@ -388,8 +389,6 @@ def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
     if not x.is_exact():
         raise ValueError("the closure decision needs exact initial data; "
                          "closed-search snaps float data")
-    if all(as_exact(c).is_zero() for c in x.coords()):
-        raise ValueError("the zero velocity gives the constant curve, closed at every s")
     if as_exact(x.a).is_zero():
         return ClosureDecision(_search_line_case(x, spec))
     r, point, obstructions = _decide(x, spec)

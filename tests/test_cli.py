@@ -172,6 +172,17 @@ class TestCommands:
             certs = report["certificates"]
             assert [(c["lattice_point"], c["exact_initial_data"]) for c in certs] == expected
 
+    @pytest.mark.parametrize("x", [
+        '{"d": 0, "bc": [[0, 0]], "a": 0}',
+        '{"d": 0.0, "bc": [[0.0, 0.0]], "a": 0.0}',
+    ])
+    def test_zero_velocity_is_exit_2_on_both_verbs(self, capsys, x):
+        for verb in ("decide-closed", "closed-search"):
+            code, rep = run_cli(capsys, "quotient", verb, "--lattice", LATTICE, "--X", x)
+            assert code == 2, verb
+            assert any("the zero velocity gives the constant curve, closed at every s" in d
+                       for d in rep["diagnostics"]), verb
+
     @pytest.mark.parametrize("a", ["1/1" + "0" * 400, "1" + "0" * 400])
     def test_quotient_decide_closed_with_a_beyond_the_float_range(self, capsys, a):
         # the decision is exact, but the certificate's float time is out of range

@@ -420,6 +420,50 @@ def test_products_and_inverses_match_the_coercing_constructor(data):
         assert GroupElement.from_json(g.to_json()) == g
 
 
+# -- the one-pass exact conjugation ---------------------------------------------
+
+conjugation_freq_lists = st.lists(
+    st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3
+).map(FrequencyList)
+mixed_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def table_turns(fl):
+    """m times the unit of the quarter-turn table, m in -8..8."""
+    lcm, two_gcd, _ = fl.quarter_turns
+    return st.integers(-8, 8).map(lambda m: PI * Fraction(m * lcm, two_gcd))
+
+
+def conjugation_elements(fl):
+    return st.builds(
+        GroupElement,
+        st.builds(ExactScalar, mixed_rationals, mixed_rationals),
+        st.lists(mixed_rationals, min_size=2 * fl.n, max_size=2 * fl.n),
+        table_turns(fl),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exact_conjugation_is_the_composed_product(data):
+    fl = data.draw(conjugation_freq_lists)
+    h, g = data.draw(conjugation_elements(fl)), data.draw(conjugation_elements(fl))
+    composed = multiply(multiply(h, g, fl), invert(h, fl), fl)
+    conjugated = conjugate(h, g, fl)
+    assert conjugated == composed
+    assert_canonical(conjugated)
+
+
+def test_float_conjugation_is_bitwise_the_composed_product():
+    fl = FrequencyList([1, Fraction(3, 2)])
+    h = GroupElement(0.3, (0.1, -1.7, 2.2, 0.45), 0.9)
+    g = GroupElement(-1.25, (1.3, 0.7, -0.2, 3.1), -2.4)
+    composed = multiply(multiply(h, g, fl), invert(h, fl), fl)
+    conjugated = conjugate(h, g, fl)
+    assert not conjugated.is_exact()
+    assert conjugated.coords() == composed.coords()
+
+
 # -- the int-scaled exact v ---------------------------------------------------------
 
 # rationals as (numerator, denominator) pairs, with a common factor kept in

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -242,6 +244,30 @@ class TestGrid:
         assert Fraction(1, 2) in values
         assert Fraction(1, 3) in values
         assert Fraction(3, 2) in values
+
+
+    def test_grid_is_built_once_per_n_k_q(self):
+        # the criterion-7 families: 60 specs, 12 distinct (n, k, q)
+        specs = [Dim4Family(k, angle) for k in (1, 2, 3) for angle in (TWO_PI, PI, HALF_PI)]
+        for k, p, q in itertools.product((1, 2, 3), repeat=3):
+            if math.gcd(p, q) == 1:
+                specs += [Dim6Family(k, p, q, m) for m in ((1, 2, 4) if q % 2 else (1,))]
+        assert len(specs) == 60
+        grids = {}
+        for spec in specs:
+            key = (spec.freqs.n, spec.k, getattr(spec, "q", 1))
+            grid = verification_grid(spec, 500, 640)
+            assert grids.setdefault(key, grid) == grid, spec.to_json()
+        assert len(grids) == 12
+
+    def test_returned_grid_is_a_fresh_list(self):
+        spec = Dim6Family(2, 1, 3, 4)
+        grid = verification_grid(spec, 500, 640)
+        before = list(grid)
+        grid.append(GroupElement.identity(2))
+        grid[0] = GroupElement.identity(2)
+        assert verification_grid(spec, 500, 640) == before
+        assert verification_grid(Dim6Family(2, 3, 1, 1), 500, 640) != before  # another q
 
 
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)

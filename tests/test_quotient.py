@@ -540,6 +540,19 @@ class TestDecideClosed:
         with pytest.raises(ValueError):
             decide_closed(x, Dim4Family(1, TWO_PI))
 
+    @pytest.mark.parametrize("x", [
+        AlgebraVector(0, [(0, 0)], 0),
+        AlgebraVector(ExactScalar(0), [(Fraction(0), ExactScalar(0))], ExactScalar()),
+        AlgebraVector(0.0, [(0.0, -0.0)], 0.0),
+        AlgebraVector(0, [(0.0, 0)], ExactScalar(0)),                # mixed, so float
+    ])
+    def test_zero_velocity_is_refused_by_the_search_and_the_decision(self, x):
+        # the constant curve closes at every s, so no verdict describes it
+        spec = Dim4Family(1, TWO_PI)
+        for run in (decide_closed, search_closed):
+            with pytest.raises(ValueError, match="^the zero velocity gives the constant curve"):
+                run(x, spec)
+
     def test_non_monomial_a_is_decided(self):
         # a = 1 + pi: t0 / a is not in Q[pi], so the certificate carries the
         # float time the snap writes and replays in float only
