@@ -14,7 +14,10 @@ the generators directly (both directions, through the one-pass
 `group.conjugate`) and is the arbiter.  The two are provably equivalent and
 the test suite checks them against each other on full grids.  A
 verification grid reads only n, k and the t-step multiple q off the spec,
-so each is built once per (n, k, q) and size, and shared.
+so each is built once per (n, k, q) and size, and shared.  Only a process
+that asks for one grid more than once gains from this: the criterion-7
+sweep (60 specs, 12 builds) and repeated in-process CLI calls; a one-shot
+`isometry normalizer` command builds its one grid as before.
 
 `NormalizerTable` carries the commonly tabulated closed-form answers.  The
 tabulated dim-4 quarter-turn row and the dim-6 rows with p = 2 mod 4 are
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import product
 
 from .exact import PI, ExactScalar, pi_coefficient
@@ -200,7 +203,9 @@ def verification_grid(
     return list(_grid(spec.freqs.n, spec.k, q, min_points, max_points))
 
 
-@cache
+# bounded: max_points comes from `--grid-points`; 16 holds the 12 (n, k, q)
+# classes of the criterion-7 sweep at one size
+@lru_cache(maxsize=16)
 def _grid(n: int, k: int, q: int, min_points: int, max_points: int | None) -> tuple:
     v_values = [
         Fraction(0),

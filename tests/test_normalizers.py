@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscgeo import normalizers
 from oscgeo.exact import ExactScalar, PI
 from oscgeo.group import GroupElement, invert, multiply
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, UnsupportedSpec
@@ -245,7 +246,6 @@ class TestGrid:
         assert Fraction(1, 3) in values
         assert Fraction(3, 2) in values
 
-
     def test_grid_is_built_once_per_n_k_q(self):
         # the criterion-7 families: 60 specs, 12 distinct (n, k, q)
         specs = [Dim4Family(k, angle) for k in (1, 2, 3) for angle in (TWO_PI, PI, HALF_PI)]
@@ -253,12 +253,17 @@ class TestGrid:
             if math.gcd(p, q) == 1:
                 specs += [Dim6Family(k, p, q, m) for m in ((1, 2, 4) if q % 2 else (1,))]
         assert len(specs) == 60
+        normalizers._grid.cache_clear()
         grids = {}
         for spec in specs:
             key = (spec.freqs.n, spec.k, getattr(spec, "q", 1))
             grid = verification_grid(spec, 500, 640)
-            assert grids.setdefault(key, grid) == grid, spec.to_json()
+            first = grids.setdefault(key, grid)
+            assert first == grid, spec.to_json()
+            # one build per class: the same element objects, not equal copies
+            assert all(a is b for a, b in zip(first, grid)), spec.to_json()
         assert len(grids) == 12
+        assert normalizers._grid.cache_info().misses == 12
 
     def test_returned_grid_is_a_fresh_list(self):
         spec = Dim6Family(2, 1, 3, 4)
