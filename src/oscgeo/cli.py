@@ -23,11 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraVector, FrequencyList
+from .algebra import AlgebraVector, FrequencyList, causal_class
 from .exact import parse_exact
 from .geodesics import (
     Geodesic,
-    causal_character,
     eval_geodesic,
     integrate_geodesic,
 )
@@ -265,9 +264,7 @@ def cmd_geodesic_integrate(args) -> dict:
 
 def cmd_geodesic_character(args) -> dict:
     freqs = _freqs_from_args(args)
-    x = parse_velocity(args.X, freqs.n)
-    geo = Geodesic(x.to_floats(), freqs)
-    return {"verdicts": {"causal": causal_character(geo).value}}
+    return {"verdicts": {"causal": causal_class(parse_velocity(args.X, freqs.n), freqs).value}}
 
 
 def cmd_lattice_info(args) -> dict:
@@ -316,12 +313,12 @@ def cmd_quotient_closed_search(args) -> dict:
     x = parse_velocity(args.X, spec.freqs.n)
     cert = search_closed(x, spec, r_max=args.r_max, float_tol=FLOAT_VERIFY_TOL)
     if cert is None:
-        return {
-            "verdicts": {"closed": False},
-            "diagnostics": [
-                f"no closure within r_max={args.r_max}; not a proof of openness"
-            ],
-        }
+        if x.is_exact():  # decided in closed form, capped at r_max
+            note = (f"no candidate up to r_max={args.r_max} closes; "
+                    "quotient decide-closed decides every r")
+        else:
+            note = f"no closure within r_max={args.r_max}; not a proof of openness"
+        return {"verdicts": {"closed": False}, "diagnostics": [note]}
     return {"verdicts": {"closed": True}, "certificates": [cert.to_json()]}
 
 

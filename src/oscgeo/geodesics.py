@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, gram_matrix
+from .algebra import AlgebraVector, FrequencyList, gram_matrix
 from .exact import ExactScalar, as_exact, rational_ratio
 from .group import GroupElement, multiply, rotation
 
@@ -197,10 +197,6 @@ class ExactOrbit:
             raise ValueError("v of the point is not rational")
         z = (self.slope * r + p) / (self.a * self.a)
         return s, GroupElement._exact(z, *v, self.t_step * r)
-
-
-def causal_character(geo: Geodesic) -> CausalClass:
-    return causal_class(geo.initial, geo.freqs)
 
 
 # -- second-order system and RK4 oracle -------------------------------------

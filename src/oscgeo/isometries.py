@@ -510,14 +510,6 @@ def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdi
 # -- structure relations -------------------------------------------------------
 
 
-def _theta_inverse_apply(blocks, g, freqs, normalized):
-    inv_blocks = [np.asarray(b).T for b in blocks]
-    if normalized:
-        return theta_B(inv_blocks, g, freqs, normalized=True)
-    # unnormalized theta is v -> S v with S = P^T B P; invert S pointwise
-    return _theta_float(blocks, g, freqs, False, np.linalg.solve)
-
-
 def structure_relations_check(
     blocks,
     v,
@@ -535,70 +527,56 @@ def structure_relations_check(
     (iii) s theta(B) s^{-1} = theta(B)
 
     Returns per-relation max deviation and a witness point where the
-    deviation is attained.  J is the block matrix with [[0,1],[-1,0]]
-    blocks, matching the group cocycle.
+    deviation is attained; a deviation that is not finite (inputs that
+    overflow, or nan) raises ValueError.  J is the block matrix with
+    [[0,1],[-1,0]] blocks, matching the group cocycle.
     """
     rng = random.Random(seed)
     n2 = 2 * freqs.n
     v = np.asarray(v, dtype=float).reshape(n2)
     t = float(t)
     h = GroupElement(0.0, v.tolist(), t)
+    blocks = _float_blocks(blocks, freqs)
     bfull = _full_block(blocks, freqs)
     j = _j_matrix(freqs.n)
-    jbj = j @ bfull @ j.T
-    h_conj = GroupElement(0.0, (jbj @ v).tolist(), t)
-    report = {}
-    points = [
-        GroupElement(
-            rng.uniform(-2, 2),
-            [rng.uniform(-2, 2) for _ in range(n2)],
-            rng.uniform(-3, 3),
-        )
-        for _ in range(samples)
-    ]
-
-    def record(name, lhs_fn, rhs_fn):
-        worst, witness = 0.0, None
-        for x in points:
-            err = max_coord_dist(lhs_fn(x), rhs_fn(x))
-            if err > worst:
-                worst, witness = err, x
-        report[name] = {"max_err": worst, "holds": worst <= tol, "witness": witness}
-
-    record(
-        "i",
-        lambda x: theta_B(
-            blocks,
-            conjugate(h, _theta_inverse_apply(blocks, x, freqs, normalized), freqs),
-            freqs,
-            normalized,
-        ),
-        lambda x: conjugate(h_conj, x, freqs),
-    )
+    jbjv = (j @ bfull @ j.T @ v).tolist()
+    h_conj = GroupElement(0.0, jbjv, t)
     # diagnostic variant: reflections conjugate to the parameter (JBJ^T v, -t);
     # uniform-orientation blocks make det(B) per run a single sign
     det_sign = 1.0 if float(np.linalg.det(bfull)) > 0 else -1.0
-    h_adj = GroupElement(0.0, (jbj @ v).tolist(), det_sign * t)
-    record(
-        "i_orientation_adjusted",
-        lambda x: theta_B(
-            blocks,
-            conjugate(h, _theta_inverse_apply(blocks, x, freqs, normalized), freqs),
-            freqs,
-            normalized,
+    h_adj = GroupElement(0.0, jbjv, det_sign * t)
+    points = [
+        GroupElement(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in range(n2)], rng.uniform(-3, 3))
+        for _ in range(samples)
+    ]
+    theta = lambda g: theta_B(blocks, g, freqs, normalized)
+    if normalized:
+        transposed = [b.T for b in blocks]
+        theta_inv = lambda g: theta_B(transposed, g, freqs, normalized=True)
+    else:
+        # unnormalized theta is v -> S v with S = P^T B P; invert S pointwise
+        theta_inv = lambda g: _theta_float(blocks, g, freqs, False, np.linalg.solve)
+    conjugated = [theta(conjugate(h, theta_inv(x), freqs)) for x in points]
+    inverses = [invert(x, freqs) for x in points]
+    sides = {  # relation -> (left sides, right sides) at the points
+        "i": (conjugated, [conjugate(h_conj, x, freqs) for x in points]),
+        "i_orientation_adjusted": (conjugated, [conjugate(h_adj, x, freqs) for x in points]),
+        "ii": (
+            [invert(conjugate(h, y, freqs), freqs) for y in inverses],
+            [conjugate(h, x, freqs) for x in points],
         ),
-        lambda x: conjugate(h_adj, x, freqs),
-    )
-    record(
-        "ii",
-        lambda x: invert(conjugate(h, invert(x, freqs), freqs), freqs),
-        lambda x: conjugate(h, x, freqs),
-    )
-    record(
-        "iii",
-        lambda x: invert(theta_B(blocks, invert(x, freqs), freqs, normalized), freqs),
-        lambda x: theta_B(blocks, x, freqs, normalized),
-    )
+        "iii": ([invert(theta(y), freqs) for y in inverses], [theta(x) for x in points]),
+    }
+    report = {}
+    for name, (lhs, rhs) in sides.items():
+        worst, witness = 0.0, None
+        for x, left, right in zip(points, lhs, rhs):
+            err = max_coord_dist(left, right)
+            if not math.isfinite(err):
+                raise ValueError(f"relation {name}: the deviation is not finite at {x.to_json()}")
+            if err > worst:
+                worst, witness = err, x
+        report[name] = {"max_err": worst, "holds": worst <= tol, "witness": witness}
     report["all_hold"] = all(report[k]["holds"] for k in ("i", "ii", "iii"))
     return report
 

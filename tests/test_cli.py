@@ -106,6 +106,18 @@ class TestCommands:
         assert code == 0
         assert rep["verdicts"]["causal"] == "timelike"
 
+    def test_geodesic_character_decides_exact_input_exactly(self, capsys):
+        # <x, x> = 2 * 10^-13: spacelike, although inside the float tolerance
+        code, rep = run_cli(capsys, "geodesic", "character", "--X", "1/10000000000000*Z + T")
+        assert code == 0
+        assert rep["verdicts"]["causal"] == "spacelike"
+        # float input keeps the tolerance
+        code, rep = run_cli(
+            capsys, "geodesic", "character", "--X", '{"d": 1e-13, "bc": [[0, 0]], "a": 1.0}'
+        )
+        assert code == 0
+        assert rep["verdicts"]["causal"] == "lightlike"
+
     def test_lattice_info(self, capsys):
         code, rep = run_cli(capsys, "lattice", "info", "--lattice", "dim6:k=1:p=1:q=1:M=4")
         assert code == 0
@@ -223,6 +235,17 @@ class TestCommands:
         assert code == 0
         assert rep["verdicts"]["closed"] is False
         assert rep["certificates"] == []
+        assert rep["diagnostics"] == [
+            "no candidate up to r_max=10 closes; quotient decide-closed decides every r"
+        ]
+
+    def test_closed_search_float_miss_is_no_proof(self, capsys):
+        code, rep = run_cli(
+            capsys, "quotient", "closed-search", "--lattice", LATTICE,
+            "--X", '{"d": 0.1234, "bc": [[0.3, 0]], "a": 1.0}', "--r-max", "3",
+        )
+        assert code == 0 and rep["verdicts"]["closed"] is False
+        assert rep["diagnostics"] == ["no closure within r_max=3; not a proof of openness"]
 
     def test_quotient_product_line(self, capsys):
         lattice = '{"family": "product_line", "w2": "1", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
@@ -268,6 +291,17 @@ class TestCommands:
         )
         assert code == 0
         assert rep["verdicts"]["relations"]["all_hold"] is True
+
+    @pytest.mark.parametrize("v, t", [("[1e308, 1e308]", "1"), ("[0.5, 0.5]", "nan")])
+    def test_isometry_relations_refuses_non_finite_deviations(self, capsys, v, t):
+        # these once exited 0 with all_hold true and max_err 0.0
+        code, rep = run_cli(
+            capsys, "isometry", "relations", "--blocks", "[[[0, -1], [1, 0]]]", "--v", v, "--t", t,
+        )
+        assert code == 2
+        assert rep["verdicts"] == {}
+        [diagnostic] = rep["diagnostics"]
+        assert diagnostic.startswith("validation error: relation i: ")
 
     def test_isometry_decompose(self, capsys):
         code, rep = run_cli(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscgeo.algebra import AlgebraVector, CausalClass, FrequencyList, causal_quantity, inner
+from oscgeo.algebra import AlgebraVector, FrequencyList, causal_quantity, inner
 from oscgeo import geodesics
 from oscgeo.exact import ExactScalar, PI
 from oscgeo.geodesics import (
@@ -16,7 +16,6 @@ from oscgeo.geodesics import (
     _inverse_metric_rows,
     _metric_rows,
     acceleration_from_christoffel,
-    causal_character,
     christoffel,
     christoffel_table_report,
     christoffel_tabulated,
@@ -429,13 +428,3 @@ def test_closed_form_metric_inverse_is_exact(data):
     for i in range(dim):
         for j in range(dim):
             assert sum(g[i][m] * h[m][j] for m in range(dim)) == int(i == j)
-
-
-class TestCausalCharacter:
-    def test_delegates_to_initial_velocity(self):
-        geo = Geodesic(AlgebraVector.Z(1), F1)
-        assert causal_character(geo) == CausalClass.LIGHTLIKE
-        geo = Geodesic(AlgebraVector(1, [(0, 0)], -1), F1)
-        assert causal_character(geo) == CausalClass.TIMELIKE
-        geo = Geodesic(AlgebraVector.X(1, 1), F1)
-        assert causal_character(geo) == CausalClass.SPACELIKE

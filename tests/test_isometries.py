@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscgeo import isometries
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI
-from oscgeo.group import GroupElement, conjugate, invert, multiply
+from oscgeo.group import GroupElement, conjugate, invert, max_coord_dist, multiply
 from oscgeo.isometries import (
+    GROUP_MAP_TOL,
     Composite,
     Inner,
     Inversion,
@@ -16,6 +20,7 @@ from oscgeo.isometries import (
     LeftTranslation,
     ShapeMismatch,
     Theta,
+    _theta_float,
     apply_isometry,
     aut_intersection_check,
     check_local_isometry,
@@ -240,6 +245,122 @@ class TestStructureRelations:
         rep = structure_relations_check([b], (1.0, 0.0), 0.8, F1, normalized=False)
         assert not rep["i"]["holds"]  # the unnormalized map is not an isometry
         assert rep["ii"]["holds"] and rep["iii"]["holds"]
+
+    @pytest.mark.parametrize("v, t", [((1e308, 1e308), 1.0), ((0.5, 0.5), math.nan)])
+    def test_non_finite_deviation_is_refused(self, v, t):
+        # inf - inf and nan compare False with the running worst, so these
+        # deviations once read as 0.0 and all_hold came out true
+        b = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"relation i: .* not finite at \{"):
+            structure_relations_check([b], v, t, F1)
+
+    @pytest.mark.parametrize("normalized, theta_calls", [(True, 4), (False, 3)])
+    def test_each_map_runs_once_per_sample(self, monkeypatch, normalized, theta_calls):
+        calls = {"theta_B": 0, "conjugate": 0, "invert": 0}
+
+        def counting(name):
+            inner = getattr(isometries, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(isometries, name, counting(name))
+        b = np.array([[0.6, -0.8], [0.8, 0.6]])
+        structure_relations_check([b], (1.0, 0.5), 0.9, F1, normalized=normalized, samples=12)
+        # (i) and its orientation-adjusted variant share their left sides,
+        # (ii) and (iii) share x^-1
+        assert calls == {"theta_B": theta_calls * 12, "conjugate": 5 * 12, "invert": 3 * 12}
+
+
+def _relations_by_composition(blocks, v, t, freqs, normalized, samples, seed):
+    """The relations report with each side composed map by map at each point."""
+    rng = random.Random(seed)
+    n2 = 2 * freqs.n
+    points = [
+        GroupElement(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in range(n2)], rng.uniform(-3, 3))
+        for _ in range(samples)
+    ]
+    v = np.asarray(v, dtype=float)
+    bfull = np.zeros((n2, n2))
+    offset = 0
+    for b in blocks:
+        bfull[offset: offset + len(b), offset: offset + len(b)] = b
+        offset += len(b)
+    j = np.kron(np.eye(freqs.n), [[0.0, 1.0], [-1.0, 0.0]])
+    jbjv = (j @ bfull @ j.T @ v).tolist()
+    h = GroupElement(0.0, v.tolist(), t)
+    h_conj = GroupElement(0.0, jbjv, t)
+    h_adj = GroupElement(0.0, jbjv, (1.0 if np.linalg.det(bfull) > 0 else -1.0) * t)
+
+    def theta(g):
+        return theta_B(blocks, g, freqs, normalized)
+
+    def theta_inv(g):
+        if normalized:
+            return theta_B([np.asarray(b).T for b in blocks], g, freqs, normalized=True)
+        return _theta_float(blocks, g, freqs, False, np.linalg.solve)
+
+    sides = {
+        "i": (lambda x: theta(conjugate(h, theta_inv(x), freqs)),
+              lambda x: conjugate(h_conj, x, freqs)),
+        "i_orientation_adjusted": (lambda x: theta(conjugate(h, theta_inv(x), freqs)),
+                                   lambda x: conjugate(h_adj, x, freqs)),
+        "ii": (lambda x: invert(conjugate(h, invert(x, freqs), freqs), freqs),
+               lambda x: conjugate(h, x, freqs)),
+        "iii": (lambda x: invert(theta(invert(x, freqs)), freqs), theta),
+    }
+    report = {}
+    for name, (lhs, rhs) in sides.items():
+        worst, witness = 0.0, None
+        for x in points:
+            err = max_coord_dist(lhs(x), rhs(x))
+            if err > worst:
+                worst, witness = err, x
+        report[name] = {"max_err": worst, "holds": worst <= GROUP_MAP_TOL, "witness": witness}
+    report["all_hold"] = all(report[k]["holds"] for k in ("i", "ii", "iii"))
+    return report
+
+
+@st.composite
+def relation_inputs(draw):
+    """1-2 runs of multiplicity 1-2, each block a direct sum of 2x2 rotation
+    or mirror blocks, with finite v and t."""
+    runs = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    lams = [Fraction(1, i + 1) for i, m in enumerate(runs) for _ in range(m)]
+    blocks = []
+    for m in runs:
+        block = np.zeros((2 * m, 2 * m))
+        for k in range(m):
+            phi = draw(st.floats(0, 2 * math.pi))
+            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            if draw(st.booleans()):
+                rot[:, 1] *= -1  # mirror block
+            block[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = rot
+        blocks.append(block)
+    finite = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    v = draw(st.lists(finite, min_size=2 * len(lams), max_size=2 * len(lams)))
+    return blocks, v, draw(finite), FrequencyList(lams)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=relation_inputs(), normalized=st.booleans(), seed=st.integers(0, 2**32))
+def test_relation_table_matches_composed_maps(inputs, normalized, seed):
+    blocks, v, t, freqs = inputs
+    got = structure_relations_check(blocks, v, t, freqs, normalized=normalized, seed=seed)
+    want = _relations_by_composition(blocks, v, t, freqs, normalized, 12, seed)
+    assert got.keys() == want.keys()
+    assert got["all_hold"] is want["all_hold"]
+    for name in ("i", "i_orientation_adjusted", "ii", "iii"):
+        g, w = got[name], want[name]
+        assert g["max_err"] == w["max_err"] and g["holds"] is w["holds"], name
+        if w["witness"] is None:
+            assert g["witness"] is None
+        else:
+            assert g["witness"].coords() == w["witness"].coords(), name
 
 
 class TestFiberPreservation:
