@@ -122,13 +122,18 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
         v = [(as_exact(e) * s).to_fraction() for pair in x.bc for e in pair]
         return GroupElement(x.d * s, v, ExactScalar(0))
     t_out = a * s
-    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
-    bc2s = [b * b + c * c for b, c in bcs]
+    bcs, bc2s = _exact_blocks(x)
     v, p = _oscillation(a, bcs, bc2s, rotation(t_out, freqs), freqs)
     if v is None:
         raise ValueError("v of the point is not rational")
     z = t_out * _drift(a, x.d, bc2s, freqs) + p  # a^2 z
     return GroupElement._exact(z / (a * a) if z.num else z, *v, t_out)
+
+
+def _exact_blocks(x: AlgebraVector) -> tuple[list, list]:
+    """The (b_j, c_j) of x as exact values, and their b_j^2 + c_j^2."""
+    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
+    return bcs, [b * b + c * c for b, c in bcs]
 
 
 def _drift(a: ExactScalar, d, bc2s, freqs: FrequencyList) -> ExactScalar:
@@ -156,47 +161,6 @@ def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList):
         return None, p
     den = math.lcm(*[d for _, d in ratios])
     return (tuple([n * (den // d) for n, d in ratios]), den), p
-
-
-class ExactOrbit:
-    """The points of the curve at s = r * t_step / a, for integers r.
-
-    With R(period * t_step) = Id the closed form splits in r:  t = r t_step,
-    v = V(r mod period),  z = r L + P(r mod period).  They are held cleared
-    of a, so that nothing divides by it and every a is taken:  a^2 L
-    (`slope`) once, and per residue (`residue`) V as ints when rational and
-    a^2 P, by `_oscillation`; a residue raises ValueError only when its
-    rotation is no quarter turn.  The closure decision reads only these;
-    calling the orbit at r divides, as `eval_geodesic_exact` does.
-    """
-
-    def __init__(self, x: AlgebraVector, t_step, period: int, freqs: FrequencyList):
-        if x.n != freqs.n:
-            raise ValueError("initial velocity does not match frequencies")
-        self.t_step, self.period, self.freqs = as_exact(t_step), period, freqs
-        self.a = as_exact(x.a)
-        self.bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
-        self.bc2s = [b * b + c * c for b, c in self.bcs]
-        self.slope = self.t_step * _drift(self.a, x.d, self.bc2s, freqs)
-        self._residues: dict = {}
-
-    def residue(self, c: int) -> tuple:
-        """(V(c) as ints (num, den), or None when it is not rational, and
-        a^2 P(c)), for 0 <= c < period."""
-        if c not in self._residues:
-            rot = rotation(self.t_step * c, self.freqs)
-            self._residues[c] = _oscillation(self.a, self.bcs, self.bc2s, rot, self.freqs)
-        return self._residues[c]
-
-    def __call__(self, r: int) -> tuple[ExactScalar, GroupElement]:
-        """(s, eval_geodesic_exact(x, s, freqs)) at s = r * t_step / a; a
-        ValueError when s or the point leaves Q[pi], as there."""
-        s = self.t_step * r / self.a
-        v, p = self.residue(r % self.period)
-        if v is None:
-            raise ValueError("v of the point is not rational")
-        z = (self.slope * r + p) / (self.a * self.a)
-        return s, GroupElement._exact(z, *v, self.t_step * r)
 
 
 # -- second-order system and RK4 oracle -------------------------------------

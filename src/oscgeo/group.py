@@ -329,6 +329,7 @@ def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupEl
 
 
 def max_coord_dist(g1: GroupElement, g2: GroupElement) -> float:
-    return max(
-        abs(float(a) - float(b)) for a, b in zip(g1.coords(), g2.coords())
-    )
+    """Largest coordinate distance; nan when any distance is nan, which
+    max() would keep only in first place."""
+    dists = [abs(float(a) - float(b)) for a, b in zip(g1.coords(), g2.coords())]
+    return math.nan if any(map(math.isnan, dists)) else max(dists)

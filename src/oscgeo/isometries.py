@@ -539,7 +539,8 @@ def structure_relations_check(
     blocks = _float_blocks(blocks, freqs)
     bfull = _full_block(blocks, freqs)
     j = _j_matrix(freqs.n)
-    jbjv = (j @ bfull @ j.T @ v).tolist()
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below, not warned
+        jbjv = (j @ bfull @ j.T @ v).tolist()
     h_conj = GroupElement(0.0, jbjv, t)
     # diagnostic variant: reflections conjugate to the parameter (JBJ^T v, -t);
     # uniform-orientation blocks make det(B) per run a single sign

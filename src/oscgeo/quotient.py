@@ -10,8 +10,8 @@ settles the product-with-a-line variant where lightlike closure depends on
 whether the squared line step is a rational multiple of 2*pi.
 
 The candidate times are r * t0 / a.  For an exact velocity the point at r
-repeats its rotation part with r mod K0 (`geodesics.ExactOrbit`), and
-membership, cleared of a, is linear in r within each residue class, so
+repeats its rotation part with r mod K0, and membership, read off the
+closed form cleared of a, is linear in r within each residue class, so
 `decide_closed` finds the least closing r, or proves there is none, from
 K0 classes, for every a != 0.  The bounded search is that decision capped
 at r_max.  Float data alone takes the float snap: one numpy screen over
@@ -38,7 +38,9 @@ import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, causal_quantity
 from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
-from .geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact, flow_coords
+from .geodesics import (
+    Geodesic, _drift, _exact_blocks, _oscillation, eval_geodesic, eval_geodesic_exact, flow_coords,
+)
 from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
 from .lattices import LatticeSpec, ProductWithLine, UnsupportedSpec, pure_t_element
 
@@ -84,7 +86,7 @@ class ClosedGeodesicCertificate:
             raise CertificateVerificationFailed("closure parameter must be positive")
         approached = eval_geodesic(Geodesic(self.initial.to_floats(), spec.freqs), s)
         err = max_coord_dist(approached, self.lattice_point.to_floats())
-        if err > tol:
+        if not err <= tol:  # a nan err misses too
             raise CertificateVerificationFailed(
                 f"float re-evaluation misses the lattice point by {err:.3e}"
             )
@@ -312,35 +314,38 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
     """(least closing r, the member met there, {residue: obstruction}); r
     and the member are None when no r up to `limit` closes.
 
-    With c = r mod K0 and t_step = +-t0, the point at r is (r L + P(c),
-    V(c), r t_step) (`ExactOrbit`).  Cleared of a, it is a member iff V(c)
-    is integral and r alpha + a^2 P(c) lies in gamma Z, with alpha =
-    a^2 (L - twist t_step) and gamma = a^2 w (`_least_r`).  The classes are
-    taken in the order of their least member, r = 1, ..., K0, and the scan
-    stops once no class can beat the best r found or `limit`.
+    With c = r mod K0 and t_step = +-t0, R(K0 t_step) = Id splits the point
+    at r into (r L + P(c), V(c), r t_step): V(c) and a^2 P(c) are
+    `_oscillation`'s at R(c t_step), and a^2 L is t_step `_drift`.  Cleared
+    of a, the point is a member iff V(c) is integral and r alpha + a^2 P(c)
+    lies in gamma Z, with alpha = a^2 (L - twist t_step) and gamma = a^2 w
+    (`_least_r`).  The classes are taken in the order of their least
+    member, r = 1, ..., K0, and the scan stops once no class can beat the
+    best r found or `limit`.
     """
-    prof = spec.profile()
-    orbit = ExactOrbit(x, prof.t0 * _a_sign(x), prof.k0, spec.freqs)
-    twist, w = prof.twist, prof.central_w
-    a2 = orbit.a * orbit.a
-    alpha, gamma = orbit.slope - a2 * twist * orbit.t_step, a2 * w
-    best, obstructions = None, {}
-    for r_min in range(1, orbit.period + 1):
+    prof, freqs = spec.profile(), spec.freqs
+    t_step, k0, twist, w = prof.t0 * _a_sign(x), prof.k0, prof.twist, prof.central_w
+    a = as_exact(x.a)
+    bcs, bc2s = _exact_blocks(x)
+    a2 = a * a
+    alpha, gamma = t_step * (_drift(a, x.d, bc2s, freqs) - a2 * twist), a2 * w
+    best, obstructions, residues = None, {}, {}  # residues: c -> (V(c), a^2 P(c))
+    for r_min in range(1, k0 + 1):
         if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
             break
-        c = r_min % orbit.period
-        v, p = orbit.residue(c)
+        c = r_min % k0
+        v, p = residues[c] = _oscillation(a, bcs, bc2s, rotation(t_step * c, freqs), freqs)
         integral = v is not None and v[1] == 1
-        found = _least_r(alpha, p, gamma, c, orbit.period) if integral else V_NOT_INTEGRAL
+        found = _least_r(alpha, p, gamma, c, k0) if integral else V_NOT_INTEGRAL
         if isinstance(found, str):
             obstructions[c] = found
         elif best is None or found < best:
             best = found
     if best is None or (limit is not None and best > limit):
         return None, None, obstructions
-    (v_num, _), p = orbit.residue(best % orbit.period)
+    (v_num, _), p = residues[best % k0]
     u, _ = rational_ratio(alpha * best + p, gamma)
-    t = orbit.t_step * best
+    t = t_step * best
     return best, GroupElement._exact(twist * t + w * u, v_num, 1, t), obstructions
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +254,14 @@ class TestStructureRelations:
         b = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match=r"relation i: .* not finite at \{"):
             structure_relations_check([b], v, t, F1)
+
+    def test_infinite_v_is_refused_without_a_numpy_warning(self):
+        # inf * 0 in J B J^T v once printed "invalid value encountered in matmul"
+        b = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                structure_relations_check([b], (math.inf, 0.0), 1.0, F1)
 
     @pytest.mark.parametrize("normalized, theta_calls", [(True, 4), (False, 3)])
     def test_each_map_runs_once_per_sample(self, monkeypatch, normalized, theta_calls):

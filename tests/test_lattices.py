@@ -51,6 +51,7 @@ class TestConstruction:
             ProductWithLine(Dim4Family(1, TWO_PI), w_squared=TWO_PI),
             ProductWithLine(Dim4Family(1, TWO_PI), w_squared="irrational"),
             ProductWithLine(Dim4Family(1, TWO_PI), w=Fraction(1, 2)),
+            TestGeneratorList().spec(),  # depth=4 round-trips too
         ]
         for spec in specs:
             j = spec.to_json()

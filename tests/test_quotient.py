@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oscgeo import quotient
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class
 from oscgeo.exact import ExactScalar, PI, as_exact
-from oscgeo.geodesics import ExactOrbit, Geodesic, eval_geodesic, eval_geodesic_exact
+from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact
 from oscgeo.group import GroupElement, max_coord_dist, multiply
 from oscgeo.lattices import (
     Dim4Family,
@@ -287,39 +287,6 @@ def test_the_profile_describes_the_lattice(spec, u, j, data):
     assert not any(spec.contains(GroupElement(0, (0,) * n2, prof.t0 * k)) for k in range(1, steps))
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_exact_orbit_matches_eval_geodesic_exact(data):
-    spec = data.draw(product_specs)
-    freqs, prof = spec.freqs, spec.profile()
-    x = data.draw(exact_velocities(freqs))
-    a_sign = 1 if float(x.a) > 0 else -1
-    # a fraction of the lattice step: then some residues are no quarter turns
-    m = data.draw(st.integers(1, 3))
-    t_step, period = prof.t0 * a_sign / m, prof.k0 * m
-
-    def expected(r):
-        try:
-            s = t_step * r / x.a
-            return s, eval_geodesic_exact(x, s, freqs)
-        except ValueError:
-            return None
-
-    try:
-        orbit = ExactOrbit(x, t_step, period, freqs)
-    except ValueError:
-        orbit = None
-    for r in range(1, 2 * period + 2):
-        if orbit is None:
-            assert expected(r) is None
-            continue
-        try:
-            got = orbit(r)
-        except ValueError:
-            got = None
-        assert got == expected(r)
-
-
 def _reference_snap(point, spec, tol):
     core, twist = spec, ExactScalar(0)
     while isinstance(core, Twisted):
@@ -447,7 +414,10 @@ def test_exact_input_never_takes_the_float_search(data):
 )
 def test_least_r_is_the_first_r_of_the_class(slope, p, z_step, k0, data):
     c = data.draw(st.integers(0, k0 - 1))
+    _assert_least_r_by_brute_force(slope, p, z_step, c, k0)
 
+
+def _assert_least_r_by_brute_force(slope, p, z_step, c, k0):
     def member(r):
         z = slope * r + p
         return z.degree() <= 0 and (z.to_fraction() / z_step).denominator == 1
@@ -456,16 +426,42 @@ def test_least_r_is_the_first_r_of_the_class(slope, p, z_step, k0, data):
     bound = found if isinstance(found, int) else 2000
     hits = [r for r in range(1, bound + 1) if r % k0 == c and member(r)]
     assert hits[:1] == ([found] if isinstance(found, int) else [])
+    return found
 
 
 @settings(max_examples=100, deadline=None)
 @given(e0=st.builds(ExactScalar, small, small, small), w=small.filter(lambda q: q > 0),
        sign_wanted=st.sampled_from([-1, 1]))
 def test_first_mu_is_the_first_of_the_alternating_order(e0, w, sign_wanted):
-    slope = as_exact(w) * PI
+    _assert_first_mu_by_brute_force(e0, as_exact(w) * PI, sign_wanted)
+
+
+def _assert_first_mu_by_brute_force(e0, slope, sign_wanted):
     order = (m for k in range(10**4) for m in ((0,) if k == 0 else (k, -k)))
     first = next(m for m in order if (e0 + slope * m).sign() == sign_wanted)
     assert _first_mu(e0, slope, sign_wanted) == first
+    return first
+
+
+@pytest.mark.parametrize("case, expected", [
+    # 2r + 1 lies in 4Z for no r: the congruence has no solution
+    (("least_r", 1, Fraction(1, 2), 2, 0, 1), quotient.CONGRUENCE),
+    # the class r = 1 (mod 2) holds no r with r in 2Z
+    (("least_r", 1, 0, 2, 1, 2), quotient.CONGRUENCE),
+    # the float guess 10.999999999999998 is corrected up by one
+    (("first_mu", -11 * PI, PI, 1), 12),
+    (("first_mu", 11 * PI, PI, -1), -12),
+    # the float guess 4 is corrected down by one
+    (("first_mu", -6 * PI + ExactScalar(Fraction(1, 10**30)), 2 * PI, 1), 3),
+])
+def test_decision_branches_match_brute_force(case, expected):
+    name, *args = case
+    if name == "least_r":
+        slope, p, z_step, c, k0 = args
+        got = _assert_least_r_by_brute_force(as_exact(slope), as_exact(p), Fraction(z_step), c, k0)
+    else:
+        got = _assert_first_mu_by_brute_force(*args)
+    assert got == expected
 
 
 class TestDecideClosed:
@@ -705,6 +701,23 @@ class TestCertificateVerification:
         )
         with pytest.raises(CertificateVerificationFailed):
             bad.verify(spec)
+
+    @pytest.mark.parametrize("d, bc", [(math.nan, (0.0, 0.0)), (0.0, (math.nan, 0.0))])
+    def test_nan_re_evaluation_raises(self, d, bc):
+        # t alone misses 2 pi by 5.28, but nan compared False with the tolerance
+        spec = Dim4Family(1, TWO_PI)
+        bad = ClosedGeodesicCertificate(
+            AlgebraVector(d, [bc], 1.0),
+            1.0,
+            GroupElement(0, (0, 0), TWO_PI),
+            CausalClass.SPACELIKE,
+        )
+        with pytest.raises(CertificateVerificationFailed):
+            bad.verify(spec)
+
+    def test_max_coord_dist_keeps_a_later_nan(self):
+        far = max_coord_dist(GroupElement(0.0, [math.nan, 0.0], 0.0), GroupElement(0.0, [0.0, 0.0], 0.0))
+        assert math.isnan(far)
 
     def test_nonmember_target_raises(self):
         spec = Dim4Family(1, TWO_PI)
