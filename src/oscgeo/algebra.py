@@ -139,10 +139,6 @@ class AlgebraVector:
         return cls(coords[0], zip(coords[1:-1:2], coords[2:-1:2]), coords[-1])
 
     @classmethod
-    def zero(cls, n: int) -> "AlgebraVector":
-        return cls(0, [(0, 0)] * n, 0)
-
-    @classmethod
     def Z(cls, n: int) -> "AlgebraVector":
         return cls(1, [(0, 0)] * n, 0)
 

@@ -189,7 +189,7 @@ def make_report(args, payload: dict) -> dict:
         "version": __version__,
         "command": " ".join(filter(None, (args.group, args.verb))),
         "seed": args.seed,
-        "exact": args.mode != "float",
+        "exact": True,  # kept for schema_version 1
         "verdicts": {},
         "certificates": [],
         "tables": {},
@@ -492,7 +492,7 @@ VERBS = {
 }
 
 # what a report says when the command line does not parse
-PARSER_DEFAULTS = {"mode": "exact", "seed": 0, "output": None}
+PARSER_DEFAULTS = {"seed": 0, "output": None}
 
 
 class CliParseError(CliValidationError):
@@ -522,11 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", type=str, default=argparse.SUPPRESS,
                         help="also write the JSON report here")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="mode", action="store_const", const="exact",
-                      default=argparse.SUPPRESS)
-    mode.add_argument("--float", dest="mode", action="store_const", const="float",
-                      default=argparse.SUPPRESS)
     parser.set_defaults(**PARSER_DEFAULTS)
     groups = parser.add_subparsers(dest="group", required=True)
     verbs = {}

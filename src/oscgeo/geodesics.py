@@ -243,7 +243,7 @@ def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
 
 
 # an RK4 run above this many steps is refused before it starts
-MAX_RK4_STEPS = 10**7
+MAX_RK4_STEPS = 10**6
 
 
 def integrate_geodesic_batch(

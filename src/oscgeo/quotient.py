@@ -20,11 +20,12 @@ is never a proof of openness.
 
 The lattice is read only through its `LatticeProfile` and membership.  The
 closed timelike and spacelike certificates come from one construction: the
-velocity that the closed form carries to a member at s = 1.  Certificates
-are verified before being returned: the target lattice point is checked by
-exact membership, the closed-form evaluation is re-run in float mode
-against it, and -- whenever the initial data and the parameter are exact --
-the evaluation is also replayed exactly.
+velocity that the closed form carries to a member at s = 1.  Every
+certificate is built and verified in one place (`_certify`) before being
+returned: the target lattice point is checked by exact membership, the
+closed-form evaluation is re-run in float mode against it, and -- whenever
+the parameter is exact, which it is only for exact initial data -- the
+evaluation is also replayed exactly.
 """
 
 from __future__ import annotations
@@ -113,6 +114,14 @@ class ClosedGeodesicCertificate:
         }
 
 
+def _certify(x: AlgebraVector, s, point: GroupElement, causal: CausalClass,
+             spec: LatticeSpec, tol: float = FLOAT_VERIFY_TOL) -> ClosedGeodesicCertificate:
+    """The verified certificate that x meets point at s; replayed exactly
+    iff s is not a float (an exact s comes only with an exact x)."""
+    exact = None if isinstance(s, float) else x
+    return ClosedGeodesicCertificate(x.to_floats(), s, point, causal, exact).verify(spec, tol)
+
+
 def classify_lightlike(spec: LatticeSpec) -> LightlikeVerdict:
     """Either every lightlike geodesic on the quotient closes, or only the
     central direction does; decided by the pure-t membership question."""
@@ -183,8 +192,7 @@ def closed_timelike_and_spacelike(
     for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
         x = AlgebraVector(d0 + _first_mu(e0, slope, sign_wanted) * prof.central_w, bc, t)
         target = GroupElement._exact(reached.z + x.d, reached.num, reached.den, t)
-        cert = ClosedGeodesicCertificate(x.to_floats(), ExactScalar(1), target, causal, x)
-        certs.append(cert.verify(spec))
+        certs.append(_certify(x, ExactScalar(1), target, causal, spec))
     return tuple(certs)
 
 
@@ -209,7 +217,7 @@ def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCert
     positive entry e, or the line never closes; then it first meets the
     member q sigma at s = sigma / e, sigma the least positive rational with
     every q sigma an integer.  s is exact when e is rational; otherwise it
-    is a float and the certificate replays in float only, as in `_hit`.
+    is a float and the certificate replays in float only.
     """
     w = spec.profile().central_w
     entries = [as_exact(x.d) / w] + [as_exact(c) for pair in x.bc for c in pair]
@@ -220,18 +228,9 @@ def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCert
         return None
     qs = [Fraction(*q) for q in ratios]
     sigma = _rational_lcm([1 / q for q in qs if q])
-    if e.degree() == 0:
-        s, initial_exact = sigma / e.to_fraction(), x
-    else:
-        s, initial_exact = float(sigma) / float(e), None
+    s = sigma / e.to_fraction() if e.degree() == 0 else float(sigma) / float(e)
     point = GroupElement(w * (qs[0] * sigma), [q * sigma for q in qs[1:]], 0)
-    return ClosedGeodesicCertificate(
-        x.to_floats(),
-        s,
-        point,
-        CausalClass.SPACELIKE if any(qs[1:]) else CausalClass.LIGHTLIKE,
-        initial_exact,
-    ).verify(spec)
+    return _certify(x, s, point, causal_class(x, spec.freqs), spec)
 
 
 # -- the closure decision for exact velocities ------------------------------------
@@ -323,9 +322,8 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
     member, r = 1, ..., K0, and the scan stops once no class can beat the
     best r found or `limit`.
     """
-    prof, freqs = spec.profile(), spec.freqs
-    t_step, k0, twist, w = prof.t0 * _a_sign(x), prof.k0, prof.twist, prof.central_w
-    a = as_exact(x.a)
+    prof, freqs, a = spec.profile(), spec.freqs, as_exact(x.a)
+    t_step, k0, twist, w = prof.t0 * a.sign(), prof.k0, prof.twist, prof.central_w
     bcs, bc2s = _exact_blocks(x)
     a2 = a * a
     alpha, gamma = t_step * (_drift(a, x.d, bc2s, freqs) - a2 * twist), a2 * w
@@ -349,25 +347,21 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
     return best, GroupElement._exact(twist * t + w * u, v_num, 1, t), obstructions
 
 
-def _a_sign(x: AlgebraVector) -> int:
-    """The sign of a, which keeps the candidate times positive; exact for
-    exact a, which may lie beyond the float range."""
-    if x.is_exact():
-        return as_exact(x.a).sign()
-    return 1 if x.a > 0 else -1
-
-
-def _hit(x: AlgebraVector, spec: LatticeSpec, r: int, point: GroupElement):
-    """The verified certificate of the member met at s = r t0 / |a|.  s is
-    exact, and replayed exactly, when t0 / a is in Q[pi]; otherwise it is
-    the float the snap computes."""
-    t0 = spec.profile().t0
+def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> ClosureDecision:
+    """The closure decision for an exact x, capped at `limit`.  A hit at r
+    is met at s = r t0 / |a| = t / a: exact, and replayed exactly, when
+    t0 / a is in Q[pi]; otherwise a float."""
+    a = as_exact(x.a)
+    if a.is_zero():
+        return ClosureDecision(_search_line_case(x, spec))
+    r, point, obstructions = _decide(x, spec, limit)
+    if r is None:
+        return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
     try:
-        s, initial_exact = t0 * (r * _a_sign(x)) / x.a, x
+        s = point.t / a
     except ValueError:
-        s, initial_exact = r * _a_sign(x) * float(t0) / float(x.a), None
-    causal = causal_class(x, spec.freqs)
-    return ClosedGeodesicCertificate(x.to_floats(), s, point, causal, initial_exact).verify(spec)
+        s = r * float(spec.profile().t0) / abs(float(a))
+    return ClosureDecision(_certify(x, s, point, causal_class(x, spec.freqs), spec), r)
 
 
 def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
@@ -394,12 +388,7 @@ def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
     if not x.is_exact():
         raise ValueError("the closure decision needs exact initial data; "
                          "closed-search snaps float data")
-    if as_exact(x.a).is_zero():
-        return ClosureDecision(_search_line_case(x, spec))
-    r, point, obstructions = _decide(x, spec)
-    if r is None:
-        return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
-    return ClosureDecision(_hit(x, spec, r, point), r)
+    return _closure(x, spec)
 
 
 # -- bounded closure search ----------------------------------------------------
@@ -413,7 +402,7 @@ def search_closed(
 ) -> ClosedGeodesicCertificate | None:
     """First verified lattice hit at candidate times r * t0 / a, r <= r_max.
 
-    Exact input is decided in closed form (`_decide`), capped at r_max, so
+    Exact input is decided in closed form (`_closure`), capped at r_max, so
     None proves that no candidate up to r_max closes.  Float input takes
     the float snap, run only on the r that pass its screen; there None is
     never a proof of openness.
@@ -421,12 +410,9 @@ def search_closed(
     _check_search_input(x, spec)
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
-    if not x.is_exact():
-        return None if float(x.a) == 0.0 else _float_search(x, spec, r_max, float_tol)
-    if as_exact(x.a).is_zero():
-        return _search_line_case(x, spec)
-    r, point, _ = _decide(x, spec, r_max)
-    return None if r is None else _hit(x, spec, r, point)
+    if x.is_exact():
+        return _closure(x, spec, r_max).certificate
+    return None if float(x.a) == 0.0 else _float_search(x, spec, r_max, float_tol)
 
 
 SCREEN_CHUNK = 1024  # candidates screened per numpy pass
@@ -440,21 +426,20 @@ def _float_search(x, spec, r_end: int, tol: float):
     """First verified float-snap hit at r * |t0 / a|, 1 <= r <= r_end.  The
     scalar snap runs only on the r that pass the screen, in increasing
     order."""
-    prof, freqs, a_sign = spec.profile(), spec.freqs, _a_sign(x)
+    prof, freqs = spec.profile(), spec.freqs
     initial = x.to_floats()
     geo = Geodesic(initial, freqs)
-    t0_f, a_f = float(prof.t0), float(x.a)
+    t0_f, a_f = float(prof.t0), abs(float(x.a))
     snap = _LatticeSnap(spec, tol)
     for start in range(1, r_end + 1, SCREEN_CHUNK):
         rs = np.arange(start, min(start + SCREEN_CHUNK, r_end + 1))
         with np.errstate(all="ignore"):
-            s = rs * a_sign * t0_f / a_f
+            s = rs * t0_f / a_f
         for r in rs[snap.screen(initial, freqs, s)].tolist():
-            s = r * a_sign * t0_f / a_f
+            s = r * t0_f / a_f
             snapped = snap(eval_geodesic(geo, s))
             if snapped is not None:
-                cert = ClosedGeodesicCertificate(initial, s, snapped, causal_class(x, freqs))
-                return cert.verify(spec, tol=tol)
+                return _certify(x, s, snapped, causal_class(x, freqs), spec, tol)
     return None
 
 

@@ -501,6 +501,13 @@ class TestContractBreaches:
         assert code == 2
         assert any("exceeds" in d for d in rep["diagnostics"])
 
+    def test_ten_million_steps_are_refused_before_they_start(self, capsys):
+        # 10^7 steps of 1e-3: about ten minutes of RK4 if admitted
+        code, rep = run_cli(capsys, "geodesic", "integrate", "--X", "X1 + T",
+                            "--s-end", "10000", "--step", "1e-3")
+        assert code == 2
+        assert any("exceeds 1000000" in d for d in rep["diagnostics"])
+
     def test_overflowing_integration_warns_nothing(self, capsys):
         # numpy overflows on the first step; the refusal is the only output
         x = '{"d": 1e300, "bc": [[1e300, 1e300]], "a": 1e300}'
@@ -633,8 +640,8 @@ class TestSharedParser:
     def test_reuse_leaks_no_state(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         argv = ["quotient", "classify", "--lattice", LATTICE]
-        code, rep = run_cli(capsys, *argv, "--float", "--seed", "5", "--output", str(out))
-        assert code == 0 and rep["exact"] is False and rep["seed"] == 5
+        code, rep = run_cli(capsys, *argv, "--seed", "5", "--output", str(out))
+        assert code == 0 and rep["seed"] == 5
         out.unlink()
         code, rep = run_cli(capsys, *argv)
         assert code == 0 and rep["exact"] is True and rep["seed"] == 0
@@ -762,10 +769,9 @@ def _malformed(flag: str):
 
 
 COST_OPTIONS = {"--r-max", "--samples"}  # never left at their expensive defaults
-HARMLESS_EXTRAS = [["--float"], ["--exact"], ["--seed", "7"], ["--seed", "-3"],
-                   ["--output", "report.json"]]
-BAD_EXTRAS = [["--exact", "--float"], ["--seed", "x"], ["--bogus"], ["--bogus", "1"], ["stray"],
-              ["--normalized=1"]]
+HARMLESS_EXTRAS = [["--seed", "7"], ["--seed", "-3"], ["--output", "report.json"]]
+BAD_EXTRAS = [["--exact", "--float"], ["--float"], ["--exact"], ["--seed", "x"], ["--bogus"],
+              ["--bogus", "1"], ["stray"], ["--normalized=1"]]
 
 
 @st.composite

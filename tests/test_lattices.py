@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
-from oscgeo.exact import ExactScalar, PI
+from oscgeo.exact import ExactScalar, PI, rational_ratio
 from oscgeo.group import GroupElement, invert, multiply, rotation, swap_pairs
 from oscgeo.lattices import (
     Dim4Family,
@@ -238,6 +238,43 @@ def test_the_profile_generates_the_lattice(base, ms, seed):
         assert spec.sample_member(rng) == GroupElement(z, v, t)
     # twist t0 has no constant term, so it lies in w Z only when the twist is 0
     assert spec.profile().pure_t == (t0 if twist.is_zero() else None)
+
+
+def _profile_rule(prof, g):
+    """The profile's member rule: v integral, t in t0 Z, z - twist t in w Z."""
+    j = rational_ratio(g.t, prof.t0)
+    u = rational_ratio(g.z - prof.twist * g.t, prof.central_w)
+    return g.den == 1 and j is not None and j[1] == 1 and u is not None and u[1] == 1
+
+
+# offsets in units of a lattice step: whole or fractional, times 1, pi or q + pi
+step_counts = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(-3, 4), 1, -2])
+offsets = (step_counts | step_counts.map(lambda q: ExactScalar(0, q))
+           | step_counts.map(lambda q: ExactScalar(q, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=dim4_specs | dim6_specs, ms=st.lists(twists, max_size=3), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_contains_agrees_with_the_profile(base, ms, seed, data):
+    spec = base
+    for m in ms:
+        spec = Twisted(spec, m)
+    prof, rng = spec.profile(), random.Random(seed)
+    for _ in range(4):
+        g = spec.sample_member(rng)
+        assert spec.contains(g) and _profile_rule(prof, g)
+        i = data.draw(st.integers(0, len(g.v) - 1))
+        dz, dv, dt = data.draw(offsets), data.draw(step_counts), data.draw(offsets)
+        v = list(g.v)
+        v[i] += dv
+        for other in (
+            GroupElement(g.z + dz * prof.central_w, g.v, g.t),
+            GroupElement(g.z, v, g.t),
+            GroupElement(g.z, g.v, g.t + dt * prof.t0),
+            GroupElement(g.z + prof.twist * prof.t0 * dt, g.v, g.t + dt * prof.t0),
+        ):
+            assert spec.contains(other) == _profile_rule(prof, other)
 
 
 class TestClosureAndDiscreteness:

@@ -715,6 +715,27 @@ class TestCertificateVerification:
         with pytest.raises(CertificateVerificationFailed):
             bad.verify(spec)
 
+    @pytest.mark.parametrize("make, exact", [
+        (lambda spec: closed_timelike_and_spacelike(spec)[0], True),
+        (lambda spec: closed_timelike_and_spacelike(spec)[1], True),
+        # t0 / a in Q[pi]: a rational, a pi multiple
+        (lambda spec: decide_closed(AlgebraVector(0, [(0, 0)], -2), spec).certificate, True),
+        (lambda spec: decide_closed(AlgebraVector(Fraction(1, 2002), [(0, 0)], PI), spec)
+         .certificate, True),
+        (lambda spec: decide_closed(AlgebraVector(Fraction(1, 3), [(2, 0)], 0), spec)
+         .certificate, True),
+        # t0 / a outside Q[pi], and float data
+        (lambda spec: decide_closed(AlgebraVector(0, [(0, 0)], ExactScalar(1, 1)), spec)
+         .certificate, False),
+        (lambda spec: decide_closed(AlgebraVector(PI, [(0, 0)], 0), spec).certificate, False),
+        (lambda spec: search_closed(AlgebraVector(0.0, [(0.0, 0.0)], 1.0), spec), False),
+    ])
+    def test_replayed_exactly_iff_s_star_is_exact(self, make, exact):
+        cert = make(Dim4Family(1, TWO_PI))
+        assert cert.to_json()["exact_initial_data"] is exact
+        assert isinstance(cert.s_star, float) is not exact
+        assert (cert.initial_exact is not None) is exact
+
     def test_max_coord_dist_keeps_a_later_nan(self):
         far = max_coord_dist(GroupElement(0.0, [math.nan, 0.0], 0.0), GroupElement(0.0, [0.0, 0.0], 0.0))
         assert math.isnan(far)
