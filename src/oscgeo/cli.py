@@ -379,12 +379,9 @@ def cmd_isometry_normalizer(args) -> dict:
             "tables": {"normalizer": NormalizerTable.for_spec(spec).to_json()},
         }
     grid = verification_grid(spec, max_points=args.grid_points)
-    disagreements = [
-        g.to_json()
-        for g in grid
-        if in_normalizer(g, spec) != normalizer_oracle(g, spec)
-    ]
-    table_diffs = normalizer_table_report(spec, grid)
+    report = normalizer_table_report(spec, grid)
+    disagreements = [d["element"] for d in report if d["conditions"] != d["oracle"]]
+    table_diffs = [d["element"] for d in report if d["conditions"] != d["table"]]
     return {
         "verdicts": {
             "points": len(grid),
@@ -394,7 +391,7 @@ def cmd_isometry_normalizer(args) -> dict:
         "diagnostics": [
             *(f"oracle disagreement at {d}" for d in disagreements),
             *(
-                f"tabulated set differs from the derived conditions at {d['element']}"
+                f"tabulated set differs from the derived conditions at {d}"
                 for d in table_diffs[:10]
             ),
         ],

@@ -30,7 +30,7 @@ def rat(x) -> Fraction:
     """Coerce int / Fraction / rational string ('3/2') to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         s = x.strip()
@@ -264,7 +264,7 @@ def as_exact(x) -> ExactScalar:
     """Lift int / Fraction / string / ExactScalar to ExactScalar."""
     if isinstance(x, ExactScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return _scalar([x.numerator], x.denominator)
     if isinstance(x, str):
         return parse_exact(x)
@@ -350,9 +350,7 @@ def exact_to_json(x: ExactScalar):
 
 
 def exact_from_json(obj) -> ExactScalar:
-    if isinstance(obj, bool):
-        raise TypeError("boolean is not a scalar")
-    if isinstance(obj, int):
+    if isinstance(obj, int):  # rat refuses booleans
         return ExactScalar(obj, 0)
     if isinstance(obj, str):
         return parse_exact(obj)

@@ -35,6 +35,15 @@ class UnsupportedSpec(ValueError):
     """Operation is not defined for this lattice family."""
 
 
+# products a generator-list word search may form before it refuses
+MAX_WORDS = 20_000
+
+
+def _require_positive_int(name: str, val) -> None:
+    if type(val) is not int or val < 1:
+        raise ValueError(f"{name} must be a positive integer, got {val!r}")
+
+
 @dataclass(frozen=True)
 class LatticeProfile:
     """The lattice as the quotient code reads it: the members are exactly
@@ -160,8 +169,7 @@ class Dim4Family(_ProductFormFamily):
     _ANGLES = (Fraction(2), Fraction(1), Fraction(1, 2))
 
     def __init__(self, k: int, angle):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("k must be a positive integer")
+        _require_positive_int("k", k)
         angle = as_exact(angle)
         pc = pi_coefficient(angle)
         if pc is None or Fraction(*pc) not in self._ANGLES:
@@ -191,9 +199,8 @@ class Dim6Family(_ProductFormFamily):
     m_div: int
 
     def __init__(self, k: int, p: int, q: int, m_div: int):
-        for name, val in (("k", k), ("p", p), ("q", q)):
-            if not isinstance(val, int) or val < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        for name, val in (("k", k), ("p", p), ("q", q), ("M", m_div)):
+            _require_positive_int(name, val)
         if m_div not in (1, 2, 4):
             raise ValueError("M must be 1, 2 or 4")
         if math.gcd(p, q) != 1:
@@ -281,6 +288,9 @@ class ProductWithLine(LatticeSpec):
             w_squared = w * w
         else:
             raise ValueError("need w or w^2 (or the 'irrational' flag)")
+        if w is not None and w_squared != w * w:
+            w2 = "irrational" if w_squared is None else w_squared
+            raise ValueError(f"w^2 = {w2} disagrees with w = {w}")
         if w_squared is not None and w_squared.sign() <= 0:
             raise ValueError("w^2 must be positive")
         object.__setattr__(self, "base", base)
@@ -338,6 +348,7 @@ class GeneratorList(LatticeSpec):
                 raise ValueError("generators must be exact")
             if el.n != freqs.n:
                 raise ValueError("generator dimension mismatch")
+        _require_positive_int("depth", depth)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "depth", depth)
@@ -355,9 +366,13 @@ class GeneratorList(LatticeSpec):
             steps.append(invert(el, self.freqs))
         frontier = {GroupElement.identity(self.freqs.n)}
         seen = set(frontier)
+        words = 0
         for _ in range(self.depth):
             nxt = set()
             for word in frontier:
+                words += len(steps)
+                if words > MAX_WORDS:
+                    raise MembershipUndecidable(f"not reached within a budget of {MAX_WORDS} words")
                 for step in steps:
                     new = multiply(word, step, self.freqs)
                     if new == g:
@@ -407,11 +422,14 @@ def pure_t_element(spec: LatticeSpec) -> GroupElement | None:
 
 
 def from_json(obj: dict) -> LatticeSpec:
+    """The spec of a lattice JSON object; the constructors validate each value."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a lattice must be a JSON object, got {obj!r}")
     family = obj.get("family")
     if family == "dim4":
-        return Dim4Family(int(obj["k"]), as_exact(obj["angle"]))
+        return Dim4Family(obj["k"], as_exact(obj["angle"]))
     if family == "dim6":
-        return Dim6Family(int(obj["k"]), int(obj["p"]), int(obj["q"]), int(obj["M"]))
+        return Dim6Family(obj["k"], obj["p"], obj["q"], obj["M"])
     if family == "twisted":
         return Twisted(from_json(obj["base"]), exact_from_json(obj["m"]))
     if family == "product_line":
@@ -431,6 +449,6 @@ def from_json(obj: dict) -> LatticeSpec:
         return GeneratorList(
             FrequencyList.from_json(obj["freqs"]),
             [GroupElement.from_json(e) for e in obj["elements"]],
-            int(obj.get("depth", 6)),
+            obj.get("depth", 6),
         )
     raise ValueError(f"unknown lattice family: {family!r}")

@@ -23,9 +23,9 @@ sweep (60 specs, 12 builds) and repeated in-process CLI calls; a one-shot
 tabulated dim-4 quarter-turn row and the dim-6 rows with p = 2 mod 4 are
 too permissive for some parities of k (the derived conditions admit the
 half-odd square I2 = Z^2 u F^2 for even k in dimension four, and force the
-second pair into (1/2)Z^2 in the p = 2 mod 4 rows); `normalizer_table_report`
-surfaces every grid point where the table and the conditions disagree
-instead of reconciling them silently.
+second pair into (1/2)Z^2 in the p = 2 mod 4 rows).  `normalizer_table_report`
+walks a grid once and surfaces every point where the oracle or the table
+disagrees with the conditions instead of reconciling them silently.
 """
 
 from __future__ import annotations
@@ -90,30 +90,6 @@ def normalizer_oracle(g: GroupElement, spec: LatticeSpec) -> bool:
 # -- tabulated closed forms ------------------------------------------------------
 
 
-def _is_int(x: Fraction) -> bool:
-    return x.denominator == 1
-
-
-def _in_scaled_int(x: Fraction, denom: int) -> bool:
-    return (x * denom).denominator == 1
-
-
-def in_half_odd(x: Fraction) -> bool:
-    """Membership in F = (1/2) * {odd integers}."""
-    return x.denominator == 2
-
-
-def in_i2(pair) -> bool:
-    """I2 = Z^2 u F^2: both integer or both half-odd."""
-    a, b = pair
-    return (_is_int(a) and _is_int(b)) or (in_half_odd(a) and in_half_odd(b))
-
-
-def in_i4(quad) -> bool:
-    """I4 = Z^4 u F^4."""
-    return all(_is_int(x) for x in quad) or all(in_half_odd(x) for x in quad)
-
-
 @dataclass(frozen=True)
 class NormalizerTable:
     """Tabulated product-set description of a normalizer.
@@ -157,33 +133,30 @@ class NormalizerTable:
         raise UnsupportedSpec("no tabulated normalizer for this family")
 
     def contains(self, g: GroupElement) -> bool:
+        """Exact membership, decided on the ints of v = num / den: each v
+        factor reads an equal slice of num."""
         if not g.is_exact():
             raise TypeError("table membership is decided in exact mode")
         q = self.params.get("q", 1)
         pc = pi_coefficient(g.t)  # t = (n / d) pi must lie in (q pi / 2) Z
         if pc is None or 2 * pc[0] % (pc[1] * q):
             return False
-        pairs = [(g.v[2 * i], g.v[2 * i + 1]) for i in range(g.n)]
-        sets = self.factors[1:-1]
-        if len(sets) == 1 and len(pairs) == 2:
-            return self._pair_set(sets[0], pairs[0] + pairs[1])
-        return all(self._pair_set(s, pair) for s, pair in zip(sets, pairs))
-
-    @staticmethod
-    def _pair_set(descriptor: str, values) -> bool:
-        if descriptor == "I2":
-            return in_i2(values)
-        if descriptor == "I4":
-            return in_i4(values)
-        denom = int(descriptor.split("/")[1]) if "/" in descriptor else 1
-        return all(_in_scaled_int(x, denom) for x in values)
+        num, den, sets = g.num, g.den, self.factors[1:-1]
+        size = len(num) // len(sets)
+        for i, factor in enumerate(sets):
+            part = num[i * size:(i + 1) * size]
+            if factor in ("I2", "I4"):  # Z^m u F^m, F = (1/2)(odd integers)
+                if not (all(x % den == 0 for x in part)
+                        or all(2 * x % den == 0 and x % den for x in part)):
+                    return False
+            else:  # "Z^m" or "Z^m/d"
+                d = int(factor.split("/")[1]) if "/" in factor else 1
+                if any(x * d % den for x in part):
+                    return False
+        return True
 
     def to_json(self) -> dict:
         return {"params": self.params, "normalizer": " x ".join(self.factors)}
-
-
-def printed_table_membership(g: GroupElement, spec: LatticeSpec) -> bool:
-    return NormalizerTable.for_spec(spec).contains(g)
 
 
 # -- verification grids -----------------------------------------------------------
@@ -250,16 +223,17 @@ def _grid(n: int, k: int, q: int, min_points: int, max_points: int | None) -> tu
 def normalizer_table_report(
     spec: LatticeSpec, grid: list[GroupElement] | None = None
 ) -> list[dict]:
-    """Grid points where the tabulated set disagrees with the conditions."""
+    """Grid points where the conditions disagree with the oracle or with the
+    tabulated set, each with all three answers: one walk of the grid."""
     if grid is None:
         grid = verification_grid(spec)
     table = NormalizerTable.for_spec(spec)
     out = []
     for g in grid:
         derived = in_normalizer(g, spec)
+        oracle = normalizer_oracle(g, spec)
         printed = table.contains(g)
-        if derived != printed:
-            out.append(
-                {"element": g.to_json(), "conditions": derived, "table": printed}
-            )
+        if derived != oracle or derived != printed:
+            out.append({"element": g.to_json(), "conditions": derived,
+                        "oracle": oracle, "table": printed})
     return out

@@ -138,21 +138,30 @@ def _first_mu(e0: ExactScalar, slope: ExactScalar, sign_wanted: int) -> int:
 
     With slope > 0 the wanted sign holds on the half-line beyond the root
     -e0 / slope, so the answer is 0 or the integer of that half-line nearest
-    0: a float guess, corrected by exact sign checks.
+    0.  A float guess at it only seeds the search: exact sign checks gallop
+    from the guess to a bracket and bisect it, in O(log) checks however far
+    off the guess is (past 2^53, or past the float range).
     """
+    step = sign_wanted  # the side of 0 the half-line lies on
 
-    def wanted(mu: int) -> bool:
-        return (e0 + slope * mu).sign() == sign_wanted
+    def wanted(j: int) -> bool:  # j >= 0 steps to that side
+        return (e0 + slope * (step * j)).sign() == sign_wanted
 
     if wanted(0):
         return 0
-    step = sign_wanted  # the side of 0 the half-line lies on
-    mu = step * max(1, math.floor(-step * float(e0) / float(slope)) + 1)
-    while mu != step and wanted(mu - step):
-        mu -= step
-    while not wanted(mu):
-        mu += step
-    return mu
+    try:
+        guess = max(1, math.floor(-step * float(e0) / float(slope)) + 1)
+    except (ArithmeticError, ValueError):
+        guess = 1
+    lo, hi, gap = guess - 1, guess, 1  # j = 0 is unwanted
+    while lo > 0 and wanted(lo):  # gallop down to an unwanted lo
+        hi, lo, gap = lo, max(0, lo - gap), 2 * gap
+    while not wanted(hi):  # gallop up to a wanted hi
+        lo, hi, gap = hi, hi + gap, 2 * gap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if wanted(mid) else (mid, hi)
+    return step * hi
 
 
 def closed_timelike_and_spacelike(

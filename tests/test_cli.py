@@ -4,20 +4,24 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oscgeo import cli, normalizers
 from oscgeo.algebra import AlgebraVector, CausalClass
 from oscgeo.cli import VERBS, CliValidationError, build_parser, main, parse_lattice, parse_velocity
 from oscgeo.exact import PI, parse_exact
 from oscgeo.group import GroupElement
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
+from oscgeo.normalizers import in_normalizer
 from oscgeo.quotient import ClosedGeodesicCertificate, search_closed
 
 LATTICE = "dim4:k=1:angle=2pi"
@@ -34,6 +38,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+class Expired(BaseException):
+    """Raised by `time_limit`; cli.main catches no BaseException of its own."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    def expire(signum, frame):
+        raise Expired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParsers:
@@ -265,6 +287,24 @@ class TestCommands:
         )
         assert code == 0
         assert rep["verdicts"]["oracle_agreement"] == 1.0
+
+    def test_isometry_normalizer_grid_evaluates_the_conditions_once_per_point(
+        self, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counted(g, spec):
+            calls.append(g)
+            return in_normalizer(g, spec)
+
+        # both bindings: the CLI module's own and the one the report reads
+        monkeypatch.setattr(cli, "in_normalizer", counted)
+        monkeypatch.setattr(normalizers, "in_normalizer", counted)
+        code, rep = run_cli(capsys, "isometry", "normalizer", "--lattice",
+                            "dim4:k=2:angle=pi/2", "--grid-points", "60")
+        assert code == 0
+        assert rep["verdicts"]["points"] == 500
+        assert len(calls) == 500
 
     def test_isometry_normalizer_element(self, capsys):
         element = '{"z": 0, "v": ["1/2", "1/2"], "t": 0}'
@@ -550,6 +590,54 @@ class TestContractBreaches:
         assert code == 0
         assert rep["verdicts"] == {"in_normalizer": False, "oracle": False}
 
+    @pytest.mark.parametrize("base", ["null", "0", '"x"', "[]"])
+    @pytest.mark.parametrize("family", ["twisted", "product_line"])
+    def test_base_that_is_not_an_object_is_exit_2(self, capsys, family, base):
+        lattice = f'{{"family": "{family}", "m": "1", "w2": "1", "base": {base}}}'
+        code, rep = run_cli(capsys, "lattice", "info", "--lattice", lattice)
+        assert code == 2
+        assert any("object" in d for d in rep["diagnostics"])
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "info", "--lattice", '{"family": "dim4", "k": true, "angle": "2pi"}'],
+        ["lattice", "info", "--lattice", '{"family": "dim6", "k": 1, "p": 1, "q": 1, "M": 1.0}'],
+        ["lattice", "contains", "--lattice", LATTICE, "--element",
+         '{"z": 0, "v": [true, 0], "t": 0}'],
+        ["geodesic", "integrate", "--freqs", "[true]", "--X", "X1 + T", "--s-end", "1"],
+        ["quotient", "product-line", "--lattice",
+         '{"family": "product_line", "w2": true, "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'],
+        ["quotient", "product-line", "--lattice",
+         '{"family": "product_line", "w": "3", "w2": "2", '
+         '"base": {"family": "dim4", "k": 1, "angle": "2pi"}}'],
+    ])
+    def test_booleans_and_non_integers_are_exit_2(self, capsys, argv):
+        # each was read as 1, or coerced to an integer
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert rep["diagnostics"][0].startswith("validation error")
+
+    def test_twist_of_ten_to_the_thirty_is_certified_in_well_under_a_second(self, capsys):
+        # the float guess at the first mu was corrected one step at a time
+        lattice = json.dumps({"family": "twisted", "m": 10**30,
+                              "base": {"family": "dim4", "k": 1, "angle": "2pi"}})
+        with time_limit(10):
+            start = time.perf_counter()
+            code, rep = run_cli(capsys, "quotient", "certify-causal", "--lattice", lattice)
+            elapsed = time.perf_counter() - start
+        assert code == 0
+        assert [c["causal"] for c in rep["certificates"]] == ["timelike", "spacelike"]
+        assert elapsed < 0.5
+
+    def test_deep_word_search_stops_at_its_budget(self, capsys):
+        lattice = ('{"family": "generators", "freqs": [1], "depth": 64, "elements": '
+                   '[{"z": 0, "v": [1, 0], "t": 0}, {"z": 0, "v": [0, 1], "t": 0}]}')
+        with time_limit(10):
+            code, rep = run_cli(capsys, "lattice", "contains", "--lattice", lattice,
+                                "--element", '{"z": 0, "v": [1, 1], "t": 0}')
+        assert code == 0
+        assert rep["verdicts"] == {"contains": None}
+        assert "20000 words" in rep["diagnostics"][0]
+
 
 class TestPiTwist:
     def test_float_search_on_a_pi_twist_is_certified(self, capsys):
@@ -831,6 +919,82 @@ def test_every_command_line_gets_one_json_report(scratch_dir, argv):
     assert report["schema_version"] == 1
     if code != 0:
         assert report["diagnostics"]
+
+
+# -- fuzzing the lattice reader with mutated lattice JSON ----------------------------
+
+DIM4_JSON = {"family": "dim4", "k": 1, "angle": "2pi"}
+DIM6_JSON = {"family": "dim6", "k": 1, "p": 1, "q": 3, "M": 4}
+GENERATORS_JSON = {"family": "generators", "freqs": [1], "depth": 4, "elements": [
+    {"z": 0, "v": [1, 0], "t": 0}, {"z": 0, "v": [0, 1], "t": 0}]}
+TWISTS = [2, "-3", "1/2", "pi"]  # integer, rational and pi twists
+LINE_STEPS = [{"w2": "2pi"}, {"w": "1/2", "w2": "1/4"}, {"w2": {"pi_coeffs": [0, 0, 1]}}]
+BAD_VALUES = [None, True, 0, -5, 1.5, "x", "", [], {}, "1/0", "nan", 1e308, "pi^2", 10**30]
+ELEMENT_JSON = {  # one element of each dimension, for `lattice contains`
+    1: '{"z": "1/2", "v": [1, 1], "t": 0}', 2: '{"z": 0, "v": [1, 0, 0, 1], "t": "2pi"}'}
+LATTICE_COMMANDS = [
+    ["lattice", "info"], ["lattice", "contains"], ["quotient", "classify"],
+    ["quotient", "certify-causal"], ["quotient", "closed-search", "--X", "T", "--r-max", "5"],
+]
+
+
+@st.composite
+def valid_lattice_json(draw):
+    """dim4, dim6 or generators, under up to three twists and an optional
+    line: up to four levels of nesting."""
+    obj = draw(st.sampled_from([DIM4_JSON, DIM6_JSON, GENERATORS_JSON]))
+    for m in draw(st.lists(st.sampled_from(TWISTS), max_size=3)):
+        obj = {"family": "twisted", "m": m, "base": obj}
+    if draw(st.booleans()):
+        obj = {"family": "product_line", **draw(st.sampled_from(LINE_STEPS)), "base": obj}
+    return json.loads(json.dumps(obj))  # a fresh copy to mutate
+
+
+def _key_paths(obj, path=()):
+    """Every path to a value below obj, as tuples of keys and indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _key_paths(value, (*path, key))
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@st.composite
+def mutated_lattice_json(draw):
+    """A valid lattice JSON with the value at one key path replaced by a bad value.
+
+    Dropped keys, and {} in place of a generator element, are not drawn: both
+    escape as the KeyError pinned by test_lattice_json_missing_key_is_exit_2."""
+    obj = draw(valid_lattice_json())
+    path = draw(st.sampled_from(list(_key_paths(obj))))
+    value = draw(st.sampled_from(BAD_VALUES))
+    assume(not (value == {} and len(path) > 1 and path[-2] == "elements"))
+    _set(obj, path, value)
+    return obj
+
+
+def _dimension(obj) -> int:
+    """2 when a dim-6 lattice sits at the bottom of the nesting, else 1."""
+    return 2 if '"dim6"' in json.dumps(obj) else 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(obj=mutated_lattice_json(), command=st.sampled_from(LATTICE_COMMANDS))
+def test_every_mutated_lattice_gets_one_json_report(obj, command):
+    argv = [*command, "--lattice", json.dumps(obj)]
+    if command[1] == "contains":
+        argv += ["--element", ELEMENT_JSON[_dimension(obj)]]
+    out = io.StringIO()
+    with time_limit(5), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["command"] == " ".join(command[:2])
 
 
 # -- reports fixed byte for byte -------------------------------------------------

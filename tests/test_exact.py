@@ -21,6 +21,14 @@ from oscgeo.exact import (
 rationals = st.fractions(max_denominator=50)
 
 
+@pytest.mark.parametrize("read", [exact.rat, as_exact, exact_from_json])
+def test_booleans_are_not_numbers(read):
+    # rat(True) and as_exact(True) were read as 1
+    for b in (True, False):
+        with pytest.raises(TypeError):
+            read(b)
+
+
 def test_zero_iff_both_components_zero():
     assert ExactScalar(0, 0).is_zero()
     assert ExactScalar(0, 0, 0).is_zero() and ExactScalar().is_zero()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscgeo import lattices
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI, rational_ratio
 from oscgeo.group import GroupElement, invert, multiply, rotation, swap_pairs
@@ -56,6 +57,52 @@ class TestConstruction:
         for spec in specs:
             j = spec.to_json()
             assert from_json(j).to_json() == j
+
+    @pytest.mark.parametrize("base", [None, 0, "x", [], True])
+    @pytest.mark.parametrize("family", ["twisted", "product_line"])
+    def test_base_that_is_not_an_object_is_refused(self, family, base):
+        # it escaped as an AttributeError from obj.get
+        with pytest.raises(ValueError, match="object"):
+            from_json({"family": family, "m": "1", "w2": "1", "base": base})
+
+    @pytest.mark.parametrize("obj", [
+        # each was coerced by int(...): 1.5 and true became 1
+        {"family": "dim4", "k": 1.5, "angle": "2pi"},
+        {"family": "dim4", "k": True, "angle": "2pi"},
+        {"family": "dim4", "k": "2", "angle": "2pi"},  # a digit string is refused too
+        {"family": "dim6", "k": 1, "p": 1.0, "q": 1, "M": 1},
+        {"family": "dim6", "k": 1, "p": 1, "q": True, "M": 1},
+        {"family": "dim6", "k": 1, "p": 1, "q": 1, "M": True},
+        {"family": "dim6", "k": 1, "p": 1, "q": 1, "M": 4.0},
+        *({"family": "generators", "freqs": [1], "depth": d,
+           "elements": [{"z": 0, "v": [1, 0], "t": 0}]} for d in (0, -3, True, 1.5, "4")),
+    ])
+    def test_parameters_that_are_not_positive_integers_are_refused(self, obj):
+        with pytest.raises(ValueError, match="integer"):
+            from_json(obj)
+
+    def test_constructors_refuse_booleans(self):
+        with pytest.raises(ValueError):
+            Dim4Family(True, TWO_PI)
+        with pytest.raises(ValueError):
+            Dim6Family(1, 1, 1, True)
+        with pytest.raises(ValueError):
+            GeneratorList(FrequencyList([1]), [GroupElement(0, (1, 0), 0)], depth=True)
+
+    @pytest.mark.parametrize("w, w2", [(None, True), ("1", True), ("3", "2"), ("3", "irrational")])
+    def test_line_steps_that_are_booleans_or_disagree_are_refused(self, w, w2):
+        obj = {"family": "product_line", "base": Dim4Family(1, TWO_PI).to_json(), "w2": w2}
+        if w is not None:
+            obj["w"] = w
+        with pytest.raises((TypeError, ValueError)):
+            from_json(obj)
+
+    def test_line_steps_that_agree_are_read(self):
+        base = Dim4Family(1, TWO_PI).to_json()
+        spec = from_json({"family": "product_line", "base": base, "w": "3", "w2": "9"})
+        assert spec.w_squared == ExactScalar(9)
+        spec = from_json({"family": "product_line", "base": base, "w": "pi", "w2": "pi^2"})
+        assert spec.w_squared == PI * PI
 
     def test_shorthand_irrational_flag(self):
         spec = ProductWithLine(Dim4Family(1, TWO_PI), w_squared="irrational")
@@ -361,6 +408,14 @@ class TestGeneratorList:
         spec = self.spec()
         g = multiply(spec.elements[1], spec.elements[3], spec.freqs)
         assert spec.contains(g)
+
+    def test_word_search_stops_at_its_budget(self):
+        # (0, (1, 1), 0) is no member: depth 32 ran for more than 20 s
+        spec = GeneratorList(
+            FrequencyList([1]), [GroupElement(0, (1, 0), 0), GroupElement(0, (0, 1), 0)], depth=32
+        )
+        with pytest.raises(MembershipUndecidable, match=f"{lattices.MAX_WORDS} words"):
+            spec.contains(GroupElement(0, (1, 1), 0))
 
     def test_out_of_reach_raises(self):
         spec = self.spec()

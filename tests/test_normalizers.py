@@ -7,18 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo import normalizers
-from oscgeo.exact import ExactScalar, PI
+from oscgeo.exact import ExactScalar, PI, pi_coefficient
 from oscgeo.group import GroupElement, invert, multiply
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, UnsupportedSpec
 from oscgeo.normalizers import (
     NormalizerTable,
-    in_i2,
-    in_i4,
-    in_half_odd,
     in_normalizer,
     normalizer_oracle,
     normalizer_table_report,
-    printed_table_membership,
     verification_grid,
 )
 
@@ -26,24 +22,56 @@ TWO_PI = 2 * PI
 HALF_PI = PI / 2
 
 
-class TestSetHelpers:
-    def test_half_odd(self):
-        assert in_half_odd(Fraction(1, 2))
-        assert in_half_odd(Fraction(-3, 2))
-        assert not in_half_odd(Fraction(1))
-        assert not in_half_odd(Fraction(1, 4))
+def _in_table(spec, v, t=0) -> bool:
+    return NormalizerTable.for_spec(spec).contains(GroupElement(0, v, t))
 
-    def test_i2(self):
-        assert in_i2((Fraction(1), Fraction(-2)))
-        assert in_i2((Fraction(1, 2), Fraction(3, 2)))
-        assert not in_i2((Fraction(1), Fraction(1, 2)))
 
-    def test_i4(self):
-        assert in_i4(tuple(Fraction(1, 2) for _ in range(4)))
-        assert in_i4(tuple(Fraction(2) for _ in range(4)))
-        assert not in_i4(
-            (Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1))
-        )
+class TestTableFactors:
+    """Each factor kind decided at the table level, on rows that use it."""
+
+    def test_i2_rows_take_each_pair_whole(self):
+        spec = Dim6Family(2, 1, 1, 4)  # R x I2 x I2
+        h = Fraction(1, 2)
+        # a half-odd pair (with a negative entry) beside an integer pair
+        assert _in_table(spec, (h, Fraction(-3, 2), 1, -2))
+        assert _in_table(spec, (1, -2, Fraction(3, 2), h))
+        # an integer mixed with a half-odd entry inside one pair
+        assert not _in_table(spec, (1, h, 0, 0))
+        assert not _in_table(spec, (0, 0, h, 2))
+        # quarters are neither integers nor half-odd
+        assert not _in_table(spec, (Fraction(1, 4), Fraction(1, 4), 0, 0))
+        # v = num / den with den = 4: the first pair still reads as half-odd
+        assert not _in_table(spec, (h, h, Fraction(1, 4), Fraction(3, 4)))
+        assert _in_table(spec, (h, h, Fraction(2, 4), Fraction(6, 4)))
+
+    def test_i4_row_takes_all_four_entries_whole(self):
+        spec = Dim6Family(3, 1, 1, 4)  # R x I4
+        h = Fraction(1, 2)
+        assert _in_table(spec, (h,) * 4)
+        assert _in_table(spec, (2,) * 4)
+        assert _in_table(spec, (Fraction(-3, 2), h, h, Fraction(5, 2)))
+        assert not _in_table(spec, (h, h, 1, 1))
+        assert not _in_table(spec, (Fraction(1, 4),) * 4)
+
+    def test_scaled_integer_rows(self):
+        spec = Dim4Family(2, TWO_PI)  # R x Z^2/4
+        assert _in_table(spec, (Fraction(1, 4), Fraction(-3, 4)))
+        assert _in_table(spec, (Fraction(1, 2), 1))
+        assert not _in_table(spec, (Fraction(1, 8), 0))
+        spec = Dim6Family(2, 2, 1, 2)  # R x Z^2/2 x Z^2/4
+        assert _in_table(spec, (Fraction(1, 2), 1, Fraction(1, 4), Fraction(3, 4)))
+        assert _in_table(spec, (0, 0, Fraction(1, 4), 0))
+        assert not _in_table(spec, (Fraction(1, 4), 0, 0, 0))
+        spec = Dim6Family(1, 2, 1, 4)  # R x Z^2 x Z^2/2
+        assert _in_table(spec, (1, -1, Fraction(1, 2), 0))
+        assert not _in_table(spec, (Fraction(1, 2), 0, 0, 0))
+
+    def test_t_factor_scales_with_q(self):
+        spec = Dim6Family(1, 1, 3, 4)  # R x I4 x (3 pi/2) Z
+        assert _in_table(spec, (0,) * 4, 3 * HALF_PI)
+        assert _in_table(spec, (0,) * 4, -3 * PI)
+        assert not _in_table(spec, (0,) * 4, HALF_PI)
+        assert not _in_table(spec, (0,) * 4, ExactScalar(1))
 
 
 class TestInNormalizer:
@@ -209,7 +237,7 @@ class TestPrintedTable:
         assert report, "expected a non-empty discrepancy report"
         g = GroupElement(0, (Fraction(1, 2), Fraction(1, 2)), 0)
         assert in_normalizer(g, spec) and normalizer_oracle(g, spec)
-        assert not printed_table_membership(g, spec)
+        assert not NormalizerTable.for_spec(spec).contains(g)
         for entry in report:
             assert entry["conditions"] != entry["table"]
 
@@ -218,14 +246,14 @@ class TestPrintedTable:
         # tabulated row only asks for (1/2k)Z^2
         spec = Dim6Family(3, 2, 1, 4)
         g = GroupElement(0, (0, 0, Fraction(1, 6), 0), 0)
-        assert printed_table_membership(g, spec)
+        assert NormalizerTable.for_spec(spec).contains(g)
         assert not in_normalizer(g, spec)
         assert not normalizer_oracle(g, spec)
 
     def test_table_membership_requires_exact(self):
         with pytest.raises(TypeError):
-            printed_table_membership(
-                GroupElement(0.0, (0.0, 0.0), 0.0), Dim4Family(1, TWO_PI)
+            NormalizerTable.for_spec(Dim4Family(1, TWO_PI)).contains(
+                GroupElement(0.0, (0.0, 0.0), 0.0)
             )
 
 
@@ -301,3 +329,56 @@ def test_conditions_match_oracle_on_random_elements(data):
     v = data.draw(st.lists(small_fractions, min_size=n2, max_size=n2))
     g = GroupElement(data.draw(small_fractions), v, data.draw(angles))
     assert in_normalizer(g, spec) == normalizer_oracle(g, spec)
+
+
+def _table_by_fractions(table: NormalizerTable, g: GroupElement) -> bool:
+    """The factor strings read on the Fraction view of v."""
+    pc = pi_coefficient(g.t)
+    if pc is None or Fraction(*pc) / Fraction(table.params.get("q", 1), 2) % 1:
+        return False
+    sets = table.factors[1:-1]
+    size = len(g.v) // len(sets)
+    for i, factor in enumerate(sets):
+        part = g.v[i * size:(i + 1) * size]
+        if factor in ("I2", "I4"):
+            ok = {x.denominator for x in part} in ({1}, {2})
+        else:
+            ok = all((x * int(factor.partition("/")[2] or 1)).denominator == 1 for x in part)
+        if not ok:
+            return False
+    return True
+
+
+# integers and half-odd entries are frequent, so the I2 and I4 rows admit points
+table_entries = (
+    st.integers(-3, 3).map(Fraction)
+    | st.integers(-3, 3).map(lambda m: Fraction(2 * m + 1, 2))
+    | st.fractions(min_value=-2, max_value=2, max_denominator=12)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_table_membership_matches_the_fraction_reading(data):
+    spec = data.draw(small_specs)
+    n2 = 2 * spec.freqs.n
+    v = data.draw(st.lists(table_entries, min_size=n2, max_size=n2))
+    g = GroupElement(data.draw(small_fractions), v, data.draw(angles))
+    table = NormalizerTable.for_spec(spec)
+    assert table.contains(g) == _table_by_fractions(table, g)
+
+
+def test_report_lists_all_three_answers():
+    spec = Dim4Family(2, HALF_PI)
+    grid = verification_grid(spec, 200, 220)
+    report = normalizer_table_report(spec, grid)
+    assert report
+    table = NormalizerTable.for_spec(spec)
+    by_element = {str(e["element"]): e for e in report}
+    for g in grid:
+        answers = (in_normalizer(g, spec), normalizer_oracle(g, spec), table.contains(g))
+        entry = by_element.get(str(g.to_json()))
+        if len(set(answers)) == 1:
+            assert entry is None
+        else:
+            assert (entry["conditions"], entry["oracle"], entry["table"]) == answers

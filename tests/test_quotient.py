@@ -443,6 +443,30 @@ def _assert_first_mu_by_brute_force(e0, slope, sign_wanted):
     return first
 
 
+@pytest.mark.parametrize("e0, slope, sign_wanted, expected", [
+    # the root 10^30 - 1/(3 pi) lies about 10^14 steps from the float guess
+    (ExactScalar(Fraction(1, 3), -10**30), PI, 1, 10**30),
+    (ExactScalar(Fraction(-1, 3), 10**30), PI, -1, -10**30),
+    (ExactScalar(0, -10**30), 2 * PI, 1, 5 * 10**29 + 1),
+    # past the float range there is no guess: the gallop alone brackets the root
+    (ExactScalar(0, -10**400), PI, 1, 10**400 + 1),
+    (ExactScalar(1), ExactScalar(0, Fraction(1, 10**400)), -1, None),
+])
+def test_first_mu_far_from_zero_takes_logarithmically_many_sign_checks(
+    e0, slope, sign_wanted, expected, monkeypatch
+):
+    checks = []
+    sign = ExactScalar.sign
+    monkeypatch.setattr(ExactScalar, "sign", lambda x: checks.append(x) or sign(x))
+    mu = _first_mu(e0, slope, sign_wanted)
+    assert len(checks) <= 4 * abs(mu).bit_length()
+    if expected is not None:
+        assert mu == expected
+    # mu is the first integer of the half-line on its side of 0
+    assert (e0 + slope * mu).sign() == sign_wanted
+    assert (e0 + slope * (mu - sign_wanted)).sign() != sign_wanted
+
+
 @pytest.mark.parametrize("case, expected", [
     # 2r + 1 lies in 4Z for no r: the congruence has no solution
     (("least_r", 1, Fraction(1, 2), 2, 0, 1), quotient.CONGRUENCE),
