@@ -348,10 +348,3 @@ def exact_to_json(x: ExactScalar):
         return x.num[0] if x.num else 0
     return str(x)
 
-
-def exact_from_json(obj) -> ExactScalar:
-    if isinstance(obj, int):  # rat refuses booleans
-        return ExactScalar(obj, 0)
-    if isinstance(obj, str):
-        return parse_exact(obj)
-    raise TypeError(f"cannot read exact scalar from {type(obj).__name__}")

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraVector, FrequencyList, gram_matrix
+from .algebra import AlgebraVector, FrequencyList, causal_quantity, gram_matrix
 from .exact import ExactScalar, as_exact, rational_ratio
 from .group import GroupElement, multiply, rotation
 
@@ -128,6 +128,35 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
         raise ValueError("v of the point is not rational")
     z = t_out * _drift(a, x.d, bc2s, freqs) + p  # a^2 z
     return GroupElement._exact(z / (a * a) if z.num else z, *v, t_out)
+
+
+def exp_preimage(g: GroupElement, freqs: FrequencyList) -> tuple[AlgebraVector, ExactScalar]:
+    """(x, <x, x>) with `eval_geodesic_exact(x, 1, freqs) == g`, for an exact g.
+
+    a = t; with theta_j = lambda_j t on the quarter-turn table, a block that
+    R(t) turns has (b_j, c_j) = t lambda_j M(theta_j)^T v_j / (2 (1 - cos theta_j))
+    and d = z + sum_j |v_j|^2 (sin theta_j - theta_j) / (4 (1 - cos theta_j)).
+    A block that R(t) fixes gets (0, 0), and a ValueError when its v_j != 0:
+    g is then not in the image of exp.  For t = 0 the preimage is the line
+    (z, v, 0).  <x, x> is `causal_quantity(x, freqs)`.
+    """
+    if g.n != freqs.n or not g.is_exact():
+        raise ValueError("exp_preimage needs an exact element of the frequencies' dimension")
+    t, pairs = g.t, list(zip(g.v[0::2], g.v[1::2]))
+    if t.is_zero():
+        x = AlgebraVector(g.z, pairs, t)
+    else:
+        bc, d, blocks = [], g.z, zip(freqs.lambdas, rotation(t, freqs), pairs)
+        for j, (lam, (kos, sin), (p, r)) in enumerate(blocks, 1):
+            if kos == 1 and (p or r):
+                raise ValueError(f"R(t) fixes block {j}, where v is not 0: "
+                                 "the element is not in the image of exp")
+            turn = 1 - kos or 1  # 1 - cos; on a fixed block v_j = 0 zeroes every term
+            scale = t * lam / (2 * turn)
+            bc.append((scale * (sin * p + turn * r), scale * (sin * r - turn * p)))
+            d += (p * p + r * r) * (sin - lam * t) / (4 * turn)
+        x = AlgebraVector(d, bc, t)
+    return x, causal_quantity(x, freqs)
 
 
 def _exact_blocks(x: AlgebraVector) -> tuple[list, list]:

@@ -48,7 +48,6 @@ from .algebra import FrequencyList
 from .exact import (
     ExactScalar,
     as_exact,
-    exact_from_json,
     exact_to_json,
     pi_coefficient,
     rat,
@@ -254,7 +253,7 @@ class GroupElement:
             isinstance(x, float) for x in v
         ):
             return cls(float(z), [float(x) for x in v], float(t))
-        return cls(exact_from_json(z), [rat(x) for x in v], exact_from_json(t))
+        return cls(as_exact(z), [rat(x) for x in v], as_exact(t))
 
 
 _EXACT_SCALARS = (ExactScalar, int, Fraction, str)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import FrequencyList
-from .exact import ExactScalar, as_exact, exact_from_json, pi_coefficient, rational_ratio
+from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
 from .group import GroupElement, invert, multiply, quarter_turn_count, rotation
 
 
@@ -431,7 +431,7 @@ def from_json(obj: dict) -> LatticeSpec:
     if family == "dim6":
         return Dim6Family(obj["k"], obj["p"], obj["q"], obj["M"])
     if family == "twisted":
-        return Twisted(from_json(obj["base"]), exact_from_json(obj["m"]))
+        return Twisted(from_json(obj["base"]), obj["m"])
     if family == "product_line":
         w2 = obj.get("w2")
         if isinstance(w2, dict):
@@ -439,12 +439,7 @@ def from_json(obj: dict) -> LatticeSpec:
             if not isinstance(coeffs, list):
                 raise ValueError(f'"pi_coeffs" must be a list of rationals, got {coeffs!r}')
             w2 = ExactScalar(*coeffs)
-        w = obj.get("w")
-        return ProductWithLine(
-            from_json(obj["base"]),
-            w_squared=w2,
-            w=exact_from_json(w) if w is not None else None,
-        )
+        return ProductWithLine(from_json(obj["base"]), w_squared=w2, w=obj.get("w"))
     if family == "generators":
         return GeneratorList(
             FrequencyList.from_json(obj["freqs"]),

@@ -137,6 +137,8 @@ class NormalizerTable:
         factor reads an equal slice of num."""
         if not g.is_exact():
             raise TypeError("table membership is decided in exact mode")
+        if len(g.num) != {"dim4": 2, "dim6": 4}[self.params["family"]]:
+            raise ValueError("element dimension does not match the lattice")
         q = self.params.get("q", 1)
         pc = pi_coefficient(g.t)  # t = (n / d) pi must lie in (q pi / 2) Z
         if pc is None or 2 * pc[0] % (pc[1] * q):

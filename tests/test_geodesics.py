@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, FrequencyList, causal_quantity, inner
 from oscgeo import geodesics
-from oscgeo.exact import ExactScalar, PI
+from oscgeo.exact import ExactScalar, PI, as_exact
 from oscgeo.geodesics import (
     MAX_RK4_STEPS,
     Geodesic,
@@ -22,13 +22,17 @@ from oscgeo.geodesics import (
     eval_geodesic,
     eval_geodesic_exact,
     eval_geodesic_velocity,
+    exp_preimage,
     geodesic_rhs,
     integrate_geodesic,
     integrate_geodesic_batch,
     metric_at,
     multiply,
 )
-from oscgeo.group import GroupElement, max_coord_dist
+from oscgeo.group import GroupElement, max_coord_dist, rotation
+from oscgeo.lattices import Dim4Family, Twisted
+
+from lattice_specs import CRITERION_7_SPECS
 
 F1 = FrequencyList([1])
 
@@ -93,6 +97,64 @@ class TestExactEval:
         x = AlgebraVector(Fraction(2), [(1, 3)], 0)
         out = eval_geodesic_exact(x, Fraction(1, 2), F1)
         assert out == GroupElement(1, (Fraction(1, 2), Fraction(3, 2)), 0)
+
+
+def _fixed_blocks_with_v(g: GroupElement, freqs: FrequencyList) -> list[int]:
+    """The blocks (from 1) that R(t) fixes and where v is not 0; none for a line."""
+    if g.t.is_zero():
+        return []
+    pairs = zip(rotation(g.t, freqs), g.v[0::2], g.v[1::2])
+    return [j for j, ((kos, _), p, r) in enumerate(pairs, 1) if kos == 1 and (p or r)]
+
+
+class TestExpPreimage:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        spec=st.sampled_from(CRITERION_7_SPECS),
+        twist=st.sampled_from([None, 1, -2, Fraction(1, 2), Fraction(-2, 3), PI, -PI / 2]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_inverts_the_closed_form_on_lattice_members(self, spec, twist, seed):
+        spec = spec if twist is None else Twisted(spec, twist)
+        g, freqs = spec.sample_member(random.Random(seed)), spec.freqs
+        fixed = _fixed_blocks_with_v(g, freqs)
+        if fixed:
+            with pytest.raises(ValueError, match=f"fixes block {fixed[0]},"):
+                exp_preimage(g, freqs)
+            return
+        x, norm = exp_preimage(g, freqs)
+        assert eval_geodesic_exact(x, 1, freqs) == g
+        assert norm == as_exact(causal_quantity(x, freqs))
+
+    def test_member_outside_the_image_names_its_fixed_block(self):
+        # R(2 pi) fixes the one block, where v = (1, 0): exp never reaches it
+        spec = Dim4Family(1, 2 * PI)
+        g = GroupElement(0, (1, 0), 2 * PI)
+        assert spec.contains(g)
+        with pytest.raises(ValueError, match="fixes block 1,"):
+            exp_preimage(g, spec.freqs)
+
+    def test_turned_block_reads_the_quarter_turn_table(self):
+        # R(3 pi / 2) turns the block by three quarters: cot(3 pi / 4) = -1
+        x, norm = exp_preimage(GroupElement(0, (1, 0), 3 * PI / 2), F1)
+        assert x == AlgebraVector(ExactScalar(Fraction(-1, 4), Fraction(-3, 8)),
+                                  [(ExactScalar(0, Fraction(-3, 4)),) * 2], 3 * PI / 2)
+        assert norm == ExactScalar(0, Fraction(-3, 4))
+
+    def test_t_zero_gives_the_line(self):
+        g = GroupElement(Fraction(1, 2), (1, -2, 0, Fraction(1, 3)), 0)
+        freqs = FrequencyList([1, Fraction(1, 2)])
+        x, norm = exp_preimage(g, freqs)
+        assert (x.d, x.bc, x.a) == (as_exact(Fraction(1, 2)), ((1, -2), (0, Fraction(1, 3))),
+                                    ExactScalar())
+        assert eval_geodesic_exact(x, 1, freqs) == g
+        assert norm == as_exact(5 + Fraction(2, 9))  # |v_j|^2 / lambda_j
+
+    def test_refuses_float_elements_and_other_dimensions(self):
+        with pytest.raises(ValueError, match="exact element"):
+            exp_preimage(GroupElement(0.0, (1.0, 0.0), math.pi), F1)
+        with pytest.raises(ValueError, match="exact element"):
+            exp_preimage(GroupElement(0, (1, 0, 0, 0), PI), F1)
 
 
 class TestRhs:

@@ -1,5 +1,3 @@
-import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +15,8 @@ from oscgeo.normalizers import (
     normalizer_table_report,
     verification_grid,
 )
+
+from lattice_specs import CRITERION_7_SPECS
 
 TWO_PI = 2 * PI
 HALF_PI = PI / 2
@@ -65,6 +65,18 @@ class TestTableFactors:
         spec = Dim6Family(1, 2, 1, 4)  # R x Z^2 x Z^2/2
         assert _in_table(spec, (1, -1, Fraction(1, 2), 0))
         assert not _in_table(spec, (Fraction(1, 2), 0, 0, 0))
+
+    @pytest.mark.parametrize("spec, v", [
+        (Dim6Family(2, 1, 1, 4), (1, 1)),      # a dim-4 element on a dim-6 row
+        (Dim4Family(1, TWO_PI), (0, 0, 0, 0)),  # a dim-6 element on a dim-4 row
+    ])
+    def test_element_of_the_wrong_dimension_is_refused(self, spec, v):
+        # equal slices per factor fit any length of v, so the length is checked first
+        g = GroupElement(0, v, 0)
+        with pytest.raises(ValueError, match="dimension"):
+            in_normalizer(g, spec)
+        with pytest.raises(ValueError, match="dimension"):
+            NormalizerTable.for_spec(spec).contains(g)
 
     def test_t_factor_scales_with_q(self):
         spec = Dim6Family(1, 1, 3, 4)  # R x I4 x (3 pi/2) Z
@@ -276,10 +288,7 @@ class TestGrid:
 
     def test_grid_is_built_once_per_n_k_q(self):
         # the criterion-7 families: 60 specs, 12 distinct (n, k, q)
-        specs = [Dim4Family(k, angle) for k in (1, 2, 3) for angle in (TWO_PI, PI, HALF_PI)]
-        for k, p, q in itertools.product((1, 2, 3), repeat=3):
-            if math.gcd(p, q) == 1:
-                specs += [Dim6Family(k, p, q, m) for m in ((1, 2, 4) if q % 2 else (1,))]
+        specs = CRITERION_7_SPECS
         assert len(specs) == 60
         normalizers._grid.cache_clear()
         grids = {}

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo import quotient
-from oscgeo.algebra import AlgebraVector, CausalClass, causal_class
+from oscgeo.algebra import AlgebraVector, CausalClass, causal_class, causal_quantity
 from oscgeo.exact import ExactScalar, PI, as_exact
 from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact
-from oscgeo.group import GroupElement, max_coord_dist, multiply
+from oscgeo.group import GroupElement, max_coord_dist, multiply, rotate_pairs, rotation
 from oscgeo.lattices import (
     Dim4Family,
     Dim6Family,
@@ -35,8 +35,43 @@ from oscgeo.quotient import (
     search_closed,
 )
 
+from lattice_specs import CRITERION_7_SPECS
+
 TWO_PI = 2 * PI
 HALF_PI = PI / 2
+
+
+def _forward_certificates(spec):
+    """The reference certificates, built forwards: (b, c) solved per turned
+    block, z(1) evaluated at d = 0, and <x, x> of the result."""
+    prof, freqs = spec.profile(), spec.freqs
+    t = prof.t0 * max(1, prof.k0 - 1)
+    tau = t.coeffs[1]  # t = tau pi
+    bc = []
+    for lam, (kos, sin) in zip(freqs.lambdas, rotation(t, freqs)):
+        if kos == 1:
+            bc.append((ExactScalar(0), ExactScalar(0)))
+            continue
+        det = Fraction(sin * sin + (1 - kos) * (1 - kos))
+        beta, gamma = (x / det for x in rotate_pairs([(sin, kos - 1)], (lam * tau, 0)))
+        bc.append((ExactScalar(0, beta), ExactScalar(0, gamma)))
+    reached = eval_geodesic_exact(AlgebraVector(0, bc, t), 1, freqs)
+    d0 = prof.twist * t - reached.z
+    e0, slope = causal_quantity(AlgebraVector(d0, bc, t), freqs), 2 * t * prof.central_w
+    certs = []
+    for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
+        x = AlgebraVector(d0 + _first_mu(e0, slope, sign_wanted) * prof.central_w, bc, t)
+        target = GroupElement._exact(reached.z + x.d, reached.num, reached.den, t)
+        certs.append(quotient._certify(x, ExactScalar(1), target, causal, spec))
+    return certs
+
+
+def _outcome(build, spec):
+    """The certificates' JSON, or the type and message of what the build raised."""
+    try:
+        return [cert.to_json() for cert in build(spec)]
+    except (UnsupportedSpec, CertificateVerificationFailed) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def rand_lightlike(rng, n, lams):
@@ -712,6 +747,26 @@ class TestClosedCausalCertificates:
             closed_timelike_and_spacelike(
                 ProductWithLine(Dim4Family(1, TWO_PI), w=1)
             )
+
+    @pytest.mark.parametrize("twist", [None, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 10**30])
+    def test_certificates_equal_the_forward_construction(self, twist):
+        # the 36 K0 > 1 bases under the twist 10^30 fail verification both ways
+        for base in CRITERION_7_SPECS:
+            spec = base if twist is None else Twisted(base, twist)
+            assert _outcome(closed_timelike_and_spacelike, spec) == _outcome(
+                _forward_certificates, spec), spec.to_json()
+
+    def test_pi_twists_stay_refused(self):
+        for base in CRITERION_7_SPECS:
+            with pytest.raises(UnsupportedSpec, match="pi-twisted"):
+                closed_timelike_and_spacelike(Twisted(base, PI))
+
+    @pytest.mark.parametrize("spec", [Dim4Family(1, HALF_PI), Dim6Family(1, 2, 1, 2)])
+    def test_only_the_two_replays_evaluate_exactly(self, spec):
+        with mock.patch.object(quotient, "eval_geodesic_exact",
+                               wraps=eval_geodesic_exact) as replay:
+            closed_timelike_and_spacelike(spec)
+        assert replay.call_count == 2
 
 
 class TestCertificateVerification:
