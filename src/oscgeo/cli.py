@@ -213,6 +213,9 @@ def emit(args, report: dict) -> None:
 
 def _freqs_from_args(args) -> FrequencyList:
     if args.lattice:
+        if args.freqs:
+            raise CliValidationError("--freqs and --lattice do not combine: "
+                                     "the lattice sets the frequencies")
         return parse_lattice(args.lattice).freqs
     if args.freqs:
         return FrequencyList.from_json(args.freqs)
@@ -400,6 +403,8 @@ def cmd_isometry_normalizer(args) -> dict:
 
 def _parse_map(args) -> object:
     name = args.map.lower()
+    if name != "theta" and (args.blocks is not None or args.normalized):
+        raise CliValidationError("--blocks and --normalized only apply to --map theta")
     if name == "inversion":
         return Inversion()
     if name == "theta":

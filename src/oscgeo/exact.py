@@ -49,7 +49,10 @@ def pi_bounds(prec: int) -> tuple[Fraction, Fraction]:
     return apx - eps, apx + eps
 
 
-@functools.cache  # one entry per precision reached: 64 * 2**k, k <= 10
+_PRECISIONS = tuple(64 << k for k in range(11))  # the pi enclosures tried, in order
+
+
+@functools.cache  # one entry per precision reached
 def _pi_scaled(prec: int) -> tuple[int, int, int]:
     """pi_bounds(prec) as ints (lo, hi, den): lo / den < pi < hi / den."""
     lo, hi = pi_bounds(prec)
@@ -57,39 +60,43 @@ def _pi_scaled(prec: int) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
+def _enclose(num, prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= den**degree * sum(num[k] pi**k) <= hi over the int
+    enclosure _pi_scaled(prec) = (.., .., den); pi > 0 keeps powers ordered."""
+    lo, hi, den = _pi_scaled(prec)
+    val_lo = val_hi = num[0]
+    p_lo = p_hi = 1
+    for c in num[1:]:
+        p_lo, p_hi = p_lo * lo, p_hi * hi
+        if c >= 0:
+            val_lo = val_lo * den + c * p_lo
+            val_hi = val_hi * den + c * p_hi
+        else:
+            val_lo = val_lo * den + c * p_hi
+            val_hi = val_hi * den + c * p_lo
+    return val_lo, val_hi
+
+
 def pi_poly_sign(coeffs) -> int:
     """Sign of sum(coeffs[k] * pi**k), for an ExactScalar or a sequence of rationals.
 
     Decidable because pi is transcendental: the value is zero only when
     every coefficient is zero.  The sum is bounded over the enclosure
-    pi_bounds(prec), prec = 64, 128, ..., until the bounds share a sign;
-    both bounds are scaled by den**degree > 0, so they stay ints.
+    pi_bounds(prec), prec in _PRECISIONS, until the bounds share a sign;
+    `_enclose` scales both by den**degree > 0, so they stay ints.
     """
     num = (coeffs if isinstance(coeffs, ExactScalar) else ExactScalar(*coeffs)).num
     if not num:
         return 0
     if len(num) == 1:
         return -1 if num[0] < 0 else 1
-    prec = 64
-    while True:
-        lo, hi, den = _pi_scaled(prec)
-        val_lo = val_hi = num[0]
-        p_lo = p_hi = 1
-        for c in num[1:]:
-            p_lo, p_hi = p_lo * lo, p_hi * hi  # pi > 0 keeps powers ordered
-            if c >= 0:
-                val_lo = val_lo * den + c * p_lo
-                val_hi = val_hi * den + c * p_hi
-            else:
-                val_lo = val_lo * den + c * p_hi
-                val_hi = val_hi * den + c * p_lo
+    for prec in _PRECISIONS:
+        val_lo, val_hi = _enclose(num, prec)
         if val_lo > 0:
             return 1
         if val_hi < 0:
             return -1
-        prec *= 2
-        if prec > 1 << 16:  # unreachable for nonzero polynomials
-            raise RuntimeError("pi enclosure failed to separate sign")
+    raise RuntimeError("pi enclosure failed to separate sign")  # never for a nonzero value
 
 
 def _scalar(num: list, den: int) -> "ExactScalar":
@@ -225,13 +232,22 @@ class ExactScalar:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
+        """The float sum of the terms, unless two or more cancel to within
+        2^-40 of their size: then the value rounded from pi enclosures."""
         num, den = self.num, self.den
-        if not num:
-            return 0.0
-        total = num[0] / den
+        total = num[0] / den if num else 0.0
+        size = abs(total)
         for k in range(1, len(num)):
-            total += num[k] / den * math.pi**k
-        return total
+            term = num[k] / den * math.pi**k
+            total, size = total + term, size + abs(term)
+        if not abs(total) <= 2.0**-40 * size < math.inf or sum(map(bool, num)) < 2:
+            return total  # no cancellation, an overflow, or one term
+        for prec in _PRECISIONS:  # the value is irrational: its bounds round alike at last
+            lo, hi = _enclose(num, prec)
+            scale = _pi_scaled(prec)[2] ** (len(num) - 1) * den
+            if lo / scale == hi / scale:
+                return lo / scale
+        raise RuntimeError("pi enclosure failed to round the value")
 
     # -- formatting ---------------------------------------------------------
 

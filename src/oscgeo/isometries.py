@@ -409,15 +409,13 @@ class Composite:
 
 def apply_isometry(f, g: GroupElement, freqs: FrequencyList) -> GroupElement:
     if isinstance(f, LeftTranslation):
-        h = f.h if f.h.mode == g.mode else f.h.to_floats()
-        return multiply(h, g, freqs)
+        return multiply(f.h, g, freqs)
     if isinstance(f, Inversion):
         return invert(g, freqs)
     if isinstance(f, Theta):
         return theta_B(f.blocks, g, freqs, f.normalized)
     if isinstance(f, Inner):
-        h = f.h if f.h.mode == g.mode else f.h.to_floats()
-        return conjugate(h, g, freqs)
+        return conjugate(f.h, g, freqs)
     if isinstance(f, Composite):
         for part in f.maps:
             g = apply_isometry(part, g, freqs)
@@ -466,9 +464,12 @@ def _exact_angle_grid(spec, count: int, rng) -> list[GroupElement]:
 
 def _check_fits(f, freqs: FrequencyList) -> None:
     """ShapeMismatch unless every part of the map acts on vectors of size 2n;
-    theta blocks split unlike the frequency runs pass (theta_B refuses them)."""
+    theta blocks split unlike the frequency runs pass (theta_B refuses them).
+    A float map element, which no exact grid point multiplies, is refused too."""
     if isinstance(f, (LeftTranslation, Inner)) and f.h.n != freqs.n:
         raise ShapeMismatch(f"the map's element has n = {f.h.n}, the lattice has n = {freqs.n}")
+    if isinstance(f, (LeftTranslation, Inner)) and not f.h.is_exact():
+        raise ValueError("the map's element must be exact: the fiber grid is exact")
     if isinstance(f, Theta):
         sizes = [b.shape[0] for b in f.blocks if b.ndim == 2 and b.shape[0] == b.shape[1]]
         if len(sizes) != len(f.blocks) or sum(sizes) != 2 * freqs.n:

@@ -183,30 +183,19 @@ def closed_timelike_and_spacelike(
     if (prof.twist * prof.t0).degree() > 1:
         raise UnsupportedSpec("twist times t-step has a pi^2 term; certificates for "
                               "pi-twisted lattices are not built yet")
-    t, w = prof.t0 * max(1, prof.k0 - 1), prof.central_w
+    j = max(1, prof.k0 - 1)
+    t, w = prof.t0 * j, prof.central_w
     u = [e for kos, _ in rotation(t, freqs) for e in ((0, 0) if kos == 1 else (1, 0))]
-    member = GroupElement(prof.twist * t, u, t)
-    x, e0 = exp_preimage(member, freqs)
+    x, e0 = exp_preimage(prof.member(0, u, j), freqs)
     certs = []
     for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
-        mu_w = _first_mu(e0, 2 * t * w, sign_wanted) * w
-        target = GroupElement._exact(member.z + mu_w, member.num, member.den, t)
-        x_mu = AlgebraVector(x.d + mu_w, x.bc, t)
-        certs.append(_certify(x_mu, ExactScalar(1), target, causal, spec))
+        mu = _first_mu(e0, 2 * t * w, sign_wanted)
+        x_mu = AlgebraVector(x.d + mu * w, x.bc, t)
+        certs.append(_certify(x_mu, ExactScalar(1), prof.member(mu, u, j), causal, spec))
     return tuple(certs)
 
 
 # -- bounded closure search ----------------------------------------------------
-
-
-def _rational_lcm(values: list[Fraction]) -> Fraction:
-    """Positive generator of the intersection of the groups value_i * Z."""
-    num, den = 1, 0
-    for v in values:
-        v = abs(v)
-        num = math.lcm(num, v.numerator)
-        den = math.gcd(den, v.denominator)
-    return Fraction(num, den)
 
 
 def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCertificate | None:
@@ -219,17 +208,17 @@ def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCert
     every q sigma an integer.  s is exact when e is rational; otherwise it
     is a float and the certificate replays in float only.
     """
-    w = spec.profile().central_w
-    entries = [as_exact(x.d) / w] + [as_exact(c) for pair in x.bc for c in pair]
+    prof = spec.profile()
+    entries = [as_exact(x.d) / prof.central_w] + [as_exact(c) for pair in x.bc for c in pair]
     e = next(y for y in entries if not y.is_zero())  # the zero velocity is refused
     e = e if e.sign() > 0 else -e
     ratios = [rational_ratio(y, e) for y in entries]
     if None in ratios:
         return None
     qs = [Fraction(*q) for q in ratios]
-    sigma = _rational_lcm([1 / q for q in qs if q])
+    sigma = Fraction(math.lcm(*[q.denominator for q in qs]), math.gcd(*[q.numerator for q in qs]))
     s = sigma / e.to_fraction() if e.degree() == 0 else float(sigma) / float(e)
-    point = GroupElement(w * (qs[0] * sigma), [q * sigma for q in qs[1:]], 0)
+    point = prof.member(int(qs[0] * sigma), [int(q * sigma) for q in qs[1:]], 0)
     return _certify(x, s, point, causal_class(x, spec.freqs), spec)
 
 
@@ -323,10 +312,11 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
     best r found or `limit`.
     """
     prof, freqs, a = spec.profile(), spec.freqs, as_exact(x.a)
-    t_step, k0, twist, w = prof.t0 * a.sign(), prof.k0, prof.twist, prof.central_w
+    sign, k0 = a.sign(), prof.k0
+    t_step = prof.t0 * sign
     bcs, bc2s = _exact_blocks(x)
     a2 = a * a
-    alpha, gamma = t_step * (_drift(a, x.d, bc2s, freqs) - a2 * twist), a2 * w
+    alpha, gamma = t_step * (_drift(a, x.d, bc2s, freqs) - a2 * prof.twist), a2 * prof.central_w
     best, obstructions, residues = None, {}, {}  # residues: c -> (V(c), a^2 P(c))
     for r_min in range(1, k0 + 1):
         if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
@@ -343,8 +333,7 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
         return None, None, obstructions
     (v_num, _), p = residues[best % k0]
     u, _ = rational_ratio(alpha * best + p, gamma)
-    t = t_step * best
-    return best, GroupElement._exact(twist * t + w * u, v_num, 1, t), obstructions
+    return best, prof.member(u, v_num, sign * best), obstructions
 
 
 def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> ClosureDecision:
@@ -449,12 +438,9 @@ class _LatticeSnap:
 
     def __init__(self, spec: LatticeSpec, tol: float):
         prof = spec.profile()
-        self.spec, self.t0, self.tol = spec, prof.t0, tol
-        self.twist, self.z_step = prof.twist, prof.central_w.to_fraction()
-        self.tw = float(self.twist)
-        self.t_step = float(self.t0)
-        self.z_step_f = float(self.z_step)
-        self.t0_num, self.t0_den = pi_coefficient(self.t0)  # t0 = (t0_num / t0_den) pi
+        self.spec, self.prof, self.tol = spec, prof, tol
+        self.tw, self.t_step, self.z_step_f = map(float, (prof.twist, prof.t0, prof.central_w))
+        self.t0_num, self.t0_den = pi_coefficient(prof.t0)  # t0 = (t0_num / t0_den) pi
 
     def __call__(self, point: GroupElement) -> GroupElement | None:
         # a coordinate that is not finite (round raises) or whose float
@@ -479,9 +465,7 @@ class _LatticeSnap:
             return None
         if abs(z_core - u * self.z_step_f) > tol or math.ulp(z_core) > tol:
             return None
-        t_exact = self.t0 * j
-        z_exact = self.twist * t_exact + self.z_step * u
-        candidate = GroupElement(z_exact, v_exact, t_exact)
+        candidate = self.prof.member(u, v_exact, j)
         return candidate if self.spec.contains(candidate) else None
 
     def screen(self, x: AlgebraVector, freqs: FrequencyList, s: np.ndarray) -> np.ndarray:

@@ -522,11 +522,39 @@ class TestContractBreaches:
         ["--map", 'inner:{"z": 0, "v": [1, 0, 0, 0], "t": 0}'],
         ["--map", "theta", "--blocks", "[[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]"],
         ["--map", "theta", "--blocks", "[5]"],
+        # a float element: every product with an exact grid point mixes modes
+        ["--map", 'inner:{"z": 0, "v": [0.25, 0], "t": 0}'],
+        ["--map", 'left:{"z": 0, "v": [0.25, 0], "t": 0}'],
     ])
     def test_fiber_search_that_checks_nothing_is_exit_2(self, capsys, map_args):
         code, rep = run_cli(capsys, "isometry", "fiber", "--lattice", LATTICE, *map_args)
         assert code == 2
         assert "fiber" not in rep["verdicts"]
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "character", "--X", "X1 + T", "--lattice", LATTICE, "--freqs", "[1, 2]"],
+        ["geodesic", "eval", "--X", "T", "--s", "0..1", "--lattice", LATTICE, "--freqs", "[1]"],
+        ["isometry", "relations", "--blocks", "[[[0, -1], [1, 0]]]", "--v", "[1, 0]", "--t", "1",
+         "--freqs", "[1]", "--lattice", LATTICE],
+    ])
+    def test_freqs_with_a_lattice_is_exit_2(self, capsys, argv):
+        # the lattice fixes the frequencies, so --freqs was read and then dropped
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert rep["verdicts"] == {}
+        assert any("--freqs and --lattice" in d for d in rep["diagnostics"])
+
+    @pytest.mark.parametrize("map_args", [
+        ["--map", "inversion", "--blocks", "[[[0, -1], [1, 0]]]", "--normalized"],
+        ["--map", "inversion", "--normalized"],
+        ["--map", 'left:{"z": 0, "v": [1, 0], "t": 0}', "--blocks", "[[[0, -1], [1, 0]]]"],
+        ["--map", 'inner:{"z": 0, "v": [1, 0], "t": 0}', "--normalized"],
+    ])
+    def test_theta_flags_with_another_map_are_exit_2(self, capsys, map_args):
+        code, rep = run_cli(capsys, "isometry", "fiber", "--lattice", LATTICE, *map_args)
+        assert code == 2
+        assert rep["verdicts"] == {}
+        assert any("--blocks and --normalized" in d for d in rep["diagnostics"])
 
     @pytest.mark.parametrize(
         "extra", [["--s-end", "inf"], ["--s-end", "1e300", "--step", "1e-300"]]

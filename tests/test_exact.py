@@ -372,3 +372,68 @@ def test_int_enclosure_is_pi_bounds():
     for prec in (64, 128, 256, 512, 1024):
         lo, hi, den = exact._pi_scaled(prec)
         assert (Fraction(lo, den), Fraction(hi, den)) == pi_bounds(prec)
+
+
+# -- float conversion ----------------------------------------------------------------
+
+
+def _term_sum(p: ExactScalar) -> float:
+    """The float sum of the terms, in order: float(p) when they do not cancel."""
+    total = p.num[0] / p.den
+    for k in range(1, len(p.num)):
+        total += p.num[k] / p.den * math.pi**k
+    return total
+
+
+def _rounded(p: ExactScalar) -> float:
+    with mpmath.workprec(4096):
+        return float(sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.pi**k
+                         for k, c in enumerate(p.coeffs)))
+
+
+def _cancelling_cases():
+    for bits, _ in ESCALATIONS:
+        p, q = _pi_convergent(bits)
+        yield ExactScalar(-p, q)
+        yield ExactScalar(p * p, 0, -q * q)
+        yield ExactScalar(Fraction(-p, 7), Fraction(q, 7), 0, Fraction(1, 10**40))
+
+
+@pytest.mark.parametrize("p", list(_cancelling_cases()), ids=str)
+def test_float_of_cancelling_terms_is_correctly_rounded(p):
+    assert abs(_term_sum(p)) <= 2.0**-40 * sum(abs(float(c)) * math.pi**k
+                                                for k, c in enumerate(p.coeffs))
+    assert float(p) == _rounded(p)
+    assert float(-p) == -float(p)
+
+
+def test_float_of_the_ten_to_the_thirty_certificate():
+    # d of the timelike certificate of a 10^30 twist of dim4:k=1:angle=pi
+    d = ExactScalar(-3141592653589793238462643383280,
+                    Fraction(7999999999999999999999999999999, 8))
+    assert _term_sum(d) == 0.0  # every digit lost to cancellation
+    assert float(d) == _rounded(d) == -0.8898148845293248
+
+
+@given(a=poly_coeffs)
+def test_float_is_the_term_sum_unless_the_terms_cancel(a):
+    p = ExactScalar(*a)
+    if not p.num:
+        assert float(p) == 0.0
+        return
+    size = sum(abs(x) / p.den * math.pi**k for k, x in enumerate(p.num))
+    if sum(map(bool, p.num)) < 2 or abs(_term_sum(p)) > 2.0**-40 * size:
+        assert float(p) == _term_sum(p)  # bit for bit
+    else:
+        assert float(p) == _rounded(p)
+
+
+def test_float_of_one_term_or_an_overflow_is_the_term_sum():
+    with pytest.raises(OverflowError):
+        float(ExactScalar(0, 10**400))  # as the term sum raises
+    tiny = float(ExactScalar(Fraction(-1, 10**400)))
+    assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0  # the term's own -0.0
+    assert float(ExactScalar(10**300, 10**300)) == 10**300 / 1 + 10**300 / 1 * math.pi
+    # terms that overflow to inf never enter the rounding loop
+    assert float(ExactScalar(0, 10**308, 10**308)) == math.inf
+    assert math.isnan(float(ExactScalar(0, 10**308, -10**308)))

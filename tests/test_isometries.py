@@ -438,6 +438,16 @@ class TestFiberPreservation:
         with pytest.raises(ShapeMismatch):
             is_fiber_preserving(f, Dim4Family(1, TWO_PI), samples=10)
 
+    @pytest.mark.parametrize("kind", [LeftTranslation, Inner])
+    def test_float_map_element_is_refused(self, kind):
+        # every product of the float h with an exact grid point mixes modes
+        # and was skipped, so the search checked nothing and said "preserving"
+        f = kind(GroupElement(0.0, (0.25, 0.0), 0.0))
+        with pytest.raises(ValueError, match="must be exact"):
+            is_fiber_preserving(f, Dim4Family(1, TWO_PI), samples=10)
+        with pytest.raises(ValueError, match="must be exact"):
+            is_fiber_preserving(Composite([Inversion(), f]), Dim4Family(1, TWO_PI), samples=10)
+
     @VACUOUS
     def test_search_that_checks_no_pair_raises(self):
         # conjugation by a pi/3 rotation has no exact value at any grid point

@@ -44,6 +44,15 @@ class TestConstruction:
         spec = Dim6Family(2, 3, 1, 4)
         assert spec.freqs.lambdas == (Fraction(1), Fraction(3))
 
+    @pytest.mark.parametrize("base", [
+        ProductWithLine(Dim4Family(1, TWO_PI), w=1),
+        GeneratorList(FrequencyList([1]), [GroupElement(0, (1, 0), 0)]),
+    ])
+    def test_a_twist_needs_a_base_with_a_profile(self, base):
+        # membership of a twist is its profile's rule, so the base must have one
+        with pytest.raises(UnsupportedSpec, match="does not support profile"):
+            Twisted(base, 1)
+
     def test_json_roundtrip(self):
         specs = [
             Dim4Family(2, HALF_PI),
@@ -287,11 +296,13 @@ def test_the_profile_generates_the_lattice(base, ms, seed):
     assert spec.profile().pure_t == (t0 if twist.is_zero() else None)
 
 
-def _profile_rule(prof, g):
-    """The profile's member rule: v integral, t in t0 Z, z - twist t in w Z."""
-    j = rational_ratio(g.t, prof.t0)
-    u = rational_ratio(g.z - prof.twist * g.t, prof.central_w)
-    return g.den == 1 and j is not None and j[1] == 1 and u is not None and u[1] == 1
+def _family_rule(base, ms, g):
+    """The family's rule, twisted by ms, as an independent reference for
+    `contains`: v integral, t in t0 Z and z - (sum of ms) t in z_step Z."""
+    t0, twist = ExactScalar(0, base.t0_pi_coeff), sum(ms, ExactScalar(0))
+    j, z = rational_ratio(g.t, t0), g.z - twist * g.t
+    return (g.den == 1 and j is not None and j[1] == 1 and z.degree() <= 0
+            and (z.to_fraction() / base.z_step()).denominator == 1)
 
 
 # offsets in units of a lattice step: whole or fractional, times 1, pi or q + pi
@@ -307,21 +318,23 @@ def test_contains_agrees_with_the_profile(base, ms, seed, data):
     spec = base
     for m in ms:
         spec = Twisted(spec, m)
-    prof, rng = spec.profile(), random.Random(seed)
+    rng = random.Random(seed)
+    w, t0 = base.z_step(), ExactScalar(0, base.t0_pi_coeff)
+    twist = sum(ms, ExactScalar(0))
     for _ in range(4):
         g = spec.sample_member(rng)
-        assert spec.contains(g) and _profile_rule(prof, g)
+        assert spec.contains(g) and _family_rule(base, ms, g)
         i = data.draw(st.integers(0, len(g.v) - 1))
         dz, dv, dt = data.draw(offsets), data.draw(step_counts), data.draw(offsets)
         v = list(g.v)
         v[i] += dv
         for other in (
-            GroupElement(g.z + dz * prof.central_w, g.v, g.t),
+            GroupElement(g.z + dz * w, g.v, g.t),
             GroupElement(g.z, v, g.t),
-            GroupElement(g.z, g.v, g.t + dt * prof.t0),
-            GroupElement(g.z + prof.twist * prof.t0 * dt, g.v, g.t + dt * prof.t0),
+            GroupElement(g.z, g.v, g.t + dt * t0),
+            GroupElement(g.z + twist * t0 * dt, g.v, g.t + dt * t0),
         ):
-            assert spec.contains(other) == _profile_rule(prof, other)
+            assert spec.contains(other) == _family_rule(base, ms, other)
 
 
 class TestClosureAndDiscreteness:
