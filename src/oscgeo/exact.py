@@ -99,6 +99,16 @@ def pi_poly_sign(coeffs) -> int:
     raise RuntimeError("pi enclosure failed to separate sign")  # never for a nonzero value
 
 
+def poly_mul(p, q) -> list:
+    """The coefficients of the product of two polynomials in pi, each given
+    by a sequence of int coefficients, lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def _scalar(num: list, den: int) -> "ExactScalar":
     """The ExactScalar with numerators num over den, for a list of ints and
     an int den > 0; trimmed and reduced to lowest terms here."""
@@ -187,11 +197,7 @@ class ExactScalar:
         if type(other) is int:
             return _scalar([x * other for x in self.num], self.den)
         o = other if type(other) is ExactScalar else as_exact(other)
-        out = [0] * (len(self.num) + len(o.num) - 1)
-        for i, a in enumerate(self.num):
-            for j, b in enumerate(o.num):
-                out[i + j] += a * b
-        return _scalar(out, self.den * o.den)
+        return _scalar(poly_mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 

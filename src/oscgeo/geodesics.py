@@ -11,6 +11,12 @@ with M(th) = [[sin th, cos th - 1], [1 - cos th, sin th]]; for a = 0 the
 curve is the line (d s, (b_j s, c_j s), 0).  A fixed-step RK4 integrator of
 the second-order system provides an independent oracle.
 
+The exact closed form is evaluated cleared of a, in one int pass over the
+int coefficients of d, b_j, c_j and a (`_Cleared`); no ExactScalar is built
+before the point itself.  `eval_geodesic_exact` divides a^2 z by a^2 once,
+`quotient._decide` reads the same pass per residue class, and
+`exp_preimage` builds its inverse on the ints of v.
+
 The coordinate metric is taken with components
 
     g_zt = 1,  g_{x_j x_j} = g_{y_j y_j} = 1/lambda_j,
@@ -33,11 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from .algebra import AlgebraVector, FrequencyList, causal_quantity, gram_matrix
-from .exact import ExactScalar, as_exact, rational_ratio
+from .exact import ExactScalar, as_exact, poly_mul
 from .group import GroupElement, multiply, rotation
 
 
@@ -110,8 +117,8 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
 
     Velocity entries may be rationals or ExactScalars, and every rotation
     angle lambda_j * a * s must land in (pi/2)Z.  The closed form is taken
-    cleared of a (`_oscillation`, `_drift`) and divided once at the end, so
-    a ValueError propagates exactly when the point leaves Q[pi] or its v is
+    cleared of a (`_Cleared`) and divided by a^2 once at the end, so a
+    ValueError propagates exactly when the point leaves Q[pi] or its v is
     not rational.
     """
     if x.n != freqs.n:
@@ -121,13 +128,20 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
     if a.is_zero():
         v = [(as_exact(e) * s).to_fraction() for pair in x.bc for e in pair]
         return GroupElement(x.d * s, v, ExactScalar(0))
-    t_out = a * s
-    bcs, bc2s = _exact_blocks(x)
-    v, p = _oscillation(a, bcs, bc2s, rotation(t_out, freqs), freqs)
+    t = a * s
+    form = _Cleared(x, freqs)
+    v, p = form.at(rotation(t, freqs))
     if v is None:
         raise ValueError("v of the point is not rational")
-    z = t_out * _drift(a, x.d, bc2s, freqs) + p  # a^2 z
-    return GroupElement._exact(z / (a * a) if z.num else z, *v, t_out)
+    # a^2 z = t drift + a^2 P, over t.den times the denominator of drift
+    a2z = [y + t.den * q for y, q in zip_longest(poly_mul(t.num, form.drift), p, fillvalue=0)]
+    k = 2 * form.k  # a^2 is form.a2[k] pi^k over that denominator when a is a monomial
+    if any(a2z):
+        if any(form.a[form.k + 1:]):
+            raise ValueError("pi-polynomial division needs a monomial divisor")
+        if any(a2z[:k]):
+            raise ValueError(f"division by pi^{k} is not exact here")
+    return GroupElement._exact(ExactScalar._of(a2z[k:], t.den * form.a2[k]), *v, t)
 
 
 def exp_preimage(g: GroupElement, freqs: FrequencyList) -> tuple[AlgebraVector, ExactScalar]:
@@ -138,58 +152,102 @@ def exp_preimage(g: GroupElement, freqs: FrequencyList) -> tuple[AlgebraVector, 
     and d = z + sum_j |v_j|^2 (sin theta_j - theta_j) / (4 (1 - cos theta_j)).
     A block that R(t) fixes gets (0, 0), and a ValueError when its v_j != 0:
     g is then not in the image of exp.  For t = 0 the preimage is the line
-    (z, v, 0).  <x, x> is `causal_quantity(x, freqs)`.
+    (z, v, 0).
+
+    On v = num / den the entries are ints: with q_j = |num_j|^2 (2 / (1 - cos)),
+    d = z + alpha - beta t for alpha = sum_j q_j sin_j / (8 den^2) and
+    beta = sum_j q_j lambda_j / (8 den^2).  Since |bc_j|^2 = 2 t^2 lambda_j^2 q_j
+    / (8 den^2), <x, x> = 2 a d + sum_j |bc_j|^2 / lambda_j is 2 t (z + alpha).
     """
     if g.n != freqs.n or not g.is_exact():
         raise ValueError("exp_preimage needs an exact element of the frequencies' dimension")
-    t, pairs = g.t, list(zip(g.v[0::2], g.v[1::2]))
+    t, den = g.t, g.den
     if t.is_zero():
-        x = AlgebraVector(g.z, pairs, t)
-    else:
-        bc, d, blocks = [], g.z, zip(freqs.lambdas, rotation(t, freqs), pairs)
-        for j, (lam, (kos, sin), (p, r)) in enumerate(blocks, 1):
-            if kos == 1 and (p or r):
-                raise ValueError(f"R(t) fixes block {j}, where v is not 0: "
-                                 "the element is not in the image of exp")
-            turn = 1 - kos or 1  # 1 - cos; on a fixed block v_j = 0 zeroes every term
-            scale = t * lam / (2 * turn)
-            bc.append((scale * (sin * p + turn * r), scale * (sin * r - turn * p)))
-            d += (p * p + r * r) * (sin - lam * t) / (4 * turn)
-        x = AlgebraVector(d, bc, t)
-    return x, causal_quantity(x, freqs)
+        x = AlgebraVector(g.z, list(zip(g.v[0::2], g.v[1::2])), t)
+        return x, causal_quantity(x, freqs)
+    lcm = freqs.quarter_turns[0]  # of the frequency denominators
+    bc, alpha, beta = [], 0, 0  # alpha over 8 den^2, beta over 8 den^2 lcm
+    blocks = zip(freqs.lambdas, rotation(t, freqs), g.num[0::2], g.num[1::2])
+    for j, (lam, (kos, sin), p, r) in enumerate(blocks, 1):
+        if kos == 1 and (p or r):
+            raise ValueError(f"R(t) fixes block {j}, where v is not 0: "
+                             "the element is not in the image of exp")
+        turn = 1 - kos or 1  # 1 - cos; on a fixed block v_j = 0 zeroes every term
+        bc.append(tuple([ExactScalar._of([y * lam.numerator * e for y in t.num],
+                                         2 * turn * lam.denominator * den * t.den)
+                         for e in (sin * p + turn * r, sin * r - turn * p)]))
+        q = (p * p + r * r) * (2 // turn)
+        alpha, beta = alpha + q * sin, beta + q * lam.numerator * (lcm // lam.denominator)
+    z_alpha = g.z + ExactScalar._of([alpha], 8 * den * den)
+    x = AlgebraVector(z_alpha - t * ExactScalar._of([beta], 8 * den * den * lcm), bc, t)
+    return x, 2 * t * z_alpha
 
 
-def _exact_blocks(x: AlgebraVector) -> tuple[list, list]:
-    """The (b_j, c_j) of x as exact values, and their b_j^2 + c_j^2."""
-    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
-    return bcs, [b * b + c * c for b, c in bcs]
+def _lift(e) -> tuple:
+    """(num, den) of an exact entry: int numerators over an int den > 0."""
+    if type(e) is int or type(e) is Fraction:
+        return (e.numerator,), e.denominator
+    e = as_exact(e)  # refuses a bool, as for every entry
+    return e.num, e.den
 
 
-def _drift(a: ExactScalar, d, bc2s, freqs: FrequencyList) -> ExactScalar:
-    """a d + sum_j (b_j^2+c_j^2) / (2 lambda_j); a^2 z is t times this, plus a^2 P."""
-    return a * d + sum((bc2 / lam for bc2, lam in zip(bc2s, freqs.lambdas)), ExactScalar()) / 2
+class _Cleared:
+    """The closed form at a velocity x with a != 0, cleared of a, on ints.
 
-
-def _oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList):
-    """v of the closed form at the block rotations rot = R(a s), as ints
-    (num, den), or None when an entry is irrational; and a^2 times the part
-    of z that oscillates, -sum_j (b_j^2+c_j^2) sin / (2 lambda_j^2).
-
-    Nothing divides by a: a lambda_j v_j is (b sin + c (cos - 1),
-    b (1 - cos) + c sin), and `rational_ratio` reads v_j off it when v_j is
-    rational.
+    d, b_j, c_j and a are lifted once to int coefficient lists over their
+    common denominator.  `a2` = a^2 and `drift` = a d + sum_j |bc_j|^2 /
+    (2 lambda_j), |bc_j|^2 by int convolution, are numerators over one
+    denominator, as is a^2 P from `at`; a^2 z(s) = t drift + a^2 P(R(t)),
+    t = a s.  Every caller divides these by one another or compares them
+    in Z, so that denominator is never formed.
     """
-    ratios, p = [], ExactScalar()
-    for lam, (b, c), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot):
-        a_lam = a * lam
-        ratios.append(rational_ratio(b * sin + c * (kos - 1), a_lam))
-        ratios.append(rational_ratio(b * (1 - kos) + c * sin, a_lam))
-        if sin:  # -sin / (2 lambda^2) as ints
-            p = p + bc2 * ExactScalar._of([-sin * lam.denominator**2], 2 * lam.numerator**2)
-    if None in ratios:
-        return None, p
-    den = math.lcm(*[d for _, d in ratios])
-    return (tuple([n * (den // d) for n, d in ratios]), den), p
+
+    __slots__ = ("a", "k", "a2", "drift", "blocks", "v_den")
+
+    def __init__(self, x: AlgebraVector, freqs: FrequencyList):
+        lifted = [_lift(e) for e in x.coords()]
+        scale = math.lcm(*[den for _, den in lifted])
+        size = max([len(num) for num, _ in lifted])
+        d, *bc, a = [[c * (scale // den) for c in num] + [0] * (size - len(num))
+                     for num, den in lifted]
+        lcm = math.lcm(*[lam.numerator for lam in freqs.lambdas])
+        self.a, self.k = a, next(i for i, c in enumerate(a) if c)  # a = a[k] pi^k + ...
+        self.a2 = [2 * lcm * lcm * c for c in poly_mul(a, a)]
+        drift = [2 * lcm * lcm * c for c in poly_mul(a, d)]
+        sign, self.blocks = -1 if a[self.k] < 0 else 1, []
+        for lam, b, c in zip(freqs.lambdas, bc[0::2], bc[1::2]):
+            bc2 = [u + w for u, w in zip(poly_mul(b, b), poly_mul(c, c))]
+            per = lcm // lam.numerator * lam.denominator  # lambda_j = L / per
+            drift = [u + lcm * per * w for u, w in zip(drift, bc2)]
+            self.blocks.append((b, c, bc2, sign * per, per * per))
+        self.drift, self.v_den = drift, abs(a[self.k]) * lcm
+
+    def at(self, rot) -> tuple:
+        """(v, a^2 P) at the signed quarter turns rot = R(t): v as ints
+        (num, den) in lowest terms, and a^2 P = -sum_j |bc_j|^2 sin_j /
+        (2 lambda_j^2) over the denominator of `drift`; (None, None) when an
+        entry of v is irrational.
+
+        a lambda_j v_j is (b sin + c (cos - 1), b (1 - cos) + c sin), a sum
+        of b and c with signs; an entry e is rational iff e is proportional
+        to a coefficient by coefficient, and then e = (e_k / a_k) a.
+        """
+        a, k = self.a, self.k
+        a_k, v, p = a[k], [], [0] * len(self.a2)
+        for (kos, sin), (b, c, bc2, v_per, p_per) in zip(rot, self.blocks):
+            if kos == 1:
+                v += (0, 0)
+                continue
+            for e in ([sin * u + (kos - 1) * w for u, w in zip(b, c)],
+                      [(1 - kos) * u + sin * w for u, w in zip(b, c)]):
+                e_k = e[k]
+                if any(u * a_k != w * e_k for u, w in zip(e, a)):
+                    return None, None
+                v.append(e_k * v_per)
+            if sin:
+                p = [u - sin * p_per * w for u, w in zip(p, bc2)]
+        common = math.gcd(self.v_den, *v)
+        return (tuple([u // common for u in v]), self.v_den // common), p
 
 
 # -- second-order system and RK4 oracle -------------------------------------

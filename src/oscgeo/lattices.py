@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import FrequencyList
 from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
@@ -132,6 +132,11 @@ class LatticeSpec:
             raise ValueError("element dimension does not match the lattice")
 
 
+@cache  # one per parameter set, so its quarter-turn table and float view are built once
+def _frequencies(*lambdas) -> FrequencyList:
+    return FrequencyList(lambdas)
+
+
 class _ProductFormFamily(LatticeSpec):
     """Common machinery for Z_lat x Z^{2n} x t_step*Z families."""
 
@@ -179,7 +184,7 @@ class Dim4Family(_ProductFormFamily):
 
     @cached_property
     def freqs(self) -> FrequencyList:
-        return FrequencyList([1])
+        return _frequencies(1)
 
     @cached_property
     def t0_pi_coeff(self) -> Fraction:
@@ -214,7 +219,7 @@ class Dim6Family(_ProductFormFamily):
 
     @cached_property
     def freqs(self) -> FrequencyList:
-        return FrequencyList([1, Fraction(self.p, self.q)])
+        return _frequencies(1, Fraction(self.p, self.q))
 
     @cached_property
     def t0_pi_coeff(self) -> Fraction:
@@ -296,21 +301,28 @@ class ProductWithLine(LatticeSpec):
         return self.base.freqs
 
     def contains(self, g) -> bool:
-        """Membership of a pair (group element, line coordinate)."""
+        """Membership of a pair (group element, line coordinate r).
+
+        r lies in w Z iff r = 0 or r / w is an integer (`rational_ratio`,
+        for any w in Q[pi]).  When only w^2 is known, iff r = 0 or r^2 / w^2
+        is the square of an integer, since w > 0; only a nonzero r on a
+        line whose w^2 is flagged irrational stays undecided.
+        """
         if not (isinstance(g, tuple) and len(g) == 2):
             raise TypeError("product-with-line membership takes (element, line) pairs")
         el, r = g
-        if self.w is None:
-            raise MembershipUndecidable(
-                "line coordinate lattice is only known through w^2"
-            )
-        try:
-            ratio = as_exact(r) / self.w
-        except ValueError:
-            return False  # r/w is not even rational-in-pi, so never an integer
-        if ratio.degree() > 0:
-            return False
-        return ratio.to_fraction().denominator == 1 and self.base.contains(el)
+        r = as_exact(r)
+        if r.is_zero():
+            on_line = True
+        elif self.w is not None:
+            ratio = rational_ratio(r, self.w)
+            on_line = ratio is not None and ratio[1] == 1
+        elif self.w_squared is not None:
+            ratio = rational_ratio(r * r, self.w_squared)
+            on_line = ratio is not None and ratio[1] == 1 and math.isqrt(ratio[0]) ** 2 == ratio[0]
+        else:
+            raise MembershipUndecidable("line coordinate lattice is only known through w^2")
+        return on_line and self.base.contains(el)
 
     def to_json(self) -> dict:
         out: dict = {"family": "product_line", "base": self.base.to_json()}

@@ -39,12 +39,11 @@ from itertools import zip_longest
 import numpy as np
 
 from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_class
-from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
+from .exact import ExactScalar, as_exact, pi_coefficient, poly_mul, rational_ratio
 from .geodesics import (
-    Geodesic, _drift, _exact_blocks, _oscillation, eval_geodesic, eval_geodesic_exact, exp_preimage,
-    flow_coords,
+    Geodesic, _Cleared, eval_geodesic, eval_geodesic_exact, exp_preimage, flow_coords,
 )
-from .group import GroupElement, max_coord_dist, rotation
+from .group import GroupElement, max_coord_dist, quarter_turn_count, rotation
 from .lattices import LatticeSpec, ProductWithLine, UnsupportedSpec, pure_t_element
 
 FLOAT_VERIFY_TOL = 1e-9
@@ -253,25 +252,23 @@ class ClosureDecision:
         return {"kind": "closes"} if self.r is None else {"kind": "closes", "r": self.r}
 
 
-def _least_r(slope: ExactScalar, p: ExactScalar, w: ExactScalar, c: int, k0: int):
-    """Least r >= 1 with r = c (mod k0) and r slope + p in w Z, for a
-    nonzero w in Q[pi], or the reason there is none.
+def _least_r(slope: list, p: list, w: list, c: int, k0: int):
+    """Least r >= 1 with r = c (mod k0) and r slope + p in w Z, for
+    polynomials in pi given by int coefficients over one common positive
+    denominator, w nonzero; or the reason there is none.
 
     Row k of the condition reads slope_k r + p_k = w_k u, u an integer.
     The first row with w_k != 0 gives u; eliminated from every other row, it
     leaves one linear equation in r, which fixes r or rules the class out.
     The row of u is a linear congruence, solved with r = c (mod k0) by
-    modular inverses.  Everything runs on the int numerators over the
-    common denominator of slope, p and w.  With w = a^2 times the z-step and
-    a = c pi^m, a reason names the power of pi in z itself; for any other
-    a, the row of a^2 z.
+    modular inverses.  With w = a^2 times the z-step and a = c pi^m, a
+    reason names the power of pi in z itself; for any other a, the row of
+    a^2 z.
     """
-    den = math.lcm(slope.den, p.den, w.den)
-    rows = [(x * (den // slope.den), y * (den // p.den), g * (den // w.den))
-            for x, y, g in zip_longest(slope.num, p.num, w.num, fillvalue=0)]
+    rows = list(zip_longest(slope, p, w, fillvalue=0))
     k_u = next(k for k, row in enumerate(rows) if row[2])
     a, b, g = rows[k_u]
-    shift, z = (k_u, "z") if sum(map(bool, w.num)) == 1 else (0, "a^2 z")
+    shift, z = (k_u, "z") if sum(map(bool, w)) == 1 else (0, "a^2 z")
     fixed = None
     for k, (a_k, b_k, g_k) in enumerate(rows):
         a_k, b_k = a_k * g - g_k * a, b_k * g - g_k * b  # u eliminated; 0 at k_u
@@ -304,36 +301,46 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
 
     With c = r mod K0 and t_step = +-t0, R(K0 t_step) = Id splits the point
     at r into (r L + P(c), V(c), r t_step): V(c) and a^2 P(c) are
-    `_oscillation`'s at R(c t_step), and a^2 L is t_step `_drift`.  Cleared
-    of a, the point is a member iff V(c) is integral and r alpha + a^2 P(c)
-    lies in gamma Z, with alpha = a^2 (L - twist t_step) and gamma = a^2 w
-    (`_least_r`).  The classes are taken in the order of their least
-    member, r = 1, ..., K0, and the scan stops once no class can beat the
-    best r found or `limit`.
+    `_Cleared.at` R(c t_step), and a^2 L is t_step times its drift.
+    Cleared of a, the point is a member iff V(c) is integral and
+    r alpha + a^2 P(c) lies in gamma Z, with alpha = a^2 (L - twist t_step)
+    and gamma = a^2 w (`_least_r`, on the ints of the three over one
+    denominator).  The classes are taken in the order of their least member,
+    r = 1, ..., K0, and the scan stops once no class can beat the best r
+    found or `limit`.
     """
-    prof, freqs, a = spec.profile(), spec.freqs, as_exact(x.a)
-    sign, k0 = a.sign(), prof.k0
-    t_step = prof.t0 * sign
-    bcs, bc2s = _exact_blocks(x)
-    a2 = a * a
-    alpha, gamma = t_step * (_drift(a, x.d, bc2s, freqs) - a2 * prof.twist), a2 * prof.central_w
+    prof, freqs = spec.profile(), spec.freqs
+    form, sign, k0 = _Cleared(x, freqs), as_exact(x.a).sign(), prof.k0
+    rows = freqs.quarter_turns[2]
+    turns = sign * quarter_turn_count(prof.t0, freqs)  # R(c t_step) = rows[c turns % 4]
+    # alpha, gamma and lift a^2 P(c) over one denominator: the drift's times
+    # tw.den w.den t0d, with t_step = sign (t0n / t0d) pi
+    tw, w, ((_, t0n), t0d) = prof.twist, prof.central_w, (prof.t0.num, prof.t0.den)
+    alpha = [0] + [sign * t0n * w.den * (u * tw.den - q) for u, q in
+                   zip_longest(form.drift, poly_mul(form.a2, tw.num), fillvalue=0)]
+    gamma = [u * tw.den * t0d for u in poly_mul(form.a2, w.num)]
+    lift = tw.den * w.den * t0d
     best, obstructions, residues = None, {}, {}  # residues: c -> (V(c), a^2 P(c))
     for r_min in range(1, k0 + 1):
         if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
             break
         c = r_min % k0
-        v, p = residues[c] = _oscillation(a, bcs, bc2s, rotation(t_step * c, freqs), freqs)
-        integral = v is not None and v[1] == 1
-        found = _least_r(alpha, p, gamma, c, k0) if integral else V_NOT_INTEGRAL
+        v, p = form.at(rows[c * turns % 4])
+        if v is not None and v[1] == 1:
+            residues[c] = v[0], [u * lift for u in p]
+            found = _least_r(alpha, residues[c][1], gamma, c, k0)
+        else:
+            found = V_NOT_INTEGRAL
         if isinstance(found, str):
             obstructions[c] = found
         elif best is None or found < best:
             best = found
     if best is None or (limit is not None and best > limit):
         return None, None, obstructions
-    (v_num, _), p = residues[best % k0]
-    u, _ = rational_ratio(alpha * best + p, gamma)
-    return best, prof.member(u, v_num, sign * best), obstructions
+    v, p = residues[best % k0]
+    k = next(k for k, g in enumerate(gamma) if g)  # row k gives u
+    u = (alpha[k] * best + p[k]) // gamma[k]
+    return best, prof.member(u, v, sign * best), obstructions
 
 
 def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> ClosureDecision:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oscgeo.algebra import AlgebraVector, FrequencyList, causal_quantity, inner
 from oscgeo import geodesics
-from oscgeo.exact import ExactScalar, PI, as_exact
+from oscgeo.exact import ExactScalar, PI, as_exact, rational_ratio
 from oscgeo.geodesics import (
     MAX_RK4_STEPS,
     Geodesic,
@@ -97,6 +97,98 @@ class TestExactEval:
         x = AlgebraVector(Fraction(2), [(1, 3)], 0)
         out = eval_geodesic_exact(x, Fraction(1, 2), F1)
         assert out == GroupElement(1, (Fraction(1, 2), Fraction(3, 2)), 0)
+
+
+# -- the closed form cleared of a in ExactScalar arithmetic: the reference ----
+
+
+def reference_blocks(x: AlgebraVector) -> tuple[list, list]:
+    """The (b_j, c_j) of x as exact values, and their b_j^2 + c_j^2."""
+    bcs = [(as_exact(b), as_exact(c)) for b, c in x.bc]
+    return bcs, [b * b + c * c for b, c in bcs]
+
+
+def reference_drift(a: ExactScalar, d, bc2s, freqs: FrequencyList) -> ExactScalar:
+    """a d + sum_j (b_j^2+c_j^2) / (2 lambda_j); a^2 z is t times this, plus a^2 P."""
+    return a * d + sum((bc2 / lam for bc2, lam in zip(bc2s, freqs.lambdas)), ExactScalar()) / 2
+
+
+def reference_oscillation(a: ExactScalar, bcs, bc2s, rot, freqs: FrequencyList):
+    """v at the block rotations rot, as ints (num, den) in lowest terms, or
+    None when an entry is irrational; and a^2 P = -sum_j (b_j^2+c_j^2) sin / (2 lambda_j^2)."""
+    ratios, p = [], ExactScalar()
+    for lam, (b, c), bc2, (kos, sin) in zip(freqs.lambdas, bcs, bc2s, rot):
+        a_lam = a * lam
+        ratios.append(rational_ratio(b * sin + c * (kos - 1), a_lam))
+        ratios.append(rational_ratio(b * (1 - kos) + c * sin, a_lam))
+        if sin:  # -sin / (2 lambda^2) as ints
+            p = p + bc2 * ExactScalar._of([-sin * lam.denominator**2], 2 * lam.numerator**2)
+    if None in ratios:
+        return None, p
+    den = math.lcm(*[d for _, d in ratios])
+    return (tuple([n * (den // d) for n, d in ratios]), den), p
+
+
+def reference_eval_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupElement:
+    """`eval_geodesic_exact` in ExactScalar arithmetic."""
+    if x.n != freqs.n:
+        raise ValueError("initial velocity does not match frequencies")
+    s = as_exact(s)
+    a = as_exact(x.a)
+    if a.is_zero():
+        v = [(as_exact(e) * s).to_fraction() for pair in x.bc for e in pair]
+        return GroupElement(x.d * s, v, ExactScalar(0))
+    t_out = a * s
+    bcs, bc2s = reference_blocks(x)
+    v, p = reference_oscillation(a, bcs, bc2s, rotation(t_out, freqs), freqs)
+    if v is None:
+        raise ValueError("v of the point is not rational")
+    z = t_out * reference_drift(a, x.d, bc2s, freqs) + p  # a^2 z
+    return GroupElement._exact(z / (a * a) if z.num else z, *v, t_out)
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+q_pi = st.lists(coefficient, min_size=1, max_size=3).map(lambda cs: ExactScalar(*cs))  # degree <= 2
+frequencies = st.lists(st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)]),
+                       min_size=1, max_size=3).map(FrequencyList)
+
+
+@st.composite
+def exact_flow_inputs(draw):
+    """(x, s, freqs): entries in Q[pi] up to degree 2, a rational, a pi
+    multiple, c pi^2 or not a monomial (0 at times), and b, c often
+    rational multiples of a so that v may be rational.  s puts a s on a
+    quarter turn when a is c or c pi, and is any rational or rational
+    multiple of pi otherwise."""
+    freqs = draw(frequencies)
+    power = draw(st.sampled_from([0, 1, 2, None]))
+    c = draw(coefficient.filter(bool))
+    a = (draw(q_pi) if power is None else ExactScalar(*[0] * power, c)) if draw(
+        st.integers(0, 9)) else ExactScalar()
+    entry = q_pi | coefficient | coefficient.map(lambda q: a * q)
+    x = AlgebraVector(draw(q_pi | coefficient), [(draw(entry), draw(entry)) for _ in range(freqs.n)],
+                      draw(st.sampled_from([a, a.to_fraction()])) if a.degree() <= 0 else a)
+    lcm, two_gcd, _ = freqs.quarter_turns
+    m = draw(st.integers(-9, 9))
+    if power in (0, 1) and not a.is_zero() and draw(st.integers(0, 3)):
+        s = ExactScalar(0, Fraction(m * lcm, two_gcd)) / ExactScalar(*[0] * power, c)  # a s = m units
+    else:
+        s = draw(coefficient | coefficient.map(lambda q: q * PI))
+    return x, s, freqs
+
+
+@settings(max_examples=500, deadline=None)
+@given(exact_flow_inputs())
+def test_exact_evaluation_matches_the_exact_scalar_reference(args):
+    assert outcome(eval_geodesic_exact, *args) == outcome(reference_eval_exact, *args)
 
 
 def _fixed_blocks_with_v(g: GroupElement, freqs: FrequencyList) -> list[int]:

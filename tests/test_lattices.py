@@ -44,6 +44,19 @@ class TestConstruction:
         spec = Dim6Family(2, 3, 1, 4)
         assert spec.freqs.lambdas == (Fraction(1), Fraction(3))
 
+    def test_specs_with_equal_parameters_share_their_frequencies(self):
+        a, b = Dim6Family(1, 1, 3, 4), Dim6Family(2, 1, 3, 2)
+        assert a.freqs is b.freqs is Twisted(a, 1).freqs
+        assert Dim4Family(1, TWO_PI).freqs is Dim4Family(3, HALF_PI).freqs
+        assert Dim6Family(1, 1, 2, 1).freqs.lambdas == (1, Fraction(1, 2))
+        # the shared list answers as a fresh one does
+        fresh = FrequencyList([1, Fraction(1, 3)])
+        assert (a.freqs, a.freqs.quarter_turns, a.freqs.floats) == (
+            fresh, fresh.quarter_turns, fresh.floats)
+        assert (a.profile().k0, b.profile().k0) == (4, 2)
+        g = GroupElement(Fraction(1, 2), (1, 0, 0, 1), 3 * PI / 2)
+        assert a.contains(g) and not b.contains(g)
+
     @pytest.mark.parametrize("base", [
         ProductWithLine(Dim4Family(1, TWO_PI), w=1),
         GeneratorList(FrequencyList([1]), [GroupElement(0, (1, 0), 0)]),
@@ -461,7 +474,37 @@ class TestProductWithLine:
         assert spec.contains((g, 2 * PI))
         assert not spec.contains((g, ExactScalar(1)))
 
-    def test_w2_only_membership_undecidable(self):
-        spec = ProductWithLine(Dim4Family(1, TWO_PI), w_squared=TWO_PI)
+    def test_non_monomial_step_decides_the_line_coordinate(self):
+        # r / (1 + pi) is read by proportion, not by dividing by a monomial
+        spec = ProductWithLine(Dim4Family(1, TWO_PI), w=1 + PI)
+        g = GroupElement.identity(1)
+        for r in (ExactScalar(0), 1 + PI, 2 + 2 * PI, -3 - 3 * PI):
+            assert spec.contains((g, r))
+        for r in (ExactScalar(1), PI, (1 + PI) / 2, 2 + PI):
+            assert not spec.contains((g, r))
+        assert not spec.contains((GroupElement(Fraction(1, 3), (0, 0), 0), 1 + PI))
+
+    @pytest.mark.parametrize("w2, inside, outside", [
+        # w^2 = 2 pi: w is not in Q[pi], so only r = 0 lies in w Z
+        (TWO_PI, [0], [1, PI, TWO_PI]),
+        (ExactScalar(4), [0, 2, -2, 6], [1, 3, Fraction(1, 2), PI]),
+        (ExactScalar(2), [0], [2, 4]),  # r^2 / w^2 = 2, 8: no squares
+        (PI * PI, [0, PI, -3 * PI], [1, PI / 2]),
+        ((1 + PI) * (1 + PI), [0, 2 + 2 * PI, -1 - PI], [1 + 2 * PI, ExactScalar(1)]),
+    ])
+    def test_w2_only_membership_is_decided(self, w2, inside, outside):
+        # r in w Z iff r = 0, or r^2 / w^2 is the square of an integer
+        spec = ProductWithLine(Dim4Family(1, TWO_PI), w_squared=w2)
+        g = GroupElement.identity(1)
+        for r in inside:
+            assert spec.contains((g, r))
+            assert not spec.contains((GroupElement(0, (Fraction(1, 2), 0), 0), r))
+        for r in outside:
+            assert not spec.contains((g, r))
+
+    def test_irrational_w2_membership_undecidable_off_zero(self):
+        spec = ProductWithLine(Dim4Family(1, TWO_PI), w_squared="irrational")
         with pytest.raises(MembershipUndecidable):
             spec.contains((GroupElement.identity(1), ExactScalar(1)))
+        assert spec.contains((GroupElement.identity(1), ExactScalar(0)))
+        assert not spec.contains((GroupElement(Fraction(1, 3), (0, 0), 0), ExactScalar(0)))

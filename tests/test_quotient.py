@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscgeo import quotient
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class, causal_quantity
-from oscgeo.exact import ExactScalar, PI, as_exact
+from oscgeo.exact import ExactScalar, PI, as_exact, rational_ratio
 from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exp_preimage
 from oscgeo.group import (
     GroupElement, conjugate, max_coord_dist, multiply, rotate_pairs, rotation,
@@ -38,6 +38,7 @@ from oscgeo.quotient import (
 )
 
 from lattice_specs import CRITERION_7_SPECS
+from test_geodesics import reference_blocks, reference_drift, reference_oscillation
 
 TWO_PI = 2 * PI
 HALF_PI = PI / 2
@@ -410,6 +411,53 @@ def test_decide_closed_matches_the_per_candidate_loop(data):
         assert _reference_search(x, spec, 4 * spec.profile().k0 + 40) is None
 
 
+def _reference_decide(x, spec, limit=None):
+    """`quotient._decide` on the ExactScalar form of the closed form."""
+    prof, freqs, a = spec.profile(), spec.freqs, as_exact(x.a)
+    sign, k0 = a.sign(), prof.k0
+    t_step = prof.t0 * sign
+    bcs, bc2s = reference_blocks(x)
+    a2 = a * a
+    alpha = t_step * (reference_drift(a, x.d, bc2s, freqs) - a2 * prof.twist)
+    gamma = a2 * prof.central_w
+    best, obstructions, residues = None, {}, {}
+    for r_min in range(1, k0 + 1):
+        if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
+            break
+        c = r_min % k0
+        rot = rotation(t_step * c, freqs)
+        v, p = residues[c] = reference_oscillation(a, bcs, bc2s, rot, freqs)
+        integral = v is not None and v[1] == 1
+        found = (_least_r(*_over_one_den(alpha, p, gamma), c, k0) if integral
+                 else quotient.V_NOT_INTEGRAL)
+        if isinstance(found, str):
+            obstructions[c] = found
+        elif best is None or found < best:
+            best = found
+    if best is None or (limit is not None and best > limit):
+        return None, None, obstructions
+    (v_num, _), p = residues[best % k0]
+    u, _ = rational_ratio(alpha * best + p, gamma)
+    return best, prof.member(u, v_num, sign * best), obstructions
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decision_matches_the_exact_scalar_reference(data):
+    spec = data.draw(search_specs)
+    x = data.draw(exact_velocities(spec.freqs, spec.profile().twist))
+    limit = data.draw(st.none() | st.integers(0, 2 * spec.profile().k0 + 1))
+    r, member, obstructions = _reference_decide(x, spec, limit)
+    assert quotient._decide(x, spec, limit) == (r, member, obstructions)
+    if limit is None:
+        decision = decide_closed(x, spec)
+        assert decision.r == r
+        if r is None:
+            assert decision.obstructions == tuple(sorted(obstructions.items()))
+        else:
+            assert decision.certificate.lattice_point == member
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_lightlike_closure_depends_only_on_the_lattice(data):
@@ -454,12 +502,18 @@ def test_least_r_is_the_first_r_of_the_class(slope, p, z_step, k0, data):
     _assert_least_r_by_brute_force(slope, p, z_step, c, k0)
 
 
+def _over_one_den(*scalars):
+    """The int coefficients of each ExactScalar over their common denominator."""
+    den = math.lcm(*[x.den for x in scalars])
+    return [[c * (den // x.den) for c in x.num] for x in scalars]
+
+
 def _assert_least_r_by_brute_force(slope, p, z_step, c, k0):
     def member(r):
         z = slope * r + p
         return z.degree() <= 0 and (z.to_fraction() / z_step).denominator == 1
 
-    found = _least_r(slope, p, as_exact(z_step), c, k0)
+    found = _least_r(*_over_one_den(slope, p, as_exact(z_step)), c, k0)
     bound = found if isinstance(found, int) else 2000
     hits = [r for r in range(1, bound + 1) if r % k0 == c and member(r)]
     assert hits[:1] == ([found] if isinstance(found, int) else [])
