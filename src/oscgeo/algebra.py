@@ -31,6 +31,13 @@ class CausalClass(enum.Enum):
     TIMELIKE = "timelike"
     SPACELIKE = "spacelike"
 
+    @classmethod
+    def of_sign(cls, sign: int) -> "CausalClass":
+        """The class of a vector whose <x, x> has this sign."""
+        if sign == 0:
+            return cls.LIGHTLIKE
+        return cls.TIMELIKE if sign < 0 else cls.SPACELIKE
+
 
 @dataclass(frozen=True)
 class FrequencyList:
@@ -107,7 +114,7 @@ class FrequencyList:
         return [str(l) if l.denominator != 1 else int(l) for l in self.lambdas]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraVector:
     """Initial-velocity vector d*Z + sum(b_j X_j + c_j Y_j) + a*T."""
 
@@ -116,9 +123,18 @@ class AlgebraVector:
     a: object
 
     def __init__(self, d, bc: Sequence, a):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "bc", tuple((b, c) for b, c in bc))
-        object.__setattr__(self, "a", a)
+        _SET_D(self, d)
+        _SET_BC(self, tuple((b, c) for b, c in bc))
+        _SET_A(self, a)
+
+    @classmethod
+    def _of(cls, d, bc: tuple, a) -> "AlgebraVector":
+        """Internal constructor from a tuple of (b, c) tuples, without coercion."""
+        x = object.__new__(cls)
+        _SET_D(x, d)
+        _SET_BC(x, bc)
+        _SET_A(x, a)
+        return x
 
     @property
     def n(self) -> int:
@@ -136,7 +152,7 @@ class AlgebraVector:
     def from_coords(cls, coords: Sequence) -> "AlgebraVector":
         if len(coords) < 4 or len(coords) % 2 != 0:
             raise ValueError(f"coordinate length {len(coords)} is not 2n+2")
-        return cls(coords[0], zip(coords[1:-1:2], coords[2:-1:2]), coords[-1])
+        return cls._of(coords[0], tuple(zip(coords[1:-1:2], coords[2:-1:2])), coords[-1])
 
     @classmethod
     def Z(cls, n: int) -> "AlgebraVector":
@@ -182,9 +198,12 @@ class AlgebraVector:
         return all(isinstance(c, (int, Fraction, ExactScalar)) for c in self.coords())
 
     def to_floats(self) -> "AlgebraVector":
-        return AlgebraVector(
-            float(self.d), [(float(b), float(c)) for b, c in self.bc], float(self.a)
-        )
+        bc = tuple([(float(b), float(c)) for b, c in self.bc])
+        return AlgebraVector._of(float(self.d), bc, float(self.a))
+
+
+# the slots' own setters, which bypass the frozen __setattr__
+_SET_D, _SET_BC, _SET_A = (AlgebraVector.__dict__[name].__set__ for name in ("d", "bc", "a"))
 
 
 def _check_same_n(x: AlgebraVector, y) -> None:
@@ -241,9 +260,7 @@ def causal_class(
         q = causal_quantity(x.to_floats(), freqs)
         tol = CAUSAL_TOL if tol is None else tol
         sign = 0 if abs(q) <= tol else -1 if q < 0 else 1
-    if sign == 0:
-        return CausalClass.LIGHTLIKE
-    return CausalClass.TIMELIKE if sign < 0 else CausalClass.SPACELIKE
+    return CausalClass.of_sign(sign)
 
 
 def gram_matrix(freqs: FrequencyList) -> list[list[Fraction]]:

@@ -14,8 +14,9 @@ the second-order system provides an independent oracle.
 The exact closed form is evaluated cleared of a, in one int pass over the
 int coefficients of d, b_j, c_j and a (`_Cleared`); no ExactScalar is built
 before the point itself.  `eval_geodesic_exact` divides a^2 z by a^2 once,
-`quotient._decide` reads the same pass per residue class, and
-`exp_preimage` builds its inverse on the ints of v.
+`quotient._decide` reads the same pass per residue class, the sign of its
+drift is the causal class of x, and `exp_preimage` builds its inverse on
+the ints of v.
 
 The coordinate metric is taken with components
 
@@ -43,8 +44,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .algebra import AlgebraVector, FrequencyList, causal_quantity, gram_matrix
-from .exact import ExactScalar, as_exact, poly_mul
+from .algebra import AlgebraVector, CausalClass, FrequencyList, causal_quantity, gram_matrix
+from .exact import ExactScalar, as_exact, pi_poly_sign, poly_mul
 from .group import GroupElement, multiply, rotation
 
 
@@ -222,6 +223,11 @@ class _Cleared:
             self.blocks.append((b, c, bc2, sign * per, per * per))
         self.drift, self.v_den = drift, abs(a[self.k]) * lcm
 
+    def causal(self) -> CausalClass:
+        """The causal class of x, from the sign of drift = lcm^2 scale^2 <x, x>
+        for lcm = lcm(numerators of lambda_j) and scale the common denominator."""
+        return CausalClass.of_sign(pi_poly_sign(ExactScalar._of(list(self.drift), 1)))
+
     def at(self, rot) -> tuple:
         """(v, a^2 P) at the signed quarter turns rot = R(t): v as ints
         (num, den) in lowest terms, and a^2 P = -sum_j |bc_j|^2 sin_j /
@@ -253,61 +259,62 @@ class _Cleared:
 # -- second-order system and RK4 oracle -------------------------------------
 
 
-def _reads(state: np.ndarray, n: int) -> tuple:
-    """Views of a state that the stage kernel reads: the velocity, the v
-    blocks of position and velocity, t' (also shaped to broadcast over the
-    (x, y) pairs), and the velocity pairs swapped to (y_k', x_k')."""
-    vel = state[..., 2 * n + 2:]
-    tp = vel[..., -1]
-    pairs = vel[..., 1:-1].reshape(*state.shape[:-1], n, 2)
-    return vel, state[..., 1:2 * n + 1], vel[..., 1:-1], tp, tp[..., None, None], pairs[..., ::-1]
+def _split_order(n: int) -> list:
+    """Pair-order indices of a (position, velocity) row in split order: each
+    half runs (z, x_1..x_n, y_1..y_n, t) instead of (z, x_1, y_1, ..., t)."""
+    half = [0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2), 2 * n + 1]
+    return half + [2 * n + 2 + i for i in half]
 
 
-def _writes(out: np.ndarray, n: int) -> tuple:
-    """Views of a derivative that the stage kernel writes: the position
-    rate, z'' and the (x_k'', y_k'') pairs.  t'' is never written: the
-    buffer holds 0 there from allocation."""
-    acc = out[..., 2 * n + 2:]
-    return out[..., :2 * n + 2], acc[..., 0], acc[..., 1:-1].reshape(*out.shape[:-1], n, 2)
+def _views(buf: np.ndarray, n: int) -> tuple:
+    """Views of a [pos | vel | acc] buffer of split rows that the stage kernel
+    reads and writes: the x and y rows of position and velocity, and z'', x''
+    and y'' of the acceleration.  t'' is never written: the buffer holds 0
+    there from allocation."""
+    dim = 2 * n + 2
+    vel, acc = buf[dim:2 * dim], buf[2 * dim:]
+    return (buf[1:2 * n + 1], vel[1:2 * n + 1], vel[1:n + 1], vel[n + 1:2 * n + 1],
+            acc[0], acc[1:2 * n + 1], acc[1:n + 1], acc[n + 1:2 * n + 1])
 
 
-def _scratch(lead: tuple, n: int) -> tuple:
-    """Work buffers for the z'' sum, the batch axes innermost in memory.
+def _scratch(batch: int, n: int) -> tuple:
+    """Work buffers for the z'' sum: the products x_k' x_k and y_k' y_k as
+    (2n, batch) rows, and the n terms as rows.
 
     The sum over the n blocks must add its terms in the order np.sum takes
-    on a fresh row-major array: in sequence below 8 terms, pairwise from 8
-    on.  Below 8 the terms are stored (n, batch) and read as (batch, n):
-    numpy's reduce then adds whole columns in sequence, along the batch,
-    about 7x faster than short contiguous rows at batch 1000.  From 8 on
-    only the reduce over contiguous rows is pairwise, so they are stored
-    (batch, n).
+    on a fresh (batch, n) array: in sequence below 8 terms, pairwise from 8
+    on.  Below 8 the terms are stored (n, batch): numpy's reduce then adds
+    whole rows in sequence, along the batch, about 7x faster than short
+    contiguous rows at batch 1000.  From 8 on only the reduce over
+    contiguous rows is pairwise, so they are stored (batch, n) and read
+    as (n, batch).
     """
-    prod = np.moveaxis(np.empty((2 * n, *lead)), 0, -1)
-    terms = np.moveaxis(np.empty((n, *lead)), 0, -1) if n < 8 else np.empty((*lead, n))
-    return prod, prod[..., 0::2], prod[..., 1::2], terms, np.empty(lead)
+    prod = np.empty((2 * n, batch))
+    terms = np.empty((n, batch)) if n < 8 else np.empty((batch, n)).T
+    return prod[:n], prod[n:], prod, terms
 
 
-def _factors(freqs: FrequencyList) -> tuple:
-    """lambda_k, the pair factors (-lambda_k, lambda_k) of (y_k', x_k'), and
-    1/2, as arrays: numpy then converts no Python scalar on each call."""
-    lams = np.array(freqs.floats)
-    return lams, np.stack([-lams, lams], axis=-1), np.array(0.5)
+def _factors(freqs: FrequencyList, tp: np.ndarray) -> tuple:
+    """lambda_k and -lambda_k as columns, t' and t'/2 as rows: arrays, so
+    numpy converts no Python scalar on each call.  t'' = 0 keeps t' the
+    same in every stage, so both are formed once per integration."""
+    lams = np.array(freqs.floats)[:, None]
+    return lams, -lams, tp, 0.5 * tp
 
 
-def _stage(reads: tuple, writes: tuple, scratch: tuple, lams, pair_lams, one_half) -> None:
-    """One evaluation of the second-order system on bound views."""
-    vel, pos_v, vel_v, tp, tp_pairs, swapped = reads
-    k_pos, k_z, k_pairs = writes
-    prod, even, odd, terms, half = scratch
-    k_pos[...] = vel
-    np.multiply(vel_v, pos_v, prod)  # x_k' x_k and y_k' y_k, interleaved
-    np.add(even, odd, terms)
+def _stage(views: tuple, scratch: tuple, lams, neg_lams, tp, half_tp) -> None:
+    """One evaluation of the second-order system on bound views: eight
+    ufunc calls, each on whole contiguous rows."""
+    pos_v, vel_v, vel_x, vel_y, acc_z, acc_v, acc_x, acc_y = views
+    prod_x, prod_y, prod, terms = scratch
+    np.multiply(vel_v, pos_v, prod)  # x_k' x_k, then y_k' y_k
+    np.add(prod_x, prod_y, terms)
     np.multiply(terms, lams, terms)
-    np.add.reduce(terms, -1, None, k_z)
-    np.multiply(tp, one_half, half)
-    np.multiply(half, k_z, k_z)
-    np.multiply(pair_lams, swapped, k_pairs)
-    np.multiply(k_pairs, tp_pairs, k_pairs)
+    np.add.reduce(terms, 0, None, acc_z)
+    np.multiply(half_tp, acc_z, acc_z)
+    np.multiply(neg_lams, vel_y, acc_x)
+    np.multiply(lams, vel_x, acc_y)
+    np.multiply(acc_v, tp, acc_v)
 
 
 def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
@@ -316,17 +323,22 @@ def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
     z'' = (t'/2) sum_k lambda_k (x_k' x_k + y_k' y_k)
     x_i'' = -lambda_i y_i' t',   y_i'' = lambda_i x_i' t',   t'' = 0.
 
-    Binds the views of the one stage kernel that `integrate_geodesic_batch`
-    steps with, for any leading axes, and runs it once into a fresh array;
-    the layout of the z'' sum's buffer depends on n (see `_scratch`), so
-    that the sum adds in np.sum's order on every batch shape.
+    Runs the one stage kernel that `integrate_geodesic_batch` steps with,
+    once, on the leading axes flattened to one batch: the state is
+    permuted into a [pos | vel | acc] buffer of split rows, and the
+    derivative [vel | acc] back to pair order.
     """
     state = np.asarray(state, dtype=float)
-    if state.shape[-1:] != (2 * freqs.dim,):
-        raise ValueError(f"state must have length {2 * freqs.dim}, got shape {state.shape}")
-    n, out = freqs.n, np.zeros(state.shape)
-    _stage(_reads(state, n), _writes(out, n), _scratch(state.shape[:-1], n), *_factors(freqs))
-    return out
+    dim, n = freqs.dim, freqs.n
+    if state.shape[-1:] != (2 * dim,):
+        raise ValueError(f"state must have length {2 * dim}, got shape {state.shape}")
+    rows, order = state.reshape(-1, 2 * dim), _split_order(n)
+    buf = np.zeros((3 * dim, len(rows)))
+    buf[:2 * dim] = rows[:, order].T
+    _stage(_views(buf, n), _scratch(len(rows), n), *_factors(freqs, buf[2 * dim - 1]))
+    out = np.empty(rows.shape)
+    out[:, order] = buf[dim:].T
+    return out.reshape(state.shape)
 
 
 # an RK4 run above this many steps is refused before it starts
@@ -338,15 +350,13 @@ def integrate_geodesic_batch(
 ) -> np.ndarray:
     """RK4 from the identity for a batch of initial velocities.
 
-    Returns final positions, shape (batch, 2n+2).  The state and the stages
-    live in buffers allocated once, column-major so that each operation runs
-    along the batch; each element sees the operations of
-    state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.  The stage kernel's
-    views (the velocity, the v blocks, t', the swapped velocity pairs, and
-    each k's position rate, z'' and v outputs) are bound once per
-    integration, so a stage is nine numpy calls.  The z'' sum's buffer is
-    stored (n, batch) below 8 blocks and (batch, n) from 8 on: numpy sums 8
-    or more contiguous terms pairwise, as np.sum does on a fresh array.
+    Returns final positions, shape (batch, 2n+2).  Each element sees the
+    operations of state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.  The
+    rows are held in split order, (z, x_1..x_n, y_1..y_n, t), permuted on
+    entry and back on return, each row contiguous along the batch; every
+    stage has one [pos | vel | acc] buffer, allocated once, whose [vel | acc]
+    is its k.  The stage kernel's views are bound once per integration, so a
+    stage is eight 2-D numpy calls on whole rows (see `_stage`).
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -362,28 +372,34 @@ def integrate_geodesic_batch(
         raise ValueError(f"step count |s_end| / step = {steps:.6g} exceeds {MAX_RK4_STEPS}")
     n_steps = max(1, round(steps))
     h = s_end / n_steps
-    state, k1, k2, k3, k4, tmp = np.zeros((6, 2 * dim, len(initials))).transpose(0, 2, 1)
-    state[:, dim:] = initials
-    factors, scratch = _factors(freqs), _scratch((len(initials),), n)
-    at_state, at_tmp = _reads(state, n), _reads(tmp, n)
-    into = [_writes(k, n) for k in (k1, k2, k3, k4)]
+    half = _split_order(n)[:dim]
+    bufs = np.zeros((4, 3 * dim, len(initials)))
+    state, ins = bufs[0, :2 * dim], bufs[1:, :2 * dim]  # ins: the inputs of stages 2-4
+    k1, k2, k3, k4 = bufs[:, dim:]
+    state[dim:] = initials[:, half].T
+    factors = _factors(freqs, initials[:, -1].copy())
+    views, scratch = [_views(buf, n) for buf in bufs], _scratch(len(initials), n)
+    tmp = np.empty_like(k1)
     finite = np.empty_like(state, dtype=bool)
     # 0-d arrays, as in _factors: no Python scalar is converted per call
     half_h, full_h, sixth_h, two = (np.array(c) for c in (h / 2, h, h / 6, 2.0))
-    stages = ((k1, half_h, into[1]), (k2, half_h, into[2]), (k3, full_h, into[3]))
+    stages = ((k1, half_h, ins[0], views[1]), (k2, half_h, ins[1], views[2]),
+              (k3, full_h, ins[2], views[3]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         for _ in range(n_steps):
-            _stage(at_state, into[0], scratch, *factors)
-            for k, c, k_next in stages:  # k_next = rhs(state + c k)
-                np.add(state, np.multiply(k, c, tmp), tmp)
-                _stage(at_tmp, k_next, scratch, *factors)
+            _stage(views[0], scratch, *factors)
+            for k, c, into, at in stages:  # the next stage runs at state + c k
+                np.add(state, np.multiply(k, c, into), into)
+                _stage(at, scratch, *factors)
             np.add(k1, np.multiply(k2, two, tmp), tmp)
             np.add(tmp, np.multiply(k3, two, k3), tmp)
             np.add(tmp, k4, tmp)
             np.add(state, np.multiply(tmp, sixth_h, tmp), state)
             if not np.isfinite(state, finite).all():
                 raise FloatingPointError("non-finite state during integration")
-    return state[:, :dim].copy()
+    out = np.empty((len(initials), dim))
+    out[:, half] = state[:dim].T
+    return out
 
 
 def integrate_geodesic(

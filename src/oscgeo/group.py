@@ -176,7 +176,11 @@ class GroupElement:
     def _of(cls, z: float, v: tuple, t: float) -> "GroupElement":
         """Internal constructor of a float element, without coercion."""
         g = object.__new__(cls)
-        _init(g, z, None, None, t, v)
+        _SET_Z(g, z)
+        _SET_NUM(g, None)
+        _SET_DEN(g, None)
+        _SET_T(g, t)
+        _SET_V(g, v)
         return g
 
     @property
@@ -227,7 +231,12 @@ class GroupElement:
         return cls(0, (0,) * (2 * n), 0)
 
     def to_floats(self) -> "GroupElement":
-        return GroupElement(float(self.z), [float(x) for x in self.v], float(self.t))
+        """The float element; an exact v entry is num / den on the ints,
+        the float that float(Fraction(num, den)) gives."""
+        if self.num is None:
+            return GroupElement._of(self.z, self._v, self.t)
+        den = self.den
+        return GroupElement._of(float(self.z), tuple([x / den for x in self.num]), float(self.t))
 
     def coords(self) -> list:
         return [self.z, *self.v, self.t]

@@ -86,7 +86,7 @@ class ClosedGeodesicCertificate:
         s = float(self.s_star)
         if s <= 0:
             raise CertificateVerificationFailed("closure parameter must be positive")
-        approached = eval_geodesic(Geodesic(self.initial.to_floats(), spec.freqs), s)
+        approached = eval_geodesic(Geodesic(self.initial, spec.freqs), s)
         err = max_coord_dist(approached, self.lattice_point.to_floats())
         if not err <= tol:  # a nan err misses too
             raise CertificateVerificationFailed(
@@ -295,9 +295,11 @@ def _least_r(slope: list, p: list, w: list, c: int, k0: int):
     return r or period
 
 
-def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
+def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None,
+            form: _Cleared | None = None):
     """(least closing r, the member met there, {residue: obstruction}); r
-    and the member are None when no r up to `limit` closes.
+    and the member are None when no r up to `limit` closes.  `form` is x's
+    `_Cleared`, when the caller has built it.
 
     With c = r mod K0 and t_step = +-t0, R(K0 t_step) = Id splits the point
     at r into (r L + P(c), V(c), r t_step): V(c) and a^2 P(c) are
@@ -310,7 +312,8 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
     found or `limit`.
     """
     prof, freqs = spec.profile(), spec.freqs
-    form, sign, k0 = _Cleared(x, freqs), as_exact(x.a).sign(), prof.k0
+    form = _Cleared(x, freqs) if form is None else form
+    sign, k0 = as_exact(x.a).sign(), prof.k0
     rows = freqs.quarter_turns[2]
     turns = sign * quarter_turn_count(prof.t0, freqs)  # R(c t_step) = rows[c turns % 4]
     # alpha, gamma and lift a^2 P(c) over one denominator: the drift's times
@@ -346,18 +349,20 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None):
 def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> ClosureDecision:
     """The closure decision for an exact x, capped at `limit`.  A hit at r
     is met at s = r t0 / |a| = t / a: exact, and replayed exactly, when
-    t0 / a is in Q[pi]; otherwise a float."""
+    t0 / a is in Q[pi]; otherwise a float.  The causal class is read off
+    the drift of the decision's `_Cleared`."""
     a = as_exact(x.a)
     if a.is_zero():
         return ClosureDecision(_search_line_case(x, spec))
-    r, point, obstructions = _decide(x, spec, limit)
+    form = _Cleared(x, spec.freqs)
+    r, point, obstructions = _decide(x, spec, limit, form)
     if r is None:
         return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
     try:
         s = point.t / a
     except ValueError:
         s = r * float(spec.profile().t0) / abs(float(a))
-    return ClosureDecision(_certify(x, s, point, causal_class(x, spec.freqs), spec), r)
+    return ClosureDecision(_certify(x, s, point, form.causal(), spec), r)
 
 
 def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:

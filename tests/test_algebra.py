@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -209,3 +211,39 @@ class TestCausalClass:
         x = AlgebraVector(1.0, [(1e-8, 0.0)], -1e-17)
         assert causal_class(x, freqs(1)) == CausalClass.LIGHTLIKE
         assert causal_class(x, freqs(1), tol=1e-20) == CausalClass.SPACELIKE
+
+
+class TestAlgebraVectorValue:
+    """AlgebraVector is a frozen value: fields fixed, equality and hash by value."""
+
+    @pytest.mark.parametrize("field", ["d", "bc", "a"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        x = AlgebraVector(1, [(2, 3)], 4)
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, field, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, field)
+        assert x.coords() == [1, 2, 3, 4]
+
+    def test_equality_and_hash_agree_across_int_and_fraction(self):
+        ints = AlgebraVector(1, [(2, 0)], -3)
+        fracs = AlgebraVector(Fraction(1), [(Fraction(4, 2), Fraction(0))], Fraction(-3))
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert AlgebraVector.from_coords([1, 2, 0, -3]) == ints
+        assert ints != AlgebraVector(1, [(2, 0)], 3)
+        assert len({ints, fracs, AlgebraVector(1, [(2, 0)], 3)}) == 2
+
+    def test_repr(self):
+        x = AlgebraVector(Fraction(1, 2), [(0, 1.5)], PI)
+        assert repr(x) == f"AlgebraVector(d=Fraction(1, 2), bc=((0, 1.5),), a={PI!r})"
+        assert repr(AlgebraVector.T(1)) == "AlgebraVector(d=0, bc=((0, 0),), a=1)"
+
+    @pytest.mark.parametrize("coords", [[], [1, 2], [1, 2, 3], [1, 2, 3, 4, 5]])
+    def test_from_coords_refuses_a_bad_length(self, coords):
+        with pytest.raises(ValueError, match="is not 2n\\+2"):
+            AlgebraVector.from_coords(coords)
+
+    def test_to_floats_reads_every_entry(self):
+        x = AlgebraVector(Fraction(1, 4), [(2, Fraction(-1, 2))], PI).to_floats()
+        assert x == AlgebraVector(0.25, [(2.0, -0.5)], math.pi)
+        assert all(type(c) is float for c in x.coords())

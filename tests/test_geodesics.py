@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscgeo.algebra import AlgebraVector, FrequencyList, causal_quantity, inner
+from oscgeo.algebra import (
+    AlgebraVector, CausalClass, FrequencyList, causal_class, causal_quantity, inner,
+)
 from oscgeo import geodesics
-from oscgeo.exact import ExactScalar, PI, as_exact, rational_ratio
+from oscgeo.exact import ExactScalar, PI, as_exact, pi_poly_sign, rational_ratio
 from oscgeo.geodesics import (
     MAX_RK4_STEPS,
     Geodesic,
+    _Cleared,
     _inverse_metric_rows,
     _metric_rows,
     acceleration_from_christoffel,
@@ -189,6 +192,21 @@ def exact_flow_inputs(draw):
 @given(exact_flow_inputs())
 def test_exact_evaluation_matches_the_exact_scalar_reference(args):
     assert outcome(eval_geodesic_exact, *args) == outcome(reference_eval_exact, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_flow_inputs())
+@example((AlgebraVector(Fraction(-1, 2), [(1, 0)], 1), 0, FrequencyList([1])))  # lightlike
+@example((AlgebraVector(-PI / 4, [(PI, 0)], 2 * PI), 0, FrequencyList([1])))  # lightlike, in pi
+@example((AlgebraVector(-PI, [(PI, 0)], PI), 0, FrequencyList([1])))  # timelike: -pi^2
+def test_the_drift_carries_the_causal_class(args):
+    # drift = lcm^2 scale^2 <x, x>: the closure decision reads x's class off it
+    x, _, freqs = args
+    assume(not as_exact(x.a).is_zero())
+    form = _Cleared(x, freqs)
+    sign = as_exact(causal_quantity(x, freqs)).sign()
+    assert pi_poly_sign(form.drift) == sign
+    assert form.causal() == causal_class(x, freqs) == CausalClass.of_sign(sign)
 
 
 def _fixed_blocks_with_v(g: GroupElement, freqs: FrequencyList) -> list[int]:

@@ -560,3 +560,35 @@ def test_multiply_and_invert_match_a_fraction_evaluation_of_the_law(data):
     v_inv = [-x for x in _reference_rotation(-a.t, fl, list(a.v))]
     assert (inverse.z, inverse.v, inverse.t) == (-a.z, tuple(v_inv), -a.t)
     assert inverse == GroupElement(-a.z, v_inv, -a.t)
+
+
+# ints of up to 400 digits: a quotient past 1.8e308 overflows a float
+huge_ints = st.integers(-10**400, 10**400) | st.integers(-10**20, 10**20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.lists(huge_ints, min_size=2, max_size=6).filter(lambda v: len(v) % 2 == 0),
+       den=st.integers(1, 10**400) | st.integers(1, 10**6))
+def test_to_floats_on_the_ints_is_the_fraction_route(num, den):
+    g = GroupElement._exact(ExactScalar(Fraction(-7, 3), 2), tuple(num), den, HALF_PI)
+    try:
+        expected = [float(Fraction(x, den)) for x in num]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            g.to_floats()
+        return
+    got = g.to_floats()
+    assert [x.hex() for x in got.v] == [x.hex() for x in expected]
+    assert (got.z, got.t) == (float(g.z), float(g.t)) and not got.is_exact()
+    assert got.to_floats() == got
+
+
+def test_to_floats_overflows_on_both_routes():
+    g = GroupElement._exact(ExactScalar(0), (10**400, 1), 3, ExactScalar(0))
+    with pytest.raises(OverflowError):
+        float(Fraction(10**400, 3))
+    with pytest.raises(OverflowError):
+        g.to_floats()
+    # a tiny quotient rounds to 0.0 on both routes
+    tiny = GroupElement._exact(ExactScalar(0), (1, -1), 10**400, ExactScalar(0)).to_floats()
+    assert [x.hex() for x in tiny.v] == [float(Fraction(x, 10**400)).hex() for x in (1, -1)]
