@@ -341,7 +341,8 @@ def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
     return out.reshape(state.shape)
 
 
-# an RK4 run above this many steps is refused before it starts
+# an RK4 run above this many row steps (steps times batch rows) is refused
+# before it starts
 MAX_RK4_STEPS = 10**6
 
 
@@ -368,8 +369,10 @@ def integrate_geodesic_batch(
     steps = abs(s_end) / step
     if not math.isfinite(steps):
         raise ValueError(f"step count |s_end| / step = {steps} is not finite")
-    if steps > MAX_RK4_STEPS:
-        raise ValueError(f"step count |s_end| / step = {steps:.6g} exceeds {MAX_RK4_STEPS}")
+    rows = max(1, len(initials))  # an empty batch still steps
+    if steps * rows > MAX_RK4_STEPS:
+        raise ValueError(f"step count |s_end| / step = {steps:.6g} over {rows} row(s) "
+                         f"exceeds {MAX_RK4_STEPS}")
     n_steps = max(1, round(steps))
     h = s_end / n_steps
     half = _split_order(n)[:dim]

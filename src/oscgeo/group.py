@@ -117,15 +117,15 @@ def rotation(t, freqs: FrequencyList) -> tuple:
                      if (2 * a).denominator != 1)
         raise ExactModeUnsupportedAngle(f"angle {angle}*pi is not a multiple of pi/2")
     tf = float(t)
-    return tuple((math.cos(th), math.sin(th)) for th in (lam * tf for lam in freqs.floats))
+    return tuple([(math.cos(lam * tf), math.sin(lam * tf)) for lam in freqs.floats])
 
 
 def _symplectic_pairing(u: Sequence, w: Sequence):
-    """u^T J w for floats, summed term by term in index order."""
-    jw = [c for x, y in zip(w[0::2], w[1::2]) for c in (y, -x)]
-    total = u[0] * jw[0]
-    for a, b in zip(u[1:], jw[1:]):
-        total = total + a * b
+    """u^T J w for floats, summed term by term in index order: the terms
+    are u_2i w_2i+1 and -(u_2i+1 w_2i), so adding the second subtracts."""
+    total = u[0] * w[1] - u[1] * w[0]
+    for a, b, x, y in zip(u[2::2], u[3::2], w[2::2], w[3::2]):
+        total = total + a * y - b * x
     return total
 
 
@@ -296,7 +296,7 @@ def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupE
     if g1.num is None:
         rv2 = rotate_pairs(rotation(g1.t, freqs), g2._v)
         z = z + _symplectic_pairing(g1._v, rv2) / 2
-        return GroupElement._of(z, tuple(a + b for a, b in zip(g1._v, rv2)), g1.t + g2.t)
+        return GroupElement._of(z, tuple([a + b for a, b in zip(g1._v, rv2)]), g1.t + g2.t)
     n1, d1, d2 = g1.num, g1.den, g2.den
     rn2 = swap_pairs(rotation(g1.t, freqs), g2.num)
     pair = int_pairing(n1, rn2)
@@ -315,7 +315,7 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
         raise ValueError("group element dimension does not match frequencies")
     r = rotation(-g.t, freqs)
     if g.num is None:
-        return GroupElement._of(-g.z, tuple(-x for x in rotate_pairs(r, g._v)), -g.t)
+        return GroupElement._of(-g.z, tuple([-x for x in rotate_pairs(r, g._v)]), -g.t)
     return GroupElement._exact(-g.z, tuple([-x for x in swap_pairs(r, g.num)]), g.den, -g.t)
 
 

@@ -251,19 +251,23 @@ def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = Fa
 
 
 def _theta_float(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool, act):
-    """Float v -> act(S, v) per equal-frequency run, with S = P(t)^T B P(t)."""
+    """Float v -> act(S, v) per equal-frequency run of multiplicity m, with
+    S = P^T B P and P = blockdiag(P(t)) of m copies of the 2x2 block."""
     t = float(g.t)
     v = np.array(g.v, dtype=float)
     out = np.empty_like(v)
     offset = 0
     for (lam, m), b in zip(freqs.runs(), blocks):
         size = 2 * m
-        p2 = _p_block_float(float(lam), t, normalized)
-        p = np.kron(np.eye(m), p2)
+        p = p2 = _p_block_float(float(lam), t, normalized)
+        if m > 1:
+            p = np.zeros((size, size))
+            for k in range(0, size, 2):
+                p[k: k + 2, k: k + 2] = p2
         sl = slice(offset, offset + size)
         out[sl] = act(p.T @ np.asarray(b) @ p, v[sl])
         offset += size
-    return GroupElement(float(g.z), out.tolist(), t)
+    return GroupElement._of(float(g.z), tuple(out.tolist()), t)
 
 
 def _theta_exact(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool):

@@ -101,12 +101,12 @@ class ClosedGeodesicCertificate:
         return self
 
     def to_json(self) -> dict:
-        init = self.initial.to_floats()
+        x = self.initial
         return {
             "initial": {
-                "d": init.d,
-                "bc": [list(p) for p in init.bc],
-                "a": init.a,
+                "d": float(x.d),
+                "bc": [[float(b), float(c)] for b, c in x.bc],
+                "a": float(x.a),
             },
             "s_star": self.s_star if isinstance(self.s_star, float) else str(self.s_star),
             "lattice_point": self.lattice_point.to_json(),

@@ -343,6 +343,17 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="exceeds 10"):
             integrate_geodesic(AlgebraVector.T(1), -1.2, 0.1, F1)
 
+    def test_step_count_bound_counts_batch_rows(self, monkeypatch):
+        monkeypatch.setattr(geodesics, "MAX_RK4_STEPS", 100)
+        initials = np.tile(AlgebraVector.T(1).coords(), (11, 1)).astype(float)
+        out = integrate_geodesic_batch(initials[:10], 1.0, 0.1, F1)  # 10 x 10 steps
+        assert out.shape == (10, 4) and np.abs(out - [0.0, 0.0, 0.0, 1.0]).max() < 1e-12
+        with pytest.raises(ValueError, match="over 11 row\\(s\\) exceeds 100"):
+            integrate_geodesic_batch(initials, 1.0, 0.1, F1)
+        # an empty batch is held to the bound of one row
+        with pytest.raises(ValueError, match="over 1 row\\(s\\) exceeds 100"):
+            integrate_geodesic_batch(initials[:0], 1e300, 1e-3, F1)
+
 
 def reference_rhs(state, freqs):
     """geodesic_rhs in its plain form: fresh arrays on every call."""

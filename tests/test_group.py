@@ -464,6 +464,72 @@ def test_float_conjugation_is_bitwise_the_composed_product():
     assert conjugated.coords() == composed.coords()
 
 
+# -- the float group law, operation by operation ---------------------------------------
+
+
+def _float_rotation(t, fl):
+    return tuple((math.cos(th), math.sin(th)) for th in (lam * t for lam in fl.floats))
+
+
+def _float_rotate(cos_sin, v):
+    out = []
+    for (c, s), x, y in zip(cos_sin, v[0::2], v[1::2]):
+        out.extend((c * x - s * y, s * x + c * y))
+    return tuple(out)
+
+
+def _float_pairing(u, w):
+    jw = [c for x, y in zip(w[0::2], w[1::2]) for c in (y, -x)]
+    total = u[0] * jw[0]
+    for a, b in zip(u[1:], jw[1:]):
+        total = total + a * b
+    return total
+
+
+def _float_product(g1, g2, fl):
+    """(z, v, t) of g1 g2, each float operation in the group law's order."""
+    (z1, v1, t1), (z2, v2, t2) = g1, g2
+    rv2 = _float_rotate(_float_rotation(t1, fl), v2)
+    z = z1 + z2
+    z = z + _float_pairing(v1, rv2) / 2
+    return z, tuple(a + b for a, b in zip(v1, rv2)), t1 + t2
+
+
+def _float_inverse(g, fl):
+    z, v, t = g
+    return -z, tuple(-x for x in _float_rotate(_float_rotation(-t, fl), v)), -t
+
+
+signed_coords = (
+    st.floats(-1e6, 1e6) | st.floats(-1e-300, 1e-300) | st.sampled_from([0.0, -0.0])
+)
+
+
+def float_elements(fl):
+    return st.tuples(
+        signed_coords,
+        st.lists(signed_coords, min_size=2 * fl.n, max_size=2 * fl.n).map(tuple),
+        signed_coords | st.sampled_from([math.pi, -math.pi / 2, 2 * math.pi]),
+    )
+
+
+def _coord_hexes(g):
+    z, v, t = (g.z, g.v, g.t) if isinstance(g, GroupElement) else g
+    return [x.hex() for x in (z, *v, t)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_float_law_is_bitwise_the_reference_formulas(data):
+    fl = data.draw(conjugation_freq_lists)
+    h, g = data.draw(float_elements(fl)), data.draw(float_elements(fl))
+    gh, gg = GroupElement(*h), GroupElement(*g)
+    assert _coord_hexes(multiply(gh, gg, fl)) == _coord_hexes(_float_product(h, g, fl))
+    assert _coord_hexes(invert(gh, fl)) == _coord_hexes(_float_inverse(h, fl))
+    composed = _float_product(_float_product(h, g, fl), _float_inverse(h, fl), fl)
+    assert _coord_hexes(conjugate(gh, gg, fl)) == _coord_hexes(composed)
+
+
 # -- the int-scaled exact v ---------------------------------------------------------
 
 # rationals as (numerator, denominator) pairs, with a common factor kept in

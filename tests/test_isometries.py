@@ -372,6 +372,76 @@ def test_relation_table_matches_composed_maps(inputs, normalized, seed):
             assert g["witness"].coords() == w["witness"].coords(), name
 
 
+# -- float theta against the np.kron construction --------------------------------
+
+
+def _reference_p_block(lam, t, normalized):
+    if math.isclose(math.cos(lam * t), 1.0, abs_tol=1e-15):
+        return np.eye(2)
+    s, c = math.sin(lam * t), math.cos(lam * t)
+    p = np.array([[s, 1.0 - c], [-1.0 + c, s]])
+    if normalized:
+        p = p / math.sqrt(2.0 - 2.0 * c)
+    return p
+
+
+def _kron_theta(blocks, g, freqs, normalized, act):
+    """Float theta coordinates with blockdiag(P) built as np.kron(np.eye(m), P)."""
+    t = float(g.t)
+    v = np.array(g.v, dtype=float)
+    out = np.empty_like(v)
+    offset = 0
+    for (lam, m), b in zip(freqs.runs(), blocks):
+        size = 2 * m
+        p = np.kron(np.eye(m), _reference_p_block(float(lam), t, normalized))
+        sl = slice(offset, offset + size)
+        out[sl] = act(p.T @ np.asarray(b) @ p, v[sl])
+        offset += size
+    return [float(g.z), *out.tolist(), t]
+
+
+def _hexes(coords):
+    return [float(x).hex() for x in coords]
+
+
+signed_floats = st.floats(-3, 3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def theta_inputs(draw):
+    """Runs of multiplicity 1-3 with distinct frequencies, random orthogonal
+    or signed-permutation blocks, v and z with +-0.0, t with 0 and 2 pi."""
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    lams = draw(st.lists(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 3)]),
+                         min_size=len(mults), max_size=len(mults), unique=True))
+    freqs = FrequencyList([lam for lam, m in zip(lams, mults) for _ in range(m)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for m in mults:
+        if draw(st.booleans()):
+            blocks.append(rand_orth(rng, 2 * m))
+        else:
+            signed = np.diag(rng.choice([1.0, -1.0], 2 * m))[rng.permutation(2 * m)]
+            blocks.append(np.where(signed == 0, rng.choice([0.0, -0.0], signed.shape), signed))
+    v = draw(st.lists(signed_floats, min_size=2 * freqs.n, max_size=2 * freqs.n))
+    t = draw(st.sampled_from([0.0, -0.0, 2 * math.pi, -2 * math.pi, math.pi / 2]) | st.floats(-7, 7))
+    return blocks, GroupElement(draw(signed_floats), v, t), freqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=theta_inputs(), normalized=st.booleans())
+def test_float_theta_is_bitwise_the_kron_construction(inputs, normalized):
+    blocks, g, freqs = inputs
+    matmul = lambda s, x: s @ x
+    got = theta_B(blocks, g, freqs, normalized)
+    assert not got.is_exact()
+    assert _hexes(got.coords()) == _hexes(_kron_theta(blocks, g, freqs, normalized, matmul))
+    solved = _theta_float(blocks, g, freqs, normalized, np.linalg.solve)
+    assert _hexes(solved.coords()) == _hexes(
+        _kron_theta(blocks, g, freqs, normalized, np.linalg.solve)
+    )
+
+
 class TestFiberPreservation:
     def test_left_translation_preserves(self):
         spec = Dim4Family(1, TWO_PI)

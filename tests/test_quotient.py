@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -910,6 +911,18 @@ class TestCertificateVerification:
         assert cert.to_json()["exact_initial_data"] is exact
         assert isinstance(cert.s_star, float) is not exact
         assert (cert.initial_exact is not None) is exact
+
+    def test_initial_data_reports_floats_whatever_the_entry_type(self):
+        cert = ClosedGeodesicCertificate(
+            AlgebraVector(0, [(Fraction(1, 4), -3), (2, Fraction(0))], Fraction(-5, 2)),
+            1.0,
+            GroupElement(0, (0, 0, 0, 0), TWO_PI),
+            CausalClass.SPACELIKE,
+        )
+        # json.dumps tells 0.0 from 0, which == does not
+        assert json.dumps(cert.to_json()["initial"]) == (
+            '{"d": 0.0, "bc": [[0.25, -3.0], [2.0, 0.0]], "a": -2.5}'
+        )
 
     def test_max_coord_dist_keeps_a_later_nan(self):
         far = max_coord_dist(GroupElement(0.0, [math.nan, 0.0], 0.0), GroupElement(0.0, [0.0, 0.0], 0.0))
