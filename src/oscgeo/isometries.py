@@ -37,7 +37,6 @@ from .group import (
     invert,
     max_coord_dist,
     multiply,
-    rotate_pairs,
     rotation,
 )
 
@@ -63,8 +62,12 @@ def _float_blocks(blocks, freqs: FrequencyList) -> list[np.ndarray]:
     return blocks
 
 
-def _run_values(freqs: FrequencyList) -> list[Fraction]:
-    return [val for val, _ in freqs.runs()]
+def _run_slices(freqs: FrequencyList, start: int = 0):
+    """(lambda, slice) per equal-frequency run, the slices laid end to end
+    from start, 2m wide for a run of multiplicity m."""
+    for lam, m in freqs.runs():
+        yield lam, slice(start, start + 2 * m)
+        start += 2 * m
 
 
 @dataclass(frozen=True)
@@ -115,20 +118,15 @@ def isotropy_matrix(el: IsotropyElement, freqs: FrequencyList) -> np.ndarray:
             f"{_run_sizes(freqs)}"
         )
     dim = freqs.dim
-    rhos = _run_values(freqs)
     a = np.zeros((dim, dim))
     a[0, 0] = 1.0
     a[dim - 1, dim - 1] = 1.0
-    offset = 1
     corner = 0.0
-    for rho, b, c in zip(rhos, el.blocks, el.c):
-        size = b.shape[0]
-        sl = slice(offset, offset + size)
+    for (rho, sl), b, c in zip(_run_slices(freqs, 1), el.blocks, el.c):
         a[0, sl] = c
         a[sl, sl] = b
         a[sl, dim - 1] = -float(rho) * (b @ c)
         corner -= 0.5 * float(rho) * float(c @ c)
-        offset += size
     a[0, dim - 1] = corner
     return el.eps * a
 
@@ -184,15 +182,9 @@ def psi_decompose(
         raise ShapeMismatch("corner entry must be +-1")
     eps = 1 if eps_val > 0 else -1
     ua = eps * a
-    sizes = _run_sizes(freqs)
-    blocks: list[np.ndarray] = []
-    cs: list[np.ndarray] = []
-    offset = 1
-    for size in sizes:
-        sl = slice(offset, offset + size)
-        blocks.append(ua[sl, sl].copy())
-        cs.append(ua[0, sl].copy())
-        offset += size
+    slices = [sl for _, sl in _run_slices(freqs, 1)]
+    blocks = [ua[sl, sl].copy() for sl in slices]
+    cs = [ua[0, sl].copy() for sl in slices]
     rebuilt = isotropy_matrix(
         IsotropyElement(eps, blocks, cs), freqs
     )
@@ -210,29 +202,14 @@ def semidirect_product(x, y, freqs: FrequencyList):
     e1, b1, c1 = x
     e2, b2, c2 = y
     blocks = [np.asarray(p) @ np.asarray(q) for p, q in zip(b1, b2)]
-    sizes = _run_sizes(freqs)
     c1v, c2v = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
     out_c = c2v.copy()
-    offset = 0
-    for size, q in zip(sizes, b2):
-        sl = slice(offset, offset + size)
+    for (_, sl), q in zip(_run_slices(freqs), b2):
         out_c[sl] += np.asarray(q).T @ c1v[sl]
-        offset += size
     return e1 * e2, blocks, out_c
 
 
 # -- the theta maps -----------------------------------------------------------
-
-
-def _p_block_float(lam: float, t: float, normalized: bool) -> np.ndarray:
-    # branch value at the special angles is the identity
-    if math.isclose(math.cos(lam * t), 1.0, abs_tol=1e-15):
-        return np.eye(2)
-    s, c = math.sin(lam * t), math.cos(lam * t)
-    p = np.array([[s, 1.0 - c], [-1.0 + c, s]])
-    if normalized:
-        p = p / math.sqrt(2.0 - 2.0 * c)
-    return p
 
 
 def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = False):
@@ -240,75 +217,68 @@ def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = Fa
 
     blocks: one orthogonal matrix per equal-frequency run.  As printed the
     P blocks are unnormalized (see the module docstring); normalized=True
-    divides each block by sqrt(2 - 2 cos(lambda t)).
+    divides each block by sqrt(2 - 2 cos(lambda t)).  An exact g needs
+    rational blocks and a quarter-turn t.
     """
     if g.n != freqs.n:
         raise ValueError("element does not match frequencies")
     blocks = _float_blocks(blocks, freqs)
     if g.is_exact():
-        return _theta_exact(blocks, g, freqs, normalized)
-    return _theta_float(blocks, g, freqs, normalized, lambda s, x: s @ x)
+        blocks = [_rational_block(b) for b in blocks]
+    return _theta(blocks, g, freqs, normalized, np.matmul)
 
 
-def _theta_float(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool, act):
-    """Float v -> act(S, v) per equal-frequency run of multiplicity m, with
-    S = P^T B P and P = blockdiag(P(t)) of m copies of the 2x2 block."""
-    t = float(g.t)
-    v = np.array(g.v, dtype=float)
+def _rational_block(b: np.ndarray) -> np.ndarray:
+    rb = [[Fraction(x).limit_denominator(10**12) for x in row] for row in b]
+    if any(abs(float(x) - float(y)) > 1e-14 for row, rrow in zip(b, rb)
+           for x, y in zip(row, rrow)):
+        raise ValueError("exact theta needs rational blocks")
+    return np.array(rb, dtype=object)
+
+
+def _theta(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool, act):
+    """v -> act(S, v) per equal-frequency run of multiplicity m, with
+    S = P^T B P and P = blockdiag(P(t)) of m copies of the 2x2 block, in the
+    arithmetic of g: float blocks for a float g, Fraction blocks for an
+    exact one.  Floats divide P by sqrt(2 - 2 cos) when normalized; exact
+    points divide S by 2 - 2 cos, which keeps S rational on the quarter
+    turns of the table `rotation` reads.
+    """
+    exact = g.is_exact()
+    dtype = object if exact else float
+    cos_sin = rotation(g.t, freqs)
+    v = np.array(g.v, dtype=dtype)
     out = np.empty_like(v)
-    offset = 0
-    for (lam, m), b in zip(freqs.runs(), blocks):
-        size = 2 * m
-        p = p2 = _p_block_float(float(lam), t, normalized)
-        if m > 1:
-            p = np.zeros((size, size))
+    for (_, sl), b in zip(_run_slices(freqs), blocks):
+        c, s = cos_sin[sl.start // 2]
+        scale = 1
+        if math.isclose(c, 1.0, abs_tol=1e-15):  # the branch value at the special angles
+            p2 = np.eye(2, dtype=dtype)
+        else:
+            p2 = np.array([[s, 1 - c], [-1 + c, s]], dtype=dtype)
+            if normalized and exact:
+                scale = 2 - 2 * c
+            elif normalized:
+                p2 = p2 / math.sqrt(2.0 - 2.0 * c)
+        p = p2
+        size = sl.stop - sl.start
+        if size > 2:
+            p = np.zeros((size, size), dtype)
             for k in range(0, size, 2):
                 p[k: k + 2, k: k + 2] = p2
-        sl = slice(offset, offset + size)
-        out[sl] = act(p.T @ np.asarray(b) @ p, v[sl])
-        offset += size
-    return GroupElement._of(float(g.z), tuple(out.tolist()), t)
-
-
-def _theta_exact(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool):
-    """Exact path: rational blocks, quarter-turn angles.
-
-    P^T B P / (2 - 2 cos) keeps rational entries even though the normalized
-    P itself involves sqrt(2 - 2 cos).
-    """
-    rational_blocks = []
-    for b in blocks:
-        rb = [[Fraction(x).limit_denominator(10**12) for x in row] for row in b]
-        if any(abs(float(x) - float(y)) > 1e-14 for row, rrow in zip(b, rb)
-               for x, y in zip(row, rrow)):
-            raise ValueError("exact theta needs rational blocks")
-        rational_blocks.append(rb)
-    cos_sin = rotation(g.t, freqs)
-    v = list(g.v)
-    out: list[Fraction] = []
-    offset = 0
-    for (_, m), b in zip(freqs.runs(), rational_blocks):
-        kos, sin = cos_sin[offset // 2]
-        # P = [[sin, 1-cos], [cos-1, sin]] is the rotation shape at (sin, cos-1)
-        p = (1, 0) if kos == 1 else (sin, kos - 1)
-        scale = 2 - 2 * kos if normalized and kos != 1 else 1
-        size = 2 * m
-        # apply blockdiag(P) per pair, then b, then blockdiag(P)^T
-        pv = rotate_pairs([p] * m, v[offset: offset + size])
-        bpv = [
-            sum(b[i][j] * pv[j] for j in range(size)) for i in range(size)
-        ]
-        ptbpv = rotate_pairs([(p[0], -p[1])] * m, bpv)
-        out.extend(x / scale for x in ptbpv)
-        offset += size
-    return GroupElement(g.z, out, g.t)
+        pbp = p.T @ b @ p
+        out[sl] = act(pbp if scale == 1 else pbp / scale, v[sl])
+    if exact:
+        return GroupElement(g.z, out.tolist(), g.t)
+    return GroupElement._of(float(g.z), tuple(out.tolist()), float(g.t))
 
 
 def theta_differential_at_identity(
     blocks, freqs: FrequencyList, normalized: bool = False, h: float = 1e-6
 ) -> np.ndarray:
     """Finite-difference differential of theta at the identity."""
-    f = lambda g: theta_B(blocks, g, freqs, normalized)
+    blocks = _float_blocks(blocks, freqs)
+    f = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
     return _map_differential(f, GroupElement.identity(freqs.n).to_floats(), freqs, h)
 
 
@@ -341,6 +311,7 @@ def validate_theta(
     """
     rng = random.Random(seed)
     dim = freqs.dim
+    blocks = _float_blocks(blocks, freqs)
     expected = np.eye(dim)
     expected[1:-1, 1:-1] = _full_block(blocks, freqs)
     diff_err = float(
@@ -348,7 +319,7 @@ def validate_theta(
     )
     iso_err = 0.0
     witness = None
-    f = lambda g: theta_B(blocks, g, freqs, normalized)
+    f = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
     for _ in range(samples):
         p = GroupElement(
             rng.uniform(-2, 2),
@@ -555,13 +526,13 @@ def structure_relations_check(
         GroupElement(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in range(n2)], rng.uniform(-3, 3))
         for _ in range(samples)
     ]
-    theta = lambda g: theta_B(blocks, g, freqs, normalized)
+    theta = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
     if normalized:
         transposed = [b.T for b in blocks]
-        theta_inv = lambda g: theta_B(transposed, g, freqs, normalized=True)
+        theta_inv = lambda g: _theta(transposed, g, freqs, True, np.matmul)
     else:
         # unnormalized theta is v -> S v with S = P^T B P; invert S pointwise
-        theta_inv = lambda g: _theta_float(blocks, g, freqs, False, np.linalg.solve)
+        theta_inv = lambda g: _theta(blocks, g, freqs, False, np.linalg.solve)
     conjugated = [theta(conjugate(h, theta_inv(x), freqs)) for x in points]
     inverses = [invert(x, freqs) for x in points]
     sides = {  # relation -> (left sides, right sides) at the points
@@ -588,14 +559,11 @@ def structure_relations_check(
 
 
 def _full_block(blocks, freqs: FrequencyList) -> np.ndarray:
-    blocks = _float_blocks(blocks, freqs)
+    """blockdiag of the blocks, already checked by _float_blocks."""
     n2 = 2 * freqs.n
     out = np.zeros((n2, n2))
-    offset = 0
-    for b in blocks:
-        size = b.shape[0]
-        out[offset: offset + size, offset: offset + size] = b
-        offset += size
+    for (_, sl), b in zip(_run_slices(freqs), blocks):
+        out[sl, sl] = b
     return out
 
 

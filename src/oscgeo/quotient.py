@@ -194,7 +194,7 @@ def closed_timelike_and_spacelike(
     return tuple(certs)
 
 
-# -- bounded closure search ----------------------------------------------------
+# -- the line case: velocities with a = 0 --------------------------------------
 
 
 def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCertificate | None:

@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 from oscgeo import isometries
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI
-from oscgeo.group import GroupElement, conjugate, invert, max_coord_dist, multiply
+from oscgeo.group import (
+    ExactModeUnsupportedAngle,
+    GroupElement,
+    conjugate,
+    invert,
+    max_coord_dist,
+    multiply,
+    rotate_pairs,
+    rotation,
+)
 from oscgeo.isometries import (
     GROUP_MAP_TOL,
     Composite,
@@ -21,7 +30,7 @@ from oscgeo.isometries import (
     LeftTranslation,
     ShapeMismatch,
     Theta,
-    _theta_float,
+    _theta,
     apply_isometry,
     aut_intersection_check,
     check_local_isometry,
@@ -263,9 +272,9 @@ class TestStructureRelations:
             with pytest.raises(ValueError, match="not finite"):
                 structure_relations_check([b], (math.inf, 0.0), 1.0, F1)
 
-    @pytest.mark.parametrize("normalized, theta_calls", [(True, 4), (False, 3)])
-    def test_each_map_runs_once_per_sample(self, monkeypatch, normalized, theta_calls):
-        calls = {"theta_B": 0, "conjugate": 0, "invert": 0}
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_each_map_runs_once_per_sample(self, monkeypatch, normalized):
+        calls = {"_theta": 0, "conjugate": 0, "invert": 0}
 
         def counting(name):
             inner = getattr(isometries, name)
@@ -281,8 +290,8 @@ class TestStructureRelations:
         b = np.array([[0.6, -0.8], [0.8, 0.6]])
         structure_relations_check([b], (1.0, 0.5), 0.9, F1, normalized=normalized, samples=12)
         # (i) and its orientation-adjusted variant share their left sides,
-        # (ii) and (iii) share x^-1
-        assert calls == {"theta_B": theta_calls * 12, "conjugate": 5 * 12, "invert": 3 * 12}
+        # (ii) and (iii) share x^-1; theta^-1 runs through the same _theta
+        assert calls == {"_theta": 4 * 12, "conjugate": 5 * 12, "invert": 3 * 12}
 
 
 def _relations_by_composition(blocks, v, t, freqs, normalized, samples, seed):
@@ -311,7 +320,7 @@ def _relations_by_composition(blocks, v, t, freqs, normalized, samples, seed):
     def theta_inv(g):
         if normalized:
             return theta_B([np.asarray(b).T for b in blocks], g, freqs, normalized=True)
-        return _theta_float(blocks, g, freqs, False, np.linalg.solve)
+        return _theta(blocks, g, freqs, False, np.linalg.solve)
 
     sides = {
         "i": (lambda x: theta(conjugate(h, theta_inv(x), freqs)),
@@ -436,10 +445,91 @@ def test_float_theta_is_bitwise_the_kron_construction(inputs, normalized):
     got = theta_B(blocks, g, freqs, normalized)
     assert not got.is_exact()
     assert _hexes(got.coords()) == _hexes(_kron_theta(blocks, g, freqs, normalized, matmul))
-    solved = _theta_float(blocks, g, freqs, normalized, np.linalg.solve)
+    solved = _theta(blocks, g, freqs, normalized, np.linalg.solve)
     assert _hexes(solved.coords()) == _hexes(
         _kron_theta(blocks, g, freqs, normalized, np.linalg.solve)
     )
+
+
+# -- exact theta against the pairwise Fraction pass --------------------------------
+
+
+def _pairwise_theta(blocks, g, freqs, normalized):
+    """Exact theta applied pair by pair: rationalised blocks, R(t) off the
+    quarter-turn table, blockdiag(P), then B, then blockdiag(P)^T, each
+    coordinate divided by 2 - 2 cos when normalized."""
+    rational_blocks = []
+    for b in blocks:
+        rb = [[Fraction(x).limit_denominator(10**12) for x in row] for row in b]
+        if any(abs(float(x) - float(y)) > 1e-14 for row, rrow in zip(b, rb)
+               for x, y in zip(row, rrow)):
+            raise ValueError("exact theta needs rational blocks")
+        rational_blocks.append(rb)
+    cos_sin = rotation(g.t, freqs)
+    v = list(g.v)
+    out = []
+    offset = 0
+    for (_, m), b in zip(freqs.runs(), rational_blocks):
+        kos, sin = cos_sin[offset // 2]
+        p = (1, 0) if kos == 1 else (sin, kos - 1)
+        scale = 2 - 2 * kos if normalized and kos != 1 else 1
+        size = 2 * m
+        pv = rotate_pairs([p] * m, v[offset: offset + size])
+        bpv = [sum(b[i][j] * pv[j] for j in range(size)) for i in range(size)]
+        ptbpv = rotate_pairs([(p[0], -p[1])] * m, bpv)
+        out.extend(x / scale for x in ptbpv)
+        offset += size
+    return GroupElement(g.z, out, g.t)
+
+
+def _refusal(f):
+    with pytest.raises(ValueError) as info:
+        f()
+    return type(info.value), str(info.value)
+
+
+twelve_digits = st.integers(-10**12, 10**12).map(lambda k: k / 10**12)
+exact_fractions = st.fractions(-3, 3, max_denominator=12)
+
+
+@st.composite
+def exact_theta_inputs(draw):
+    """Runs of multiplicity 1-3 with distinct frequencies, blocks with entries
+    such as 0.6, -0.8, 0.5 and 12-digit decimals, t = j quarter-turn units
+    with j in -5..5, and rational v with z rational or a multiple of pi."""
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    lams = draw(st.lists(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 3)]),
+                         min_size=len(mults), max_size=len(mults), unique=True))
+    freqs = FrequencyList([lam for lam, m in zip(lams, mults) for _ in range(m)])
+    entries = st.sampled_from([0.0, 1.0, -1.0, 0.6, -0.8, 0.8, 0.5, -0.5]) | twelve_digits
+    blocks = [
+        np.array(draw(st.lists(entries, min_size=4 * m * m, max_size=4 * m * m))).reshape(2 * m, 2 * m)
+        for m in mults
+    ]
+    lcm, two_gcd, _ = freqs.quarter_turns
+    unit = ExactScalar(0, Fraction(lcm, two_gcd))
+    v = draw(st.lists(exact_fractions, min_size=2 * freqs.n, max_size=2 * freqs.n))
+    z = draw(exact_fractions | exact_fractions.map(lambda q: PI * q))
+    return blocks, GroupElement(z, v, unit * draw(st.integers(-5, 5))), unit, freqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=exact_theta_inputs(), normalized=st.booleans())
+def test_exact_theta_is_the_pairwise_fraction_pass(inputs, normalized):
+    blocks, g, unit, freqs = inputs
+    got = theta_B(blocks, g, freqs, normalized)
+    assert got.is_exact()
+    assert got.to_json() == _pairwise_theta(blocks, g, freqs, normalized).to_json()
+    # the refusals keep their type and text
+    bent = [b.copy() for b in blocks]
+    bent[0][0, 0] = 0.5 + 1e-13  # 1e-13 from 1/2, the nearest rational of denominator <= 10^12
+    assert _refusal(lambda: theta_B(bent, g, freqs, normalized)) == (
+        ValueError, "exact theta needs rational blocks"
+    )
+    half = GroupElement(g.z, g.v, g.t + unit / 2)
+    refused = _refusal(lambda: theta_B(blocks, half, freqs, normalized))
+    assert refused[0] is ExactModeUnsupportedAngle
+    assert refused == _refusal(lambda: _pairwise_theta(blocks, half, freqs, normalized))
 
 
 class TestFiberPreservation:
