@@ -249,17 +249,14 @@ def causal_quantity(x: AlgebraVector, freqs: FrequencyList):
     return inner(x, x, freqs)
 
 
-def causal_class(
-    x: AlgebraVector, freqs: FrequencyList, tol: float | None = None
-) -> CausalClass:
+def causal_class(x: AlgebraVector, freqs: FrequencyList) -> CausalClass:
     """Causal type of x: the exact sign of <x, x> for an exact x (entries
-    polynomials in pi included), the float sign up to tol otherwise."""
+    polynomials in pi included), the float sign up to CAUSAL_TOL otherwise."""
     if x.is_exact():
         sign = as_exact(causal_quantity(x, freqs)).sign()
     else:
         q = causal_quantity(x.to_floats(), freqs)
-        tol = CAUSAL_TOL if tol is None else tol
-        sign = 0 if abs(q) <= tol else -1 if q < 0 else 1
+        sign = 0 if abs(q) <= CAUSAL_TOL else -1 if q < 0 else 1
     return CausalClass.of_sign(sign)
 
 

@@ -15,6 +15,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -58,7 +59,6 @@ from .normalizers import (
     verification_grid,
 )
 from .quotient import (
-    FLOAT_VERIFY_TOL,
     CertificateVerificationFailed,
     classify_lightlike,
     closed_timelike_and_spacelike,
@@ -101,9 +101,9 @@ def parse_lattice(text: str) -> LatticeSpec:
 _BASIS_RE = re.compile(r"^(Z|T|X(\d+)|Y(\d+))$", re.IGNORECASE)
 
 
-def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
+def parse_velocity(text: str, n: int) -> AlgebraVector:
     """Velocity from JSON {"d":..,"bc":[[b,c],..],"a":..} or expressions
-    like "Z", "2*Z + X1 - 1/2*T"."""
+    like "Z", "2*Z + X1 - 1/2*T" with X/Y indices up to n."""
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
@@ -115,7 +115,6 @@ def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
         )
     terms = re.split(r"(?=[+-])", text.replace(" ", ""))
     parsed = []
-    max_index = 0
     for term in terms:
         if not term:
             continue
@@ -134,13 +133,9 @@ def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
         idx = int(m.group(2) or m.group(3) or 0)
         if name[0] in "XY" and idx < 1:
             raise CliValidationError(f"velocity term {term!r}: X/Y indices start at 1")
-        if n_hint and idx > n_hint:
-            raise CliValidationError(
-                f"velocity term {term!r} needs n >= {idx}, got n = {n_hint}"
-            )
-        max_index = max(max_index, idx)
+        if idx > n:
+            raise CliValidationError(f"velocity term {term!r} needs n >= {idx}, got n = {n}")
         parsed.append((sign * coef, name, idx))
-    n = n_hint or max(max_index, 1)
     d = Fraction(0)
     a = Fraction(0)
     bc = [[Fraction(0), Fraction(0)] for _ in range(n)]
@@ -158,6 +153,8 @@ def parse_velocity(text: str, n_hint: int | None = None) -> AlgebraVector:
 
 def _num(x):
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise CliValidationError(f"bad numeric entry {x!r}: not finite")
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
@@ -177,7 +174,10 @@ def parse_range(text: str) -> tuple[float, float]:
     m = re.fullmatch(r"\s*(-?[\d.eE+-]+)\.\.(-?[\d.eE+-]+)\s*", text)
     if not m:
         raise CliValidationError(f"bad range {text!r} (expected a..b)")
-    return float(m.group(1)), float(m.group(2))
+    lo, hi = float(m.group(1)), float(m.group(2))
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # 1e999 reads as inf
+        raise CliValidationError(f"bad range {text!r}: not finite")
+    return lo, hi
 
 
 # -- report assembly -----------------------------------------------------------
@@ -314,7 +314,7 @@ def cmd_quotient_classify(args) -> dict:
 def cmd_quotient_closed_search(args) -> dict:
     spec = parse_lattice(args.lattice)
     x = parse_velocity(args.X, spec.freqs.n)
-    cert = search_closed(x, spec, r_max=args.r_max, float_tol=FLOAT_VERIFY_TOL)
+    cert = search_closed(x, spec, r_max=args.r_max)
     if cert is None:
         if x.is_exact():  # decided in closed form, capped at r_max
             note = (f"no candidate up to r_max={args.r_max} closes; "

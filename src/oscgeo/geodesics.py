@@ -361,6 +361,8 @@ def integrate_geodesic_batch(
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if not math.isfinite(step):  # |s_end| / inf would take one step of s_end
+        raise ValueError(f"step {step} is not finite")
     initials = np.atleast_2d(np.asarray(initials, dtype=float))
     dim, n = freqs.dim, freqs.n
     if initials.ndim != 2 or initials.shape[1] != dim:
@@ -531,10 +533,13 @@ def christoffel_tabulated(freqs: FrequencyList, p: GroupElement | None = None):
     return _as_point_type(p, gam)
 
 
-def christoffel_table_report(
-    freqs: FrequencyList, p: GroupElement | None = None, tol: float = 1e-12
-) -> list[dict]:
-    """Entries where the tabulated symbols disagree with the derived ones."""
+# the two symbol sets are compared in float: a gap above this is a disagreement
+CHRISTOFFEL_TOL = 1e-12
+
+
+def christoffel_table_report(freqs: FrequencyList, p: GroupElement | None = None) -> list[dict]:
+    """Entries where the tabulated symbols disagree with the derived ones by
+    more than CHRISTOFFEL_TOL."""
     derived = christoffel(freqs, p)
     printed = christoffel_tabulated(freqs, p)
     dim = freqs.dim
@@ -543,7 +548,7 @@ def christoffel_table_report(
         for i in range(dim):
             for j in range(dim):
                 a, b = derived[k][i][j], printed[k][i][j]
-                if abs(float(a) - float(b)) > tol:
+                if abs(float(a) - float(b)) > CHRISTOFFEL_TOL:
                     out.append(
                         {"upper": k, "lower": (i, j), "derived": a, "tabulated": b}
                     )

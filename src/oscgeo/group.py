@@ -241,10 +241,10 @@ class GroupElement:
     def coords(self) -> list:
         return [self.z, *self.v, self.t]
 
-    def is_identity(self, tol: float = 0.0) -> bool:
+    def is_identity(self) -> bool:
         if self.is_exact():
             return self.z.is_zero() and self.t.is_zero() and not any(self.num)
-        return all(abs(c) <= tol for c in self.coords())
+        return all(c == 0 for c in self.coords())
 
     def to_json(self) -> dict:
         if self.is_exact():
@@ -257,7 +257,10 @@ class GroupElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupElement":
-        z, v, t = obj["z"], obj["v"], obj["t"]
+        try:
+            z, v, t = obj["z"], obj["v"], obj["t"]
+        except KeyError as exc:  # bad input; the message quotes the missing key
+            raise ValueError(str(exc)) from None
         if isinstance(z, float) or isinstance(t, float) or any(
             isinstance(x, float) for x in v
         ):

@@ -40,9 +40,12 @@ from .group import (
     rotation,
 )
 
-ALGEBRA_TOL = 1e-10
-GROUP_MAP_TOL = 1e-9
+ALGEBRA_TOL = 1e-10  # the matrix checks: local isometry, psi_decompose, automorphisms
+GROUP_MAP_TOL = 1e-9  # a structure relation holds within this deviation
 BLOCK_ORTHO_TOL = 1e-12
+DIFF_STEP = 1e-6  # central-difference step of the map differentials
+THETA_SAMPLES, THETA_SEED = 20, 0  # the random points of validate_theta
+RELATION_SAMPLES = 12  # the random points of structure_relations_check
 
 
 class ShapeMismatch(ValueError):
@@ -147,7 +150,7 @@ def _bracket_tensor(freqs: FrequencyList) -> np.ndarray:
     return c
 
 
-def check_local_isometry(a, freqs: FrequencyList, tol: float = ALGEBRA_TOL) -> bool:
+def check_local_isometry(a, freqs: FrequencyList) -> bool:
     """Both local-isometry conditions on all basis tuples.
 
     (1) <A e_i, A e_j> = <e_i, e_j>;
@@ -158,27 +161,25 @@ def check_local_isometry(a, freqs: FrequencyList, tol: float = ALGEBRA_TOL) -> b
     if a.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim}x{dim}")
     g = np.array(gram_matrix(freqs), dtype=float)
-    if np.max(np.abs(a.T @ g @ a - g)) > tol:
+    if np.max(np.abs(a.T @ g @ a - g)) > ALGEBRA_TOL:
         return False
     c = _bracket_tensor(freqs)
     double = np.einsum("jkm,iml->ijkl", c, c)  # [e_i, [e_j, e_k]]
     lhs = np.einsum("ol,ijkl->ijko", a, double)
     inner_rhs = np.einsum("bcm,bj,ck->jkm", c, a, a)  # [A e_j, A e_k]
     rhs = np.einsum("amo,ai,jkm->ijko", c, a, inner_rhs)
-    return float(np.max(np.abs(lhs - rhs))) <= tol
+    return float(np.max(np.abs(lhs - rhs))) <= ALGEBRA_TOL
 
 
-def psi_decompose(
-    a, freqs: FrequencyList, tol: float = ALGEBRA_TOL
-) -> tuple[int, list[np.ndarray], np.ndarray]:
+def psi_decompose(a, freqs: FrequencyList) -> tuple[int, list[np.ndarray], np.ndarray]:
     """Recover (eps, blocks, c) from an isotropy matrix; inverse of
-    isotropy_matrix up to tol."""
+    isotropy_matrix up to ALGEBRA_TOL."""
     a = np.asarray(a, dtype=float)
     dim = freqs.dim
     if a.shape != (dim, dim):
         raise ShapeMismatch(f"matrix must be {dim}x{dim}")
     eps_val = a[dim - 1, dim - 1]
-    if abs(abs(eps_val) - 1.0) > tol:
+    if abs(abs(eps_val) - 1.0) > ALGEBRA_TOL:
         raise ShapeMismatch("corner entry must be +-1")
     eps = 1 if eps_val > 0 else -1
     ua = eps * a
@@ -188,7 +189,7 @@ def psi_decompose(
     rebuilt = isotropy_matrix(
         IsotropyElement(eps, blocks, cs), freqs
     )
-    if float(np.max(np.abs(rebuilt - a))) > tol:
+    if float(np.max(np.abs(rebuilt - a))) > ALGEBRA_TOL:
         raise ShapeMismatch("matrix is not of the isotropy block form")
     return eps, blocks, np.concatenate(cs)
 
@@ -274,16 +275,17 @@ def _theta(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool, act)
 
 
 def theta_differential_at_identity(
-    blocks, freqs: FrequencyList, normalized: bool = False, h: float = 1e-6
+    blocks, freqs: FrequencyList, normalized: bool = False
 ) -> np.ndarray:
     """Finite-difference differential of theta at the identity."""
     blocks = _float_blocks(blocks, freqs)
     f = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
-    return _map_differential(f, GroupElement.identity(freqs.n).to_floats(), freqs, h)
+    return _map_differential(f, GroupElement.identity(freqs.n).to_floats(), freqs)
 
 
-def _map_differential(f, p: GroupElement, freqs: FrequencyList, h: float = 1e-6):
-    dim = freqs.dim
+def _map_differential(f, p: GroupElement, freqs: FrequencyList):
+    """Central differences of f at p with step DIFF_STEP."""
+    dim, h = freqs.dim, DIFF_STEP
     base = p.coords()
     cols = np.zeros((dim, dim))
     for j in range(dim):
@@ -296,20 +298,15 @@ def _map_differential(f, p: GroupElement, freqs: FrequencyList, h: float = 1e-6)
     return cols
 
 
-def validate_theta(
-    blocks,
-    freqs: FrequencyList,
-    normalized: bool = False,
-    samples: int = 20,
-    seed: int = 0,
-) -> dict:
-    """Check d(theta)_e against diag(1, B, 1) and the isometry property.
+def validate_theta(blocks, freqs: FrequencyList, normalized: bool = False) -> dict:
+    """Check d(theta)_e against diag(1, B, 1) and the isometry property at
+    THETA_SAMPLES points drawn with THETA_SEED.
 
     Reports the observed errors; with the printed (unnormalized) blocks the
     isometry check fails away from the special angles, which is exactly the
     behaviour this validator exists to surface.
     """
-    rng = random.Random(seed)
+    rng = random.Random(THETA_SEED)
     dim = freqs.dim
     blocks = _float_blocks(blocks, freqs)
     expected = np.eye(dim)
@@ -320,7 +317,7 @@ def validate_theta(
     iso_err = 0.0
     witness = None
     f = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
-    for _ in range(samples):
+    for _ in range(THETA_SAMPLES):
         p = GroupElement(
             rng.uniform(-2, 2),
             [rng.uniform(-2, 2) for _ in range(2 * freqs.n)],
@@ -365,7 +362,8 @@ class Theta:
     normalized: bool = False
 
     def __init__(self, blocks, normalized=False):
-        object.__setattr__(self, "blocks", tuple(np.asarray(b) for b in blocks))
+        # a block that is not numeric is refused here, not at each grid point
+        object.__setattr__(self, "blocks", tuple(np.asarray(b, dtype=float) for b in blocks))
         object.__setattr__(self, "normalized", bool(normalized))
 
 
@@ -487,16 +485,10 @@ def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdi
 
 
 def structure_relations_check(
-    blocks,
-    v,
-    t,
-    freqs: FrequencyList,
-    normalized: bool = True,
-    samples: int = 12,
-    seed: int = 0,
-    tol: float = GROUP_MAP_TOL,
+    blocks, v, t, freqs: FrequencyList, normalized: bool = True, seed: int = 0
 ) -> dict:
-    """Evaluate both sides of the three factorization relations.
+    """Evaluate both sides of the three factorization relations at
+    RELATION_SAMPLES points; each holds within GROUP_MAP_TOL.
 
     (i)   theta(B) I_{(v,t)} theta(B)^{-1} = I_{(J B J^T v, t)}
     (ii)  s I_{(v,t)} s^{-1} = I_{(v,t)}
@@ -524,7 +516,7 @@ def structure_relations_check(
     h_adj = GroupElement(0.0, jbjv, det_sign * t)
     points = [
         GroupElement(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in range(n2)], rng.uniform(-3, 3))
-        for _ in range(samples)
+        for _ in range(RELATION_SAMPLES)
     ]
     theta = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
     if normalized:
@@ -553,7 +545,7 @@ def structure_relations_check(
                 raise ValueError(f"relation {name}: the deviation is not finite at {x.to_json()}")
             if err > worst:
                 worst, witness = err, x
-        report[name] = {"max_err": worst, "holds": worst <= tol, "witness": witness}
+        report[name] = {"max_err": worst, "holds": worst <= GROUP_MAP_TOL, "witness": witness}
     report["all_hold"] = all(report[k]["holds"] for k in ("i", "ii", "iii"))
     return report
 
@@ -575,7 +567,7 @@ def _j_matrix(n: int) -> np.ndarray:
 # -- automorphism intersection --------------------------------------------------
 
 
-def aut_intersection_check(el: IsotropyElement, tol: float = ALGEBRA_TOL) -> bool:
+def aut_intersection_check(el: IsotropyElement) -> bool:
     """Whether the factored element lies in the automorphism subgroup.
 
     The compact part must have symplectic blocks; elements carrying the
@@ -592,6 +584,6 @@ def aut_intersection_check(el: IsotropyElement, tol: float = ALGEBRA_TOL) -> boo
         if mirrored:
             mirror = np.kron(np.eye(m // 2), np.diag([1.0, -1.0]))
             candidate = mirror @ b
-        if np.max(np.abs(candidate.T @ j @ candidate - j)) > tol:
+        if np.max(np.abs(candidate.T @ j @ candidate - j)) > ALGEBRA_TOL:
             return False
     return True

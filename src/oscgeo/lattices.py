@@ -303,10 +303,10 @@ class ProductWithLine(LatticeSpec):
     def contains(self, g) -> bool:
         """Membership of a pair (group element, line coordinate r).
 
-        r lies in w Z iff r = 0 or r / w is an integer (`rational_ratio`,
-        for any w in Q[pi]).  When only w^2 is known, iff r = 0 or r^2 / w^2
-        is the square of an integer, since w > 0; only a nonzero r on a
-        line whose w^2 is flagged irrational stays undecided.
+        r lies in w Z iff r = 0 or r^2 / w^2 is the square of an integer,
+        since w > 0 (`rational_ratio`, for any w^2 in Q[pi]; a given w sets
+        w^2 = w * w).  Only a nonzero r on a line whose w^2 is flagged
+        irrational stays undecided.
         """
         if not (isinstance(g, tuple) and len(g) == 2):
             raise TypeError("product-with-line membership takes (element, line) pairs")
@@ -314,9 +314,6 @@ class ProductWithLine(LatticeSpec):
         r = as_exact(r)
         if r.is_zero():
             on_line = True
-        elif self.w is not None:
-            ratio = rational_ratio(r, self.w)
-            on_line = ratio is not None and ratio[1] == 1
         elif self.w_squared is not None:
             ratio = rational_ratio(r * r, self.w_squared)
             on_line = ratio is not None and ratio[1] == 1 and math.isqrt(ratio[0]) ** 2 == ratio[0]

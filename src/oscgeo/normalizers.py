@@ -222,13 +222,9 @@ def _grid(n: int, k: int, q: int, min_points: int, max_points: int | None) -> tu
     return tuple(grid)
 
 
-def normalizer_table_report(
-    spec: LatticeSpec, grid: list[GroupElement] | None = None
-) -> list[dict]:
+def normalizer_table_report(spec: LatticeSpec, grid: list[GroupElement]) -> list[dict]:
     """Grid points where the conditions disagree with the oracle or with the
     tabulated set, each with all three answers: one walk of the grid."""
-    if grid is None:
-        grid = verification_grid(spec)
     table = NormalizerTable.for_spec(spec)
     out = []
     for g in grid:

@@ -46,7 +46,7 @@ from .geodesics import (
 from .group import GroupElement, max_coord_dist, quarter_turn_count, rotation
 from .lattices import LatticeSpec, ProductWithLine, UnsupportedSpec, pure_t_element
 
-FLOAT_VERIFY_TOL = 1e-9
+FLOAT_VERIFY_TOL = 1e-9  # per coordinate: the float snap and each certificate's check
 
 
 class CertificateVerificationFailed(Exception):
@@ -116,11 +116,13 @@ class ClosedGeodesicCertificate:
 
 
 def _certify(x: AlgebraVector, s, point: GroupElement, causal: CausalClass,
-             spec: LatticeSpec, tol: float = FLOAT_VERIFY_TOL) -> ClosedGeodesicCertificate:
-    """The verified certificate that x meets point at s; replayed exactly
-    iff s is not a float (an exact s comes only with an exact x)."""
+             spec: LatticeSpec) -> ClosedGeodesicCertificate:
+    """The certificate that x meets point at s, verified within
+    FLOAT_VERIFY_TOL; replayed exactly iff s is not a float (an exact s
+    comes only with an exact x)."""
     exact = None if isinstance(s, float) else x
-    return ClosedGeodesicCertificate(x.to_floats(), s, point, causal, exact).verify(spec, tol)
+    cert = ClosedGeodesicCertificate(x.to_floats(), s, point, causal, exact)
+    return cert.verify(spec, FLOAT_VERIFY_TOL)
 
 
 def classify_lightlike(spec: LatticeSpec) -> LightlikeVerdict:
@@ -395,12 +397,8 @@ def decide_closed(x: AlgebraVector, spec: LatticeSpec) -> ClosureDecision:
 # -- bounded closure search ----------------------------------------------------
 
 
-def search_closed(
-    x: AlgebraVector,
-    spec: LatticeSpec,
-    r_max: int = 1000,
-    float_tol: float = FLOAT_VERIFY_TOL,
-) -> ClosedGeodesicCertificate | None:
+def search_closed(x: AlgebraVector, spec: LatticeSpec,
+                  r_max: int = 1000) -> ClosedGeodesicCertificate | None:
     """First verified lattice hit at candidate times r * t0 / a, r <= r_max.
 
     Exact input is decided in closed form (`_closure`), capped at r_max, so
@@ -413,7 +411,7 @@ def search_closed(
         raise ValueError(f"r_max must be non-negative, got {r_max}")
     if x.is_exact():
         return _closure(x, spec, r_max).certificate
-    return None if float(x.a) == 0.0 else _float_search(x, spec, r_max, float_tol)
+    return None if float(x.a) == 0.0 else _float_search(x, spec, r_max)
 
 
 SCREEN_CHUNK = 1024  # candidates screened per numpy pass
@@ -423,7 +421,7 @@ SCREEN_CHUNK = 1024  # candidates screened per numpy pass
 SCREEN_SLACK = 2.0**-46  # 64 ulps of 1
 
 
-def _float_search(x, spec, r_end: int, tol: float):
+def _float_search(x, spec, r_end: int):
     """First verified float-snap hit at r * |t0 / a|, 1 <= r <= r_end.  The
     scalar snap runs only on the r that pass the screen, in increasing
     order."""
@@ -431,7 +429,7 @@ def _float_search(x, spec, r_end: int, tol: float):
     initial = x.to_floats()
     geo = Geodesic(initial, freqs)
     t0_f, a_f = float(prof.t0), abs(float(x.a))
-    snap = _LatticeSnap(spec, tol)
+    snap = _LatticeSnap(spec)
     for start in range(1, r_end + 1, SCREEN_CHUNK):
         rs = np.arange(start, min(start + SCREEN_CHUNK, r_end + 1))
         with np.errstate(all="ignore"):
@@ -440,17 +438,18 @@ def _float_search(x, spec, r_end: int, tol: float):
             s = r * t0_f / a_f
             snapped = snap(eval_geodesic(geo, s))
             if snapped is not None:
-                return _certify(x, s, snapped, causal_class(x, freqs), spec, tol)
+                return _certify(x, s, snapped, causal_class(x, freqs), spec)
     return None
 
 
 class _LatticeSnap:
-    """point -> the nearest exact member of spec within tol per coordinate,
-    or None; the constants of the spec's profile are read once."""
+    """point -> the nearest exact member of spec within tol = FLOAT_VERIFY_TOL
+    per coordinate, or None; tol and the constants of the spec's profile are
+    read once."""
 
-    def __init__(self, spec: LatticeSpec, tol: float):
+    def __init__(self, spec: LatticeSpec):
         prof = spec.profile()
-        self.spec, self.prof, self.tol = spec, prof, tol
+        self.spec, self.prof, self.tol = spec, prof, FLOAT_VERIFY_TOL
         self.tw, self.t_step, self.z_step_f = map(float, (prof.twist, prof.t0, prof.central_w))
         self.t0_num, self.t0_den = pi_coefficient(prof.t0)  # t0 = (t0_num / t0_den) pi
 

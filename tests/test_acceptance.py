@@ -249,8 +249,8 @@ def test_criterion_9_isotropy_consistency():
         eps = 1 if i % 2 else -1
         el = IsotropyElement(eps, blocks, cs)
         a = isotropy_matrix(el, fl)
-        assert check_local_isometry(a, fl, tol=1e-10)
-        eps_r, blocks_r, c_r = psi_decompose(a, fl, tol=1e-10)
+        assert check_local_isometry(a, fl)
+        eps_r, blocks_r, c_r = psi_decompose(a, fl)
         assert eps_r == eps
         rebuilt = isotropy_matrix(IsotropyElement(eps_r, blocks_r,
                                   np.split(c_r, np.cumsum([b.shape[0] for b in blocks_r])[:-1])), fl)

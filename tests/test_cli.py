@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo import cli, normalizers
@@ -72,22 +72,22 @@ class TestParsers:
         assert isinstance(spec, ProductWithLine)
 
     def test_velocity_names(self):
-        x = parse_velocity("Z")
+        x = parse_velocity("Z", 1)
         assert x.d == 1 and x.a == 0
-        x = parse_velocity("2*Z + X1 - 1/2*T")
+        x = parse_velocity("2*Z + X1 - 1/2*T", 1)
         assert x.d == 2 and x.bc[0][0] == 1 and x.a == -0.5
 
     def test_velocity_json(self):
-        x = parse_velocity('{"d": "1/2", "bc": [[1, 0]], "a": 2}')
+        x = parse_velocity('{"d": "1/2", "bc": [[1, 0]], "a": 2}', 1)
         assert float(x.d) == 0.5 and x.a == 2
 
-    def test_velocity_respects_hint(self):
-        x = parse_velocity("X1", n_hint=2)
+    def test_velocity_has_the_given_dimension(self):
+        x = parse_velocity("X1", 2)
         assert x.n == 2
 
     def test_velocity_json_needs_bc(self):
         with pytest.raises(CliValidationError, match="bc"):
-            parse_velocity('{"d": 1, "a": 1}')
+            parse_velocity('{"d": 1, "a": 1}', 1)
 
 
 class TestCommands:
@@ -601,6 +601,54 @@ class TestContractBreaches:
         code, rep = run_cli(capsys, "lattice", "info", "--lattice", '{"family": "dim4"}')
         assert code == 2
 
+    def test_generator_element_missing_key_is_exit_2(self, capsys):
+        # the element's KeyError once escaped cli.main as a traceback
+        lattice = '{"family":"generators","freqs":[1],"elements":[{"z":0,"v":[1,0]}]}'
+        code, rep = run_cli(capsys, "lattice", "info", "--lattice", lattice)
+        assert code == 2
+        assert rep["diagnostics"] == ["validation error: 't'"]
+
+    def test_element_missing_key_names_the_key(self, capsys):
+        code, rep = run_cli(capsys, "lattice", "contains", "--lattice", LATTICE,
+                            "--element", '{"z":1}')
+        assert code == 2
+        assert rep["diagnostics"] == ["""validation error: bad group element '{"z":1}': 'v'"""]
+
+    def test_non_numeric_theta_blocks_are_exit_2(self, capsys):
+        # every grid point raised, and the search reported "preserving"
+        code, rep = run_cli(capsys, "isometry", "fiber", "--lattice", LATTICE, "--map", "theta",
+                            "--blocks", '[[["a", 0], [0, 1]]]')
+        assert code == 2
+        assert "fiber" not in rep["verdicts"]
+
+    def test_theta_blocks_unlike_the_runs_keep_their_verdict(self, capsys):
+        # two 2x2 blocks where the run of multiplicity 2 needs one 4x4 block:
+        # theta_B refuses each grid point, and the search reports "preserving"
+        code, rep = run_cli(capsys, "isometry", "fiber", "--lattice", "dim6:k=1:p=1:q=1:M=4",
+                            "--map", "theta", "--blocks", "[[[0, -1], [1, 0]], [[1, 0], [0, 1]]]")
+        assert code == 0
+        assert rep["verdicts"]["fiber"]["kind"] == "preserving"
+
+    def test_infinite_step_is_exit_2(self, capsys):
+        # |s_end| / inf = 0 steps once ran one RK4 step of size s_end
+        code, rep = run_cli(capsys, "geodesic", "integrate", "--X", "X1 + T",
+                            "--s-end", "1", "--step", "inf")
+        assert code == 2
+        assert rep["diagnostics"] == ["validation error: step inf is not finite"]
+
+    def test_non_finite_range_is_exit_2(self, capsys):
+        # 1e999 overflows to inf: the rows came out nan, with exit 0
+        code, rep = run_cli(capsys, "geodesic", "eval", "--X", "T", "--s", "1e999..2")
+        assert code == 2
+        assert rep["diagnostics"] == ["validation error: bad range '1e999..2': not finite"]
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_velocity_entry_is_exit_2(self, capsys, entry):
+        x = f'{{"d": {entry}, "bc": [[0.1, 0]], "a": 1.0}}'
+        code, rep = run_cli(capsys, "quotient", "closed-search", "--lattice", LATTICE, "--X", x)
+        assert code == 2
+        assert any("not finite" in d for d in rep["diagnostics"])
+
     @pytest.mark.parametrize("coeffs", ['"34"', "34", '{"0": 3}', "null"])
     def test_pi_coeffs_that_are_not_a_list_are_exit_2(self, capsys, coeffs):
         # a string was read digit by digit: "34" became 3 + 4 pi
@@ -996,12 +1044,11 @@ def _set(obj, path, value):
 def mutated_lattice_json(draw):
     """A valid lattice JSON with the value at one key path replaced by a bad value.
 
-    Dropped keys, and {} in place of a generator element, are not drawn: both
-    escape as the KeyError pinned by test_lattice_json_missing_key_is_exit_2."""
+    Dropped keys are not drawn: they escape as the KeyError pinned by
+    test_lattice_json_missing_key_is_exit_2."""
     obj = draw(valid_lattice_json())
     path = draw(st.sampled_from(list(_key_paths(obj))))
     value = draw(st.sampled_from(BAD_VALUES))
-    assume(not (value == {} and len(path) > 1 and path[-2] == "elements"))
     _set(obj, path, value)
     return obj
 

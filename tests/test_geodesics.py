@@ -326,6 +326,7 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("s_end, step", [
         (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3), (1e300, 1e-300), (1.0, math.nan),
+        (1.0, math.inf),  # |s_end| / inf = 0 steps once ran one step of size s_end
     ])
     def test_rejects_non_finite_step_count(self, s_end, step):
         with pytest.raises(ValueError, match="not finite"):

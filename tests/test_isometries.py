@@ -216,8 +216,8 @@ class TestTheta:
 
     def test_validation_mode_reports_both_variants(self):
         b = np.array([[0.6, -0.8], [0.8, 0.6]])
-        raw = validate_theta([b], F1, normalized=False, samples=10, seed=2)
-        fixed = validate_theta([b], F1, normalized=True, samples=10, seed=2)
+        raw = validate_theta([b], F1, normalized=False)
+        fixed = validate_theta([b], F1, normalized=True)
         assert raw["differential_ok"] and fixed["differential_ok"]
         assert not raw["isometry_ok"]
         assert raw["witness"] is not None
@@ -288,7 +288,7 @@ class TestStructureRelations:
         for name in calls:
             monkeypatch.setattr(isometries, name, counting(name))
         b = np.array([[0.6, -0.8], [0.8, 0.6]])
-        structure_relations_check([b], (1.0, 0.5), 0.9, F1, normalized=normalized, samples=12)
+        structure_relations_check([b], (1.0, 0.5), 0.9, F1, normalized=normalized)
         # (i) and its orientation-adjusted variant share their left sides,
         # (ii) and (iii) share x^-1; theta^-1 runs through the same _theta
         assert calls == {"_theta": 4 * 12, "conjugate": 5 * 12, "invert": 3 * 12}

@@ -460,7 +460,30 @@ class TestGeneratorList:
             assert family.contains(g)
 
 
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+PI_POLYS = st.lists(COEFFS, max_size=3).map(lambda cs: ExactScalar(*cs))
+
+
+def _line_rule_by_ratio(r: ExactScalar, w: ExactScalar) -> bool:
+    """The former rule for a given w: r in w Z iff r = 0 or r / w is an integer."""
+    if r.is_zero():
+        return True
+    ratio = rational_ratio(r, w)
+    return ratio is not None and ratio[1] == 1
+
+
 class TestProductWithLine:
+    @settings(max_examples=400, deadline=None)
+    @given(w=PI_POLYS.filter(lambda w: w.sign() > 0), m=st.one_of(st.integers(-6, 6), COEFFS),
+           noise=PI_POLYS, noisy=st.booleans())
+    def test_the_w2_rule_agrees_with_the_ratio_to_w(self, w, m, noise, noisy):
+        # r^2 / w^2 = m^2 with m an integer iff r / w = +-m, since r and w are real
+        r = m * w + noise if noisy else m * w
+        g = GroupElement.identity(1)
+        expected = _line_rule_by_ratio(r, w)
+        assert ProductWithLine(Dim4Family(1, TWO_PI), w=w).contains((g, r)) is expected
+        assert ProductWithLine(Dim4Family(1, TWO_PI), w_squared=w * w).contains((g, r)) is expected
+
     def test_pair_membership_with_exact_w(self):
         spec = ProductWithLine(Dim4Family(1, TWO_PI), w=Fraction(1, 2))
         g = GroupElement(Fraction(1, 2), (1, 0), TWO_PI)

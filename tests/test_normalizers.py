@@ -238,14 +238,14 @@ class TestPrintedTable:
 
     def test_agrees_with_conditions_where_it_is_correct(self):
         spec = Dim4Family(1, TWO_PI)
-        assert normalizer_table_report(spec) == []
+        assert normalizer_table_report(spec, verification_grid(spec)) == []
         spec = Dim6Family(1, 1, 1, 1)
         assert normalizer_table_report(spec, verification_grid(spec, 200, 220)) == []
 
     def test_quarter_turn_even_k_discrepancy_is_surfaced(self):
         # even k admits the half-odd square; the tabulated answer omits it
         spec = Dim4Family(2, HALF_PI)
-        report = normalizer_table_report(spec)
+        report = normalizer_table_report(spec, verification_grid(spec))
         assert report, "expected a non-empty discrepancy report"
         g = GroupElement(0, (Fraction(1, 2), Fraction(1, 2)), 0)
         assert in_normalizer(g, spec) and normalizer_oracle(g, spec)

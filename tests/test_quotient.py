@@ -164,7 +164,7 @@ class TestSearchClosed:
     def test_snap_refuses_a_coordinate_coarser_than_the_tolerance(self, z, v, t):
         # each point is a member, and sits exactly on its lattice coordinates
         spec = Dim4Family(1, TWO_PI)
-        snap = _LatticeSnap(spec, 1e-9)
+        snap = _LatticeSnap(spec)
         assert snap(GroupElement(0.0, (1.0, 0.0), 2 * math.pi)) == GroupElement(0, (1, 0), TWO_PI)
         assert snap(GroupElement(z, v, t)) is None
 
@@ -749,17 +749,19 @@ def test_exp_preimage_is_conjugation_invariant_and_dual_to_decide_closed(base, t
 class TestFloatScreen:
     SPEC = Dim4Family(1, TWO_PI)
 
-    def test_hit_at_the_edge_of_the_tolerance_is_found(self):
+    def test_hit_at_the_edge_of_the_tolerance_is_found(self, monkeypatch):
         # at r = 3 (s = 6pi) z lands about 6e-10 above the member (1/2, 0, 6pi)
         x = AlgebraVector((0.5 + 6e-10) / (6 * math.pi) - 0.045, [(0.3, 0.0)], 1.0)
         point = eval_geodesic(Geodesic(x, self.SPEC.freqs), 6 * math.pi)
         edge = abs(point.z - 0.5)
-        cert = search_closed(x, self.SPEC, r_max=5, float_tol=edge)
+        monkeypatch.setattr(quotient, "FLOAT_VERIFY_TOL", edge)
+        cert = search_closed(x, self.SPEC, r_max=5)
         assert cert is not None
         assert cert.lattice_point == GroupElement(Fraction(1, 2), (0, 0), 6 * PI)
         assert (cert.s_star, cert.lattice_point, cert.causal) == _reference_search(
             x, self.SPEC, 5, tol=edge)
-        assert search_closed(x, self.SPEC, r_max=5, float_tol=edge * (1 - 1e-6)) is None
+        monkeypatch.setattr(quotient, "FLOAT_VERIFY_TOL", edge * (1 - 1e-6))
+        assert search_closed(x, self.SPEC, r_max=5) is None
 
     def test_coordinate_too_coarse_to_snap_passes_the_screen_and_is_skipped(self):
         # z = 2^40 r exactly at every candidate s = 2pi r, a member whose float
@@ -768,7 +770,7 @@ class TestFloatScreen:
         while d * (2 * math.pi) != 2.0**40:
             d = math.nextafter(d, math.inf if d * (2 * math.pi) < 2.0**40 else -math.inf)
         x = AlgebraVector(d, [(0.0, 0.0)], 1.0)
-        snap = _LatticeSnap(self.SPEC, FLOAT_VERIFY_TOL)
+        snap = _LatticeSnap(self.SPEC)
         s = np.arange(1, 4) * (2 * math.pi)
         assert snap.screen(x, self.SPEC.freqs, s).all()
         assert search_closed(x, self.SPEC, r_max=3) is None
