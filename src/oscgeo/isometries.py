@@ -412,27 +412,26 @@ class FiberVerdict:
         }
 
 
-def _exact_angle_grid(spec, count: int, rng) -> list[GroupElement]:
-    """Deterministic exact grid plus seeded draws, all with exact angles."""
+def _exact_angle_grid(spec, count: int, rng):
+    """Deterministic exact grid, then seeded draws up to count points, all
+    with exact angles; yielded one by one, so a walk that stops early
+    builds and draws no further points."""
     freqs = spec.freqs
     n2 = 2 * freqs.n
     step = spec.profile().central_w.to_fraction()
     lcm, two_gcd, _ = freqs.quarter_turns
     t_unit = ExactScalar(0, Fraction(lcm, two_gcd))  # least t > 0 turning by quarters
     v_values = [Fraction(0), step / 2, step / 3, step, Fraction(1), Fraction(1, 2)]
-    grid: list[GroupElement] = []
-    for j, tv in enumerate([0, 1, 2, 4]):
+    turns = (0, 1, 2, 4)
+    for j, tv in enumerate(turns):
         for i, vv in enumerate(v_values):
             v = [Fraction(0)] * n2
             v[(i + j) % n2] = vv
             v[(i + j + 1) % n2] = v_values[(i + 1) % len(v_values)]
-            grid.append(GroupElement(step / 3, v, t_unit * tv))
-    while len(grid) < count:
+            yield GroupElement(step / 3, v, t_unit * tv)
+    for _ in range(count - len(turns) * len(v_values)):
         v = [rng.choice(v_values) * rng.choice((-1, 1)) for _ in range(n2)]
-        grid.append(
-            GroupElement(step * rng.randint(-2, 2), v, t_unit * rng.randint(-4, 4))
-        )
-    return grid
+        yield GroupElement(step * rng.randint(-2, 2), v, t_unit * rng.randint(-4, 4))
 
 
 def _check_fits(f, freqs: FrequencyList) -> None:
@@ -452,32 +451,60 @@ def _check_fits(f, freqs: FrequencyList) -> None:
             _check_fits(part, freqs)
 
 
-def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdict:
-    """Counterexample search for f(g)^{-1} f(g lam) in the lattice.
+def _exact_map(f, freqs: FrequencyList):
+    """g -> apply_isometry(f, g, freqs) on exact points; a Theta's blocks
+    are rationalised here once instead of by theta_B at every point, and
+    blocks that theta_B refuses give a map that raises at every point."""
+    if not isinstance(f, Theta):
+        return lambda g: apply_isometry(f, g, freqs)
+    try:
+        blocks = [_rational_block(b) for b in _float_blocks(f.blocks, freqs)]
+    except ValueError as exc:
+        refusal = str(exc)
 
-    A found counterexample is a proof; exhausting the grid is reported as
-    "no counterexample found".  Membership is only ever decided exactly, so
-    the grid uses exact points with quarter-turn-compatible angles.  A map
-    that does not fit the lattice raises ShapeMismatch.
+        def refuse(g):
+            raise ValueError(refusal)
+        return refuse
+    return lambda g: _theta(blocks, g, freqs, f.normalized, np.matmul)
+
+
+def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdict:
+    """Whether f(g)^{-1} f(g lam) lies in the lattice, for lam the
+    generators and three seeded members, at exact grid points g.
+
+    A left translation by h gives lam itself and conjugation by h gives
+    h lam h^{-1}, the same at every g; conjugation is a homomorphism, so
+    h gam h^{-1} in the lattice for every generator gam puts all of
+    h Lambda h^{-1} there.  Those two kinds are therefore decided at the
+    first grid point where f evaluates, and the verdict is a proof either
+    way.  Theta, inversion and composite maps are searched over the whole
+    grid of `samples` points: a found counterexample is a proof, an
+    exhausted grid is reported as "no counterexample found".  Membership is
+    only ever decided exactly, so the grid uses exact points with
+    quarter-turn-compatible angles.  A map that evaluates at no grid point
+    (known defect) still reports preserving.  A map that does not fit the
+    lattice raises ShapeMismatch.
     """
     _check_fits(f, spec.freqs)
     rng = random.Random(seed)
     freqs = spec.freqs
     lams = spec.generators()
     lams = lams + [spec.sample_member(rng) for _ in range(3)]
+    at = _exact_map(f, freqs)
     for g in _exact_angle_grid(spec, samples, rng):
         try:
-            fg_inv = invert(apply_isometry(f, g, freqs), freqs)
+            fg_inv = invert(at(g), freqs)
         except ValueError:
             continue  # outside the exact-angle domain: re-gridded elsewhere
         for lam in lams:
             try:
-                fgl = apply_isometry(f, multiply(g, lam, freqs), freqs)
-                moved = multiply(fg_inv, fgl, freqs)
+                moved = multiply(fg_inv, at(multiply(g, lam, freqs)), freqs)
             except ValueError:
                 continue
             if not spec.contains(moved):
                 return FiberVerdict(False, (g, lam))
+        if isinstance(f, (LeftTranslation, Inner)):
+            break  # moved does not depend on g: this point decides
     return FiberVerdict(True)
 
 

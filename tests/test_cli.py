@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscgeo import cli, normalizers
@@ -1058,8 +1058,19 @@ def _dimension(obj) -> int:
     return 2 if '"dim6"' in json.dumps(obj) else 1
 
 
+def _with_empty_generator_element(test):
+    """An explicit example per command of a generator element `{}`: one
+    mutation among many, which the strategy alone draws too rarely."""
+    obj = json.loads(json.dumps(GENERATORS_JSON))
+    obj["elements"][0] = {}
+    for command in LATTICE_COMMANDS:
+        test = example(obj=obj, command=command)(test)
+    return test
+
+
 @settings(max_examples=1000, deadline=None)
 @given(obj=mutated_lattice_json(), command=st.sampled_from(LATTICE_COMMANDS))
+@_with_empty_generator_element
 def test_every_mutated_lattice_gets_one_json_report(obj, command):
     argv = [*command, "--lattice", json.dumps(obj)]
     if command[1] == "contains":

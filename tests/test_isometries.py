@@ -24,6 +24,7 @@ from oscgeo.group import (
 from oscgeo.isometries import (
     GROUP_MAP_TOL,
     Composite,
+    FiberVerdict,
     Inner,
     Inversion,
     IsotropyElement,
@@ -44,7 +45,9 @@ from oscgeo.isometries import (
     validate_theta,
 )
 from oscgeo.lattices import Dim4Family, Twisted
-from oscgeo.normalizers import in_normalizer
+from oscgeo.normalizers import in_normalizer, normalizer_oracle
+
+from lattice_specs import CRITERION_7_SPECS
 
 F1 = FrequencyList([1])
 TWO_PI = 2 * PI
@@ -608,12 +611,145 @@ class TestFiberPreservation:
         with pytest.raises(ValueError, match="must be exact"):
             is_fiber_preserving(Composite([Inversion(), f]), Dim4Family(1, TWO_PI), samples=10)
 
+    def test_grid_points_are_built_on_demand(self):
+        # the seeded draws follow the 24 fixed points, one point at a time
+        rng = random.Random(0)
+        state = rng.getstate()
+        grid = isometries._exact_angle_grid(Dim4Family(1, TWO_PI), 10**9, rng)
+        for _ in range(24):
+            next(grid)
+        assert rng.getstate() == state
+        next(grid)
+        assert rng.getstate() != state
+
     @VACUOUS
     def test_search_that_checks_no_pair_raises(self):
         # conjugation by a pi/3 rotation has no exact value at any grid point
         f = Inner(GroupElement(0, (1, 0), PI / 3))
         with pytest.raises(ValueError, match="no grid point"):
             is_fiber_preserving(f, Dim4Family(1, TWO_PI), samples=10)
+
+
+fiber_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+criterion_7_specs = st.sampled_from(CRITERION_7_SPECS)
+fiber_specs = criterion_7_specs | st.builds(
+    Twisted, criterion_7_specs,
+    st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2, max_denominator=4) | st.just(PI),
+)
+
+
+def _full_grid(spec, count, rng):
+    """Reference fiber grid, built up front: 24 fixed exact points, then
+    seeded draws up to count points."""
+    n2 = 2 * spec.freqs.n
+    step = spec.profile().central_w.to_fraction()
+    lcm, two_gcd, _ = spec.freqs.quarter_turns
+    t_unit = ExactScalar(0, Fraction(lcm, two_gcd))
+    v_values = [Fraction(0), step / 2, step / 3, step, Fraction(1), Fraction(1, 2)]
+    grid = []
+    for j, tv in enumerate([0, 1, 2, 4]):
+        for i, vv in enumerate(v_values):
+            v = [Fraction(0)] * n2
+            v[(i + j) % n2] = vv
+            v[(i + j + 1) % n2] = v_values[(i + 1) % len(v_values)]
+            grid.append(GroupElement(step / 3, v, t_unit * tv))
+    while len(grid) < count:
+        v = [rng.choice(v_values) * rng.choice((-1, 1)) for _ in range(n2)]
+        grid.append(GroupElement(step * rng.randint(-2, 2), v, t_unit * rng.randint(-4, 4)))
+    return grid
+
+
+@given(spec=fiber_specs, samples=st.integers(0, 60), seed=st.integers(0, 2**16))
+def test_fiber_grid_is_the_reference_grid(spec, samples, seed):
+    grid = isometries._exact_angle_grid(spec, samples, random.Random(seed))
+    assert list(grid) == _full_grid(spec, samples, random.Random(seed))
+
+
+def _full_walk(f, spec, samples, seed):
+    """Reference fiber search: the whole grid, with no stop before a
+    counterexample for any kind of map."""
+    rng = random.Random(seed)
+    freqs = spec.freqs
+    lams = spec.generators() + [spec.sample_member(rng) for _ in range(3)]
+    for g in _full_grid(spec, samples, rng):
+        try:
+            fg_inv = invert(apply_isometry(f, g, freqs), freqs)
+        except ValueError:
+            continue
+        for lam in lams:
+            try:
+                moved = multiply(fg_inv, apply_isometry(f, multiply(g, lam, freqs), freqs), freqs)
+            except ValueError:
+                continue
+            if not spec.contains(moved):
+                return FiberVerdict(False, (g, lam))
+    return FiberVerdict(True)
+
+
+@st.composite
+def map_elements(draw, freqs, quarter_turn=None):
+    """Exact h of size 2n: t a multiple of the quarter-turn unit of freqs, or
+    a pi-rational angle or one with a rational part (mostly not a quarter turn)."""
+    v = draw(st.lists(fiber_fractions, min_size=2 * freqs.n, max_size=2 * freqs.n))
+    if quarter_turn is None:
+        quarter_turn = draw(st.booleans())
+    if quarter_turn:
+        lcm, two_gcd, _ = freqs.quarter_turns
+        t = ExactScalar(0, Fraction(lcm, two_gcd) * draw(st.integers(-4, 4)))
+    else:
+        t = ExactScalar(draw(st.just(0) | fiber_fractions), draw(fiber_fractions))
+    return GroupElement(draw(fiber_fractions), v, t)
+
+
+@settings(deadline=None)
+@given(data=st.data(), kind=st.sampled_from([LeftTranslation, Inner]),
+       samples=st.integers(0, 40), seed=st.integers(0, 2**16))
+def test_left_and_inner_verdicts_match_the_full_grid_walk(data, kind, samples, seed):
+    spec = data.draw(fiber_specs)
+    f = kind(data.draw(map_elements(spec.freqs)))
+    assert is_fiber_preserving(f, spec, samples, seed) == _full_walk(f, spec, samples, seed)
+
+
+@settings(deadline=None)
+@given(data=st.data(), samples=st.integers(0, 40), seed=st.integers(0, 2**16))
+def test_inner_verdict_is_the_normalizer_oracle(data, samples, seed):
+    spec = data.draw(criterion_7_specs)
+    h = data.draw(map_elements(spec.freqs, quarter_turn=True))
+    assert is_fiber_preserving(Inner(h), spec, samples, seed).preserving == normalizer_oracle(h, spec)
+
+
+# quarter turn, reflection, rational rotation, irrational rotation
+PAIR_BLOCKS = [
+    np.array([[0.0, -1.0], [1.0, 0.0]]),
+    np.diag([1.0, -1.0]),
+    np.array([[0.6, -0.8], [0.8, 0.6]]),
+    np.array([[math.cos(1), -math.sin(1)], [math.sin(1), math.cos(1)]]),
+]
+
+
+@st.composite
+def theta_maps(draw, freqs):
+    """Theta with one 2x2 block per pair, laid out per equal-frequency run
+    or, unlike the runs of multiplicity 2, one block per pair."""
+    pairs = [draw(st.sampled_from(PAIR_BLOCKS)) for _ in range(freqs.n)]
+    blocks = pairs
+    if draw(st.booleans()):
+        blocks, start = [], 0
+        for _, m in freqs.runs():
+            block = np.zeros((2 * m, 2 * m))
+            for i, pair in enumerate(pairs[start:start + m]):
+                block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = pair
+            blocks.append(block)
+            start += m
+    return Theta(blocks, normalized=draw(st.booleans()))
+
+
+@settings(deadline=None)
+@given(data=st.data(), samples=st.integers(0, 30), seed=st.integers(0, 2**16))
+def test_searched_verdicts_match_the_full_grid_walk(data, samples, seed):
+    spec = data.draw(fiber_specs)
+    f = data.draw(st.just(Inversion()) | theta_maps(spec.freqs))
+    assert is_fiber_preserving(f, spec, samples, seed) == _full_walk(f, spec, samples, seed)
 
 
 class TestApplyIsometry:
