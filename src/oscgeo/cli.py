@@ -373,13 +373,14 @@ def cmd_isometry_normalizer(args) -> dict:
     if args.grid_points < 1:
         raise CliValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
     spec = parse_lattice(args.lattice)
+    table = NormalizerTable.for_spec(spec).to_json()  # refuses a family with no tabulated form
     if args.element:
         g = parse_element(args.element)
         conditions = in_normalizer(g, spec)
         oracle = normalizer_oracle(g, spec)
         return {
             "verdicts": {"in_normalizer": conditions, "oracle": oracle},
-            "tables": {"normalizer": NormalizerTable.for_spec(spec).to_json()},
+            "tables": {"normalizer": table},
         }
     grid = verification_grid(spec, max_points=args.grid_points)
     report = normalizer_table_report(spec, grid)
@@ -390,7 +391,7 @@ def cmd_isometry_normalizer(args) -> dict:
             "points": len(grid),
             "oracle_agreement": 1.0 - len(disagreements) / len(grid),
         },
-        "tables": {"normalizer": NormalizerTable.for_spec(spec).to_json()},
+        "tables": {"normalizer": table},
         "diagnostics": [
             *(f"oracle disagreement at {d}" for d in disagreements),
             *(

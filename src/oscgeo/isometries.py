@@ -183,9 +183,13 @@ def psi_decompose(a, freqs: FrequencyList) -> tuple[int, list[np.ndarray], np.nd
         raise ShapeMismatch("corner entry must be +-1")
     eps = 1 if eps_val > 0 else -1
     ua = eps * a
-    slices = [sl for _, sl in _run_slices(freqs, 1)]
-    blocks = [ua[sl, sl].copy() for sl in slices]
-    cs = [ua[0, sl].copy() for sl in slices]
+    runs = list(_run_slices(freqs, 1))
+    if any(lam == mu and np.abs(ua[s1, s2]).max() + np.abs(ua[s2, s1]).max() > ALGEBRA_TOL
+           for i, (lam, s1) in enumerate(runs) for mu, s2 in runs[i + 1:]):
+        raise ShapeMismatch("the matrix couples equal frequencies split into separate runs: "
+                            "list them together, as FrequencyList.grouped() does")
+    blocks = [ua[sl, sl].copy() for _, sl in runs]
+    cs = [ua[0, sl].copy() for _, sl in runs]
     rebuilt = isotropy_matrix(
         IsotropyElement(eps, blocks, cs), freqs
     )

@@ -7,9 +7,11 @@ A `LatticeProfile` (t0, K0, central step w, total twist) is all the quotient
 code reads of a lattice.  Product forms and their twists (whose base needs a
 profile) have one, and its rule is their membership: the members are exactly
 (twist t + w u, v, t) with t in t0 Z, v integral, u in Z.  `LatticeSpec.contains`
-decides it on ints and `LatticeProfile.member` builds every member.  A
-generator-list spec only supports a bounded word search and refuses rather
-than guessing.
+decides it on ints and `LatticeProfile.member` builds every member; one
+table of the t-step rotations R(c t0), c = 0..K0-1 (`period_rotations`),
+serves the normalizer conditions, the closure decision and the certificates.
+A generator-list spec only supports a bounded word search and refuses
+rather than guessing.
 
 Lattices exist only when the frequencies generate a discrete subgroup of
 the reals, which forces them rational after normalization; the frequency
@@ -25,7 +27,7 @@ from functools import cache, cached_property
 
 from .algebra import FrequencyList
 from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
-from .group import GroupElement, invert, multiply, quarter_turn_count, rotation
+from .group import GroupElement, invert, multiply, quarter_turn_count
 
 
 class MembershipUndecidable(Exception):
@@ -104,6 +106,13 @@ class LatticeSpec:
             f"{type(self).__name__} does not support profile-based classification"
         )
 
+    @cached_property
+    def period_rotations(self) -> tuple:
+        """R(c t0), c = 0..K0-1, as rows of the quarter-turn table."""
+        prof, rows = self._profile, self.freqs.quarter_turns[2]
+        m0 = quarter_turn_count(prof.t0, self.freqs)
+        return tuple(rows[c * m0 % 4] for c in range(prof.k0))
+
     def generators(self) -> list[GroupElement]:
         """(w, 0, 0), the unit v's, then (twist t0, 0, t0)."""
         return list(self._generators)
@@ -156,12 +165,6 @@ class _ProductFormFamily(LatticeSpec):
             central_w=ExactScalar(self.z_step(), 0),
             twist=ExactScalar(0),
         )
-
-    @cached_property
-    def period_rotations(self) -> tuple:
-        """R(c * t0) for c = 0..K0-1, the rotations of the t-steps."""
-        prof = self.profile()
-        return tuple(rotation(prof.t0 * c, self.freqs) for c in range(prof.k0))
 
 
 @dataclass(frozen=True)

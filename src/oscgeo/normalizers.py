@@ -1,30 +1,30 @@
 """Lattice normalizers: exact membership, brute-force oracle, table diffs.
 
-For a product-form lattice Z_lat x Z^{2n} x t0*Z, conjugating the generator
-set reduces g = (z, v, t) in N(lattice) to four exact conditions, with
-R_c = R(t0 * c) ranging over the rotation period c = 0..K0-1:
+For a lattice with a profile (t0, K0, central step w, twist), conjugating
+the generator set reduces g = (z, v, t) in N(lattice) to four exact
+conditions, with R_c = R(c t0), c = 0..K0-1, the spec's `period_rotations`:
 
     (A) R(t) has integer entries (every lambda_i t in (pi/2)Z);
     (B) (Id - R_c) v in Z^{2n};
-    (C) v^T J R_c v in (1/k)Z;
-    (D) (Id + R_c) v in (1/k)Z^{2n}.
+    (C) v^T J R_c v in 2w Z (that is (1/k)Z for the dim-4/dim-6 families);
+    (D) (Id + R_c) v in 2w Z^{2n}.
 
-`in_normalizer` evaluates these conditions; `normalizer_oracle` conjugates
-the generators directly (both directions, through the one-pass
-`group.conjugate`) and is the arbiter.  The two are provably equivalent and
-the test suite checks them against each other on full grids.  A
-verification grid reads only n, k and the t-step multiple q off the spec,
-so each is built once per (n, k, q) and size, and shared.  Only a process
-that asks for one grid more than once gains from this: the criterion-7
-sweep (60 specs, 12 builds) and repeated in-process CLI calls; a one-shot
-`isometry normalizer` command builds its one grid as before.
+No condition reads the twist: (z, v, t) -> (z + m t, v, t) is an
+automorphism, and the normalizer contains the centre, so it is free in z
+and N(Twisted(L, m)) = N(L).  `in_normalizer` evaluates the conditions;
+`normalizer_oracle` conjugates the generators directly (both directions,
+through the one-pass `group.conjugate`) and is the arbiter.  The suite
+checks them against each other on every coset of the finite quotient and
+on twisted lattices.  A verification grid reads only n, k and the t-step
+multiple q off a dim-4/dim-6 spec, so each is built once per (n, k, q) and
+size, and shared (the criterion-7 sweep builds 12 for its 60 specs).
 
-`NormalizerTable` carries the commonly tabulated closed-form answers.  The
-tabulated dim-4 quarter-turn row and the dim-6 rows with p = 2 mod 4 are
-too permissive for some parities of k (the derived conditions admit the
-half-odd square I2 = Z^2 u F^2 for even k in dimension four, and force the
-second pair into (1/2)Z^2 in the p = 2 mod 4 rows).  `normalizer_table_report`
-walks a grid once and surfaces every point where the oracle or the table
+`NormalizerTable` carries the tabulated closed forms of the dim-4/dim-6
+families.  Its dim-4 quarter-turn row and dim-6 rows with p = 2 mod 4 are
+wrong for some parities of k (the conditions admit the half-odd square
+I2 = Z^2 u F^2 for even k in dimension four, and force the second pair
+into (1/2)Z^2 in the p = 2 mod 4 rows).  `normalizer_table_report` walks
+a grid once and surfaces every point where the oracle or the table
 disagrees with the conditions instead of reconciling them silently.
 """
 
@@ -42,23 +42,24 @@ from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
 
 def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
-    """Exact normalizer membership from the reduced closure conditions."""
-    if not isinstance(spec, (Dim4Family, Dim6Family)):
-        raise UnsupportedSpec("normalizer conditions cover the dim-4/dim-6 families")
+    """Exact normalizer membership from the reduced closure conditions, read
+    off the profile; a spec without one is refused (`UnsupportedSpec`)."""
+    rotations, w = spec.period_rotations, spec.profile().central_w
     if not g.is_exact():
         raise TypeError("normalizer membership is decided in exact mode")
     if g.n != spec.freqs.n:
         raise ValueError("element dimension does not match the lattice")
     if not is_quarter_turn(g.t, spec.freqs):
         return False  # (A)
-    num, den, k = g.num, g.den, spec.k  # v = num / den
-    for rc in spec.period_rotations:
+    (wn,), wd = w.num, w.den  # w = wn / wd, and (1/k)Z = 2wZ
+    num, den, step = g.num, g.den, 2 * wn * g.den  # v = num / den
+    for rc in rotations:
         rn = swap_pairs(rc, num)
         if any((x - y) % den for x, y in zip(num, rn)):
             return False  # (B)
-        if k * int_pairing(num, rn) % (den * den):
+        if wd * int_pairing(num, rn) % (step * den):
             return False  # (C)
-        if any(k * (x + y) % den for x, y in zip(num, rn)):
+        if any(wd * (x + y) % step for x, y in zip(num, rn)):
             return False  # (D)
     return True
 
@@ -169,12 +170,9 @@ def verification_grid(
 ) -> list[GroupElement]:
     """Exact grid stressing the step, half-odd, and off-lattice cases: a fresh
     list of immutable elements, built once per (n, k, q) and size."""
-    if isinstance(spec, Dim4Family):
-        q = 1
-    elif isinstance(spec, Dim6Family):
-        q = spec.q
-    else:
+    if not isinstance(spec, (Dim4Family, Dim6Family)):
         raise UnsupportedSpec("grids are built for the dim-4/dim-6 families")
+    q = spec.q if isinstance(spec, Dim6Family) else 1
     return list(_grid(spec.freqs.n, spec.k, q, min_points, max_points))
 
 

@@ -18,15 +18,16 @@ at r_max.  Float data alone takes the float snap: one numpy screen over
 every candidate, then the scalar snap on the few that pass.  Only its miss
 is never a proof of openness.
 
-The lattice is read only through its `LatticeProfile` and membership.  The
+The lattice is read only through its `LatticeProfile`, membership, and
+the spec's one table of R(c t0), `period_rotations`, which gives the
+rotation of each residue class and of each certificate's member.  The
 closed timelike and spacelike certificates come from one construction: the
 velocity that `exp_preimage` reads off a lattice member, which the geodesic
-meets at s = 1.  Every
-certificate is built and verified in one place (`_certify`) before being
-returned: the target lattice point is checked by exact membership, the
-closed-form evaluation is re-run in float mode against it, and -- whenever
-the parameter is exact, which it is only for exact initial data -- the
-evaluation is also replayed exactly.
+meets at s = 1.  Every certificate is built and verified in one place
+(`_certify`) before being returned: the target lattice point is checked by
+exact membership, the closed-form evaluation is re-run in float mode
+against it, and -- whenever the parameter is exact, which it is only for
+exact initial data -- the evaluation is also replayed exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .exact import ExactScalar, as_exact, pi_coefficient, poly_mul, rational_rat
 from .geodesics import (
     Geodesic, _Cleared, eval_geodesic, eval_geodesic_exact, exp_preimage, flow_coords,
 )
-from .group import GroupElement, max_coord_dist, quarter_turn_count, rotation
+from .group import GroupElement, max_coord_dist
 from .lattices import LatticeSpec, ProductWithLine, UnsupportedSpec, pure_t_element
 
 FLOAT_VERIFY_TOL = 1e-9  # per coordinate: the float snap and each certificate's check
@@ -186,7 +187,8 @@ def closed_timelike_and_spacelike(
                               "pi-twisted lattices are not built yet")
     j = max(1, prof.k0 - 1)
     t, w = prof.t0 * j, prof.central_w
-    u = [e for kos, _ in rotation(t, freqs) for e in ((0, 0) if kos == 1 else (1, 0))]
+    u = [e for kos, _ in spec.period_rotations[j % prof.k0]
+         for e in ((0, 0) if kos == 1 else (1, 0))]
     x, e0 = exp_preimage(prof.member(0, u, j), freqs)
     certs = []
     for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
@@ -297,27 +299,23 @@ def _least_r(slope: list, p: list, w: list, c: int, k0: int):
     return r or period
 
 
-def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None,
-            form: _Cleared | None = None):
+def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None, form: _Cleared):
     """(least closing r, the member met there, {residue: obstruction}); r
     and the member are None when no r up to `limit` closes.  `form` is x's
-    `_Cleared`, when the caller has built it.
+    `_Cleared`.
 
     With c = r mod K0 and t_step = +-t0, R(K0 t_step) = Id splits the point
     at r into (r L + P(c), V(c), r t_step): V(c) and a^2 P(c) are
-    `_Cleared.at` R(c t_step), and a^2 L is t_step times its drift.
-    Cleared of a, the point is a member iff V(c) is integral and
-    r alpha + a^2 P(c) lies in gamma Z, with alpha = a^2 (L - twist t_step)
-    and gamma = a^2 w (`_least_r`, on the ints of the three over one
-    denominator).  The classes are taken in the order of their least member,
-    r = 1, ..., K0, and the scan stops once no class can beat the best r
-    found or `limit`.
+    `_Cleared.at` R(c t_step), which is period_rotations[sign c % K0], and
+    a^2 L is t_step times its drift.  Cleared of a, the point is a member
+    iff V(c) is integral and r alpha + a^2 P(c) lies in gamma Z, with
+    alpha = a^2 (L - twist t_step) and gamma = a^2 w (`_least_r`, on the
+    ints of the three over one denominator).  The classes are taken in the
+    order of their least member, r = 1, ..., K0, and the scan stops once no
+    class can beat the best r found or `limit`.
     """
-    prof, freqs = spec.profile(), spec.freqs
-    form = _Cleared(x, freqs) if form is None else form
-    sign, k0 = as_exact(x.a).sign(), prof.k0
-    rows = freqs.quarter_turns[2]
-    turns = sign * quarter_turn_count(prof.t0, freqs)  # R(c t_step) = rows[c turns % 4]
+    prof = spec.profile()
+    sign, k0, rotations = as_exact(x.a).sign(), prof.k0, spec.period_rotations
     # alpha, gamma and lift a^2 P(c) over one denominator: the drift's times
     # tw.den w.den t0d, with t_step = sign (t0n / t0d) pi
     tw, w, ((_, t0n), t0d) = prof.twist, prof.central_w, (prof.t0.num, prof.t0.den)
@@ -330,7 +328,7 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None,
         if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
             break
         c = r_min % k0
-        v, p = form.at(rows[c * turns % 4])
+        v, p = form.at(rotations[sign * c % k0])
         if v is not None and v[1] == 1:
             residues[c] = v[0], [u * lift for u in p]
             found = _least_r(alpha, residues[c][1], gamma, c, k0)

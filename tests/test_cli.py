@@ -24,6 +24,8 @@ from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
 from oscgeo.normalizers import in_normalizer
 from oscgeo.quotient import ClosedGeodesicCertificate, search_closed
 
+from test_isometries import pair_swap
+
 LATTICE = "dim4:k=1:angle=2pi"
 PI_TWIST = '{"family": "twisted", "m": "pi", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
 VACUOUS = pytest.mark.xfail(
@@ -350,6 +352,20 @@ class TestCommands:
         )
         assert code == 0 and rep["verdicts"]["eps"] == 1
 
+    def test_decompose_names_equal_frequencies_split_into_runs(self, capsys):
+        matrix = json.dumps(pair_swap(1, 3, 3).tolist())
+        code, rep = run_cli(capsys, "isometry", "check-matrix", "--freqs", "[1, 2, 1]",
+                            "--matrix", matrix)
+        assert code == 0 and rep["verdicts"]["local_isometry"] is True
+        code, rep = run_cli(capsys, "isometry", "decompose", "--freqs", "[1, 2, 1]",
+                            "--matrix", matrix)
+        assert code == 2 and rep["verdicts"] == {}
+        [diagnostic] = rep["diagnostics"]
+        assert "separate runs" in diagnostic and "FrequencyList.grouped()" in diagnostic
+        code, rep = run_cli(capsys, "isometry", "decompose", "--freqs", "[1, 1, 2]",
+                            "--matrix", json.dumps(pair_swap(1, 2, 3).tolist()))
+        assert code == 0 and rep["verdicts"]["eps"] == 1
+
 
 class TestExitCodes:
     def test_validation_error_is_exit_2(self, capsys):
@@ -367,6 +383,14 @@ class TestExitCodes:
             "--lattice", '{"family": "product_line", "w2": "1", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}',
         )
         assert code == 2
+
+    def test_normalizer_on_a_lattice_with_no_tabulated_form_is_exit_2(self, capsys):
+        # the conditions answer a twisted lattice, but the report carries a table
+        lattice = '{"family": "twisted", "m": "1", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
+        code, rep = run_cli(capsys, "isometry", "normalizer", "--lattice", lattice,
+                            "--element", '{"z": 0, "v": [1, 0], "t": 0}')
+        assert code == 2 and rep["verdicts"] == {}
+        assert rep["diagnostics"] == ["validation error: no tabulated normalizer for this family"]
 
 
 class TestContractBreaches:

@@ -122,6 +122,14 @@ class TestLocalIsometry:
         assert not check_local_isometry(a, fl)
 
 
+def pair_swap(i: int, j: int, n: int) -> np.ndarray:
+    """The (2n + 2)-square permutation matrix swapping v-pairs i and j
+    (counted from 1: pair i is rows 2i - 1 and 2i)."""
+    order = list(range(2 * n + 2))
+    order[2 * i - 1:2 * i + 1], order[2 * j - 1:2 * j + 1] = [2 * j - 1, 2 * j], [2 * i - 1, 2 * i]
+    return np.eye(2 * n + 2)[order]
+
+
 class TestPsiDecompose:
     def test_identity(self):
         eps, blocks, c = psi_decompose(np.eye(4), F1)
@@ -164,6 +172,30 @@ class TestPsiDecompose:
         bad[3, 0] = 1.0
         with pytest.raises(ShapeMismatch):
             psi_decompose(bad, F1)
+
+    def test_swap_across_split_equal_frequencies_names_the_cause(self):
+        # pairs 1 and 3 share the frequency 1, but [1, 2, 1] puts them in two runs
+        fl, a = FrequencyList([1, 2, 1]), pair_swap(1, 3, 3)
+        assert check_local_isometry(a, fl)
+        with pytest.raises(ShapeMismatch, match=r"separate runs.*FrequencyList\.grouped"):
+            psi_decompose(a, fl)
+
+    def test_the_same_swap_within_one_run_decomposes(self):
+        eps, blocks, c = psi_decompose(pair_swap(1, 2, 3), FrequencyList([1, 1, 2]))
+        assert eps == 1
+        assert np.array_equal(blocks[0], pair_swap(1, 2, 2)[1:5, 1:5])
+        assert np.array_equal(blocks[1], np.eye(2)) and not c.any()
+
+    def test_split_runs_kept_to_themselves_decompose(self):
+        rng = np.random.default_rng(11)
+        fl = FrequencyList([1, 2, 1])
+        for _ in range(5):
+            el = rand_isotropy(rng, fl)
+            eps, blocks, c = psi_decompose(isotropy_matrix(el, fl), fl)
+            assert eps == el.eps
+            for b1, b2 in zip(blocks, el.blocks):
+                assert np.allclose(b1, b2, atol=1e-10)
+            assert np.allclose(c, np.concatenate(el.c), atol=1e-10)
 
 
 class TestTheta:

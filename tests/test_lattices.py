@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -228,11 +230,30 @@ class TestProfiles:
         assert spec.generators() == gens[:-1]
         assert spec.generators() is not spec.generators()
         assert spec == from_json(spec.to_json())  # equality ignores the caches
-        if not isinstance(spec, Twisted):
-            prof = spec.profile()
-            assert spec.period_rotations == tuple(
-                rotation(prof.t0 * c, spec.freqs) for c in range(prof.k0)
-            )
+        prof = spec.profile()
+        assert spec.period_rotations is spec.period_rotations
+        assert spec.period_rotations == tuple(
+            rotation(prof.t0 * c, spec.freqs) for c in range(prof.k0)
+        )
+
+    def test_period_rotations_are_one_table(self):
+        # defined once, on LatticeSpec; quotient reads it with no rotation helper of its own
+        src = Path(lattices.__file__).parent
+        trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+        defs = [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "period_rotations"]
+        assert defs == ["lattices.py"]
+        imported = {alias.name for node in ast.walk(trees["quotient.py"])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & {"quarter_turn_count", "rotation"}
+
+    @pytest.mark.parametrize("spec", [
+        ProductWithLine(Dim4Family(1, TWO_PI), w=1),
+        GeneratorList(FrequencyList([1]), [GroupElement(0, (1, 0), 0)]),
+    ])
+    def test_period_rotations_need_a_profile(self, spec):
+        with pytest.raises(UnsupportedSpec):
+            spec.period_rotations
 
 
 class TestDistinguishedElements:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,13 @@ from hypothesis import strategies as st
 
 from oscgeo import normalizers
 from oscgeo.exact import ExactScalar, PI, pi_coefficient
-from oscgeo.group import GroupElement, invert, multiply
-from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, UnsupportedSpec
+from oscgeo.algebra import FrequencyList
+from oscgeo.group import (
+    GroupElement, int_pairing, invert, is_quarter_turn, multiply, rotation, swap_pairs,
+)
+from oscgeo.lattices import (
+    Dim4Family, Dim6Family, GeneratorList, ProductWithLine, Twisted, UnsupportedSpec,
+)
 from oscgeo.normalizers import (
     NormalizerTable,
     in_normalizer,
@@ -126,11 +132,11 @@ class TestInNormalizer:
         assert not in_normalizer(GroupElement(0, v_bad, 0), spec)
 
     def test_unsupported_families(self):
-        with pytest.raises(UnsupportedSpec):
-            in_normalizer(
-                GroupElement.identity(1),
-                ProductWithLine(Dim4Family(1, TWO_PI), w=1),
-            )
+        # no profile, no conditions
+        for spec in (ProductWithLine(Dim4Family(1, TWO_PI), w=1),
+                     GeneratorList(FrequencyList([1]), [GroupElement(0, (1, 0), 0)])):
+            with pytest.raises(UnsupportedSpec):
+                in_normalizer(GroupElement.identity(1), spec)
 
     def test_rejects_float_elements(self):
         with pytest.raises(TypeError):
@@ -391,3 +397,90 @@ def test_report_lists_all_three_answers():
             assert entry is None
         else:
             assert (entry["conditions"], entry["oracle"], entry["table"]) == answers
+
+
+def quarter_turn_classes(freqs) -> list:
+    """One t for each of the 4 quarter-turn classes: m (pi/2) L / G, m = 0..3
+    (`FrequencyList.quarter_turns`)."""
+    lcm, two_gcd, _ = freqs.quarter_turns
+    return [PI * Fraction(m * lcm, two_gcd) for m in range(4)]
+
+
+def _k_conditions(g: GroupElement, spec) -> bool:
+    """The conditions as they read k and R(c t0) off the dim-4/dim-6 families."""
+    if not is_quarter_turn(g.t, spec.freqs):
+        return False
+    prof, num, den, k = spec.profile(), g.num, g.den, spec.k
+    for c in range(prof.k0):
+        rn = swap_pairs(rotation(prof.t0 * c, spec.freqs), num)
+        if any((x - y) % den for x, y in zip(num, rn)):
+            return False
+        if k * int_pairing(num, rn) % (den * den):
+            return False
+        if any(k * (x + y) % den for x, y in zip(num, rn)):
+            return False
+    return True
+
+
+def test_profile_rule_equals_the_k_conditions_on_the_criterion_7_grids():
+    points = 0
+    for spec in CRITERION_7_SPECS:
+        for g in verification_grid(spec, 500, 640):
+            assert in_normalizer(g, spec) == _k_conditions(g, spec), (spec.to_json(), g.to_json())
+            points += 1
+    assert points == 37_140
+
+
+def _cosets(spec, k: int) -> list:
+    """g = (1/3, a / 2k, t) for every coset a of (1/2k)Z^{2n} / Z^{2n} and each
+    quarter-turn class t: membership is periodic in v modulo Z^{2n}, free in
+    z, and reads t only through R(t)."""
+    n2 = 2 * spec.freqs.n
+    return [GroupElement(Fraction(1, 3), [Fraction(a, 2 * k) for a in coset], t)
+            for coset in product(range(2 * k), repeat=n2)
+            for t in quarter_turn_classes(spec.freqs)]
+
+
+def test_conditions_match_the_oracle_on_every_coset():
+    # the verification grid misses cosets: for k <= 2, 1/(2k) is already among its v values
+    specs = [s for s in CRITERION_7_SPECS if isinstance(s, Dim4Family) or s.k <= 2]
+    points = 0
+    for spec in specs:
+        for g in _cosets(spec, spec.k):
+            assert in_normalizer(g, spec) == normalizer_oracle(g, spec), (
+                spec.to_json(), g.to_json())
+            points += 1
+    assert points == 19_168
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_conditions_match_the_oracle_on_sampled_k3_cosets(data):
+    spec = data.draw(st.sampled_from([s for s in CRITERION_7_SPECS
+                                      if isinstance(s, Dim6Family) and s.k == 3]))
+    coset = data.draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    t = data.draw(st.sampled_from(quarter_turn_classes(spec.freqs)))
+    g = GroupElement(Fraction(1, 3), [Fraction(a, 6) for a in coset], t)
+    assert in_normalizer(g, spec) == normalizer_oracle(g, spec)
+
+
+twists = (st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2, max_denominator=4)
+          | st.sampled_from((PI, -PI, HALF_PI, 2 * PI / 3)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_twisted_lattices_are_answered_with_the_oracle(data):
+    # (z, v, t) -> (z + m t, v, t) is an automorphism, and the normalizer is
+    # free in z, so a twist leaves it as it is
+    base = data.draw(st.sampled_from(CRITERION_7_SPECS))
+    spec = Twisted(base, data.draw(twists))
+    k, n2 = base.k, 2 * base.freqs.n
+    v = [Fraction(a, 4 * k)
+         for a in data.draw(st.lists(st.integers(-8 * k, 8 * k), min_size=n2, max_size=n2))]
+    unit = quarter_turn_classes(base.freqs)[1]
+    t = data.draw(st.integers(-8, 8).map(lambda m: unit * m) | angles)
+    g = GroupElement(data.draw(small_fractions), v, t)
+    answer = in_normalizer(g, spec)
+    assert answer == normalizer_oracle(g, spec)
+    assert answer == in_normalizer(g, base)

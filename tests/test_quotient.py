@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oscgeo import quotient
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class, causal_quantity
 from oscgeo.exact import ExactScalar, PI, as_exact, rational_ratio
-from oscgeo.geodesics import Geodesic, eval_geodesic, eval_geodesic_exact, exp_preimage
+from oscgeo.geodesics import Geodesic, _Cleared, eval_geodesic, eval_geodesic_exact, exp_preimage
 from oscgeo.group import (
     GroupElement, conjugate, max_coord_dist, multiply, rotate_pairs, rotation,
 )
@@ -449,7 +449,7 @@ def test_decision_matches_the_exact_scalar_reference(data):
     x = data.draw(exact_velocities(spec.freqs, spec.profile().twist))
     limit = data.draw(st.none() | st.integers(0, 2 * spec.profile().k0 + 1))
     r, member, obstructions = _reference_decide(x, spec, limit)
-    assert quotient._decide(x, spec, limit) == (r, member, obstructions)
+    assert quotient._decide(x, spec, limit, _Cleared(x, spec.freqs)) == (r, member, obstructions)
     if limit is None:
         decision = decide_closed(x, spec)
         assert decision.r == r
@@ -693,7 +693,8 @@ class TestDecideClosed:
         # a = +-1/10^400 reads as a float zero; the candidate times stay
         # positive, so the member met first has t = 2pi sign(a)
         x = AlgebraVector(0, [(0, 0)], Fraction(a_sign, 10**400))
-        r, point, _ = quotient._decide(x, Dim4Family(1, TWO_PI))
+        spec = Dim4Family(1, TWO_PI)
+        r, point, _ = quotient._decide(x, spec, None, _Cleared(x, spec.freqs))
         assert r == 1
         assert point == GroupElement(0, (0, 0), a_sign * TWO_PI)
 
