@@ -487,7 +487,8 @@ VERBS = {
     ("isometry", "fiber"): (cmd_isometry_fiber, (
         LATTICE, ("--map", dict(required=True, help="inversion | theta | left:JSON | inner:JSON")),
         ("--blocks", {}), ("--normalized", dict(action="store_true")),
-        ("--samples", dict(type=int, default=60)))),
+        ("--samples", dict(type=int, default=60, help="grid points for theta and inversion maps, "
+                           "at least 0; grids have a floor of 24 points")))),
     ("isometry", "relations"): (cmd_isometry_relations, (
         ("--blocks", dict(required=True)), ("--v", dict(required=True)),
         ("--t", dict(type=float, required=True)), ("--verbatim", dict(action="store_true")),

@@ -19,11 +19,12 @@ fields; `v` is a Fraction view built on first read.  Exact rotations need
 every lambda_i * t in (pi/2)Z (`is_quarter_turn`), that is t a whole
 multiple m of the unit in the frequency list's one quarter-turn table
 (`FrequencyList.quarter_turns`); `rotation` reads R(t) off that table as a
-signed quarter turn per block, and `swap_pairs` applies it as a signed swap
-of ints.  The exact product is int arithmetic: the pairing v1^T J R(t1) v2
-is one int sum added to z as pair / (2 d1 d2), z and t are summed on their
-ints, and v1 + R(t1) v2 is n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when
-d1 == d2), reduced by one gcd.  Float arithmetic keeps its operation order.
+signed quarter turn per block, with cos and sin in {0, 1, -1}, so
+`rotate_pairs` maps int vectors to int vectors.  The exact product is int
+arithmetic: the pairing v1^T J R(t1) v2 is one int sum added to z as
+pair / (2 d1 d2), z and t are summed on their ints, and v1 + R(t1) v2 is
+n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when d1 == d2), reduced by one
+gcd.  Float arithmetic keeps its operation order.
 
 Conjugation has the closed form, for h = (a, u, s) and g = (z, v, t),
 
@@ -79,22 +80,6 @@ def rotate_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
     out = []
     for (c, s), x, y in zip(cos_sin, v[0::2], v[1::2], strict=True):
         out.extend((c * x - s * y, s * x + c * y))
-    return tuple(out)
-
-
-def swap_pairs(cos_sin: Sequence, v: Sequence) -> tuple:
-    """`rotate_pairs` for signed quarter turns: a signed swap per pair, with
-    no products by 0 or 1."""
-    out = []
-    for (c, s), x, y in zip(cos_sin, v[0::2], v[1::2], strict=True):
-        if c == 1:
-            out.extend((x, y))
-        elif c == -1:
-            out.extend((-x, -y))
-        elif s == 1:
-            out.extend((-y, x))
-        else:
-            out.extend((y, -x))
     return tuple(out)
 
 
@@ -301,7 +286,7 @@ def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupE
         z = z + _symplectic_pairing(g1._v, rv2) / 2
         return GroupElement._of(z, tuple([a + b for a, b in zip(g1._v, rv2)]), g1.t + g2.t)
     n1, d1, d2 = g1.num, g1.den, g2.den
-    rn2 = swap_pairs(rotation(g1.t, freqs), g2.num)
+    rn2 = rotate_pairs(rotation(g1.t, freqs), g2.num)
     pair = int_pairing(n1, rn2)
     if pair:  # (1/2) v1^T J R v2 = pair / (2 d1 d2)
         z = z + ExactScalar._of([pair], 2 * d1 * d2)
@@ -319,7 +304,7 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
     r = rotation(-g.t, freqs)
     if g.num is None:
         return GroupElement._of(-g.z, tuple([-x for x in rotate_pairs(r, g._v)]), -g.t)
-    return GroupElement._exact(-g.z, tuple([-x for x in swap_pairs(r, g.num)]), g.den, -g.t)
+    return GroupElement._exact(-g.z, tuple([-x for x in rotate_pairs(r, g.num)]), g.den, -g.t)
 
 
 def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupElement:
@@ -329,8 +314,8 @@ def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupEl
     if h.num is None:
         return multiply(multiply(h, g, freqs), invert(h, freqs), freqs)
     un, du, vn, dv = h.num, h.den, g.num, g.den
-    rv = swap_pairs(rotation(h.t, freqs), vn)
-    ru = swap_pairs(rotation(g.t, freqs), un)
+    rv = rotate_pairs(rotation(h.t, freqs), vn)
+    ru = rotate_pairs(rotation(g.t, freqs), un)
     z = g.z
     pair = du * int_pairing(un, rv) - dv * int_pairing(un, ru) - du * int_pairing(rv, ru)
     if pair:

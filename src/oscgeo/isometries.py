@@ -482,13 +482,16 @@ def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdi
     h Lambda h^{-1} there.  Those two kinds are therefore decided at the
     first grid point where f evaluates, and the verdict is a proof either
     way.  Theta, inversion and composite maps are searched over the whole
-    grid of `samples` points: a found counterexample is a proof, an
-    exhausted grid is reported as "no counterexample found".  Membership is
-    only ever decided exactly, so the grid uses exact points with
-    quarter-turn-compatible angles.  A map that evaluates at no grid point
-    (known defect) still reports preserving.  A map that does not fit the
-    lattice raises ShapeMismatch.
+    grid of max(samples, 24) points, 24 fixed ones and then seeded draws: a
+    found counterexample is a proof, an exhausted grid is reported as "no
+    counterexample found".  A negative `samples` raises ValueError.
+    Membership is only ever decided exactly, so the grid uses exact points
+    with quarter-turn-compatible angles.  A map that evaluates at no grid
+    point (known defect) still reports preserving.  A map that does not fit
+    the lattice raises ShapeMismatch.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     _check_fits(f, spec.freqs)
     rng = random.Random(seed)
     freqs = spec.freqs

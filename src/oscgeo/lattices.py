@@ -1,8 +1,11 @@
 """Cocompact lattice families, exact membership, and structural profiles.
 
-Product-form families are lattices Z_lat x Z^{2n} x t_step*Z written in
-group coordinates; twisting by the automorphism (z, v, t) -> (z + m t, v, t)
-and the product with a line (for the product-group analysis) build on them.
+One class, `ProductForm(freqs, k, t0)`, is the lattice (1/2k)Z x Z^{2n} x t0 Z
+in group coordinates, for any frequency list and any positive quarter turn
+t0 of it; the paper's dim-4 and dim-6 families are its named constructors
+`Dim4Family` and `Dim6Family`, which keep their own checks, parameters and
+JSON.  Twisting by the automorphism (z, v, t) -> (z + m t, v, t) and the
+product with a line (for the product-group analysis) build on them.
 A `LatticeProfile` (t0, K0, central step w, total twist) is all the quotient
 code reads of a lattice.  Product forms and their twists (whose base needs a
 profile) have one, and its rule is their membership: the members are exactly
@@ -21,12 +24,12 @@ type enforces that at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 
 from .algebra import FrequencyList
-from .exact import ExactScalar, as_exact, pi_coefficient, rational_ratio
+from .exact import PI, ExactScalar, as_exact, pi_coefficient, rational_ratio
 from .group import GroupElement, invert, multiply, quarter_turn_count
 
 
@@ -146,62 +149,59 @@ def _frequencies(*lambdas) -> FrequencyList:
     return FrequencyList(lambdas)
 
 
-class _ProductFormFamily(LatticeSpec):
-    """Common machinery for Z_lat x Z^{2n} x t_step*Z families."""
+@dataclass(frozen=True)
+class ProductForm(LatticeSpec):
+    """(1/2k)Z x Z^{2n} x t0 Z for any frequencies and any positive quarter
+    turn t0 of them; a subgroup, as R(t0) keeps Z^{2n} and every
+    (1/2) v^T J R(t) v' lies in (1/2)Z."""
 
+    freqs: FrequencyList
     k: int
-    t0_pi_coeff: Fraction  # t0 / pi
+    t0: ExactScalar
 
-    def z_step(self) -> Fraction:
-        return Fraction(1, 2 * self.k)
+    def __post_init__(self):
+        _require_positive_int("k", self.k)
+        object.__setattr__(self, "t0", as_exact(self.t0))
+        m0 = quarter_turn_count(self.t0, self.freqs)
+        if m0 is None or m0 < 1:
+            raise ValueError(f"t0 must be a positive quarter turn of the frequencies, got {self.t0}")
 
     @cached_property
     def _profile(self) -> LatticeProfile:
-        t0 = ExactScalar(0, self.t0_pi_coeff)
         # t0 is m0 quarter-turn units, and R(m units) = Id iff 4 divides m
-        return LatticeProfile(
-            t0=t0,
-            k0=4 // math.gcd(4, quarter_turn_count(t0, self.freqs)),
-            central_w=ExactScalar(self.z_step(), 0),
-            twist=ExactScalar(0),
-        )
+        m0 = quarter_turn_count(self.t0, self.freqs)
+        return LatticeProfile(t0=self.t0, k0=4 // math.gcd(4, m0),
+                              central_w=ExactScalar(Fraction(1, 2 * self.k)), twist=ExactScalar(0))
 
 
 @dataclass(frozen=True)
-class Dim4Family(_ProductFormFamily):
-    """(1/2k)Z x Z^2 x angle*Z in the four-dimensional group (lambda = 1)."""
+class Dim4Family(ProductForm):
+    """(1/2k)Z x Z^2 x angle*Z in the four-dimensional group (lambda = 1): a
+    named constructor of ProductForm whose repr, == and hash read k and angle."""
 
-    k: int
+    freqs: FrequencyList = field(repr=False, compare=False)
+    t0: ExactScalar = field(repr=False, compare=False)
     angle: ExactScalar
-
-    _ANGLES = (Fraction(2), Fraction(1), Fraction(1, 2))
 
     def __init__(self, k: int, angle):
         _require_positive_int("k", k)
         angle = as_exact(angle)
-        pc = pi_coefficient(angle)
-        if pc is None or Fraction(*pc) not in self._ANGLES:
+        if angle not in (2 * PI, PI, PI / 2):
             raise ValueError("angle must be one of 2pi, pi, pi/2")
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "angle", angle)
-
-    @cached_property
-    def freqs(self) -> FrequencyList:
-        return _frequencies(1)
-
-    @cached_property
-    def t0_pi_coeff(self) -> Fraction:
-        return Fraction(*pi_coefficient(self.angle))
+        super().__init__(_frequencies(1), k, angle)
 
     def to_json(self) -> dict:
         return {"family": "dim4", "k": self.k, "angle": str(self.angle)}
 
 
 @dataclass(frozen=True)
-class Dim6Family(_ProductFormFamily):
-    """(1/2k)Z x Z^4 x (2 pi q / M)Z in the six-dimensional group (1, p/q)."""
+class Dim6Family(ProductForm):
+    """(1/2k)Z x Z^4 x (2 pi q / M)Z in the six-dimensional group (1, p/q): a
+    named constructor of ProductForm whose repr, == and hash read k, p, q and M."""
 
-    k: int
+    freqs: FrequencyList = field(repr=False, compare=False)
+    t0: ExactScalar = field(repr=False, compare=False)
     p: int
     q: int
     m_div: int
@@ -215,18 +215,10 @@ class Dim6Family(_ProductFormFamily):
             raise ValueError("p and q must be coprime")
         if m_div > 1 and q % 2 == 0:
             raise ValueError("q must be odd when M > 1")
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m_div", m_div)
-
-    @cached_property
-    def freqs(self) -> FrequencyList:
-        return _frequencies(1, Fraction(self.p, self.q))
-
-    @cached_property
-    def t0_pi_coeff(self) -> Fraction:
-        return Fraction(2 * self.q, self.m_div)
+        super().__init__(_frequencies(1, Fraction(p, q)), k, ExactScalar(0, Fraction(2 * q, m_div)))
 
     def to_json(self) -> dict:
         return {

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import product
 
 from .exact import PI, ExactScalar, pi_coefficient
-from .group import GroupElement, conjugate, int_pairing, invert, is_quarter_turn, swap_pairs
+from .group import GroupElement, conjugate, int_pairing, invert, is_quarter_turn, rotate_pairs
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
 
@@ -54,7 +54,7 @@ def in_normalizer(g: GroupElement, spec: LatticeSpec) -> bool:
     (wn,), wd = w.num, w.den  # w = wn / wd, and (1/k)Z = 2wZ
     num, den, step = g.num, g.den, 2 * wn * g.den  # v = num / den
     for rc in rotations:
-        rn = swap_pairs(rc, num)
+        rn = rotate_pairs(rc, num)
         if any((x - y) % den for x, y in zip(num, rn)):
             return False  # (B)
         if wd * int_pairing(num, rn) % (step * den):
@@ -106,10 +106,10 @@ class NormalizerTable:
         if isinstance(spec, Dim4Family):
             k = spec.k
             v_factor = {
-                Fraction(2): f"Z^2/{2 * k}",
-                Fraction(1): "Z^2/2",
-                Fraction(1, 2): "Z^2",
-            }[spec.t0_pi_coeff]
+                2 * PI: f"Z^2/{2 * k}",
+                PI: "Z^2/2",
+                PI / 2: "Z^2",
+            }[spec.angle]
             return cls(
                 params={"family": "dim4", "k": k, "angle": str(spec.angle)},
                 factors=("R", v_factor, "(pi/2) Z"),

@@ -350,7 +350,8 @@ def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> C
     """The closure decision for an exact x, capped at `limit`.  A hit at r
     is met at s = r t0 / |a| = t / a: exact, and replayed exactly, when
     t0 / a is in Q[pi]; otherwise a float.  The causal class is read off
-    the drift of the decision's `_Cleared`."""
+    the drift of the decision's `_Cleared`.  A certificate whose float
+    copies of x or s overflow raises OverflowError naming r."""
     a = as_exact(x.a)
     if a.is_zero():
         return ClosureDecision(_search_line_case(x, spec))
@@ -359,10 +360,15 @@ def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> C
     if r is None:
         return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
     try:
-        s = point.t / a
-    except ValueError:
-        s = r * float(spec.profile().t0) / abs(float(a))
-    return ClosureDecision(_certify(x, s, point, form.causal(), spec), r)
+        try:
+            s = point.t / a
+        except ValueError:
+            s = r * float(spec.profile().t0) / abs(float(a))
+        cert = _certify(x, s, point, form.causal(), spec)
+    except OverflowError as exc:  # the exact decision stands, but cannot be re-checked
+        raise OverflowError(f"closes at r = {r}, but the certificate's float "
+                            f"re-evaluation is out of range ({exc})") from exc
+    return ClosureDecision(cert, r)
 
 
 def _check_search_input(x: AlgebraVector, spec: LatticeSpec) -> None:
@@ -448,7 +454,7 @@ class _LatticeSnap:
     def __init__(self, spec: LatticeSpec):
         prof = spec.profile()
         self.spec, self.prof, self.tol = spec, prof, FLOAT_VERIFY_TOL
-        self.tw, self.t_step, self.z_step_f = map(float, (prof.twist, prof.t0, prof.central_w))
+        self.tw, self.t_step, self.w_step = map(float, (prof.twist, prof.t0, prof.central_w))
         self.t0_num, self.t0_den = pi_coefficient(prof.t0)  # t0 = (t0_num / t0_den) pi
 
     def __call__(self, point: GroupElement) -> GroupElement | None:
@@ -469,10 +475,10 @@ class _LatticeSnap:
             # float(t0 * j) from ints; the exact t is built only for a member
             t_f = self.t0_num * j / self.t0_den * math.pi
             z_core = point.z - self.tw * t_f
-            u = round(z_core / self.z_step_f)
+            u = round(z_core / self.w_step)
         except (OverflowError, ValueError):
             return None
-        if abs(z_core - u * self.z_step_f) > tol or math.ulp(z_core) > tol:
+        if abs(z_core - u * self.w_step) > tol or math.ulp(z_core) > tol:
             return None
         candidate = self.prof.member(u, v_exact, j)
         return candidate if self.spec.contains(candidate) else None
@@ -508,7 +514,7 @@ class _LatticeSnap:
                 z_size += (b * b + c * c) * (np.abs(th) + 2) / (2 * lam * lam * a * a)
             shift = self.tw * (self.t0_num * j / self.t0_den * math.pi)
             z_core = z - shift
-            z_off = z_core - np.round(z_core / self.z_step_f) * self.z_step_f
+            z_off = z_core - np.round(z_core / self.w_step) * self.w_step
             ok &= np.abs(z_off) <= tol + SCREEN_SLACK * (z_size + np.abs(shift) + np.abs(z_core))
         return ok | raises
 

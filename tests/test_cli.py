@@ -228,6 +228,16 @@ class TestCommands:
         assert code == 2
         assert rep["diagnostics"]
 
+    @pytest.mark.parametrize("a", ["1/1" + "0" * 400, "1" + "0" * 400])
+    def test_out_of_range_certificate_names_the_decided_r(self, capsys, a):
+        # the diagnostic was only "integer division result too large for a float"
+        x = json.dumps({"d": 0, "bc": [[0, 0]], "a": a})
+        code, rep = run_cli(
+            capsys, "quotient", "decide-closed", "--lattice", LATTICE, "--X", x)
+        assert code == 2
+        assert any("closes at r = 1" in d and "float re-evaluation is out of range" in d
+                   for d in rep["diagnostics"]), rep["diagnostics"]
+
     @pytest.mark.parametrize("inner,outer", [("1", "-1"), ("pi", "-pi")])
     def test_cancelling_nested_twists(self, capsys, inner, outer):
         lattice = json.dumps({"family": "twisted", "m": outer, "base": {
@@ -579,6 +589,15 @@ class TestContractBreaches:
         assert code == 2
         assert rep["verdicts"] == {}
         assert any("--blocks and --normalized" in d for d in rep["diagnostics"])
+
+    @pytest.mark.parametrize("samples", ["-5", "-1"])
+    def test_negative_fiber_samples_is_exit_2(self, capsys, samples):
+        # they walked the 24 fixed grid points and exited 0
+        code, rep = run_cli(capsys, "isometry", "fiber", "--lattice", LATTICE,
+                            "--map", "inversion", "--samples", samples)
+        assert code == 2
+        assert rep["verdicts"] == {}
+        assert any("samples must be non-negative" in d for d in rep["diagnostics"])
 
     @pytest.mark.parametrize(
         "extra", [["--s-end", "inf"], ["--s-end", "1e300", "--step", "1e-300"]]

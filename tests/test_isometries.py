@@ -654,6 +654,17 @@ class TestFiberPreservation:
         next(grid)
         assert rng.getstate() != state
 
+    @pytest.mark.parametrize("samples", [-5, -1])
+    def test_negative_samples_are_refused(self, samples):
+        # they walked the 24 fixed points and reported a verdict
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            is_fiber_preserving(Inversion(), Dim4Family(1, TWO_PI), samples=samples)
+
+    @pytest.mark.parametrize("samples, points", [(0, 24), (10, 24), (24, 24), (30, 30)])
+    def test_the_grid_has_a_floor_of_24_points(self, samples, points):
+        grid = isometries._exact_angle_grid(Dim4Family(1, TWO_PI), samples, random.Random(0))
+        assert sum(1 for _ in grid) == points
+
     @VACUOUS
     def test_search_that_checks_no_pair_raises(self):
         # conjugation by a pi/3 rotation has no exact value at any grid point

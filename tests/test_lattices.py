@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oscgeo import lattices
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI, rational_ratio
-from oscgeo.group import GroupElement, invert, multiply, rotation, swap_pairs
+from oscgeo.group import GroupElement, invert, multiply, rotate_pairs, rotation
 from oscgeo.lattices import (
     Dim4Family,
     Dim6Family,
@@ -24,6 +24,8 @@ from oscgeo.lattices import (
     from_json,
     pure_t_element,
 )
+
+from lattice_specs import CRITERION_7_SPECS, product_forms
 
 TWO_PI = 2 * PI
 HALF_PI = PI / 2
@@ -58,6 +60,53 @@ class TestConstruction:
         assert (a.profile().k0, b.profile().k0) == (4, 2)
         g = GroupElement(Fraction(1, 2), (1, 0, 0, 1), 3 * PI / 2)
         assert a.contains(g) and not b.contains(g)
+
+    @pytest.mark.parametrize("family, args, message", [
+        (Dim4Family, (0, TWO_PI), "k must be a positive integer, got 0"),
+        (Dim4Family, (-1, PI), "k must be a positive integer, got -1"),
+        (Dim4Family, (True, PI), "k must be a positive integer, got True"),
+        (Dim4Family, (1.0, PI), "k must be a positive integer, got 1.0"),
+        (Dim4Family, ("1", PI), "k must be a positive integer, got '1'"),
+        (Dim4Family, (0, PI / 3), "k must be a positive integer, got 0"),  # k is checked first
+        (Dim4Family, (1, PI / 3), "angle must be one of 2pi, pi, pi/2"),
+        (Dim4Family, (1, 3 * PI), "angle must be one of 2pi, pi, pi/2"),
+        (Dim4Family, (1, -2 * PI), "angle must be one of 2pi, pi, pi/2"),
+        (Dim4Family, (1, ExactScalar(1)), "angle must be one of 2pi, pi, pi/2"),
+        (Dim4Family, (1, 1 + PI), "angle must be one of 2pi, pi, pi/2"),
+        (Dim4Family, (1, "x"), "not a rational literal: 'x'"),
+        (Dim6Family, (0, 1, 1, 1), "k must be a positive integer, got 0"),
+        (Dim6Family, (True, 1, 1, 1), "k must be a positive integer, got True"),
+        (Dim6Family, (1.5, 1, 1, 1), "k must be a positive integer, got 1.5"),
+        (Dim6Family, (1, 0, 1, 1), "p must be a positive integer, got 0"),
+        (Dim6Family, (1, 1, False, 1), "q must be a positive integer, got False"),
+        (Dim6Family, (1, 1, 1, 0), "M must be a positive integer, got 0"),
+        (Dim6Family, (1, 1, 1, True), "M must be a positive integer, got True"),
+        (Dim6Family, (1, 1, 1, 3), "M must be 1, 2 or 4"),
+        (Dim6Family, (1, 2, 4, 3), "M must be 1, 2 or 4"),  # M is checked before gcd
+        (Dim6Family, (1, 2, 4, 1), "p and q must be coprime"),
+        (Dim6Family, (1, 3, 6, 2), "p and q must be coprime"),
+        (Dim6Family, (1, 1, 2, 2), "q must be odd when M > 1"),
+        (Dim6Family, (1, 1, 2, 4), "q must be odd when M > 1"),
+    ])
+    def test_invalid_family_arguments_name_their_fault(self, family, args, message):
+        with pytest.raises(ValueError) as info:
+            family(*args)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_criterion_7_specs_keep_their_repr_equality_hash_and_json(self):
+        for spec in CRITERION_7_SPECS:
+            if isinstance(spec, Dim4Family):
+                params = (spec.k, spec.angle)
+                assert repr(spec) == f"Dim4Family(k={spec.k}, angle={spec.angle!r})"
+                assert spec.to_json() == {"family": "dim4", "k": spec.k, "angle": str(spec.angle)}
+                twin = Dim4Family(*params)
+            else:
+                params = (spec.k, spec.p, spec.q, spec.m_div)
+                assert repr(spec) == "Dim6Family(k={}, p={}, q={}, m_div={})".format(*params)
+                assert spec.to_json() == dict(zip(("family", "k", "p", "q", "M"), ("dim6", *params)))
+                twin = Dim6Family(*params)
+            assert twin == spec and hash(twin) == hash(spec) == hash(params)
+        assert len(set(CRITERION_7_SPECS)) == len(CRITERION_7_SPECS) == 60
 
     @pytest.mark.parametrize("base", [
         ProductWithLine(Dim4Family(1, TWO_PI), w=1),
@@ -294,35 +343,32 @@ twists = (
     | st.fractions(min_value=-3, max_value=3, max_denominator=5)
     | st.sampled_from([PI, PI / 2, -2 * PI])
 )
-closure_specs = st.one_of(
-    dim4_specs,
-    dim6_specs,
-    st.builds(Twisted, dim4_specs | dim6_specs, twists),
-)
+base_specs = dim4_specs | dim6_specs | product_forms()
+closure_specs = base_specs | st.builds(Twisted, base_specs, twists)
 
 
 @settings(max_examples=60, deadline=None)
-@given(base=dim4_specs | dim6_specs, ms=st.lists(twists, max_size=3), seed=st.integers(0, 2**16))
+@given(base=base_specs, ms=st.lists(twists, max_size=3), seed=st.integers(0, 2**16))
 @example(base=Dim4Family(1, TWO_PI), ms=[1, -1], seed=0)
 @example(base=Dim6Family(1, 1, 3, 4), ms=[PI, Fraction(1, 2), -PI - Fraction(1, 2)], seed=0)
 def test_the_profile_generates_the_lattice(base, ms, seed):
     spec = base
     for m in ms:
         spec = Twisted(spec, m)
-    n2, t0 = 2 * spec.freqs.n, ExactScalar(0, base.t0_pi_coeff)
+    n2, t0 = 2 * spec.freqs.n, base.t0
     twist = sum(ms, ExactScalar(0))
     # (w, 0, 0), the unit v's, (twist t0, 0, t0); each a member
     units = [GroupElement(0, [int(i == j) for j in range(n2)], 0) for i in range(n2)]
-    expected = [GroupElement(base.z_step(), (0,) * n2, 0), *units,
+    expected = [GroupElement(Fraction(1, 2 * base.k), (0,) * n2, 0), *units,
                 GroupElement(twist * t0, (0,) * n2, t0)]
     assert spec.generators() == expected
     assert all(spec.contains(g) for g in expected)
     # the same draws as the base sampler followed by z + m t at each twist level
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        z = ExactScalar(base.z_step() * ref.randint(-8, 8), 0)
+        z = ExactScalar(Fraction(ref.randint(-8, 8), 2 * base.k))
         v = [ref.randint(-4, 4) for _ in range(n2)]
-        t = ExactScalar(0, base.t0_pi_coeff * ref.randint(-4, 4))
+        t = base.t0 * ref.randint(-4, 4)
         for m in ms:
             z = z + m * t
         assert spec.sample_member(rng) == GroupElement(z, v, t)
@@ -332,11 +378,11 @@ def test_the_profile_generates_the_lattice(base, ms, seed):
 
 def _family_rule(base, ms, g):
     """The family's rule, twisted by ms, as an independent reference for
-    `contains`: v integral, t in t0 Z and z - (sum of ms) t in z_step Z."""
-    t0, twist = ExactScalar(0, base.t0_pi_coeff), sum(ms, ExactScalar(0))
+    `contains`: v integral, t in t0 Z and z - (sum of ms) t in (1/2k)Z."""
+    t0, twist = base.t0, sum(ms, ExactScalar(0))
     j, z = rational_ratio(g.t, t0), g.z - twist * g.t
     return (g.den == 1 and j is not None and j[1] == 1 and z.degree() <= 0
-            and (z.to_fraction() / base.z_step()).denominator == 1)
+            and (z.to_fraction() * 2 * base.k).denominator == 1)
 
 
 # offsets in units of a lattice step: whole or fractional, times 1, pi or q + pi
@@ -346,14 +392,14 @@ offsets = (step_counts | step_counts.map(lambda q: ExactScalar(0, q))
 
 
 @settings(max_examples=150, deadline=None)
-@given(base=dim4_specs | dim6_specs, ms=st.lists(twists, max_size=3), seed=st.integers(0, 2**16),
+@given(base=base_specs, ms=st.lists(twists, max_size=3), seed=st.integers(0, 2**16),
        data=st.data())
 def test_contains_agrees_with_the_profile(base, ms, seed, data):
     spec = base
     for m in ms:
         spec = Twisted(spec, m)
     rng = random.Random(seed)
-    w, t0 = base.z_step(), ExactScalar(0, base.t0_pi_coeff)
+    w, t0 = Fraction(1, 2 * base.k), base.t0
     twist = sum(ms, ExactScalar(0))
     for _ in range(4):
         g = spec.sample_member(rng)
@@ -435,7 +481,7 @@ class TestClosureAndDiscreteness:
                     assert sum(x * x for x in row) == 1
             # so R(t0) maps Z^{2n} onto itself
             v = tuple(range(1, 2 * spec.freqs.n + 1))
-            assert sorted(abs(x) for x in swap_pairs(r, v)) == list(v)
+            assert sorted(abs(x) for x in rotate_pairs(r, v)) == list(v)
 
 
 class TestGeneratorList:

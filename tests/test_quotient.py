@@ -38,7 +38,7 @@ from oscgeo.quotient import (
     search_closed,
 )
 
-from lattice_specs import CRITERION_7_SPECS
+from lattice_specs import CRITERION_7_SPECS, product_forms
 from test_geodesics import reference_blocks, reference_drift, reference_oscillation
 
 TWO_PI = 2 * PI
@@ -257,7 +257,7 @@ dim6_specs = st.tuples(
 ).filter(lambda a: math.gcd(a[1], a[2]) == 1 and (a[3] == 1 or a[2] % 2)).map(
     lambda a: Dim6Family(*a)
 )
-product_specs = dim4_specs | dim6_specs
+product_specs = dim4_specs | dim6_specs | product_forms()
 twists = st.integers(-3, 3) | small | st.sampled_from([PI, PI / 2, -2 * PI])
 twisted_specs = st.builds(Twisted, product_specs, twists)
 # nested twists, among them twists that cancel
@@ -340,7 +340,7 @@ def _reference_snap(point, spec, tol):
         if abs(c - round(c)) > tol:
             return None
         v_exact.append(Fraction(round(c)))
-    z_step = core.z_step()
+    z_step = Fraction(1, 2 * core.k)
     z_core = point.z - float(twist) * float(t_exact)
     u = round(z_core / float(z_step))
     if abs(z_core - u * float(z_step)) > tol:
@@ -698,6 +698,14 @@ class TestDecideClosed:
         assert r == 1
         assert point == GroupElement(0, (0, 0), a_sign * TWO_PI)
 
+    @pytest.mark.parametrize("a", [Fraction(1, 10**400), Fraction(-1, 10**400), 10**400])
+    def test_certificate_out_of_the_float_range_names_the_decided_r(self, a):
+        # s = 2pi / |a| or a itself has no float: the re-check cannot run
+        x = AlgebraVector(0, [(0, 0)], a)
+        with pytest.raises(OverflowError, match=r"^closes at r = 1, but the certificate's "
+                                                r"float re-evaluation is out of range"):
+            decide_closed(x, Dim4Family(1, TWO_PI))
+
 
 # twists that cancel: both are the untwisted lattice, where (0, 0, 2pi) is a member
 CANCELLING_TWISTS = [
@@ -725,7 +733,7 @@ def _preimage(g, freqs):
 
 
 @settings(max_examples=1500, deadline=None)
-@given(base=st.sampled_from(CRITERION_7_SPECS),
+@given(base=st.sampled_from(CRITERION_7_SPECS) | product_forms(),
        twist=st.sampled_from([None, 2, Fraction(-2, 3), PI]), seed=st.integers(0, 2**32))
 def test_exp_preimage_is_conjugation_invariant_and_dual_to_decide_closed(base, twist, seed):
     spec = base if twist is None else Twisted(base, twist)
@@ -775,6 +783,17 @@ class TestFloatScreen:
         s = np.arange(1, 4) * (2 * math.pi)
         assert snap.screen(x, self.SPEC.freqs, s).all()
         assert search_closed(x, self.SPEC, r_max=3) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=product_forms(), twist=st.none() | st.integers(-3, 3) | small)
+def test_certificates_of_drawn_product_forms_verify(base, twist):
+    spec = base if twist is None else Twisted(base, twist)
+    certs = closed_timelike_and_spacelike(spec)
+    assert [cert.to_json() for cert in certs] == _outcome(_forward_certificates, spec)
+    for cert, causal in zip(certs, (CausalClass.TIMELIKE, CausalClass.SPACELIKE)):
+        assert cert.verify(spec) is cert and spec.contains(cert.lattice_point)
+        assert cert.causal == causal == causal_class(cert.initial_exact, spec.freqs)
 
 
 class TestClosedCausalCertificates:
