@@ -113,9 +113,11 @@ def parse_velocity(text: str, n: int) -> AlgebraVector:
             _num(obj.get("d", 0)), [(_num(b), _num(c)) for b, c in obj["bc"]],
             _num(obj.get("a", 0)),
         )
-    terms = re.split(r"(?=[+-])", text.replace(" ", ""))
+    # a term starts at each sign, except the sign of an exponent (1e-3), which
+    # directly follows its e: spaces go only after the split, so 1e - 3 is refused
     parsed = []
-    for term in terms:
+    for term in re.split(r"(?<![eE])(?=[+-])", text):
+        term = term.replace(" ", "")
         if not term:
             continue
         sign = 1

@@ -14,7 +14,8 @@ the second-order system provides an independent oracle.
 The exact closed form is evaluated cleared of a, in one int pass over the
 int coefficients of d, b_j, c_j and a (`_Cleared`); no ExactScalar is built
 before the point itself.  `eval_geodesic_exact` divides a^2 z by a^2 once,
-`quotient._decide` reads the same pass per residue class, the sign of its
+`quotient._decide` reads the same pass per residue class (and its
+certificate's replay evaluates that pass again), the sign of its
 drift is the causal class of x, and `exp_preimage` builds its inverse on
 the ints of v.
 
@@ -113,14 +114,17 @@ def eval_geodesic_velocity(geo: Geodesic, s: float) -> list[float]:
     return [zdot, *vel, a]
 
 
-def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupElement:
+def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList,
+                        form: _Cleared | None = None) -> GroupElement:
     """Exact evaluation at parameter s.
 
     Velocity entries may be rationals or ExactScalars, and every rotation
     angle lambda_j * a * s must land in (pi/2)Z.  The closed form is taken
     cleared of a (`_Cleared`) and divided by a^2 once at the end, so a
     ValueError propagates exactly when the point leaves Q[pi] or its v is
-    not rational.
+    not rational.  `form` is the `_Cleared` of this x and freqs when the
+    caller holds it (a certificate carries its decision's); a form built
+    from other objects, or none, is replaced by a fresh one.
     """
     if x.n != freqs.n:
         raise ValueError("initial velocity does not match frequencies")
@@ -130,7 +134,8 @@ def eval_geodesic_exact(x: AlgebraVector, s, freqs: FrequencyList) -> GroupEleme
         v = [(as_exact(e) * s).to_fraction() for pair in x.bc for e in pair]
         return GroupElement(x.d * s, v, ExactScalar(0))
     t = a * s
-    form = _Cleared(x, freqs)
+    if form is None or form.x is not x or form.freqs is not freqs:
+        form = _Cleared(x, freqs)
     v, p = form.at(rotation(t, freqs))
     if v is None:
         raise ValueError("v of the point is not rational")
@@ -200,12 +205,14 @@ class _Cleared:
     (2 lambda_j), |bc_j|^2 by int convolution, are numerators over one
     denominator, as is a^2 P from `at`; a^2 z(s) = t drift + a^2 P(R(t)),
     t = a s.  Every caller divides these by one another or compares them
-    in Z, so that denominator is never formed.
+    in Z, so that denominator is never formed.  x and freqs are kept, so
+    that a form is evaluated only for the objects it was built from.
     """
 
-    __slots__ = ("a", "k", "a2", "drift", "blocks", "v_den")
+    __slots__ = ("x", "freqs", "a", "k", "a2", "drift", "blocks", "v_den")
 
     def __init__(self, x: AlgebraVector, freqs: FrequencyList):
+        self.x, self.freqs = x, freqs
         lifted = [_lift(e) for e in x.coords()]
         scale = math.lcm(*[den for _, den in lifted])
         size = max([len(num) for num, _ in lifted])

@@ -232,13 +232,15 @@ class GroupElement:
         return all(c == 0 for c in self.coords())
 
     def to_json(self) -> dict:
-        if self.is_exact():
-            return {
-                "z": exact_to_json(self.z),
-                "v": [str(x) if x.denominator != 1 else int(x) for x in self.v],
-                "t": exact_to_json(self.t),
-            }
-        return {"z": self.z, "v": list(self.v), "t": self.t}
+        """JSON form; an exact v entry is an int, or "num/den" in lowest
+        terms read off num and den by one gcd, as str(Fraction) writes it."""
+        if self.num is None:
+            return {"z": self.z, "v": list(self._v), "t": self.t}
+        den, v = self.den, []
+        for x in self.num:
+            g = math.gcd(x, den)
+            v.append(x // g if g == den else f"{x // g}/{den // g}")
+        return {"z": exact_to_json(self.z), "v": v, "t": exact_to_json(self.t)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupElement":

@@ -27,13 +27,17 @@ meets at s = 1.  Every certificate is built and verified in one place
 (`_certify`) before being returned: the target lattice point is checked by
 exact membership, the closed-form evaluation is re-run in float mode
 against it, and -- whenever the parameter is exact, which it is only for
-exact initial data -- the evaluation is also replayed exactly.
+exact initial data -- the evaluation is also replayed exactly.  The replay
+evaluates afresh the `_Cleared` form the decision was made with: R(t), the
+form at R(t), the division by a^2 and the comparison with the lattice point
+all run again; only the lift of x to ints is shared, the lift a fresh
+replay would make from the same x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -77,9 +81,14 @@ class ClosedGeodesicCertificate:
     lattice_point: GroupElement     # exact member hit at s_star
     causal: CausalClass
     initial_exact: AlgebraVector | None = None  # exact entries when available
+    # the `_Cleared` form of initial_exact the closure was decided with; not
+    # part of the certificate's value, and rebuilt by the replay when absent
+    # or built from another x
+    form: _Cleared | None = field(default=None, compare=False, repr=False)
 
     def verify(self, spec: LatticeSpec, tol: float = FLOAT_VERIFY_TOL):
-        """The certificate itself, once it has passed every check."""
+        """The certificate itself, once it has passed every check.  The exact
+        replay evaluates the carried `form` afresh at s_star."""
         if not spec.contains(self.lattice_point):
             raise CertificateVerificationFailed(
                 f"target {self.lattice_point} is not a lattice member"
@@ -94,7 +103,8 @@ class ClosedGeodesicCertificate:
                 f"float re-evaluation misses the lattice point by {err:.3e}"
             )
         if self.initial_exact is not None:
-            replay = eval_geodesic_exact(self.initial_exact, self.s_star, spec.freqs)
+            replay = eval_geodesic_exact(self.initial_exact, self.s_star, spec.freqs,
+                                         self.form)
             if replay != self.lattice_point:
                 raise CertificateVerificationFailed(
                     "exact replay disagrees with the certified lattice point"
@@ -117,12 +127,14 @@ class ClosedGeodesicCertificate:
 
 
 def _certify(x: AlgebraVector, s, point: GroupElement, causal: CausalClass,
-             spec: LatticeSpec) -> ClosedGeodesicCertificate:
+             spec: LatticeSpec, form: _Cleared | None) -> ClosedGeodesicCertificate:
     """The certificate that x meets point at s, verified within
     FLOAT_VERIFY_TOL; replayed exactly iff s is not a float (an exact s
-    comes only with an exact x)."""
+    comes only with an exact x).  `form` is x's `_Cleared`, the one the hit
+    was decided with, which the replay evaluates afresh; None for a float s
+    or a line (a = 0)."""
     exact = None if isinstance(s, float) else x
-    cert = ClosedGeodesicCertificate(x.to_floats(), s, point, causal, exact)
+    cert = ClosedGeodesicCertificate(x.to_floats(), s, point, causal, exact, form)
     return cert.verify(spec, FLOAT_VERIFY_TOL)
 
 
@@ -194,7 +206,8 @@ def closed_timelike_and_spacelike(
     for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
         mu = _first_mu(e0, 2 * t * w, sign_wanted)
         x_mu = AlgebraVector(x.d + mu * w, x.bc, t)
-        certs.append(_certify(x_mu, ExactScalar(1), prof.member(mu, u, j), causal, spec))
+        certs.append(_certify(x_mu, ExactScalar(1), prof.member(mu, u, j), causal, spec,
+                              _Cleared(x_mu, freqs)))
     return tuple(certs)
 
 
@@ -222,7 +235,7 @@ def _search_line_case(x: AlgebraVector, spec: LatticeSpec) -> ClosedGeodesicCert
     sigma = Fraction(math.lcm(*[q.denominator for q in qs]), math.gcd(*[q.numerator for q in qs]))
     s = sigma / e.to_fraction() if e.degree() == 0 else float(sigma) / float(e)
     point = prof.member(int(qs[0] * sigma), [int(q * sigma) for q in qs[1:]], 0)
-    return _certify(x, s, point, causal_class(x, spec.freqs), spec)
+    return _certify(x, s, point, causal_class(x, spec.freqs), spec, None)
 
 
 # -- the closure decision for exact velocities ------------------------------------
@@ -348,10 +361,10 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None, form: _Clear
 
 def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> ClosureDecision:
     """The closure decision for an exact x, capped at `limit`.  A hit at r
-    is met at s = r t0 / |a| = t / a: exact, and replayed exactly, when
-    t0 / a is in Q[pi]; otherwise a float.  The causal class is read off
-    the drift of the decision's `_Cleared`.  A certificate whose float
-    copies of x or s overflow raises OverflowError naming r."""
+    is met at s = r t0 / |a| = t / a: exact, and replayed exactly on the
+    decision's `_Cleared`, when t0 / a is in Q[pi]; otherwise a float.  The
+    causal class is read off the drift of that `_Cleared`.  A certificate
+    whose float copies of x or s overflow raises OverflowError naming r."""
     a = as_exact(x.a)
     if a.is_zero():
         return ClosureDecision(_search_line_case(x, spec))
@@ -359,12 +372,13 @@ def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> C
     r, point, obstructions = _decide(x, spec, limit, form)
     if r is None:
         return ClosureDecision(None, obstructions=tuple(sorted(obstructions.items())))
+    causal = form.causal()
     try:
         try:
             s = point.t / a
-        except ValueError:
-            s = r * float(spec.profile().t0) / abs(float(a))
-        cert = _certify(x, s, point, form.causal(), spec)
+        except ValueError:  # t0 / a is not in Q[pi]: no exact replay
+            s, form = r * float(spec.profile().t0) / abs(float(a)), None
+        cert = _certify(x, s, point, causal, spec, form)
     except OverflowError as exc:  # the exact decision stands, but cannot be re-checked
         raise OverflowError(f"closes at r = {r}, but the certificate's float "
                             f"re-evaluation is out of range ({exc})") from exc
@@ -442,7 +456,7 @@ def _float_search(x, spec, r_end: int):
             s = r * t0_f / a_f
             snapped = snap(eval_geodesic(geo, s))
             if snapped is not None:
-                return _certify(x, s, snapped, causal_class(x, freqs), spec)
+                return _certify(x, s, snapped, causal_class(x, freqs), spec, None)
     return None
 
 

@@ -218,6 +218,9 @@ CHECKS = (
     Check("a NaN velocity entry is refused",
           ("quotient", "closed-search", "--lattice", LATTICE,
            "--X", '{"d": NaN, "bc": [[0.1, 0]], "a": 1.0}'), 2),
+    Check("a signed exponent is part of its coefficient, not a new term: a = 1/1000",
+          ("quotient", "decide-closed", "--lattice", LATTICE, "--X", "1e-3*T"), 0,
+          lambda r: r["verdicts"]["closure"] == {"kind": "closes", "r": 1}),
 )
 
 

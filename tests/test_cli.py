@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,17 @@ class TestParsers:
         assert x.d == 1 and x.a == 0
         x = parse_velocity("2*Z + X1 - 1/2*T", 1)
         assert x.d == 2 and x.bc[0][0] == 1 and x.a == -0.5
+
+    @pytest.mark.parametrize("text, d, a", [("1e-3*T + Z", 1, Fraction(1, 1000)),
+                                            ("2.5E+2*T", 0, 250), ("1e3*T-Z", -1, 1000)])
+    def test_velocity_coefficient_with_a_signed_exponent(self, text, d, a):
+        x = parse_velocity(text, 1)
+        assert (x.d, x.a) == (d, a)
+
+    @pytest.mark.parametrize("text", ["1e - 3*T", "1e -3*T", "1e+*T"])
+    def test_velocity_exponent_sign_must_follow_its_e(self, text):
+        with pytest.raises(ValueError):  # exit 2 in the CLI
+            parse_velocity(text, 1)
 
     def test_velocity_json(self):
         x = parse_velocity('{"d": "1/2", "bc": [[1, 0]], "a": 2}', 1)
@@ -434,6 +446,19 @@ class TestContractBreaches:
         )
         assert code == 2
         assert any("X0" in d for d in rep["diagnostics"])
+
+    @pytest.mark.parametrize("x", ["1e-3*T + Z", "2.5E+2*T"])
+    def test_signed_exponent_in_a_velocity_is_exit_0(self, capsys, x):
+        code, rep = run_cli(capsys, "geodesic", "eval", "--X", x, "--s", "0..1")
+        assert code == 0 and rep["verdicts"]["samples"] > 0
+
+    def test_decide_closed_reads_a_signed_exponent(self, capsys):
+        # a = 1/1000 meets (0, 0, 2 pi) at s = 2000 pi
+        code, rep = run_cli(capsys, "quotient", "decide-closed", "--lattice", LATTICE,
+                            "--X", "1e-3*T")
+        assert code == 0
+        assert rep["verdicts"]["closure"] == {"kind": "closes", "r": 1}
+        assert rep["certificates"][0]["s_star"] == "2000 pi"
 
     def test_zero_denominator_velocity_is_exit_2(self, capsys):
         code, rep = run_cli(

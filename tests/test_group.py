@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscgeo.algebra import FrequencyList
-from oscgeo.exact import ExactScalar, PI
+from oscgeo.exact import ExactScalar, PI, exact_to_json
 from oscgeo.group import (
     ExactModeUnsupportedAngle,
     GroupElement,
@@ -293,6 +294,18 @@ def test_exact_rotation_is_homomorphism(data):
     v = tuple(data.draw(exact_vectors(fl)))
     rotated = rotate_pairs(rotation(s, fl), rotate_pairs(rotation(t, fl), v))
     assert rotate_pairs(rotation(s + t, fl), v) == rotated
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_json_formats_v_as_its_fraction_view(data):
+    fl = data.draw(freq_lists)
+    g = data.draw(exact_elements(fl))
+    fresh = GroupElement._exact(g.z, g.num, g.den, g.t)  # no Fraction view built yet
+    ref = {"z": exact_to_json(g.z), "v": [str(x) if x.denominator != 1 else int(x) for x in g.v],
+           "t": exact_to_json(g.t)}
+    # json.dumps compares the entry types and the key order too
+    assert json.dumps(fresh.to_json()) == json.dumps(ref)
 
 
 # numerators above 1 with a common factor, so that G = gcd(p_i) > 1 is drawn

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscgeo import quotient
+from oscgeo import geodesics, quotient
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class, causal_quantity
 from oscgeo.exact import ExactScalar, PI, as_exact, rational_ratio
 from oscgeo.geodesics import Geodesic, _Cleared, eval_geodesic, eval_geodesic_exact, exp_preimage
@@ -66,7 +67,7 @@ def _forward_certificates(spec):
     for sign_wanted, causal in ((-1, CausalClass.TIMELIKE), (1, CausalClass.SPACELIKE)):
         x = AlgebraVector(d0 + _first_mu(e0, slope, sign_wanted) * prof.central_w, bc, t)
         target = GroupElement._exact(reached.z + x.d, reached.num, reached.den, t)
-        certs.append(quotient._certify(x, ExactScalar(1), target, causal, spec))
+        certs.append(quotient._certify(x, ExactScalar(1), target, causal, spec, None))
     return certs
 
 
@@ -960,6 +961,74 @@ class TestCertificateVerification:
         )
         with pytest.raises(CertificateVerificationFailed):
             bad.verify(spec)
+
+
+class TestCarriedForm:
+    """A certificate carries the `_Cleared` form its closure was decided with,
+    and the replay evaluates that form afresh."""
+
+    @staticmethod
+    def _nudged():
+        spec = Dim4Family(1, TWO_PI)
+        cert = closed_timelike_and_spacelike(spec)[0]
+        x = cert.initial_exact
+        return spec, cert, AlgebraVector(x.d + Fraction(1, 10**15), x.bc, x.a)
+
+    @pytest.mark.parametrize("form", ["its own", None, "the decided velocity's"])
+    def test_a_nudged_velocity_fails_the_exact_replay(self, form):
+        spec, cert, x = self._nudged()
+        form = {"its own": _Cleared(x, spec.freqs), None: None,
+                "the decided velocity's": cert.form}[form]
+        bad = ClosedGeodesicCertificate(x.to_floats(), cert.s_star, cert.lattice_point,
+                                        cert.causal, x, form)
+        # 10^-15 in d moves z(1) by 10^-15: only the exact replay can tell
+        float_only = dataclasses.replace(bad, initial_exact=None)
+        assert float_only.verify(spec) is float_only
+        with pytest.raises(CertificateVerificationFailed, match="exact replay disagrees"):
+            bad.verify(spec)
+
+    def test_the_form_is_not_part_of_the_certificate(self):
+        cert = closed_timelike_and_spacelike(Dim4Family(1, TWO_PI))[1]
+        bare = dataclasses.replace(cert, form=None)
+        assert cert.form is not None and bare == cert and hash(bare) == hash(cert)
+        assert repr(bare) == repr(cert) and bare.to_json() == cert.to_json()
+
+    def test_one_cleared_form_per_certificate_velocity(self):
+        spec = Dim4Family(1, TWO_PI)
+
+        def builds(run):
+            """run's result and the `_Cleared` forms built in quotient and geodesics."""
+            with mock.patch.object(quotient, "_Cleared", wraps=_Cleared) as decided, \
+                 mock.patch.object(geodesics, "_Cleared", wraps=_Cleared) as replayed:
+                out = run()
+            return out, decided.call_count + replayed.call_count
+
+        certs, built = builds(lambda: closed_timelike_and_spacelike(spec))
+        assert built == 2
+        decision, built = builds(lambda: decide_closed(certs[0].initial_exact, spec))
+        assert decision.closes and built == 1
+        _, built = builds(lambda: [cert.verify(spec) for cert in (*certs, decision.certificate)])
+        assert built == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=product_forms())
+def test_the_replay_on_the_carried_form_equals_a_fresh_one(spec):
+    replays = []
+
+    def replay(*args):
+        replays.append((args, eval_geodesic_exact(*args)))
+        return replays[-1][1]
+
+    for cert in closed_timelike_and_spacelike(spec):
+        decided = decide_closed(cert.initial_exact, spec).certificate
+        for carrier in (cert, decided):
+            replays.clear()
+            with mock.patch.object(quotient, "eval_geodesic_exact", replay):
+                carrier.verify(spec)
+            [(args, point)] = replays
+            assert args[3] is carrier.form is not None
+            assert point == eval_geodesic_exact(carrier.initial_exact, carrier.s_star, spec.freqs)
 
 
 class TestProductLine:
