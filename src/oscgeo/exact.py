@@ -21,8 +21,6 @@ import re
 from fractions import Fraction
 from itertools import zip_longest
 
-import mpmath
-
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -41,7 +39,10 @@ def rat(x) -> Fraction:
 
 
 def pi_bounds(prec: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure lo < pi < hi with width about 2**(2-prec)."""
+    """Rational enclosure lo < pi < hi with width about 2**(2-prec).  mpmath
+    is imported here, its one user, so importing oscgeo does not load it."""
+    import mpmath
+
     with mpmath.workprec(prec):
         _, man, exp, _ = (+mpmath.pi)._mpf_  # sign bit 0: pi > 0
     apx = Fraction(man) * (Fraction(2) ** exp)

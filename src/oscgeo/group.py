@@ -274,7 +274,11 @@ def _init(g: GroupElement, z, num, den, t, v) -> None:
 
 
 def _check_pair(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> None:
-    if g1.n != freqs.n or g2.n != freqs.n:
+    # the lengths of v against 2n, read without the `n` properties: every
+    # multiply and conjugate passes here
+    n2 = 2 * len(freqs.lambdas)
+    if (len(g1._v if g1.num is None else g1.num) != n2
+            or len(g2._v if g2.num is None else g2.num) != n2):
         raise ValueError("group element dimension does not match frequencies")
     if (g1.num is None) != (g2.num is None):
         raise ValueError(f"mixed modes: {g1.mode} vs {g2.mode}")

@@ -25,7 +25,11 @@ wrong for some parities of k (the conditions admit the half-odd square
 I2 = Z^2 u F^2 for even k in dimension four, and force the second pair
 into (1/2)Z^2 in the p = 2 mod 4 rows).  `normalizer_table_report` walks
 a grid once and surfaces every point where the oracle or the table
-disagrees with the conditions instead of reconciling them silently.
+disagrees with the conditions instead of reconciling them silently.  It
+calls the oracle once per coset class g Lambda Z(G), since N(Lambda) is a
+group that contains Lambda and the centre Z(G), so membership is constant
+on each class; on a quarter turn t, R(t) is a bijection of Z^{2n}, so the
+class is fixed by v mod Z^{2n} and t mod t0.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from functools import lru_cache
 from itertools import product
 
 from .exact import PI, ExactScalar, pi_coefficient
-from .group import GroupElement, conjugate, int_pairing, invert, is_quarter_turn, rotate_pairs
+from .group import (
+    GroupElement, conjugate, int_pairing, invert, is_quarter_turn, quarter_turn_count, rotate_pairs,
+)
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
 
@@ -222,12 +228,29 @@ def _grid(n: int, k: int, q: int, min_points: int, max_points: int | None) -> tu
 
 def normalizer_table_report(spec: LatticeSpec, grid: list[GroupElement]) -> list[dict]:
     """Grid points where the conditions disagree with the oracle or with the
-    tabulated set, each with all three answers: one walk of the grid."""
-    table = NormalizerTable.for_spec(spec)
+    tabulated set, each with all three answers: one walk of the grid.
+
+    The conditions and the table answer at every point, the oracle once per
+    coset class g Lambda Z(G): Lambda and the centre Z(G) lie in the group
+    N(Lambda), so its verdict holds for the whole class.  On a quarter turn
+    t = m units, R(t) is a bijection of Z^{2n}, so the class is named by
+    (v mod Z^{2n}, m mod m0), t0 = m0 units.  A point off the quarter turns
+    goes to the oracle, which refuses it before conjugating anything.  The
+    classes live for one report."""
+    table, freqs = NormalizerTable.for_spec(spec), spec.freqs
+    m0 = quarter_turn_count(spec.profile().t0, freqs)
+    verdicts: dict = {}
     out = []
     for g in grid:
         derived = in_normalizer(g, spec)
-        oracle = normalizer_oracle(g, spec)
+        m = quarter_turn_count(g.t, freqs)
+        if m is None:
+            oracle = normalizer_oracle(g, spec)
+        else:
+            key = (tuple([x % g.den for x in g.num]), g.den, m % m0)
+            oracle = verdicts.get(key)
+            if oracle is None:
+                oracle = verdicts[key] = normalizer_oracle(g, spec)
         printed = table.contains(g)
         if derived != oracle or derived != printed:
             out.append({"element": g.to_json(), "conditions": derived,

@@ -20,9 +20,9 @@ from oscgeo import cli, normalizers
 from oscgeo.algebra import AlgebraVector, CausalClass
 from oscgeo.cli import VERBS, CliValidationError, build_parser, main, parse_lattice, parse_velocity
 from oscgeo.exact import PI, parse_exact
-from oscgeo.group import GroupElement
+from oscgeo.group import GroupElement, quarter_turn_count
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
-from oscgeo.normalizers import in_normalizer
+from oscgeo.normalizers import in_normalizer, normalizer_oracle
 from oscgeo.quotient import ClosedGeodesicCertificate, search_closed
 
 from test_isometries import pair_swap
@@ -329,6 +329,31 @@ class TestCommands:
         assert code == 0
         assert rep["verdicts"]["points"] == 500
         assert len(calls) == 500
+
+    def test_isometry_normalizer_grid_calls_the_oracle_once_per_coset_class(
+        self, capsys, monkeypatch
+    ):
+        # the benchmark's grid command: 428 of its 500 points are quarter turns,
+        # in 48 classes (v mod Z^2, t mod t0); the other 72 each ask the oracle
+        spec = parse_lattice("dim4:k=1:angle=pi")
+        m0 = quarter_turn_count(spec.profile().t0, spec.freqs)
+        called, off_turn = [], 0
+
+        def counted(g, spec):
+            nonlocal off_turn
+            m = quarter_turn_count(g.t, spec.freqs)
+            if m is None:
+                off_turn += 1
+            else:
+                called.append((tuple(x % g.den for x in g.num), g.den, m % m0))
+            return normalizer_oracle(g, spec)
+
+        monkeypatch.setattr(normalizers, "normalizer_oracle", counted)
+        code, rep = run_cli(capsys, "isometry", "normalizer", "--lattice", "dim4:k=1:angle=pi",
+                            "--grid", "default", "--grid-points", "60")
+        assert code == 0
+        assert rep["verdicts"] == {"points": 500, "oracle_agreement": 1.0}
+        assert (len(called), len(set(called)), off_turn) == (48, 48, 72)
 
     def test_isometry_normalizer_element(self, capsys):
         element = '{"z": 0, "v": ["1/2", "1/2"], "t": 0}'

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -372,6 +376,16 @@ def test_int_enclosure_is_pi_bounds():
     for prec in (64, 128, 256, 512, 1024):
         lo, hi, den = exact._pi_scaled(prec)
         assert (Fraction(lo, den), Fraction(hi, den)) == pi_bounds(prec)
+
+
+def test_importing_oscgeo_leaves_mpmath_unloaded():
+    # pi_bounds, its one user, imports it on first call; the console script too
+    src = str(Path(exact.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, oscgeo, oscgeo.cli; loaded = 'mpmath' in sys.modules; "
+             "oscgeo.exact.pi_bounds(64); print(loaded, 'mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout.split()) == (0, ["False", "True"]), out.stderr
 
 
 # -- float conversion ----------------------------------------------------------------

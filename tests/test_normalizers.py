@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,8 @@ from oscgeo import normalizers
 from oscgeo.exact import ExactScalar, PI, pi_coefficient
 from oscgeo.algebra import FrequencyList
 from oscgeo.group import (
-    GroupElement, int_pairing, invert, is_quarter_turn, multiply, rotate_pairs, rotation,
+    GroupElement, int_pairing, invert, is_quarter_turn, multiply, quarter_turn_count, rotate_pairs,
+    rotation,
 )
 from oscgeo.lattices import (
     Dim4Family, Dim6Family, GeneratorList, ProductWithLine, Twisted, UnsupportedSpec,
@@ -399,6 +401,32 @@ def test_report_lists_all_three_answers():
             assert (entry["conditions"], entry["oracle"], entry["table"]) == answers
 
 
+def _report_point_by_point(spec, grid: list[GroupElement]) -> list[dict]:
+    """The report as a walk that asks the conditions, the oracle and the
+    table at every point."""
+    table = NormalizerTable.for_spec(spec)
+    out = []
+    for g in grid:
+        derived, oracle, printed = in_normalizer(g, spec), normalizer_oracle(g, spec), table.contains(g)
+        if derived != oracle or derived != printed:
+            out.append({"element": g.to_json(), "conditions": derived,
+                        "oracle": oracle, "table": printed})
+    return out
+
+
+# the 9 dim-4 criterion-7 specs and a seeded sample of 8 of the 51 dim-6 ones
+REPORT_SPECS = [s for s in CRITERION_7_SPECS if isinstance(s, Dim4Family)] + random.Random(
+    7).sample([s for s in CRITERION_7_SPECS if isinstance(s, Dim6Family)], 8)
+
+
+@pytest.mark.parametrize("max_points", [60, 600])  # `--grid-points 60` and the CLI's default
+def test_report_equals_a_walk_that_asks_the_oracle_at_every_point(max_points):
+    for spec in REPORT_SPECS:
+        grid = verification_grid(spec, max_points=max_points)
+        assert normalizer_table_report(spec, grid) == _report_point_by_point(spec, grid), (
+            spec.to_json())
+
+
 def quarter_turn_classes(freqs) -> list:
     """One t for each of the 4 quarter-turn classes: m (pi/2) L / G, m = 0..3
     (`FrequencyList.quarter_turns`)."""
@@ -468,19 +496,42 @@ twists = (st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2, max_denom
           | st.sampled_from((PI, -PI, HALF_PI, 2 * PI / 3)))
 
 
+@st.composite
+def profiled_elements(draw, other_angles=angles):
+    """A criterion-7 spec or a product form, and an element of its group: v
+    over 4k, t a whole number of quarter-turn units or one of `other_angles`."""
+    base = draw(st.sampled_from(CRITERION_7_SPECS) | product_forms())
+    k, n2 = base.k, 2 * base.freqs.n
+    v = [Fraction(a, 4 * k)
+         for a in draw(st.lists(st.integers(-8 * k, 8 * k), min_size=n2, max_size=n2))]
+    unit = quarter_turn_classes(base.freqs)[1]
+    t = draw(st.integers(-8, 8).map(lambda m: unit * m) | other_angles)
+    return base, GroupElement(draw(small_fractions), v, t)
+
+
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_twisted_lattices_are_answered_with_the_oracle(data):
     # (z, v, t) -> (z + m t, v, t) is an automorphism, and the normalizer is
     # free in z, so a twist leaves it as it is
-    base = data.draw(st.sampled_from(CRITERION_7_SPECS) | product_forms())
+    base, g = data.draw(profiled_elements())
     spec = Twisted(base, data.draw(twists))
-    k, n2 = base.k, 2 * base.freqs.n
-    v = [Fraction(a, 4 * k)
-         for a in data.draw(st.lists(st.integers(-8 * k, 8 * k), min_size=n2, max_size=n2))]
-    unit = quarter_turn_classes(base.freqs)[1]
-    t = data.draw(st.integers(-8, 8).map(lambda m: unit * m) | angles)
-    g = GroupElement(data.draw(small_fractions), v, t)
     answer = in_normalizer(g, spec)
     assert answer == normalizer_oracle(g, spec)
     assert answer == in_normalizer(g, base)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_the_oracle_is_constant_on_each_coset_of_the_lattice_and_the_centre(data):
+    # N(Lambda) is a group that holds Lambda and the centre, so g and g lam c
+    # are members together, for every member lam and central c = (r, 0, 0);
+    # the exact product needs R(t) of g, so t is a quarter turn
+    base, g = data.draw(profiled_elements(st.nothing()))
+    spec = data.draw(st.just(base) | twists.map(lambda m: Twisted(base, m)))
+    freqs = spec.freqs
+    lam = spec.sample_member(random.Random(data.draw(st.integers(0, 2**32))))
+    c = GroupElement(data.draw(small_fractions | st.sampled_from((PI, -PI / 3))),
+                     [0] * (2 * freqs.n), 0)
+    assert normalizer_oracle(g, spec) == normalizer_oracle(
+        multiply(multiply(g, lam, freqs), c, freqs), spec)
