@@ -71,6 +71,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
+MAX_EVAL_SAMPLES = 10**5  # `geodesic eval` rows, all held in the report (see the README)
 
 
 class CliValidationError(ValueError):
@@ -228,13 +229,11 @@ def cmd_geodesic_eval(args) -> dict:
     freqs = _freqs_from_args(args)
     x = parse_velocity(args.X, freqs.n)
     lo, hi = parse_range(args.s)
-    count = args.samples
-    ss = np.linspace(lo, hi, count)
+    if args.samples > MAX_EVAL_SAMPLES:
+        raise CliValidationError(f"--samples {args.samples} exceeds {MAX_EVAL_SAMPLES}")
     geo = Geodesic(x.to_floats(), freqs)
-    rows = []
-    for s in ss:
-        p = eval_geodesic(geo, float(s))
-        rows.append([float(s), *[float(c) for c in p.coords()]])
+    rows = [[float(s), *map(float, eval_geodesic(geo, float(s)).coords())]
+            for s in np.linspace(lo, hi, args.samples)]
     header = ["s", "z"]
     for i in range(freqs.n):
         header.extend((f"x{i + 1}", f"y{i + 1}"))

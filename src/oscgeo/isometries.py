@@ -17,6 +17,9 @@ variants: the raw printed P with blocks [[sin, 1-cos], [-1+cos, sin]]
 normalized variant with each block divided by sqrt(2-2cos), which is the
 actual rotation and the variant that passes the isometry validation.  The
 validator reports both outcomes instead of silently preferring either.
+
+`theta_B` and `apply_isometry`, and so the fiber search, evaluate theta(B)
+through `Theta.at`: exact points read blocks rationalised once per `Theta`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -218,19 +222,16 @@ def semidirect_product(x, y, freqs: FrequencyList):
 
 
 def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = False):
-    """Apply (z, v, t) -> (z, P(t)^T B P(t) v, t).
+    """Apply (z, v, t) -> (z, P(t)^T B P(t) v, t): `Theta(blocks, normalized).at`.
 
     blocks: one orthogonal matrix per equal-frequency run.  As printed the
     P blocks are unnormalized (see the module docstring); normalized=True
     divides each block by sqrt(2 - 2 cos(lambda t)).  An exact g needs
     rational blocks and a quarter-turn t.
     """
-    if g.n != freqs.n:
+    if g.n != freqs.n:  # checked before Theta reads the blocks: theta_B's refusal order
         raise ValueError("element does not match frequencies")
-    blocks = _float_blocks(blocks, freqs)
-    if g.is_exact():
-        blocks = [_rational_block(b) for b in blocks]
-    return _theta(blocks, g, freqs, normalized, np.matmul)
+    return Theta(blocks, normalized).at(g, freqs)
 
 
 def _rational_block(b: np.ndarray) -> np.ndarray:
@@ -370,6 +371,24 @@ class Theta:
         object.__setattr__(self, "blocks", tuple(np.asarray(b, dtype=float) for b in blocks))
         object.__setattr__(self, "normalized", bool(normalized))
 
+    def at(self, g: GroupElement, freqs: FrequencyList) -> GroupElement:
+        """theta(B)(g); an exact g reads the blocks rationalised once per Theta."""
+        if g.n != freqs.n:
+            raise ValueError("element does not match frequencies")
+        blocks = _float_blocks(self.blocks, freqs)
+        if g.is_exact():
+            blocks, refusal = self._exact_blocks
+            if refusal:
+                raise ValueError(refusal)  # afresh: no traceback grows over a grid
+        return _theta(blocks, g, freqs, self.normalized, np.matmul)
+
+    @cached_property
+    def _exact_blocks(self):  # (rational blocks, None) or (None, the refusal's text)
+        try:
+            return [_rational_block(b) for b in self.blocks], None
+        except ValueError as exc:
+            return None, str(exc)
+
 
 @dataclass(frozen=True)
 class Inner:
@@ -390,7 +409,7 @@ def apply_isometry(f, g: GroupElement, freqs: FrequencyList) -> GroupElement:
     if isinstance(f, Inversion):
         return invert(g, freqs)
     if isinstance(f, Theta):
-        return theta_B(f.blocks, g, freqs, f.normalized)
+        return f.at(g, freqs)
     if isinstance(f, Inner):
         return conjugate(f.h, g, freqs)
     if isinstance(f, Composite):
@@ -455,23 +474,6 @@ def _check_fits(f, freqs: FrequencyList) -> None:
             _check_fits(part, freqs)
 
 
-def _exact_map(f, freqs: FrequencyList):
-    """g -> apply_isometry(f, g, freqs) on exact points; a Theta's blocks
-    are rationalised here once instead of by theta_B at every point, and
-    blocks that theta_B refuses give a map that raises at every point."""
-    if not isinstance(f, Theta):
-        return lambda g: apply_isometry(f, g, freqs)
-    try:
-        blocks = [_rational_block(b) for b in _float_blocks(f.blocks, freqs)]
-    except ValueError as exc:
-        refusal = str(exc)
-
-        def refuse(g):
-            raise ValueError(refusal)
-        return refuse
-    return lambda g: _theta(blocks, g, freqs, f.normalized, np.matmul)
-
-
 def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdict:
     """Whether f(g)^{-1} f(g lam) lies in the lattice, for lam the
     generators and three seeded members, at exact grid points g.
@@ -486,26 +488,25 @@ def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdi
     found counterexample is a proof, an exhausted grid is reported as "no
     counterexample found".  A negative `samples` raises ValueError.
     Membership is only ever decided exactly, so the grid uses exact points
-    with quarter-turn-compatible angles.  A map that evaluates at no grid
+    with quarter-turn-compatible angles.  f is evaluated through
+    apply_isometry, so a Theta, inside a Composite too, reads the blocks it
+    rationalised at the first point.  A map that evaluates at no grid
     point (known defect) still reports preserving.  A map that does not fit
     the lattice raises ShapeMismatch.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     _check_fits(f, spec.freqs)
-    rng = random.Random(seed)
-    freqs = spec.freqs
-    lams = spec.generators()
-    lams = lams + [spec.sample_member(rng) for _ in range(3)]
-    at = _exact_map(f, freqs)
+    freqs, rng = spec.freqs, random.Random(seed)
+    lams = spec.generators() + [spec.sample_member(rng) for _ in range(3)]
     for g in _exact_angle_grid(spec, samples, rng):
         try:
-            fg_inv = invert(at(g), freqs)
+            fg_inv = invert(apply_isometry(f, g, freqs), freqs)
         except ValueError:
             continue  # outside the exact-angle domain: re-gridded elsewhere
         for lam in lams:
             try:
-                moved = multiply(fg_inv, at(multiply(g, lam, freqs)), freqs)
+                moved = multiply(fg_inv, apply_isometry(f, multiply(g, lam, freqs), freqs), freqs)
             except ValueError:
                 continue
             if not spec.contains(moved):

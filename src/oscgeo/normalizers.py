@@ -26,10 +26,10 @@ I2 = Z^2 u F^2 for even k in dimension four, and force the second pair
 into (1/2)Z^2 in the p = 2 mod 4 rows).  `normalizer_table_report` walks
 a grid once and surfaces every point where the oracle or the table
 disagrees with the conditions instead of reconciling them silently.  It
-calls the oracle once per coset class g Lambda Z(G), since N(Lambda) is a
-group that contains Lambda and the centre Z(G), so membership is constant
-on each class; on a quarter turn t, R(t) is a bijection of Z^{2n}, so the
-class is fixed by v mod Z^{2n} and t mod t0.
+calls the oracle once per class of v mod Z^{2n} among the quarter-turn
+points: N(Lambda) is a group that contains Lambda, the centre Z(G) and
+every quarter turn (0, 0, s), since conjugating by (0, 0, s) applies R(s),
+a bijection of Z^{2n}, to v; so membership is constant on each class.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import product
 
 from .exact import PI, ExactScalar, pi_coefficient
 from .group import (
-    GroupElement, conjugate, int_pairing, invert, is_quarter_turn, quarter_turn_count, rotate_pairs,
+    GroupElement, conjugate, int_pairing, invert, is_quarter_turn, rotate_pairs,
 )
 from .lattices import Dim4Family, Dim6Family, LatticeSpec, UnsupportedSpec
 
@@ -232,25 +232,24 @@ def normalizer_table_report(spec: LatticeSpec, grid: list[GroupElement]) -> list
 
     The conditions and the table answer at every point, the oracle once per
     coset class g Lambda Z(G): Lambda and the centre Z(G) lie in the group
-    N(Lambda), so its verdict holds for the whole class.  On a quarter turn
-    t = m units, R(t) is a bijection of Z^{2n}, so the class is named by
-    (v mod Z^{2n}, m mod m0), t0 = m0 units.  A point off the quarter turns
-    goes to the oracle, which refuses it before conjugating anything.  The
-    classes live for one report."""
+    N(Lambda), so its verdict holds for the whole class.  So does every
+    quarter turn s: (0, 0, s)(z, v, t)(0, 0, -s) = (z, R(s) v, t), and R(s)
+    is a bijection of Z^{2n}.  With g (0, 0, s) = (z, v, t + s), a point on
+    a quarter turn is keyed by v mod Z^{2n} alone.  A point off the quarter
+    turns goes to the oracle, which refuses it before conjugating anything.
+    The classes live for one report."""
     table, freqs = NormalizerTable.for_spec(spec), spec.freqs
-    m0 = quarter_turn_count(spec.profile().t0, freqs)
     verdicts: dict = {}
     out = []
     for g in grid:
         derived = in_normalizer(g, spec)
-        m = quarter_turn_count(g.t, freqs)
-        if m is None:
-            oracle = normalizer_oracle(g, spec)
-        else:
-            key = (tuple([x % g.den for x in g.num]), g.den, m % m0)
+        if is_quarter_turn(g.t, freqs):
+            key = (tuple([x % g.den for x in g.num]), g.den)
             oracle = verdicts.get(key)
             if oracle is None:
                 oracle = verdicts[key] = normalizer_oracle(g, spec)
+        else:
+            oracle = normalizer_oracle(g, spec)
         printed = table.contains(g)
         if derived != oracle or derived != printed:
             out.append({"element": g.to_json(), "conditions": derived,

@@ -168,6 +168,9 @@ CHECKS = (
     Check("10^7 steps exceed the RK4 bound: refused before the first step",
           ("geodesic", "integrate", "--X", "X1 + T", "--s-end", "10000", "--step", "1e-3"), 2,
           lambda r: any("exceeds" in d for d in r["diagnostics"]), seconds=60),
+    Check("10^12 eval samples exceed the sample bound: refused before any is allocated",
+          ("geodesic", "eval", "--X", "Z", "--s", "0..1", "--samples", "1000000000000"), 2,
+          lambda r: any("exceeds" in d for d in r["diagnostics"]), seconds=20),
     _normalizer_at("pi/4"),  # no quarter turn
     _normalizer_at("3/2 pi"),
     Check("the one-pass conjugation: the oracle against the conditions on a full grid",

@@ -20,7 +20,7 @@ from oscgeo import cli, normalizers
 from oscgeo.algebra import AlgebraVector, CausalClass
 from oscgeo.cli import VERBS, CliValidationError, build_parser, main, parse_lattice, parse_velocity
 from oscgeo.exact import PI, parse_exact
-from oscgeo.group import GroupElement, quarter_turn_count
+from oscgeo.group import GroupElement, is_quarter_turn
 from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
 from oscgeo.normalizers import in_normalizer, normalizer_oracle
 from oscgeo.quotient import ClosedGeodesicCertificate, search_closed
@@ -334,18 +334,15 @@ class TestCommands:
         self, capsys, monkeypatch
     ):
         # the benchmark's grid command: 428 of its 500 points are quarter turns,
-        # in 48 classes (v mod Z^2, t mod t0); the other 72 each ask the oracle
-        spec = parse_lattice("dim4:k=1:angle=pi")
-        m0 = quarter_turn_count(spec.profile().t0, spec.freqs)
+        # in 27 classes v mod Z^2; the other 72 each ask the oracle
         called, off_turn = [], 0
 
         def counted(g, spec):
             nonlocal off_turn
-            m = quarter_turn_count(g.t, spec.freqs)
-            if m is None:
-                off_turn += 1
+            if is_quarter_turn(g.t, spec.freqs):
+                called.append((tuple(x % g.den for x in g.num), g.den))
             else:
-                called.append((tuple(x % g.den for x in g.num), g.den, m % m0))
+                off_turn += 1
             return normalizer_oracle(g, spec)
 
         monkeypatch.setattr(normalizers, "normalizer_oracle", counted)
@@ -353,7 +350,7 @@ class TestCommands:
                             "--grid", "default", "--grid-points", "60")
         assert code == 0
         assert rep["verdicts"] == {"points": 500, "oracle_agreement": 1.0}
-        assert (len(called), len(set(called)), off_turn) == (48, 48, 72)
+        assert (len(called), len(set(called)), off_turn) == (27, 27, 72)
 
     def test_isometry_normalizer_element(self, capsys):
         element = '{"z": 0, "v": ["1/2", "1/2"], "t": 0}'
@@ -589,6 +586,22 @@ class TestContractBreaches:
         )
         assert code == 2
         assert any(option in d for d in rep["diagnostics"])
+
+    def test_eval_samples_above_the_bound_are_refused_before_any_is_made(self, capsys):
+        # they were all evaluated and printed: 10^5 + 1 took a second, 10^12
+        # escaped main as a MemoryError
+        code, rep = run_cli(capsys, "geodesic", "eval", "--X", "Z", "--s", "0..1",
+                            "--samples", str(cli.MAX_EVAL_SAMPLES + 1))
+        assert code == 2
+        assert rep["diagnostics"] == [
+            f"validation error: --samples {cli.MAX_EVAL_SAMPLES + 1} exceeds {cli.MAX_EVAL_SAMPLES}"]
+
+    def test_eval_samples_up_to_the_bound_are_evaluated(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EVAL_SAMPLES", 3)
+        code, rep = run_cli(capsys, "geodesic", "eval", "--X", "Z", "--s", "0..1", "--samples", "3")
+        assert code == 0 and rep["verdicts"]["samples"] == 3
+        code, _ = run_cli(capsys, "geodesic", "eval", "--X", "Z", "--s", "0..1", "--samples", "4")
+        assert code == 2
 
     def test_unwritable_csv_is_a_report(self, capsys, tmp_path):
         code, rep = run_cli(

@@ -616,6 +616,20 @@ class TestFiberPreservation:
         comp = Composite([LeftTranslation(h1), LeftTranslation(h2)])
         assert is_fiber_preserving(comp, spec, samples=20).preserving
 
+    def test_a_composite_rationalises_its_theta_blocks_once_per_walk(self, monkeypatch):
+        # 40 points g and g lam for 8 lam each: 320 evaluations of the Theta
+        calls = []
+        rational_block = isometries._rational_block
+
+        def counted(b):
+            calls.append(b)
+            return rational_block(b)
+
+        monkeypatch.setattr(isometries, "_rational_block", counted)
+        f = Composite([Theta([np.eye(2)], normalized=True), Inversion(), Inversion()])
+        assert is_fiber_preserving(f, Dim4Family(1, TWO_PI), samples=40).preserving
+        assert len(calls) == 1
+
     def test_twisted_lattice_grid(self):
         spec = Twisted(Dim4Family(1, TWO_PI), 1)
         h = GroupElement(Fraction(1, 4), (2, -1), 0)
@@ -787,11 +801,19 @@ def theta_maps(draw, freqs):
     return Theta(blocks, normalized=draw(st.booleans()))
 
 
+def searched_maps(freqs):
+    """Inversion, a theta map, or a composite of up to three of those and
+    left translations by quarter turns."""
+    part = st.just(Inversion()) | theta_maps(freqs)
+    left = map_elements(freqs, quarter_turn=True).map(LeftTranslation)
+    return part | st.lists(part | left, min_size=1, max_size=3).map(Composite)
+
+
 @settings(deadline=None)
 @given(data=st.data(), samples=st.integers(0, 30), seed=st.integers(0, 2**16))
 def test_searched_verdicts_match_the_full_grid_walk(data, samples, seed):
     spec = data.draw(fiber_specs)
-    f = data.draw(st.just(Inversion()) | theta_maps(spec.freqs))
+    f = data.draw(searched_maps(spec.freqs))
     assert is_fiber_preserving(f, spec, samples, seed) == _full_walk(f, spec, samples, seed)
 
 

@@ -524,14 +524,16 @@ def test_twisted_lattices_are_answered_with_the_oracle(data):
 @settings(deadline=None, max_examples=200)
 @given(data=st.data())
 def test_the_oracle_is_constant_on_each_coset_of_the_lattice_and_the_centre(data):
-    # N(Lambda) is a group that holds Lambda and the centre, so g and g lam c
-    # are members together, for every member lam and central c = (r, 0, 0);
-    # the exact product needs R(t) of g, so t is a quarter turn
+    # N(Lambda) is a group that holds Lambda, the centre and every quarter
+    # turn s, so g and g lam c s are members together, for every member lam,
+    # central c = (r, 0, 0) and s = (0, 0, s); the exact product needs R(t)
+    # of g, so t is a quarter turn
     base, g = data.draw(profiled_elements(st.nothing()))
     spec = data.draw(st.just(base) | twists.map(lambda m: Twisted(base, m)))
     freqs = spec.freqs
     lam = spec.sample_member(random.Random(data.draw(st.integers(0, 2**32))))
-    c = GroupElement(data.draw(small_fractions | st.sampled_from((PI, -PI / 3))),
-                     [0] * (2 * freqs.n), 0)
-    assert normalizer_oracle(g, spec) == normalizer_oracle(
-        multiply(multiply(g, lam, freqs), c, freqs), spec)
+    zeros = [0] * (2 * freqs.n)
+    c = GroupElement(data.draw(small_fractions | st.sampled_from((PI, -PI / 3))), zeros, 0)
+    s = GroupElement(0, zeros, quarter_turn_classes(freqs)[1] * data.draw(st.integers(-8, 8)))
+    moved = multiply(multiply(multiply(g, lam, freqs), c, freqs), s, freqs)
+    assert normalizer_oracle(g, spec) == normalizer_oracle(moved, spec)
