@@ -18,8 +18,11 @@ normalized variant with each block divided by sqrt(2-2cos), which is the
 actual rotation and the variant that passes the isometry validation.  The
 validator reports both outcomes instead of silently preferring either.
 
-`theta_B` and `apply_isometry`, and so the fiber search, evaluate theta(B)
-through `Theta.at`: exact points read blocks rationalised once per `Theta`.
+Each map descriptor (`Theta`, `Inversion`, `LeftTranslation`, `Inner`,
+`Composite`) evaluates itself with `at(g, freqs)`; `apply_isometry` is that
+call.  `Theta` is the one way to evaluate theta(B): it checks its blocks
+against the runs once per frequency list, and exact points read blocks
+rationalised once per `Theta`.
 """
 
 from __future__ import annotations
@@ -60,15 +63,6 @@ def _run_sizes(freqs: FrequencyList) -> list[int]:
     return [2 * m for _, m in freqs.runs()]
 
 
-def _float_blocks(blocks, freqs: FrequencyList) -> list[np.ndarray]:
-    """Blocks as float arrays; ShapeMismatch unless they are square matrices
-    sized like the equal-frequency runs."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if [b.shape for b in blocks] != [(m, m) for m in _run_sizes(freqs)]:
-        raise ShapeMismatch("blocks do not match the equal-frequency runs")
-    return blocks
-
-
 def _run_slices(freqs: FrequencyList, start: int = 0):
     """(lambda, slice) per equal-frequency run, the slices laid end to end
     from start, 2m wide for a run of multiplicity m."""
@@ -98,7 +92,9 @@ class IsotropyElement:
         for b in blocks:
             if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] % 2:
                 raise ValueError("blocks must be square with even size")
-            if np.max(np.abs(b.T @ b - np.eye(b.shape[0]))) > BLOCK_ORTHO_TOL:
+            if not np.isfinite(b).all():
+                raise ValueError("blocks must be finite")
+            if not np.max(np.abs(b.T @ b - np.eye(b.shape[0]))) <= BLOCK_ORTHO_TOL:
                 raise ValueError("blocks must be orthogonal")
         if c is None:
             c = tuple(np.zeros(b.shape[0]) for b in blocks)
@@ -108,6 +104,8 @@ class IsotropyElement:
             len(v) != b.shape[0] for v, b in zip(c, blocks)
         ):
             raise ValueError("translation parts must match block sizes")
+        if not all(np.isfinite(v).all() for v in c):
+            raise ValueError("translation parts must be finite")
         object.__setattr__(self, "eps", int(eps))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "c", c)
@@ -183,7 +181,7 @@ def psi_decompose(a, freqs: FrequencyList) -> tuple[int, list[np.ndarray], np.nd
     if a.shape != (dim, dim):
         raise ShapeMismatch(f"matrix must be {dim}x{dim}")
     eps_val = a[dim - 1, dim - 1]
-    if abs(abs(eps_val) - 1.0) > ALGEBRA_TOL:
+    if not abs(abs(eps_val) - 1.0) <= ALGEBRA_TOL:  # NaN fails this test and the one below
         raise ShapeMismatch("corner entry must be +-1")
     eps = 1 if eps_val > 0 else -1
     ua = eps * a
@@ -197,7 +195,7 @@ def psi_decompose(a, freqs: FrequencyList) -> tuple[int, list[np.ndarray], np.nd
     rebuilt = isotropy_matrix(
         IsotropyElement(eps, blocks, cs), freqs
     )
-    if float(np.max(np.abs(rebuilt - a))) > ALGEBRA_TOL:
+    if not float(np.max(np.abs(rebuilt - a))) <= ALGEBRA_TOL:
         raise ShapeMismatch("matrix is not of the isotropy block form")
     return eps, blocks, np.concatenate(cs)
 
@@ -219,19 +217,6 @@ def semidirect_product(x, y, freqs: FrequencyList):
 
 
 # -- the theta maps -----------------------------------------------------------
-
-
-def theta_B(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool = False):
-    """Apply (z, v, t) -> (z, P(t)^T B P(t) v, t): `Theta(blocks, normalized).at`.
-
-    blocks: one orthogonal matrix per equal-frequency run.  As printed the
-    P blocks are unnormalized (see the module docstring); normalized=True
-    divides each block by sqrt(2 - 2 cos(lambda t)).  An exact g needs
-    rational blocks and a quarter-turn t.
-    """
-    if g.n != freqs.n:  # checked before Theta reads the blocks: theta_B's refusal order
-        raise ValueError("element does not match frequencies")
-    return Theta(blocks, normalized).at(g, freqs)
 
 
 def _rational_block(b: np.ndarray) -> np.ndarray:
@@ -283,13 +268,12 @@ def theta_differential_at_identity(
     blocks, freqs: FrequencyList, normalized: bool = False
 ) -> np.ndarray:
     """Finite-difference differential of theta at the identity."""
-    blocks = _float_blocks(blocks, freqs)
-    f = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
-    return _map_differential(f, GroupElement.identity(freqs.n).to_floats(), freqs)
+    identity = GroupElement.identity(freqs.n).to_floats()
+    return _map_differential(Theta(blocks, normalized), identity, freqs)
 
 
 def _map_differential(f, p: GroupElement, freqs: FrequencyList):
-    """Central differences of f at p with step DIFF_STEP."""
+    """Central differences of the map f at p with step DIFF_STEP."""
     dim, h = freqs.dim, DIFF_STEP
     base = p.coords()
     cols = np.zeros((dim, dim))
@@ -297,8 +281,8 @@ def _map_differential(f, p: GroupElement, freqs: FrequencyList):
         cp, cm = list(base), list(base)
         cp[j] += h
         cm[j] -= h
-        fp = f(GroupElement(cp[0], cp[1:-1], cp[-1]))
-        fm = f(GroupElement(cm[0], cm[1:-1], cm[-1]))
+        fp = f.at(GroupElement(cp[0], cp[1:-1], cp[-1]), freqs)
+        fm = f.at(GroupElement(cm[0], cm[1:-1], cm[-1]), freqs)
         cols[:, j] = [(a - b) / (2 * h) for a, b in zip(fp.coords(), fm.coords())]
     return cols
 
@@ -313,23 +297,21 @@ def validate_theta(blocks, freqs: FrequencyList, normalized: bool = False) -> di
     """
     rng = random.Random(THETA_SEED)
     dim = freqs.dim
-    blocks = _float_blocks(blocks, freqs)
+    theta = Theta(blocks, normalized)
     expected = np.eye(dim)
-    expected[1:-1, 1:-1] = _full_block(blocks, freqs)
-    diff_err = float(
-        np.max(np.abs(theta_differential_at_identity(blocks, freqs, normalized) - expected))
-    )
+    expected[1:-1, 1:-1] = _full_block(theta._fitted(freqs), freqs)
+    identity = GroupElement.identity(freqs.n).to_floats()
+    diff_err = float(np.max(np.abs(_map_differential(theta, identity, freqs) - expected)))
     iso_err = 0.0
     witness = None
-    f = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
     for _ in range(THETA_SAMPLES):
         p = GroupElement(
             rng.uniform(-2, 2),
             [rng.uniform(-2, 2) for _ in range(2 * freqs.n)],
             rng.uniform(-3, 3),
         )
-        dp = _map_differential(f, p, freqs)
-        fp = f(p)
+        dp = _map_differential(theta, p, freqs)
+        fp = theta.at(p, freqs)
         u = np.array([rng.uniform(-1, 1) for _ in range(dim)])
         w = np.array([rng.uniform(-1, 1) for _ in range(dim)])
         before = metric_at(p, list(u), list(w), freqs)
@@ -355,27 +337,48 @@ def validate_theta(blocks, freqs: FrequencyList, normalized: bool = False) -> di
 class LeftTranslation:
     h: GroupElement
 
+    def at(self, g: GroupElement, freqs: FrequencyList) -> GroupElement:
+        return multiply(self.h, g, freqs)
+
 
 @dataclass(frozen=True)
 class Inversion:
-    pass
+    def at(self, g: GroupElement, freqs: FrequencyList) -> GroupElement:
+        return invert(g, freqs)
 
 
 @dataclass(frozen=True)
 class Theta:
+    """theta(B): (z, v, t) -> (z, P(t)^T B P(t) v, t), one block B per
+    equal-frequency run; normalized divides P by sqrt(2 - 2 cos(lambda t))
+    (see the module docstring).  An exact g needs rational blocks and a
+    quarter-turn t."""
+
     blocks: tuple
     normalized: bool = False
 
     def __init__(self, blocks, normalized=False):
-        # a block that is not numeric is refused here, not at each grid point
-        object.__setattr__(self, "blocks", tuple(np.asarray(b, dtype=float) for b in blocks))
+        # a block that is not numeric or not finite is refused here, not at each grid point
+        blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise ValueError("theta blocks must be finite")
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "normalized", bool(normalized))
+
+    def _fitted(self, freqs: FrequencyList) -> tuple:
+        """The blocks; ShapeMismatch unless they are square matrices sized like
+        the equal-frequency runs, checked once for the last freqs that fitted."""
+        if self.__dict__.get("_fits") is not freqs:
+            if [b.shape for b in self.blocks] != [(m, m) for m in _run_sizes(freqs)]:
+                raise ShapeMismatch("blocks do not match the equal-frequency runs")
+            self.__dict__["_fits"] = freqs
+        return self.blocks
 
     def at(self, g: GroupElement, freqs: FrequencyList) -> GroupElement:
         """theta(B)(g); an exact g reads the blocks rationalised once per Theta."""
         if g.n != freqs.n:
             raise ValueError("element does not match frequencies")
-        blocks = _float_blocks(self.blocks, freqs)
+        blocks = self._fitted(freqs)
         if g.is_exact():
             blocks, refusal = self._exact_blocks
             if refusal:
@@ -394,6 +397,9 @@ class Theta:
 class Inner:
     h: GroupElement
 
+    def at(self, g: GroupElement, freqs: FrequencyList) -> GroupElement:
+        return conjugate(self.h, g, freqs)
+
 
 @dataclass(frozen=True)
 class Composite:
@@ -402,21 +408,16 @@ class Composite:
     def __init__(self, maps):
         object.__setattr__(self, "maps", tuple(maps))
 
+    def at(self, g: GroupElement, freqs: FrequencyList) -> GroupElement:
+        for part in self.maps:
+            g = apply_isometry(part, g, freqs)  # a part with no `at` is a TypeError too
+        return g
+
 
 def apply_isometry(f, g: GroupElement, freqs: FrequencyList) -> GroupElement:
-    if isinstance(f, LeftTranslation):
-        return multiply(f.h, g, freqs)
-    if isinstance(f, Inversion):
-        return invert(g, freqs)
-    if isinstance(f, Theta):
-        return f.at(g, freqs)
-    if isinstance(f, Inner):
-        return conjugate(f.h, g, freqs)
-    if isinstance(f, Composite):
-        for part in f.maps:
-            g = apply_isometry(part, g, freqs)
-        return g
-    raise TypeError(f"unknown isometry descriptor {type(f).__name__}")
+    if not hasattr(f, "at"):
+        raise TypeError(f"unknown isometry descriptor {type(f).__name__}")
+    return f.at(g, freqs)
 
 
 @dataclass(frozen=True)
@@ -459,7 +460,7 @@ def _exact_angle_grid(spec, count: int, rng):
 
 def _check_fits(f, freqs: FrequencyList) -> None:
     """ShapeMismatch unless every part of the map acts on vectors of size 2n;
-    theta blocks split unlike the frequency runs pass (theta_B refuses them).
+    theta blocks split unlike the frequency runs pass (Theta.at refuses them).
     A float map element, which no exact grid point multiplies, is refused too."""
     if isinstance(f, (LeftTranslation, Inner)) and f.h.n != freqs.n:
         raise ShapeMismatch(f"the map's element has n = {f.h.n}, the lattice has n = {freqs.n}")
@@ -539,7 +540,8 @@ def structure_relations_check(
     v = np.asarray(v, dtype=float).reshape(n2)
     t = float(t)
     h = GroupElement(0.0, v.tolist(), t)
-    blocks = _float_blocks(blocks, freqs)
+    theta = Theta(blocks, normalized)  # refuses non-finite blocks before det reads them
+    blocks = theta._fitted(freqs)
     bfull = _full_block(blocks, freqs)
     j = _j_matrix(freqs.n)
     with np.errstate(invalid="ignore", over="ignore"):  # refused below, not warned
@@ -553,14 +555,12 @@ def structure_relations_check(
         GroupElement(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in range(n2)], rng.uniform(-3, 3))
         for _ in range(RELATION_SAMPLES)
     ]
-    theta = lambda g: _theta(blocks, g, freqs, normalized, np.matmul)
     if normalized:
-        transposed = [b.T for b in blocks]
-        theta_inv = lambda g: _theta(transposed, g, freqs, True, np.matmul)
+        theta_inv = Theta([b.T for b in blocks], True).at
     else:
         # unnormalized theta is v -> S v with S = P^T B P; invert S pointwise
-        theta_inv = lambda g: _theta(blocks, g, freqs, False, np.linalg.solve)
-    conjugated = [theta(conjugate(h, theta_inv(x), freqs)) for x in points]
+        theta_inv = lambda g, freqs: _theta(blocks, g, freqs, False, np.linalg.solve)
+    conjugated = [theta.at(conjugate(h, theta_inv(x, freqs), freqs), freqs) for x in points]
     inverses = [invert(x, freqs) for x in points]
     sides = {  # relation -> (left sides, right sides) at the points
         "i": (conjugated, [conjugate(h_conj, x, freqs) for x in points]),
@@ -569,7 +569,8 @@ def structure_relations_check(
             [invert(conjugate(h, y, freqs), freqs) for y in inverses],
             [conjugate(h, x, freqs) for x in points],
         ),
-        "iii": ([invert(theta(y), freqs) for y in inverses], [theta(x) for x in points]),
+        "iii": ([invert(theta.at(y, freqs), freqs) for y in inverses],
+                [theta.at(x, freqs) for x in points]),
     }
     report = {}
     for name, (lhs, rhs) in sides.items():
@@ -586,7 +587,7 @@ def structure_relations_check(
 
 
 def _full_block(blocks, freqs: FrequencyList) -> np.ndarray:
-    """blockdiag of the blocks, already checked by _float_blocks."""
+    """blockdiag of the blocks, already checked against the runs."""
     n2 = 2 * freqs.n
     out = np.zeros((n2, n2))
     for (_, sl), b in zip(_run_slices(freqs), blocks):

@@ -43,6 +43,10 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 class Expired(BaseException):
     """Raised by `time_limit`; cli.main catches no BaseException of its own."""
 
@@ -727,9 +731,35 @@ class TestContractBreaches:
         assert code == 2
         assert "fiber" not in rep["verdicts"]
 
+    @pytest.mark.parametrize("verb", [
+        ["fiber", "--lattice", LATTICE, "--map", "theta"],
+        ["relations", "--v", "[1, 0]", "--t", "1"],
+        ["relations", "--v", "[1, 0]", "--t", "1", "--verbatim"],
+    ])
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_theta_blocks_are_exit_2(self, capsys, verb, entry):
+        # fiber: every grid point was refused, and the search reported "preserving";
+        # relations: numpy warned "invalid value encountered in det" on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "isometry", *verb, "--blocks", f"[[[{entry}, 0], [0, 1]]]")
+        assert code == 2
+        assert rep["diagnostics"] == ["validation error: theta blocks must be finite"]
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (3, 3), (1, 1), (0, 1), (0, 3)])
+    def test_decompose_refuses_a_non_finite_entry(self, capsys, row, col):
+        # NaN passed the `err > tol` tests: (0, 0) reported eps 1 with identity
+        # blocks, (3, 3) eps -1, both exit 0, and (1, 1) printed a bare NaN token
+        matrix = [[float(i == j) for j in range(4)] for i in range(4)]
+        matrix[row][col] = math.nan
+        code = main(["isometry", "decompose", "--matrix", json.dumps(matrix)])
+        rep = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert code == 2
+        assert rep["verdicts"] == {}
+
     def test_theta_blocks_unlike_the_runs_keep_their_verdict(self, capsys):
         # two 2x2 blocks where the run of multiplicity 2 needs one 4x4 block:
-        # theta_B refuses each grid point, and the search reports "preserving"
+        # Theta.at refuses each grid point, and the search reports "preserving"
         code, rep = run_cli(capsys, "isometry", "fiber", "--lattice", "dim6:k=1:p=1:q=1:M=4",
                             "--map", "theta", "--blocks", "[[[0, -1], [1, 0]], [[1, 0], [0, 1]]]")
         assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscgeo import isometries
@@ -40,7 +40,6 @@ from oscgeo.isometries import (
     psi_decompose,
     semidirect_product,
     structure_relations_check,
-    theta_B,
     theta_differential_at_identity,
     validate_theta,
 )
@@ -97,6 +96,14 @@ class TestIsotropyMatrix:
     def test_rejects_nonorthogonal_blocks(self):
         with pytest.raises(ValueError):
             IsotropyElement(1, [2 * np.eye(2)], [np.zeros(2)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_blocks_and_translations(self, value):
+        # a NaN block once passed the orthogonality test, which read `err > tol`
+        with pytest.raises(ValueError, match="blocks must be finite"):
+            IsotropyElement(1, [[[value, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="translation parts must be finite"):
+            IsotropyElement(1, [np.eye(2)], [[value, 0.0]])
 
 
 class TestLocalIsometry:
@@ -173,6 +180,16 @@ class TestPsiDecompose:
         with pytest.raises(ShapeMismatch):
             psi_decompose(bad, F1)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (1, 1), (0, 1), (0, 3), (1, 3)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_a_non_finite_entry(self, entry, value):
+        # NaN passed every `err > tol` test: at (0, 0) it decomposed as eps 1
+        # with identity blocks, at (3, 3) as eps -1
+        a = np.eye(4)
+        a[entry] = value
+        with pytest.raises(ValueError):
+            psi_decompose(a, F1)
+
     def test_swap_across_split_equal_frequencies_names_the_cause(self):
         # pairs 1 and 3 share the frequency 1, but [1, 2, 1] puts them in two runs
         fl, a = FrequencyList([1, 2, 1]), pair_swap(1, 3, 3)
@@ -202,17 +219,23 @@ class TestTheta:
     @pytest.mark.parametrize("blocks", [[5], [[1.0, 0.0]], [np.ones((2, 3))], [np.ones((2, 2, 2))]])
     def test_rejects_blocks_that_are_not_square_matrices(self, blocks):
         with pytest.raises(ShapeMismatch):
-            theta_B(blocks, GroupElement(0.3, (1.5, -2.0), 0.5), F1)
+            Theta(blocks).at(GroupElement(0.3, (1.5, -2.0), 0.5), F1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_blocks_on_construction(self, value):
+        # a fiber search refused every grid point and reported "preserving"
+        with pytest.raises(ValueError, match="theta blocks must be finite"):
+            Theta([[[value, 0.0], [0.0, 1.0]]])
 
     def test_identity_blocks_at_zero_angle(self):
         g = GroupElement(0.3, (1.5, -2.0), 0.0)
-        out = theta_B([np.eye(2)], g, F1)
+        out = Theta([np.eye(2)]).at(g, F1)
         assert np.allclose(out.coords(), g.coords())
 
     def test_zero_angle_applies_block_directly(self):
         b = np.diag([1.0, -1.0])
         g = GroupElement(Fraction(1, 2), (3, 4), ExactScalar(0))
-        out = theta_B([b], g, F1)
+        out = Theta([b]).at(g, F1)
         assert out == GroupElement(Fraction(1, 2), (3, -4), ExactScalar(0))
 
     def test_quarter_turn_exact_value(self):
@@ -220,23 +243,23 @@ class TestTheta:
         # B = diag(1, -1)
         b = np.diag([1.0, -1.0])
         g = GroupElement(0, (1, 0), HALF_PI)
-        out = theta_B([b], g, F1)
+        out = Theta([b]).at(g, F1)
         assert out == GroupElement(0, (0, 2), HALF_PI)
-        normalized = theta_B([b], g, F1, normalized=True)
+        normalized = Theta([b], normalized=True).at(g, F1)
         assert normalized == GroupElement(0, (0, 1), HALF_PI)
 
     def test_special_angle_branch_is_identity_block(self):
         b = np.diag([1.0, -1.0])
         g = GroupElement(0, (2, 5), TWO_PI)
-        out = theta_B([b], g, F1)
+        out = Theta([b]).at(g, F1)
         assert out == GroupElement(0, (2, -5), TWO_PI)
 
     def test_exact_matches_float(self):
         b = np.diag([1.0, -1.0])
         fl = FrequencyList([1, 2])
         g = GroupElement(Fraction(1, 3), (1, 2, 3, 4), HALF_PI)
-        exact = theta_B([b, np.eye(2)], g, fl)
-        floated = theta_B([b, np.eye(2)], g.to_floats(), fl)
+        exact = Theta([b, np.eye(2)]).at(g, fl)
+        floated = Theta([b, np.eye(2)]).at(g.to_floats(), fl)
         assert max(
             abs(float(a) - b) for a, b in zip(exact.coords(), floated.coords())
         ) < 1e-12
@@ -257,6 +280,61 @@ class TestTheta:
         assert not raw["isometry_ok"]
         assert raw["witness"] is not None
         assert fixed["isometry_ok"]
+
+    def test_validation_checks_the_blocks_against_the_runs_once(self, monkeypatch):
+        # the differential at the identity once prepared the blocks a second time
+        calls = []
+        run_sizes = isometries._run_sizes
+
+        def counted(freqs):
+            calls.append(freqs)
+            return run_sizes(freqs)
+
+        monkeypatch.setattr(isometries, "_run_sizes", counted)
+        validate_theta([np.eye(2), np.eye(4)], FrequencyList([1, 2, 2]), normalized=True)
+        assert len(calls) == 1
+
+
+@st.composite
+def rotation_theta_inputs(draw):
+    """Runs of multiplicity 1-3 with distinct frequencies, each block the
+    blockdiag of one drawn 2x2 rotation per pair of its run."""
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    lams = draw(st.lists(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 3)]),
+                         min_size=len(mults), max_size=len(mults), unique=True))
+    freqs = FrequencyList([lam for lam, m in zip(lams, mults) for _ in range(m)])
+    blocks = []
+    for m in mults:
+        block = np.zeros((2 * m, 2 * m))
+        for k in range(0, 2 * m, 2):
+            phi = draw(st.floats(-math.pi, math.pi))
+            block[k:k + 2, k:k + 2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+        blocks.append(block)
+    return blocks, freqs
+
+
+@settings(max_examples=25, deadline=None)
+@given(inputs=rotation_theta_inputs(), normalized=st.booleans())
+@example(inputs=([np.eye(2), np.eye(6), np.eye(6)],
+                 FrequencyList([1] + [Fraction(1, 3)] * 3 + [Fraction(3, 2)] * 3)),
+         normalized=True)
+def test_theta_validation_over_several_runs(inputs, normalized):
+    blocks, freqs = inputs
+    report = validate_theta(blocks, freqs, normalized)
+    expected = np.eye(freqs.dim)
+    offset = 1
+    for b in blocks:
+        expected[offset:offset + len(b), offset:offset + len(b)] = b
+        offset += len(b)
+    differential = theta_differential_at_identity(blocks, freqs, normalized)
+    assert report["differential_max_err"] == float(np.max(np.abs(differential - expected)))
+    assert report["differential_ok"]
+    if normalized and not report["isometry_ok"]:
+        # P(t)^T B P(t) = B for rotation blocks: v -> B v, an isometry.  But
+        # P / sqrt(2 - 2 cos) cancels near the special angles, and the finite
+        # differences then miss by more than 1e-5 (one seeded sample at n = 7 has t = -0.0081)
+        t = float(report["witness"].t)
+        assert min(abs(math.remainder(float(lam) * t, 2 * math.pi)) for lam in freqs.lambdas) < 0.01
 
 
 class TestStructureRelations:
@@ -308,6 +386,15 @@ class TestStructureRelations:
                 structure_relations_check([b], (math.inf, 0.0), 1.0, F1)
 
     @pytest.mark.parametrize("normalized", [True, False])
+    def test_non_finite_blocks_are_refused_before_the_determinant(self, normalized):
+        # det(B) of a NaN block once warned "invalid value encountered in det"
+        b = np.array([[math.nan, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta blocks must be finite"):
+                structure_relations_check([b], (1.0, 0.0), 1.0, F1, normalized=normalized)
+
+    @pytest.mark.parametrize("normalized", [True, False])
     def test_each_map_runs_once_per_sample(self, monkeypatch, normalized):
         calls = {"_theta": 0, "conjugate": 0, "invert": 0}
 
@@ -350,11 +437,11 @@ def _relations_by_composition(blocks, v, t, freqs, normalized, samples, seed):
     h_adj = GroupElement(0.0, jbjv, (1.0 if np.linalg.det(bfull) > 0 else -1.0) * t)
 
     def theta(g):
-        return theta_B(blocks, g, freqs, normalized)
+        return Theta(blocks, normalized).at(g, freqs)
 
     def theta_inv(g):
         if normalized:
-            return theta_B([np.asarray(b).T for b in blocks], g, freqs, normalized=True)
+            return Theta([np.asarray(b).T for b in blocks], normalized=True).at(g, freqs)
         return _theta(blocks, g, freqs, False, np.linalg.solve)
 
     sides = {
@@ -477,7 +564,7 @@ def theta_inputs(draw):
 def test_float_theta_is_bitwise_the_kron_construction(inputs, normalized):
     blocks, g, freqs = inputs
     matmul = lambda s, x: s @ x
-    got = theta_B(blocks, g, freqs, normalized)
+    got = Theta(blocks, normalized).at(g, freqs)
     assert not got.is_exact()
     assert _hexes(got.coords()) == _hexes(_kron_theta(blocks, g, freqs, normalized, matmul))
     solved = _theta(blocks, g, freqs, normalized, np.linalg.solve)
@@ -552,17 +639,17 @@ def exact_theta_inputs(draw):
 @given(inputs=exact_theta_inputs(), normalized=st.booleans())
 def test_exact_theta_is_the_pairwise_fraction_pass(inputs, normalized):
     blocks, g, unit, freqs = inputs
-    got = theta_B(blocks, g, freqs, normalized)
+    got = Theta(blocks, normalized).at(g, freqs)
     assert got.is_exact()
     assert got.to_json() == _pairwise_theta(blocks, g, freqs, normalized).to_json()
     # the refusals keep their type and text
     bent = [b.copy() for b in blocks]
     bent[0][0, 0] = 0.5 + 1e-13  # 1e-13 from 1/2, the nearest rational of denominator <= 10^12
-    assert _refusal(lambda: theta_B(bent, g, freqs, normalized)) == (
+    assert _refusal(lambda: Theta(bent, normalized).at(g, freqs)) == (
         ValueError, "exact theta needs rational blocks"
     )
     half = GroupElement(g.z, g.v, g.t + unit / 2)
-    refused = _refusal(lambda: theta_B(blocks, half, freqs, normalized))
+    refused = _refusal(lambda: Theta(blocks, normalized).at(half, freqs))
     assert refused[0] is ExactModeUnsupportedAngle
     assert refused == _refusal(lambda: _pairwise_theta(blocks, half, freqs, normalized))
 
@@ -594,7 +681,7 @@ class TestFiberPreservation:
         )
         assert not verdict.preserving
         g, lam = verdict.counterexample
-        f = lambda x: theta_B([np.diag([1, -1])], x, spec.freqs)
+        f = lambda x: Theta([np.diag([1, -1])]).at(x, spec.freqs)
         moved = multiply(
             invert(f(g), spec.freqs), f(multiply(g, lam, spec.freqs)), spec.freqs
         )
@@ -822,10 +909,30 @@ class TestApplyIsometry:
         with pytest.raises(TypeError):
             apply_isometry(object(), GroupElement.identity(1), F1)
 
+    def test_unknown_part_of_a_composite(self):
+        with pytest.raises(TypeError, match="unknown isometry descriptor object"):
+            apply_isometry(Composite([Inversion(), object()]), GroupElement.identity(1), F1)
+
     def test_inner_is_conjugation(self):
         h = GroupElement(0, (1, 0), HALF_PI)
         g = GroupElement(Fraction(1, 2), (0, 1), PI)
         assert apply_isometry(Inner(h), g, F1) == conjugate(h, g, F1)
+
+    def test_each_map_evaluates_itself(self):
+        h = GroupElement(0, (1, 0), HALF_PI)
+        g = GroupElement(Fraction(1, 2), (0, 1), PI)
+        theta = Theta([np.diag([1.0, -1.0])], normalized=True)
+        expected = [
+            (LeftTranslation(h), multiply(h, g, F1)),
+            (Inversion(), invert(g, F1)),
+            (theta, theta.at(g, F1)),
+            (Inner(h), conjugate(h, g, F1)),
+            (Composite([LeftTranslation(h), theta, Inversion()]),
+             invert(theta.at(multiply(h, g, F1), F1), F1)),
+        ]
+        for f, value in expected:
+            assert f.at(g, F1) == value
+            assert apply_isometry(f, g, F1) == value
 
 
 class TestAutIntersection:
