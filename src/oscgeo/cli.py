@@ -251,9 +251,9 @@ def cmd_geodesic_eval(args) -> dict:
 
 def cmd_geodesic_integrate(args) -> dict:
     freqs = _freqs_from_args(args)
-    x = parse_velocity(args.X, freqs.n)
-    final = integrate_geodesic(x.to_floats(), args.s_end, args.step, freqs)
-    closed_form = eval_geodesic(Geodesic(x.to_floats(), freqs), args.s_end)
+    x = parse_velocity(args.X, freqs.n).to_floats()
+    final = integrate_geodesic(x, args.s_end, args.step, freqs)
+    closed_form = eval_geodesic(Geodesic(x, freqs), args.s_end)
     err = max(
         abs(a - b) for a, b in zip(final.coords(), closed_form.coords())
     )

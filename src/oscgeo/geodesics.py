@@ -50,16 +50,21 @@ from .exact import ExactScalar, as_exact, pi_poly_sign, poly_mul
 from .group import GroupElement, multiply, rotation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Geodesic:
     """Geodesic s -> flow(s) through the identity with the given initial velocity."""
 
     initial: AlgebraVector
     freqs: FrequencyList
 
-    def __post_init__(self):
-        if self.initial.n != self.freqs.n:
+    def __init__(self, initial: AlgebraVector, freqs: FrequencyList):
+        if initial.n != freqs.n:
             raise ValueError("initial velocity does not match frequencies")
+        _SET_INITIAL(self, initial)
+        _SET_FREQS(self, freqs)
+
+
+_SET_INITIAL, _SET_FREQS = (Geodesic.__dict__[name].__set__ for name in ("initial", "freqs"))
 
 
 def flow_coords(x: AlgebraVector, s, freqs: FrequencyList, sin=math.sin):
@@ -284,20 +289,24 @@ def _views(buf: np.ndarray, n: int) -> tuple:
             acc[0], acc[1:2 * n + 1], acc[1:n + 1], acc[n + 1:2 * n + 1])
 
 
+# np.sum adds fewer terms than this in sequence, and this many or more pairwise
+PAIRWISE_TERMS = 8
+
+
 def _scratch(batch: int, n: int) -> tuple:
     """Work buffers for the z'' sum: the products x_k' x_k and y_k' y_k as
     (2n, batch) rows, and the n terms as rows.
 
     The sum over the n blocks must add its terms in the order np.sum takes
-    on a fresh (batch, n) array: in sequence below 8 terms, pairwise from 8
-    on.  Below 8 the terms are stored (n, batch): numpy's reduce then adds
-    whole rows in sequence, along the batch, about 7x faster than short
-    contiguous rows at batch 1000.  From 8 on only the reduce over
-    contiguous rows is pairwise, so they are stored (batch, n) and read
-    as (n, batch).
+    on a fresh (batch, n) array: in sequence below PAIRWISE_TERMS terms,
+    pairwise from there on.  Below it the terms are stored (n, batch):
+    numpy's reduce then adds whole rows in sequence, along the batch, about
+    7x faster than short contiguous rows at batch 1000.  From it on only
+    the reduce over contiguous rows is pairwise, so they are stored
+    (batch, n) and read as (n, batch).
     """
     prod = np.empty((2 * n, batch))
-    terms = np.empty((n, batch)) if n < 8 else np.empty((batch, n)).T
+    terms = np.empty((n, batch)) if n < PAIRWISE_TERMS else np.empty((batch, n)).T
     return prod[:n], prod[n:], prod, terms
 
 
@@ -353,18 +362,54 @@ def geodesic_rhs(state: np.ndarray, freqs: FrequencyList) -> np.ndarray:
 MAX_RK4_STEPS = 10**6
 
 
+def _rk4_row(row: list, n_steps: int, h: float, freqs: FrequencyList) -> list:
+    """`integrate_geodesic_batch` on one row of fewer than PAIRWISE_TERMS
+    blocks, in plain floats and pair order.  Each entry sees `_stage`'s and
+    the step's operations in their order, and z'' adds its terms in
+    sequence from +0.0, as numpy's reduce does below PAIRWISE_TERMS, so
+    the result is the numpy kernel's bit for bit.  Returns the final
+    [pos | vel]."""
+    dim, tp = freqs.dim, row[-1]
+    half_tp, half_h, sixth_h = 0.5 * tp, h / 2, h / 6
+    blocks = [(i, lam, -lam) for i, lam in zip(range(1, dim - 1, 2), freqs.floats)]
+
+    def k(state):  # [vel | acc] at state = [pos | vel]
+        vel, acc_z, acc_v = state[dim:], 0.0, []
+        for i, lam, neg_lam in blocks:
+            acc_z += (vel[i] * state[i] + vel[i + 1] * state[i + 1]) * lam
+            acc_v += ((neg_lam * vel[i + 1]) * tp, (lam * vel[i]) * tp)
+        return [*vel, half_tp * acc_z, *acc_v, 0.0]
+
+    state = [0.0] * dim + row
+    for _ in range(n_steps):
+        k1 = k(state)
+        k2 = k([u + w * half_h for u, w in zip(state, k1)])
+        k3 = k([u + w * half_h for u, w in zip(state, k2)])
+        k4 = k([u + w * h for u, w in zip(state, k3)])
+        state = [u + (((w1 + w2 * 2.0) + w3 * 2.0) + w4) * sixth_h
+                 for u, w1, w2, w3, w4 in zip(state, k1, k2, k3, k4)]
+    return state
+
+
 def integrate_geodesic_batch(
     initials: np.ndarray, s_end: float, step: float, freqs: FrequencyList
 ) -> np.ndarray:
     """RK4 from the identity for a batch of initial velocities.
 
     Returns final positions, shape (batch, 2n+2).  Each element sees the
-    operations of state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.  The
-    rows are held in split order, (z, x_1..x_n, y_1..y_n, t), permuted on
-    entry and back on return, each row contiguous along the batch; every
-    stage has one [pos | vel | acc] buffer, allocated once, whose [vel | acc]
-    is its k.  The stage kernel's views are bound once per integration, so a
-    stage is eight 2-D numpy calls on whole rows (see `_stage`).
+    operations of state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order.  A
+    batch of one row with fewer than PAIRWISE_TERMS blocks runs on plain
+    floats (`_rk4_row`), where numpy's per-call overhead would outweigh its
+    arithmetic.  Every other batch holds its rows in split order, (z,
+    x_1..x_n, y_1..y_n, t), permuted on entry and back on return, each row
+    contiguous along the batch; every stage has one [pos | vel | acc]
+    buffer, allocated once, whose [vel | acc] is its k.  The stage kernel's
+    views are bound once per integration, so a stage is eight 2-D numpy
+    calls on whole rows (see `_stage`).  Both paths give the same bits.
+
+    A non-finite state is refused with a FloatingPointError once the last
+    step is taken: under state + (h/6) tmp a non-finite entry never becomes
+    finite again.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -384,6 +429,11 @@ def integrate_geodesic_batch(
                          f"exceeds {MAX_RK4_STEPS}")
     n_steps = max(1, round(steps))
     h = s_end / n_steps
+    if len(initials) == 1 and n < PAIRWISE_TERMS:
+        state = _rk4_row(initials[0].tolist(), n_steps, h, freqs)
+        if not all(map(math.isfinite, state)):
+            raise FloatingPointError("non-finite state during integration")
+        return np.array([state[:dim]])
     half = _split_order(n)[:dim]
     bufs = np.zeros((4, 3 * dim, len(initials)))
     state, ins = bufs[0, :2 * dim], bufs[1:, :2 * dim]  # ins: the inputs of stages 2-4
@@ -392,7 +442,6 @@ def integrate_geodesic_batch(
     factors = _factors(freqs, initials[:, -1].copy())
     views, scratch = [_views(buf, n) for buf in bufs], _scratch(len(initials), n)
     tmp = np.empty_like(k1)
-    finite = np.empty_like(state, dtype=bool)
     # 0-d arrays, as in _factors: no Python scalar is converted per call
     half_h, full_h, sixth_h, two = (np.array(c) for c in (h / 2, h, h / 6, 2.0))
     stages = ((k1, half_h, ins[0], views[1]), (k2, half_h, ins[1], views[2]),
@@ -407,8 +456,8 @@ def integrate_geodesic_batch(
             np.add(tmp, np.multiply(k3, two, k3), tmp)
             np.add(tmp, k4, tmp)
             np.add(state, np.multiply(tmp, sixth_h, tmp), state)
-            if not np.isfinite(state, finite).all():
-                raise FloatingPointError("non-finite state during integration")
+    if not np.isfinite(state).all():
+        raise FloatingPointError("non-finite state during integration")
     out = np.empty((len(initials), dim))
     out[:, half] = state[:dim].T
     return out

@@ -687,7 +687,7 @@ class TestContractBreaches:
         assert any("exceeds 1000000" in d for d in rep["diagnostics"])
 
     def test_overflowing_integration_warns_nothing(self, capsys):
-        # numpy overflows on the first step; the refusal is the only output
+        # the integrator overflows on the first step; the refusal is the only output
         x = '{"d": 1e300, "bc": [[1e300, 1e300]], "a": 1e300}'
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -14,6 +14,7 @@ from oscgeo import geodesics
 from oscgeo.exact import ExactScalar, PI, as_exact, pi_poly_sign, rational_ratio
 from oscgeo.geodesics import (
     MAX_RK4_STEPS,
+    PAIRWISE_TERMS,
     Geodesic,
     _Cleared,
     _inverse_metric_rows,
@@ -436,6 +437,109 @@ def test_the_stage_kernel_is_bit_identical_to_the_plain_form(lams, batch, steps,
     assert np.array_equal(got, reference_rk4(initials, s_end, step, freqs))
     states = rng.uniform(-2, 2, size=(*lead, 2 * freqs.dim))  # 1-D, 2-D or 3-D
     assert np.array_equal(geodesic_rhs(states, freqs), reference_rhs(states, freqs))
+
+
+def thirds(n: int) -> FrequencyList:
+    """The frequencies 1/3, 2/3, ..., n/3."""
+    return FrequencyList([Fraction(k, 3) for k in range(1, n + 1)])
+
+
+# one row runs on plain floats below PAIRWISE_TERMS blocks and through numpy
+# from there on; the cases are explicit, since a derandomized Hypothesis run
+# reaches batch 1 only by chance
+@pytest.mark.parametrize("n", [1, PAIRWISE_TERMS - 1, PAIRWISE_TERMS, PAIRWISE_TERMS + 1])
+@pytest.mark.parametrize("s_end", [0.37, -0.37])
+def test_one_row_is_bit_identical_to_the_plain_form(n, s_end):
+    freqs = thirds(n)
+    initials = np.random.default_rng(n).uniform(-2, 2, size=(1, freqs.dim))
+    got = integrate_geodesic_batch(initials, s_end, 0.01, freqs)
+    assert got.tobytes() == reference_rk4(initials, s_end, 0.01, freqs).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, PAIRWISE_TERMS - 1])
+@pytest.mark.parametrize("s_end", [2.3, -2.3])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_one_row_path_equals_row_0_of_the_numpy_kernel(n, s_end, zeros):
+    freqs = thirds(n)
+    rows = np.random.default_rng(100 + n).uniform(-2, 2, size=(2, freqs.dim))
+    if zeros:  # d = -0.0 and every c_j = -0.0: the first z'' terms are signed zeros
+        rows[0, 0:-1:2] = -0.0
+    one = integrate_geodesic(AlgebraVector.from_coords(rows[0].tolist()), s_end, 1e-3, freqs)
+    two = integrate_geodesic_batch(rows, s_end, 1e-3, freqs)
+    assert [float(c).hex() for c in one.coords()] == [c.hex() for c in two[0].tolist()]
+
+
+class TestNonFiniteRefusal:
+    """Both paths refuse a non-finite state with a FloatingPointError and no
+    RuntimeWarning (pyproject.toml turns one into an error)."""
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_overflow_on_the_first_step(self, batch):
+        initials = np.full((batch, F1.dim), 1e200)  # x'' = -y' t' is 1e400 at once
+        with pytest.raises(FloatingPointError, match="non-finite state"):
+            integrate_geodesic_batch(initials, 0.01, 1e-3, F1)
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_overflow_after_several_steps(self, batch):
+        # h lambda t' = 10: RK4 scales (x', y') by about 400 a step, so the
+        # state stays finite for 20 steps and overflows well before 200
+        initials = np.tile([0.0, 1.0, 0.0, 100.0], (batch, 1))
+        assert np.isfinite(integrate_geodesic_batch(initials, 2.0, 0.1, F1)).all()
+        with pytest.raises(FloatingPointError, match="non-finite state"):
+            integrate_geodesic_batch(initials, 20.0, 0.1, F1)
+
+
+def reference_flow(x: AlgebraVector, s: float, freqs: FrequencyList) -> list[float]:
+    """The closed form of the module docstring in plain floats.
+
+    th = lambda_j a s, (x_j, y_j) = M(th) (b_j, c_j) / (a lambda_j), t = a s,
+    and z = d s plus, block by block, the docstring's two z terms over one
+    denominator: (b_j^2 + c_j^2) (th - sin th) / (2 lambda_j^2 a^2).  cos th
+    - 1 is taken as -2 sin(th/2)^2, free of cancellation near th = 0.  For
+    a = 0 the curve is the line (d s, (b_j s, c_j s), 0).
+    """
+    d, a = float(x.d), float(x.a)
+    bcs = [(float(b), float(c)) for b, c in x.bc]
+    if a == 0.0:
+        return [d * s, *[e * s for bc in bcs for e in bc], 0.0]
+    z, v = d * s, []
+    for lam, (b, c) in zip(map(float, freqs.lambdas), bcs):
+        th = lam * a * s
+        sin, cosm1 = math.sin(th), -2.0 * math.sin(th / 2.0) ** 2
+        for m_b, m_c in ((sin, cosm1), (-cosm1, sin)):  # the rows of M(th)
+            v.append((m_b * b + m_c * c) / (a * lam))
+        z += (b * b + c * c) * (th - sin) / (2.0 * lam * lam * a * a)
+    return [z, *v, a * s]
+
+
+def outcome_bits(f):
+    """The bits of the floats f returns, or the type of the ArithmeticError it raised."""
+    try:
+        return [float(c).hex() for c in f()]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+entries = st.floats(-3, 3)
+
+
+@st.composite
+def float_flow_inputs(draw):
+    """(x, freqs): float entries in [-3, 3], and a = 0 at times."""
+    freqs = draw(frequencies)
+    bc = [(draw(entries), draw(entries)) for _ in range(freqs.n)]
+    return AlgebraVector(draw(entries), bc, draw(entries | st.just(0.0))), freqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_flow_inputs(), st.floats(-50, 50))
+# sin(th/2) ** 2 and sin(th/2) * sin(th/2) differ in the last bit at th = s here
+@example((AlgebraVector(0.0, [(0.0, 1.0)], 1.0), F1), 9.939544823554684)
+def test_closed_form_is_bit_identical_to_the_plain_form(args, s):
+    x, freqs = args
+    # below |a| ~ 1e-154, a^2 underflows and both divide by zero
+    assert (outcome_bits(lambda: eval_geodesic(Geodesic(x, freqs), s).coords())
+            == outcome_bits(lambda: reference_flow(x, s, freqs)))
 
 
 class TestOneParameterLaw:
