@@ -93,83 +93,3 @@ from .quotient import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraVector",
-    "CausalClass",
-    "CertificateVerificationFailed",
-    "ClosedGeodesicCertificate",
-    "ClosureDecision",
-    "Composite",
-    "Dim4Family",
-    "Dim6Family",
-    "ExactModeUnsupportedAngle",
-    "ExactScalar",
-    "FrequencyList",
-    "GeneratorList",
-    "Geodesic",
-    "GroupElement",
-    "Inner",
-    "Inversion",
-    "IsotropyElement",
-    "LatticeProfile",
-    "LatticeSpec",
-    "LeftTranslation",
-    "LightlikeVerdict",
-    "MembershipUndecidable",
-    "NormalizerTable",
-    "PI",
-    "ProductLineVerdict",
-    "ProductWithLine",
-    "ShapeMismatch",
-    "Theta",
-    "Twisted",
-    "UnsupportedSpec",
-    "apply_isometry",
-    "as_exact",
-    "aut_intersection_check",
-    "bracket",
-    "causal_class",
-    "causal_quantity",
-    "central_element",
-    "check_local_isometry",
-    "christoffel",
-    "christoffel_table_report",
-    "christoffel_tabulated",
-    "classify_lightlike",
-    "closed_timelike_and_spacelike",
-    "conjugate",
-    "contains",
-    "decide_closed",
-    "eval_geodesic",
-    "eval_geodesic_exact",
-    "eval_geodesic_velocity",
-    "geodesic_rhs",
-    "gram_matrix",
-    "in_normalizer",
-    "inner",
-    "integrate_geodesic",
-    "integrate_geodesic_batch",
-    "invert",
-    "is_fiber_preserving",
-    "isotropy_matrix",
-    "lattice_from_json",
-    "metric_at",
-    "metric_matrix",
-    "multiply",
-    "normalizer_oracle",
-    "normalizer_table_report",
-    "parse_exact",
-    "pi_poly_sign",
-    "product_line_lightlike",
-    "profile",
-    "psi_decompose",
-    "pure_t_element",
-    "rotation",
-    "search_closed",
-    "semidirect_product",
-    "structure_relations_check",
-    "validate_theta",
-    "verification_grid",
-    "__version__",
-]

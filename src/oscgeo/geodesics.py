@@ -86,8 +86,11 @@ def flow_coords(x: AlgebraVector, s, freqs: FrequencyList, sin=math.sin):
         cosm1 = -2.0 * sin(th / 2.0) ** 2  # cos(th) - 1, cancellation-free
         v.append((b * sin_th + c * cosm1) / (a * lam))
         v.append((-b * cosm1 + c * sin_th) / (a * lam))  # c*sin - b*(cos-1)
-        bc2 = b * b + c * c
-        z += bc2 * (th - sin_th) / (2.0 * lam * lam * a * a)
+        bc2, den = b * b + c * c, 2.0 * lam * lam * a * a
+        if den:
+            z += bc2 * (th - sin_th) / den
+        else:  # |a| below ~1e-154: a^2 underflows, a lambda (v's divisor) does not
+            z += bc2 * (th - sin_th) / (a * lam) / (2.0 * lam * a)
     return z, v, a * s
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -354,8 +354,9 @@ class Theta:
     (see the module docstring).  An exact g needs rational blocks and a
     quarter-turn t."""
 
-    blocks: tuple
+    blocks: tuple = field(compare=False)
     normalized: bool = False
+    values: tuple = field(default=(), repr=False)  # the blocks as == and hash read them
 
     def __init__(self, blocks, normalized=False):
         # a block that is not numeric or not finite is refused here, not at each grid point
@@ -364,6 +365,7 @@ class Theta:
             raise ValueError("theta blocks must be finite")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "normalized", bool(normalized))
+        object.__setattr__(self, "values", tuple((b.shape, *b.ravel().tolist()) for b in blocks))
 
     def _fitted(self, freqs: FrequencyList) -> tuple:
         """The blocks; ShapeMismatch unless they are square matrices sized like
@@ -505,11 +507,8 @@ def is_fiber_preserving(f, spec, samples: int = 60, seed: int = 0) -> FiberVerdi
             fg_inv = invert(apply_isometry(f, g, freqs), freqs)
         except ValueError:
             continue  # outside the exact-angle domain: re-gridded elsewhere
-        for lam in lams:
-            try:
-                moved = multiply(fg_inv, apply_isometry(f, multiply(g, lam, freqs), freqs), freqs)
-            except ValueError:
-                continue
+        for lam in lams:  # g lam shifts t by whole quarter turns, so f evaluates there too
+            moved = multiply(fg_inv, apply_isometry(f, multiply(g, lam, freqs), freqs), freqs)
             if not spec.contains(moved):
                 return FiberVerdict(False, (g, lam))
         if isinstance(f, (LeftTranslation, Inner)):

@@ -11,12 +11,15 @@ whether the squared line step is a rational multiple of 2*pi.
 
 The candidate times are r * t0 / a.  For an exact velocity the point at r
 repeats its rotation part with r mod K0, and membership, read off the
-closed form cleared of a, is linear in r within each residue class, so
-`decide_closed` finds the least closing r, or proves there is none, from
-K0 classes, for every a != 0.  The bounded search is that decision capped
-at r_max.  Float data alone takes the float snap: one numpy screen over
-every candidate, then the scalar snap on the few that pass.  Only its miss
-is never a proof of openness.
+closed form cleared of a, is linear in r within each residue class.  Where
+a class's v is rational its z-offset is a rational multiple of the z-step,
+so one test on the velocity (is its drift, in pi, proportional to the
+z-step?) and one int congruence per class decide it: `decide_closed` finds
+the least closing r, or proves there is none, from K0 classes, for every
+a != 0.  The bounded search is that decision capped at r_max.  Float data
+alone takes the float snap: one numpy screen over every candidate, then
+the scalar snap on the few that pass.  Only its miss is never a proof of
+openness.
 
 The lattice is read only through its `LatticeProfile`, membership, and
 the spec's one table of R(c t0), `period_rotations`, which gives the
@@ -269,46 +272,21 @@ class ClosureDecision:
         return {"kind": "closes"} if self.r is None else {"kind": "closes", "r": self.r}
 
 
-def _least_r(slope: list, p: list, w: list, c: int, k0: int):
-    """Least r >= 1 with r = c (mod k0) and r slope + p in w Z, for
-    polynomials in pi given by int coefficients over one common positive
-    denominator, w nonzero; or the reason there is none.
-
-    Row k of the condition reads slope_k r + p_k = w_k u, u an integer.
-    The first row with w_k != 0 gives u; eliminated from every other row, it
-    leaves one linear equation in r, which fixes r or rules the class out.
-    The row of u is a linear congruence, solved with r = c (mod k0) by
-    modular inverses.  With w = a^2 times the z-step and a = c pi^m, a
-    reason names the power of pi in z itself; for any other a, the row of
-    a^2 z.
-    """
-    rows = list(zip_longest(slope, p, w, fillvalue=0))
-    k_u = next(k for k, row in enumerate(rows) if row[2])
-    a, b, g = rows[k_u]
-    shift, z = (k_u, "z") if sum(map(bool, w)) == 1 else (0, "a^2 z")
-    fixed = None
-    for k, (a_k, b_k, g_k) in enumerate(rows):
-        a_k, b_k = a_k * g - g_k * a, b_k * g - g_k * b  # u eliminated; 0 at k_u
-        if a_k == 0 and b_k == 0:
-            continue
-        r = -b_k // a_k if a_k and b_k % a_k == 0 else None  # a_k r + b_k = 0
-        if r is None or r < 1 or (r - c) % k0 or fixed not in (None, r):
-            return PI_POWER.format(k=k - shift, z=z)
-        fixed = r
-    # a r + b = g u  <=>  a r = -b  (mod |g|)
-    mod, b = abs(g), -b
-    if fixed is not None:
-        return fixed if (a * fixed - b) % mod == 0 else CONGRUENCE
-    g = math.gcd(a, mod)
-    if b % g:
+def _least_r(a: int, b: int, g: int, c: int, k0: int):
+    """Least r >= 1 with r = c (mod k0) and a r + b in g Z, g != 0; or
+    CONGRUENCE when the class holds none.  a r = -b (mod |g|) is solved by a
+    modular inverse, and then with r = c (mod k0)."""
+    mod = abs(g)
+    h = math.gcd(a, mod)
+    if b % h:
         return CONGRUENCE
-    m = mod // g
-    r0 = b // g * pow(a // g, -1, m) % m  # r = r0 (mod m)
-    g2 = math.gcd(m, k0)
-    if (c - r0) % g2:
+    m = mod // h
+    r0 = -b // h * pow(a // h, -1, m) % m  # r = r0 (mod m)
+    h = math.gcd(m, k0)
+    if (c - r0) % h:
         return CONGRUENCE
-    period = m // g2 * k0
-    r = (r0 + m * ((c - r0) // g2 * pow(m // g2, -1, k0 // g2))) % period
+    period = m // h * k0
+    r = (r0 + m * ((c - r0) // h * pow(m // h, -1, k0 // h))) % period
     return r or period
 
 
@@ -322,10 +300,19 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None, form: _Clear
     `_Cleared.at` R(c t_step), which is period_rotations[sign c % K0], and
     a^2 L is t_step times its drift.  Cleared of a, the point is a member
     iff V(c) is integral and r alpha + a^2 P(c) lies in gamma Z, with
-    alpha = a^2 (L - twist t_step) and gamma = a^2 w (`_least_r`, on the
-    ints of the three over one denominator).  The classes are taken in the
-    order of their least member, r = 1, ..., K0, and the scan stops once no
-    class can beat the best r found or `limit`.
+    alpha = a^2 (L - twist t_step) and gamma = a^2 w, polynomials in pi.
+
+    Where V(c) is rational, (b_j, c_j) is a rational multiple of a on each
+    block that R(c t_step) turns (that 2x2 map is invertible), and only
+    turned blocks feed a^2 P(c); so a^2 P(c) is a rational multiple of
+    a^2, hence of gamma, as w is rational.  Then r alpha + a^2 P(c) =
+    u gamma has a solution only if alpha is proportional to gamma: one
+    test on x, whose first failing power of pi obstructs every class with
+    an integral V(c) (in z when gamma has one nonzero row, else in a^2 z).
+    Past it, the row k of gamma's first nonzero coefficient is the one
+    congruence of each class (`_least_r`), and gives u.  The classes are
+    taken in the order of their least member, r = 1, ..., K0, and the
+    scan stops once no class can beat the best r found or `limit`.
     """
     prof = spec.profile()
     sign, k0, rotations = as_exact(x.a).sign(), prof.k0, spec.period_rotations
@@ -336,27 +323,33 @@ def _decide(x: AlgebraVector, spec: LatticeSpec, limit: int | None, form: _Clear
                    zip_longest(form.drift, poly_mul(form.a2, tw.num), fillvalue=0)]
     gamma = [u * tw.den * t0d for u in poly_mul(form.a2, w.num)]
     lift = tw.den * w.den * t0d
-    best, obstructions, residues = None, {}, {}  # residues: c -> (V(c), a^2 P(c))
+    k = next(k for k, g in enumerate(gamma) if g)  # row k gives u
+    a_k, g_k = alpha[k], gamma[k]
+    off = next((j for j, (a_j, g_j) in enumerate(zip_longest(alpha, gamma, fillvalue=0))
+                if a_j * g_k != g_j * a_k), None)  # alpha is not proportional to gamma
+    shift, z = (k, "z") if sum(map(bool, gamma)) == 1 else (0, "a^2 z")
+    pi_power = None if off is None else PI_POWER.format(k=off - shift, z=z)
+    best, obstructions, residues = None, {}, {}  # residues: c -> (V(c), row k of a^2 P(c))
     for r_min in range(1, k0 + 1):
         if (best is not None and r_min >= best) or (limit is not None and r_min > limit):
             break
         c = r_min % k0
         v, p = form.at(rotations[sign * c % k0])
-        if v is not None and v[1] == 1:
-            residues[c] = v[0], [u * lift for u in p]
-            found = _least_r(alpha, residues[c][1], gamma, c, k0)
+        if v is None or v[1] != 1:
+            obstructions[c] = V_NOT_INTEGRAL
+        elif pi_power:
+            obstructions[c] = pi_power
         else:
-            found = V_NOT_INTEGRAL
-        if isinstance(found, str):
-            obstructions[c] = found
-        elif best is None or found < best:
-            best = found
+            residues[c] = v[0], p[k] * lift
+            found = _least_r(a_k, residues[c][1], g_k, c, k0)
+            if found == CONGRUENCE:
+                obstructions[c] = found
+            elif best is None or found < best:
+                best = found
     if best is None or (limit is not None and best > limit):
         return None, None, obstructions
-    v, p = residues[best % k0]
-    k = next(k for k, g in enumerate(gamma) if g)  # row k gives u
-    u = (alpha[k] * best + p[k]) // gamma[k]
-    return best, prof.member(u, v, sign * best), obstructions
+    v, p_k = residues[best % k0]
+    return best, prof.member((a_k * best + p_k) // g_k, v, sign * best), obstructions
 
 
 def _closure(x: AlgebraVector, spec: LatticeSpec, limit: int | None = None) -> ClosureDecision:

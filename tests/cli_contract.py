@@ -43,6 +43,7 @@ DIM6_TWIST = ('{"family": "twisted", "m": "2", '
 PI_TWIST = '{"family": "twisted", "m": "pi", "base": {"family": "dim4", "k": 1, "angle": "2pi"}}'
 BIG_TWIST = ('{"family": "twisted", "m": 1000000000000000000000000000000, '
              '"base": {"family": "dim4", "k": 1, "angle": "%s"}}')
+TINY_A = '{"d": 0, "bc": [[1, 0]], "a": 1e-200}'
 RUN2_BLOCKS = "[[[0,-1,0,0],[1,0,0,0],[0,0,0.6,-0.8],[0,0,0.8,0.6]]]"
 DEPTH_64 = ('{"family": "generators", "freqs": [1], "depth": 64, "elements": '
             '[{"z": 0, "v": [1, 0], "t": 0}, {"z": 0, "v": [0, 1], "t": 0}]}')
@@ -224,6 +225,11 @@ CHECKS = (
     Check("a signed exponent is part of its coefficient, not a new term: a = 1/1000",
           ("quotient", "decide-closed", "--lattice", LATTICE, "--X", "1e-3*T"), 0,
           lambda r: r["verdicts"]["closure"] == {"kind": "closes", "r": 1}),
+    Check("a^2 underflows at a = 1e-200: the closed form still evaluates",
+          ("geodesic", "eval", "--X", TINY_A, "--s", "0..1"), 0),
+    Check("a^2 underflows at a = 1e-200: RK4 is compared with the closed form",
+          ("geodesic", "integrate", "--X", TINY_A, "--s-end", "1", "--step", "1e-2"), 0,
+          lambda r: r["verdicts"]["max_error_vs_closed_form"] <= 1e-6),
 )
 
 

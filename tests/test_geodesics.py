@@ -494,9 +494,10 @@ def reference_flow(x: AlgebraVector, s: float, freqs: FrequencyList) -> list[flo
 
     th = lambda_j a s, (x_j, y_j) = M(th) (b_j, c_j) / (a lambda_j), t = a s,
     and z = d s plus, block by block, the docstring's two z terms over one
-    denominator: (b_j^2 + c_j^2) (th - sin th) / (2 lambda_j^2 a^2).  cos th
-    - 1 is taken as -2 sin(th/2)^2, free of cancellation near th = 0.  For
-    a = 0 the curve is the line (d s, (b_j s, c_j s), 0).
+    denominator: (b_j^2 + c_j^2) (th - sin th) / (2 lambda_j^2 a^2), divided
+    in two steps where that denominator underflows.  cos th - 1 is taken as
+    -2 sin(th/2)^2, free of cancellation near th = 0.  For a = 0 the curve
+    is the line (d s, (b_j s, c_j s), 0).
     """
     d, a = float(x.d), float(x.a)
     bcs = [(float(b), float(c)) for b, c in x.bc]
@@ -508,7 +509,11 @@ def reference_flow(x: AlgebraVector, s: float, freqs: FrequencyList) -> list[flo
         sin, cosm1 = math.sin(th), -2.0 * math.sin(th / 2.0) ** 2
         for m_b, m_c in ((sin, cosm1), (-cosm1, sin)):  # the rows of M(th)
             v.append((m_b * b + m_c * c) / (a * lam))
-        z += (b * b + c * c) * (th - sin) / (2.0 * lam * lam * a * a)
+        bc2, den = b * b + c * c, 2.0 * lam * lam * a * a
+        if den:
+            z += bc2 * (th - sin) / den
+        else:  # a^2 underflows: the same quotient over (a lambda) (2 lambda a)
+            z += bc2 * (th - sin) / (a * lam) / (2.0 * lam * a)
     return [z, *v, a * s]
 
 
@@ -535,11 +540,23 @@ def float_flow_inputs(draw):
 @given(float_flow_inputs(), st.floats(-50, 50))
 # sin(th/2) ** 2 and sin(th/2) * sin(th/2) differ in the last bit at th = s here
 @example((AlgebraVector(0.0, [(0.0, 1.0)], 1.0), F1), 9.939544823554684)
+@example((AlgebraVector(0.0, [(1.0, 0.0)], 1e-200), F1), 0.5)
+@example((AlgebraVector(0.0, [(1.0, -2.0)], 1e-200), F1), 1e200)  # th = 1: z overflows
 def test_closed_form_is_bit_identical_to_the_plain_form(args, s):
     x, freqs = args
-    # below |a| ~ 1e-154, a^2 underflows and both divide by zero
+    # below |a| ~ 1e-154, a^2 underflows and both divide by (a lambda) (2 lambda a)
     assert (outcome_bits(lambda: eval_geodesic(Geodesic(x, freqs), s).coords())
             == outcome_bits(lambda: reference_flow(x, s, freqs)))
+
+
+@pytest.mark.parametrize("a", [1e-200, -1e-200, 5e-170, 1e-300])
+def test_closed_form_with_a_below_the_square_range(a):
+    # a^2 underflows to 0: the point is still the closed form's, next to the
+    # line (d s, (b s, c s), a s) since th = a s is far below one ulp of 1
+    x = AlgebraVector(0.5, [(1.0, -2.0)], a)
+    for s in (0.0, 0.5, 1.0, -3.0):
+        point = eval_geodesic(Geodesic(x, F1), s).coords()
+        assert point == pytest.approx([0.5 * s, s, -2.0 * s, a * s], rel=1e-15, abs=0)
 
 
 class TestOneParameterLaw:
@@ -582,6 +599,21 @@ class TestConstantSpeed:
             ]
             an = eval_geodesic_velocity(geo, s)
             assert max(abs(a - b) for a, b in zip(fd, an)) < 1e-7
+
+    @pytest.mark.parametrize("x", [
+        AlgebraVector(0.3, [(1.2, -0.7), (0.0, 2.5)], 0.0),
+        AlgebraVector(-1.5, [(0.0, 0.0), (-4.0, 0.25)], 0),
+    ])
+    def test_line_velocity_is_constant(self, x):
+        # a = 0: the curve is the line (d s, (b_j s, c_j s), 0), whose velocity is x
+        geo = Geodesic(x, FrequencyList([1, 3]))
+        line = [float(x.d), *[float(e) for pair in x.bc for e in pair], 0.0]
+        h = 1e-3
+        for s in (0.0, 1.3, -2.0):
+            assert eval_geodesic_velocity(geo, s) == line
+            fd = [(p - m) / (2 * h) for p, m in zip(
+                eval_geodesic(geo, s + h).coords(), eval_geodesic(geo, s - h).coords())]
+            assert fd == pytest.approx(line, abs=1e-12)
 
 
 class TestMetric:

@@ -934,6 +934,22 @@ class TestApplyIsometry:
             assert f.at(g, F1) == value
             assert apply_isometry(f, g, F1) == value
 
+    def test_theta_compares_and_hashes_by_value(self):
+        reflection = Theta([[[1, 0], [0, -1]]])
+        same = Theta([np.diag([1.0, -1.0])])
+        assert reflection == same and hash(reflection) == hash(same)
+        assert reflection != Theta([np.diag([-1.0, 1.0])])
+        assert reflection != Theta([np.diag([1.0, -1.0])], normalized=True)
+        assert Theta([np.eye(2)]) != Theta([np.eye(2), np.eye(2)])
+        # -0.0 and 0.0 are one value
+        signed_zero = Theta([[[1.0, -0.0], [0.0, -1.0]]])
+        assert signed_zero == reflection and hash(signed_zero) == hash(reflection)
+        # so a Composite holding a Theta is a key
+        h = GroupElement(0, (1, 0), HALF_PI)
+        verdicts = {Composite([LeftTranslation(h), reflection]): "kept"}
+        assert verdicts[Composite([LeftTranslation(h), signed_zero])] == "kept"
+        assert Composite([reflection, LeftTranslation(h)]) not in verdicts
+
 
 class TestAutIntersection:
     def test_identity_blocks(self):

@@ -494,6 +494,14 @@ class TestGeneratorList:
         with pytest.raises(MembershipUndecidable, match=f"{lattices.MAX_WORDS} words"):
             spec.contains(GroupElement(0, (1, 1), 0))
 
+    def test_an_exhausted_subgroup_decides_non_membership(self):
+        # the identity generates {e}: the first word length adds nothing new,
+        # so every other element is decided outside, at any depth
+        spec = GeneratorList(FrequencyList([1]), [GroupElement.identity(1)], depth=64)
+        assert spec.contains(GroupElement.identity(1))
+        for g in (GroupElement(0, (1, 0), 0), GroupElement(Fraction(1, 2), (0, 0), TWO_PI)):
+            assert spec.contains(g) is False
+
     def test_out_of_reach_raises(self):
         spec = self.spec()
         with pytest.raises(MembershipUndecidable):

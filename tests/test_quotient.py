@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from oscgeo import geodesics, quotient
 from oscgeo.algebra import AlgebraVector, CausalClass, causal_class, causal_quantity
-from oscgeo.exact import ExactScalar, PI, as_exact, rational_ratio
+from oscgeo.exact import ExactScalar, PI, as_exact, poly_mul, rational_ratio
 from oscgeo.geodesics import Geodesic, _Cleared, eval_geodesic, eval_geodesic_exact, exp_preimage
 from oscgeo.group import (
     GroupElement, conjugate, max_coord_dist, multiply, rotate_pairs, rotation,
@@ -413,8 +414,49 @@ def test_decide_closed_matches_the_per_candidate_loop(data):
         assert _reference_search(x, spec, 4 * spec.profile().k0 + 40) is None
 
 
+def _reference_least_r(slope: list, p: list, w: list, c: int, k0: int):
+    """Least r >= 1 with r = c (mod k0) and r slope + p in w Z, for
+    polynomials in pi on int coefficients over one denominator, w nonzero,
+    by elimination across the rows; or the reason there is none.
+
+    Row k reads slope_k r + p_k = w_k u, u an integer.  The first row with
+    w_k != 0 gives u; eliminated from every other row, it leaves one linear
+    equation in r, which fixes r or rules the class out.  The row of u is a
+    linear congruence, solved with r = c (mod k0) by modular inverses.
+    """
+    rows = list(zip_longest(slope, p, w, fillvalue=0))
+    k_u = next(k for k, row in enumerate(rows) if row[2])
+    a, b, g = rows[k_u]
+    shift, z = (k_u, "z") if sum(map(bool, w)) == 1 else (0, "a^2 z")
+    fixed = None
+    for k, (a_k, b_k, g_k) in enumerate(rows):
+        a_k, b_k = a_k * g - g_k * a, b_k * g - g_k * b  # u eliminated; 0 at k_u
+        if a_k == 0 and b_k == 0:
+            continue
+        r = -b_k // a_k if a_k and b_k % a_k == 0 else None  # a_k r + b_k = 0
+        if r is None or r < 1 or (r - c) % k0 or fixed not in (None, r):
+            return quotient.PI_POWER.format(k=k - shift, z=z)
+        fixed = r
+    # a r + b = g u  <=>  a r = -b  (mod |g|)
+    mod, b = abs(g), -b
+    if fixed is not None:
+        return fixed if (a * fixed - b) % mod == 0 else quotient.CONGRUENCE
+    g = math.gcd(a, mod)
+    if b % g:
+        return quotient.CONGRUENCE
+    m = mod // g
+    r0 = b // g * pow(a // g, -1, m) % m  # r = r0 (mod m)
+    g2 = math.gcd(m, k0)
+    if (c - r0) % g2:
+        return quotient.CONGRUENCE
+    period = m // g2 * k0
+    r = (r0 + m * ((c - r0) // g2 * pow(m // g2, -1, k0 // g2))) % period
+    return r or period
+
+
 def _reference_decide(x, spec, limit=None):
-    """`quotient._decide` on the ExactScalar form of the closed form."""
+    """`quotient._decide` on the ExactScalar form of the closed form, with
+    the row elimination in place of its one test and one congruence."""
     prof, freqs, a = spec.profile(), spec.freqs, as_exact(x.a)
     sign, k0 = a.sign(), prof.k0
     t_step = prof.t0 * sign
@@ -430,7 +472,7 @@ def _reference_decide(x, spec, limit=None):
         rot = rotation(t_step * c, freqs)
         v, p = residues[c] = reference_oscillation(a, bcs, bc2s, rot, freqs)
         integral = v is not None and v[1] == 1
-        found = (_least_r(*_over_one_den(alpha, p, gamma), c, k0) if integral
+        found = (_reference_least_r(*_over_one_den(alpha, p, gamma), c, k0) if integral
                  else quotient.V_NOT_INTEGRAL)
         if isinstance(found, str):
             obstructions[c] = found
@@ -458,6 +500,33 @@ def test_decision_matches_the_exact_scalar_reference(data):
             assert decision.obstructions == tuple(sorted(obstructions.items()))
         else:
             assert decision.certificate.lattice_point == member
+
+
+QUARTER_TURNS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_oscillation_is_a_multiple_of_gamma_wherever_v_is_rational(data):
+    # the invariant `_decide` rests on: where `_Cleared.at` finds v rational,
+    # (b_j, c_j) is a rational multiple of a on each turned block, so a^2 P
+    # is a rational multiple of a^2 w (gamma) coefficient by coefficient
+    spec = data.draw(search_specs)
+    freqs, w = spec.freqs, spec.profile().central_w
+    scale = data.draw(st.sampled_from([ExactScalar(1), PI, 1 + PI, PI * PI - 2]))
+    x = data.draw(exact_velocities(freqs, spec.profile().twist) | st.builds(
+        lambda a, bc, d: AlgebraVector(d, [(scale * b, scale * c) for b, c in bc], scale * a),
+        nonzero, st.lists(st.tuples(small, small), min_size=freqs.n, max_size=freqs.n),
+        st.builds(ExactScalar, small, small)))
+    form = _Cleared(x, freqs)
+    gamma = poly_mul(form.a2, w.num)  # a^2 w times w's denominator
+    k = next(k for k, g in enumerate(gamma) if g)
+    rot = data.draw(st.lists(st.sampled_from(QUARTER_TURNS), min_size=freqs.n, max_size=freqs.n))
+    for rots in (spec.period_rotations + (tuple(rot),)):
+        v, p = form.at(rots)
+        if v is not None:
+            rows = zip_longest(p, gamma, fillvalue=0)
+            assert all(p_j * gamma[k] == g_j * p[k] for p_j, g_j in rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -493,33 +562,47 @@ def test_exact_input_never_takes_the_float_search(data):
         decide_closed(x, spec)
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-30, 30), b=st.integers(-30, 30), g=st.integers(-12, 12).filter(bool),
+       k0=st.integers(1, 6), data=st.data())
+def test_least_r_is_the_first_r_of_the_class(a, b, g, k0, data):
+    c = data.draw(st.integers(0, k0 - 1))
+    _assert_least_r_by_brute_force(a, b, g, c, k0)
+
+
+def _assert_least_r_by_brute_force(a, b, g, c, k0):
+    # a r + b in g Z has period |g| in r, so r = 1..|g| k0 spans a whole
+    # period of the class r = c (mod k0): its least member, or none
+    found = _least_r(a, b, g, c, k0)
+    hits = [r for r in range(1, abs(g) * k0 + 1) if r % k0 == c and (a * r + b) % g == 0]
+    assert found == (hits[0] if hits else quotient.CONGRUENCE)
+    return found
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     slope=st.builds(ExactScalar, small, small), p=st.builds(ExactScalar, small, small),
     z_step=st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6),
     k0=st.integers(1, 4), data=st.data(),
 )
-def test_least_r_is_the_first_r_of_the_class(slope, p, z_step, k0, data):
+def test_reference_row_elimination_is_the_first_r_of_the_class(slope, p, z_step, k0, data):
+    # the reference of `_decide` against brute force, on rows in pi
     c = data.draw(st.integers(0, k0 - 1))
-    _assert_least_r_by_brute_force(slope, p, z_step, c, k0)
+
+    def member(r):
+        z = slope * r + p
+        return z.degree() <= 0 and (z.to_fraction() / z_step).denominator == 1
+
+    found = _reference_least_r(*_over_one_den(slope, p, as_exact(z_step)), c, k0)
+    bound = found if isinstance(found, int) else 2000
+    hits = [r for r in range(1, bound + 1) if r % k0 == c and member(r)]
+    assert hits[:1] == ([found] if isinstance(found, int) else [])
 
 
 def _over_one_den(*scalars):
     """The int coefficients of each ExactScalar over their common denominator."""
     den = math.lcm(*[x.den for x in scalars])
     return [[c * (den // x.den) for c in x.num] for x in scalars]
-
-
-def _assert_least_r_by_brute_force(slope, p, z_step, c, k0):
-    def member(r):
-        z = slope * r + p
-        return z.degree() <= 0 and (z.to_fraction() / z_step).denominator == 1
-
-    found = _least_r(*_over_one_den(slope, p, as_exact(z_step)), c, k0)
-    bound = found if isinstance(found, int) else 2000
-    hits = [r for r in range(1, bound + 1) if r % k0 == c and member(r)]
-    assert hits[:1] == ([found] if isinstance(found, int) else [])
-    return found
 
 
 @settings(max_examples=100, deadline=None)
@@ -562,7 +645,7 @@ def test_first_mu_far_from_zero_takes_logarithmically_many_sign_checks(
 
 @pytest.mark.parametrize("case, expected", [
     # 2r + 1 lies in 4Z for no r: the congruence has no solution
-    (("least_r", 1, Fraction(1, 2), 2, 0, 1), quotient.CONGRUENCE),
+    (("least_r", 2, 1, 4, 0, 1), quotient.CONGRUENCE),
     # the class r = 1 (mod 2) holds no r with r in 2Z
     (("least_r", 1, 0, 2, 1, 2), quotient.CONGRUENCE),
     # the float guess 10.999999999999998 is corrected up by one
@@ -574,8 +657,7 @@ def test_first_mu_far_from_zero_takes_logarithmically_many_sign_checks(
 def test_decision_branches_match_brute_force(case, expected):
     name, *args = case
     if name == "least_r":
-        slope, p, z_step, c, k0 = args
-        got = _assert_least_r_by_brute_force(as_exact(slope), as_exact(p), Fraction(z_step), c, k0)
+        got = _assert_least_r_by_brute_force(*args)
     else:
         got = _assert_first_mu_by_brute_force(*args)
     assert got == expected
