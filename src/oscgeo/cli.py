@@ -514,10 +514,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliParseError(message, *self.prog.split()[1:])
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb in VERBS, built on first use and then shared:
     parsing does not change it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The nested parser (oscgeo GROUP VERB ...) and its leaf parsers keyed by
+    (group, verb)."""
     parser = _Parser(
         prog="oscgeo",
         description="Oscillator-group geometry: geodesics, lattices, isometries.",
@@ -529,19 +535,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     parser.set_defaults(**PARSER_DEFAULTS)
     groups = parser.add_subparsers(dest="group", required=True)
-    verbs = {}
+    verbs, leaves = {}, {}
     for (group, verb), (_, options) in VERBS.items():
         if group not in verbs:
             verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
-        leaf = verbs[group].add_parser(verb, parents=[common])
+        leaf = leaves[group, verb] = verbs[group].add_parser(verb, parents=[common])
         for flag, kwargs in options:
             leaf.add_argument(flag, **kwargs)
-    return parser
+    return parser, leaves
+
+
+def _parse(argv: list) -> tuple[argparse.Namespace, list]:
+    """(args, unrecognized strings) as the nested parser reads argv.  A known
+    group and verb go to that verb's parser alone: the outer levels own no
+    option but -h and pass later strings on untouched, and no leaf sets group,
+    verb, seed or output unless given.  Any other argv takes the nested parser."""
+    parser, leaves = _parsers()
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return parser.parse_known_args(argv)
+    namespace = argparse.Namespace(**PARSER_DEFAULTS, group=argv[0], verb=argv[1])
+    return leaf.parse_known_args(argv[2:], namespace)
 
 
 def main(argv=None) -> int:
     try:
-        args, unknown = build_parser().parse_known_args(argv)
+        args, unknown = _parse(sys.argv[1:] if argv is None else list(argv))
         # argparse reads "--flag=--" as an empty list of values: refuse it too
         unknown += [f"--{name.replace('_', '-')}=--" for name, v in vars(args).items() if v == []]
         if unknown:

@@ -24,7 +24,9 @@ signed quarter turn per block, with cos and sin in {0, 1, -1}, so
 arithmetic: the pairing v1^T J R(t1) v2 is one int sum added to z as
 pair / (2 d1 d2), z and t are summed on their ints, and v1 + R(t1) v2 is
 n1 d2 + n2 d1 over d1 d2 (n1 + n2 over d when d1 == d2), reduced by one
-gcd.  Float arithmetic keeps its operation order.
+gcd.  Floats take two one-pass kernels on tuples, `_product` and `_inverse`:
+per block R(t1) v2 = (c x - s y, s x + c y) with c, s of lambda_i t1 from
+`math`, the pairing summed as (pair + x1 ry) - y1 rx, z = (z1 + z2) + pair / 2.
 
 Conjugation has the closed form, for h = (a, u, s) and g = (z, v, t),
 
@@ -35,7 +37,8 @@ which exact `conjugate` evaluates in one int pass: with u = un / du,
 v = vn / dv, rv = R(s) vn and ru = R(t) un, the int
 du <un, rv> - dv <un, ru> - du <rv, ru> (<x, y> = x^T J y) is added to z
 over 2 du^2 dv, and v is un dv + rv du - ru dv over du dv, reduced by one
-gcd.  Floats keep the composed form (h g) h^(-1) and its operation order.
+gcd.  Floats keep the composed form (h g) h^(-1), formed on the kernels'
+tuples.
 """
 
 from __future__ import annotations
@@ -105,13 +108,28 @@ def rotation(t, freqs: FrequencyList) -> tuple:
     return tuple([(math.cos(lam * tf), math.sin(lam * tf)) for lam in freqs.floats])
 
 
-def _symplectic_pairing(u: Sequence, w: Sequence):
-    """u^T J w for floats, summed term by term in index order: the terms
-    are u_2i w_2i+1 and -(u_2i+1 w_2i), so adding the second subtracts."""
-    total = u[0] * w[1] - u[1] * w[0]
-    for a, b, x, y in zip(u[2::2], u[3::2], w[2::2], w[3::2]):
-        total = total + a * y - b * x
-    return total
+def _product(z1: float, v1: tuple, t1: float, z2: float, v2: tuple, t2: float,
+             lams: tuple) -> tuple:
+    """(z, v, t) of (z1, v1, t1)(z2, v2, t2) on floats, one pass over the blocks."""
+    pair, v = -0.0, []  # -0.0 + x is x, signed zeros too
+    for lam, x1, y1, x, y in zip(lams, v1[0::2], v1[1::2], v2[0::2], v2[1::2]):
+        angle = lam * t1
+        c, s = math.cos(angle), math.sin(angle)
+        rx, ry = c * x - s * y, s * x + c * y
+        pair = (pair + x1 * ry) - y1 * rx
+        v += (x1 + rx, y1 + ry)
+    return (z1 + z2) + pair / 2, tuple(v), t1 + t2
+
+
+def _inverse(z: float, v: tuple, t: float, lams: tuple) -> tuple:
+    """(z, v, t)^(-1) = (-z, -R(-t) v, -t) on floats, one pass over the blocks."""
+    t = -t
+    out = []
+    for lam, x, y in zip(lams, v[0::2], v[1::2]):
+        angle = lam * t
+        c, s = math.cos(angle), math.sin(angle)
+        out += (-(c * x - s * y), -(s * x + c * y))
+    return -z, tuple(out), t
 
 
 def int_pairing(u: Sequence[int], w: Sequence[int]) -> int:
@@ -286,11 +304,9 @@ def _check_pair(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> Non
 
 def multiply(g1: GroupElement, g2: GroupElement, freqs: FrequencyList) -> GroupElement:
     _check_pair(g1, g2, freqs)
-    z = g1.z + g2.z
     if g1.num is None:
-        rv2 = rotate_pairs(rotation(g1.t, freqs), g2._v)
-        z = z + _symplectic_pairing(g1._v, rv2) / 2
-        return GroupElement._of(z, tuple([a + b for a, b in zip(g1._v, rv2)]), g1.t + g2.t)
+        return GroupElement._of(*_product(g1.z, g1._v, g1.t, g2.z, g2._v, g2.t, freqs.floats))
+    z = g1.z + g2.z
     n1, d1, d2 = g1.num, g1.den, g2.den
     rn2 = rotate_pairs(rotation(g1.t, freqs), g2.num)
     pair = int_pairing(n1, rn2)
@@ -307,9 +323,9 @@ def invert(g: GroupElement, freqs: FrequencyList) -> GroupElement:
     """(z, v, t)^(-1) = (-z, -R(-t) v, -t)."""
     if g.n != freqs.n:
         raise ValueError("group element dimension does not match frequencies")
-    r = rotation(-g.t, freqs)
     if g.num is None:
-        return GroupElement._of(-g.z, tuple([-x for x in rotate_pairs(r, g._v)]), -g.t)
+        return GroupElement._of(*_inverse(g.z, g._v, g.t, freqs.floats))
+    r = rotation(-g.t, freqs)
     return GroupElement._exact(-g.z, tuple([-x for x in rotate_pairs(r, g.num)]), g.den, -g.t)
 
 
@@ -318,7 +334,9 @@ def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupEl
     composed product on floats."""
     _check_pair(h, g, freqs)
     if h.num is None:
-        return multiply(multiply(h, g, freqs), invert(h, freqs), freqs)
+        lams = freqs.floats
+        hg = _product(h.z, h._v, h.t, g.z, g._v, g.t, lams)
+        return GroupElement._of(*_product(*hg, *_inverse(h.z, h._v, h.t, lams), lams))
     un, du, vn, dv = h.num, h.den, g.num, g.den
     rv = rotate_pairs(rotation(h.t, freqs), vn)
     ru = rotate_pairs(rotation(g.t, freqs), un)

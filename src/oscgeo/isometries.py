@@ -21,8 +21,8 @@ validator reports both outcomes instead of silently preferring either.
 Each map descriptor (`Theta`, `Inversion`, `LeftTranslation`, `Inner`,
 `Composite`) evaluates itself with `at(g, freqs)`; `apply_isometry` is that
 call.  `Theta` is the one way to evaluate theta(B): it checks its blocks
-against the runs once per frequency list, and exact points read blocks
-rationalised once per `Theta`.
+against the runs once per frequency list; float points take numpy products,
+and exact points int arithmetic on blocks rationalised once per `Theta`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .group import (
     invert,
     max_coord_dist,
     multiply,
+    rotate_pairs,
     rotation,
 )
 
@@ -219,49 +220,61 @@ def semidirect_product(x, y, freqs: FrequencyList):
 # -- the theta maps -----------------------------------------------------------
 
 
-def _rational_block(b: np.ndarray) -> np.ndarray:
+def _rational_block(b: np.ndarray) -> tuple[list, int]:
+    """The block as int rows over one denominator; each entry must lie within
+    1e-14 of its nearest rational of denominator at most 10^12."""
     rb = [[Fraction(x).limit_denominator(10**12) for x in row] for row in b]
     if any(abs(float(x) - float(y)) > 1e-14 for row, rrow in zip(b, rb)
            for x, y in zip(row, rrow)):
         raise ValueError("exact theta needs rational blocks")
-    return np.array(rb, dtype=object)
+    den = math.lcm(*[x.denominator for row in rb for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rb], den
 
 
 def _theta(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool, act):
     """v -> act(S, v) per equal-frequency run of multiplicity m, with
-    S = P^T B P and P = blockdiag(P(t)) of m copies of the 2x2 block, in the
-    arithmetic of g: float blocks for a float g, Fraction blocks for an
-    exact one.  Floats divide P by sqrt(2 - 2 cos) when normalized; exact
-    points divide S by 2 - 2 cos, which keeps S rational on the quarter
-    turns of the table `rotation` reads.
+    S = P^T B P and P = blockdiag(P(t)) of m copies of the 2x2 block, for a
+    float g; normalized divides P by sqrt(2 - 2 cos).  The products stay
+    numpy's: a plain-Python sum rounds differently.
     """
-    exact = g.is_exact()
-    dtype = object if exact else float
     cos_sin = rotation(g.t, freqs)
-    v = np.array(g.v, dtype=dtype)
+    v = np.array(g.v, dtype=float)
     out = np.empty_like(v)
     for (_, sl), b in zip(_run_slices(freqs), blocks):
         c, s = cos_sin[sl.start // 2]
-        scale = 1
         if math.isclose(c, 1.0, abs_tol=1e-15):  # the branch value at the special angles
-            p2 = np.eye(2, dtype=dtype)
+            p2 = np.eye(2)
         else:
-            p2 = np.array([[s, 1 - c], [-1 + c, s]], dtype=dtype)
-            if normalized and exact:
-                scale = 2 - 2 * c
-            elif normalized:
+            p2 = np.array([[s, 1 - c], [-1 + c, s]], dtype=float)
+            if normalized:
                 p2 = p2 / math.sqrt(2.0 - 2.0 * c)
         p = p2
         size = sl.stop - sl.start
         if size > 2:
-            p = np.zeros((size, size), dtype)
+            p = np.zeros((size, size))
             for k in range(0, size, 2):
                 p[k: k + 2, k: k + 2] = p2
-        pbp = p.T @ b @ p
-        out[sl] = act(pbp if scale == 1 else pbp / scale, v[sl])
-    if exact:
-        return GroupElement(g.z, out.tolist(), g.t)
-    return GroupElement._of(float(g.z), tuple(out.tolist()), float(g.t))
+        out[sl] = act(p.T @ b @ p, v[sl])
+    return GroupElement._of(g.z, tuple(out.tolist()), g.t)
+
+
+def _theta_exact(blocks, g: GroupElement, freqs: FrequencyList, normalized: bool):
+    """theta(B)(g) for an exact g, blocks from `_rational_block`: per run,
+    P(t) on each pair of g's int numerators, then B, then P(t)^T, over den(B)
+    and, when normalized, 2 - 2 cos.  Block (i, j) of S = P^T B P is
+    P2^T B_ij P2, so this is S v exactly."""
+    cos_sin = rotation(g.t, freqs)
+    parts = []
+    for (_, sl), (rows, den) in zip(_run_slices(freqs), blocks):
+        c, s = cos_sin[sl.start // 2]
+        p, scale = ((1, 0), 1) if c == 1 else ((s, c - 1), 2 - 2 * c if normalized else 1)
+        m = (sl.stop - sl.start) // 2
+        pv = rotate_pairs((p,) * m, g.num[sl])  # P2 = [[s, 1 - c], [c - 1, s]] per pair
+        bpv = [sum([x * y for x, y in zip(row, pv)]) for row in rows]
+        parts.append((rotate_pairs(((p[0], -p[1]),) * m, bpv), den * scale))
+    common = math.lcm(*[d for _, d in parts])
+    num = tuple([x * (common // d) for part, d in parts for x in part])
+    return GroupElement._exact(g.z, num, g.den * common, g.t)
 
 
 def theta_differential_at_identity(
@@ -381,11 +394,12 @@ class Theta:
         if g.n != freqs.n:
             raise ValueError("element does not match frequencies")
         blocks = self._fitted(freqs)
-        if g.is_exact():
-            blocks, refusal = self._exact_blocks
-            if refusal:
-                raise ValueError(refusal)  # afresh: no traceback grows over a grid
-        return _theta(blocks, g, freqs, self.normalized, np.matmul)
+        if not g.is_exact():
+            return _theta(blocks, g, freqs, self.normalized, np.matmul)
+        blocks, refusal = self._exact_blocks
+        if refusal:
+            raise ValueError(refusal)  # afresh: no traceback grows over a grid
+        return _theta_exact(blocks, g, freqs, self.normalized)
 
     @cached_property
     def _exact_blocks(self):  # (rational blocks, None) or (None, the refusal's text)
@@ -561,9 +575,12 @@ def structure_relations_check(
         theta_inv = lambda g, freqs: _theta(blocks, g, freqs, False, np.linalg.solve)
     conjugated = [theta.at(conjugate(h, theta_inv(x, freqs), freqs), freqs) for x in points]
     inverses = [invert(x, freqs) for x in points]
+    rhs_i = [conjugate(h_conj, x, freqs) for x in points]
+    # det(B) > 0 makes h_adj h_conj, so the variant's right sides are those of (i)
+    rhs_adj = rhs_i if det_sign > 0 else [conjugate(h_adj, x, freqs) for x in points]
     sides = {  # relation -> (left sides, right sides) at the points
-        "i": (conjugated, [conjugate(h_conj, x, freqs) for x in points]),
-        "i_orientation_adjusted": (conjugated, [conjugate(h_adj, x, freqs) for x in points]),
+        "i": (conjugated, rhs_i),
+        "i_orientation_adjusted": (conjugated, rhs_adj),
         "ii": (
             [invert(conjugate(h, y, freqs), freqs) for y in inverses],
             [conjugate(h, x, freqs) for x in points],

@@ -25,6 +25,7 @@ from oscgeo.lattices import Dim4Family, Dim6Family, ProductWithLine, Twisted
 from oscgeo.normalizers import in_normalizer, normalizer_oracle
 from oscgeo.quotient import ClosedGeodesicCertificate, search_closed
 
+from cli_contract import CHECKS
 from test_isometries import pair_swap
 
 LATTICE = "dim4:k=1:angle=2pi"
@@ -946,6 +947,60 @@ class TestSharedParser:
         code, rep = run_cli(capsys, *argv)
         assert code == 0 and rep["exact"] is True and rep["seed"] == 0
         assert not out.exists()
+
+
+# -- routing: a known group and verb is parsed by its verb's parser alone ---------
+
+ROUTED_ARGV = (
+    *(list(check.argv) for check in CHECKS),
+    *([group, verb, "--help"] for group, verb in VERBS),
+    ["--help"], ["lattice", "--help"],
+    ["--seed", "3", "lattice", "info", "--lattice", LATTICE],
+    ["lattice", "bogus"], ["lattice"], [],
+    ["lattice", "info", "--lat", LATTICE, "--seed", "3"],
+    ["lattice", "info", "--lattice=--"],
+    ["quotient", "classify", "--lattice", LATTICE, "--bogus", "3"],
+    ["quotient", "classify", "--lattice", LATTICE, "--", "--seed", "3"],
+    ["quotient", "classify", "--", "--lattice", LATTICE],
+)
+
+
+def _outcome(capsys, argv):
+    """Exit code and report without its timestamp, or the printed help text."""
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return code, out
+    report.pop("timestamp")
+    return code, report
+
+
+@pytest.mark.parametrize("argv", ROUTED_ARGV, ids=lambda argv: " ".join(argv[:3]))
+def test_routing_matches_the_nested_parser(capsys, monkeypatch, argv):
+    routed = _outcome(capsys, argv)
+    parser = build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))  # every argv nested
+    assert _outcome(capsys, argv) == routed
+
+
+def test_routing_edge_cases(capsys):
+    code, rep = _outcome(capsys, ["--seed", "3", "lattice", "info", "--lattice", LATTICE])
+    assert code == 2 and "argument group: invalid choice: '3'" in rep["diagnostics"][0]
+    assert _outcome(capsys, ["lattice", "bogus"])[0] == 2
+    assert _outcome(capsys, ["lattice"])[0] == 2
+    code, rep = _outcome(capsys, ["lattice", "info", "--lat", LATTICE, "--seed", "3"])
+    assert code == 0 and rep["seed"] == 3
+
+
+def test_a_known_verb_skips_the_outer_parsers(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nested parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    code, rep = _outcome(capsys, ["quotient", "classify", "--lattice", LATTICE, "--seed", "4"])
+    assert code == 0 and rep["command"] == "quotient classify" and rep["seed"] == 4
 
 
 # -- fuzzing the command line from the verb table --------------------------------

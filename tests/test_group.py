@@ -534,6 +534,76 @@ def test_float_law_is_bitwise_the_reference_formulas(data):
     assert _coord_hexes(conjugate(gh, gg, fl)) == _coord_hexes(composed)
 
 
+# -- the float kernels against the pairwise law they replaced -----------------------
+# multiply, invert and the composed conjugate as they read before the one-pass
+# kernels, verbatim: R(t) from `rotation`, applied by `rotate_pairs`, and the
+# pairing summed term by term
+
+
+def _pairwise_symplectic_pairing(u, w):
+    total = u[0] * w[1] - u[1] * w[0]
+    for a, b, x, y in zip(u[2::2], u[3::2], w[2::2], w[3::2]):
+        total = total + a * y - b * x
+    return total
+
+
+def _pairwise_multiply(g1, g2, freqs):
+    z = g1.z + g2.z
+    rv2 = rotate_pairs(rotation(g1.t, freqs), g2._v)
+    z = z + _pairwise_symplectic_pairing(g1._v, rv2) / 2
+    return GroupElement._of(z, tuple([a + b for a, b in zip(g1._v, rv2)]), g1.t + g2.t)
+
+
+def _pairwise_invert(g, freqs):
+    r = rotation(-g.t, freqs)
+    return GroupElement._of(-g.z, tuple([-x for x in rotate_pairs(r, g._v)]), -g.t)
+
+
+def _pairwise_conjugate(h, g, freqs):
+    return _pairwise_multiply(_pairwise_multiply(h, g, freqs), _pairwise_invert(h, freqs), freqs)
+
+
+# n = 1..4 with repeated and fractional frequencies
+kernel_freq_lists = st.lists(
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(1, 3)]),
+    min_size=1, max_size=4,
+).map(FrequencyList)
+SPECIAL_COORDS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, math.nan, math.inf, -math.inf, 5e-324]
+)
+
+
+@st.composite
+def wild_float_elements(draw, fl):
+    """Finite coordinates, up to three of them then replaced by any float:
+    a reassociated sum shows only where the terms are finite."""
+    coords = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * fl.n + 2, max_size=2 * fl.n + 2))
+    for i, x in draw(st.lists(st.tuples(st.integers(0, 2 * fl.n + 1), SPECIAL_COORDS),
+                              max_size=3)):
+        coords[i] = x
+    return GroupElement(coords[0], coords[1:-1], coords[-1])
+
+
+def _bits(f):
+    """The coordinates' float.hex, so that nan and -0.0 count, or the error
+    raised (cos of an infinite angle is a ValueError)."""
+    try:
+        g = f()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return _coord_hexes(g)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_float_kernels_are_bitwise_the_pairwise_law(data):
+    fl = data.draw(kernel_freq_lists)
+    h, g = data.draw(wild_float_elements(fl)), data.draw(wild_float_elements(fl))
+    assert _bits(lambda: multiply(h, g, fl)) == _bits(lambda: _pairwise_multiply(h, g, fl))
+    assert _bits(lambda: invert(h, fl)) == _bits(lambda: _pairwise_invert(h, fl))
+    assert _bits(lambda: conjugate(h, g, fl)) == _bits(lambda: _pairwise_conjugate(h, g, fl))
+
+
 # -- the int-scaled exact v ---------------------------------------------------------
 
 # rationals as (numerator, denominator) pairs, with a common factor kept in

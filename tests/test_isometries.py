@@ -394,8 +394,8 @@ class TestStructureRelations:
             with pytest.raises(ValueError, match="theta blocks must be finite"):
                 structure_relations_check([b], (1.0, 0.0), 1.0, F1, normalized=normalized)
 
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_each_map_runs_once_per_sample(self, monkeypatch, normalized):
+    @staticmethod
+    def _calls(monkeypatch, b, normalized):
         calls = {"_theta": 0, "conjugate": 0, "invert": 0}
 
         def counting(name):
@@ -409,10 +409,21 @@ class TestStructureRelations:
 
         for name in calls:
             monkeypatch.setattr(isometries, name, counting(name))
-        b = np.array([[0.6, -0.8], [0.8, 0.6]])
         structure_relations_check([b], (1.0, 0.5), 0.9, F1, normalized=normalized)
-        # (i) and its orientation-adjusted variant share their left sides,
-        # (ii) and (iii) share x^-1; theta^-1 runs through the same _theta
+        return calls
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_each_map_runs_once_per_sample(self, monkeypatch, normalized):
+        calls = self._calls(monkeypatch, np.array([[0.6, -0.8], [0.8, 0.6]]), normalized)
+        # (i) and its orientation-adjusted variant share their left sides, and
+        # with det(B) > 0 their right sides too; (ii) and (iii) share x^-1;
+        # theta^-1 runs through the same _theta
+        assert calls == {"_theta": 4 * 12, "conjugate": 4 * 12, "invert": 3 * 12}
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_a_reflection_conjugates_by_its_own_adjusted_parameter(self, monkeypatch, normalized):
+        # det(B) < 0 turns t in the adjusted parameter: its right sides are its own
+        calls = self._calls(monkeypatch, np.diag([1.0, -1.0]), normalized)
         assert calls == {"_theta": 4 * 12, "conjugate": 5 * 12, "invert": 3 * 12}
 
 
