@@ -152,7 +152,8 @@ class AlgebraVector:
     def from_coords(cls, coords: Sequence) -> "AlgebraVector":
         if len(coords) < 4 or len(coords) % 2 != 0:
             raise ValueError(f"coordinate length {len(coords)} is not 2n+2")
-        return cls._of(coords[0], tuple(zip(coords[1:-1:2], coords[2:-1:2])), coords[-1])
+        v = iter(coords[1:-1])
+        return cls._of(coords[0], tuple(zip(v, v)), coords[-1])
 
     @classmethod
     def Z(cls, n: int) -> "AlgebraVector":

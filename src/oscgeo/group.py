@@ -38,7 +38,8 @@ v = vn / dv, rv = R(s) vn and ru = R(t) un, the int
 du <un, rv> - dv <un, ru> - du <rv, ru> (<x, y> = x^T J y) is added to z
 over 2 du^2 dv, and v is un dv + rv du - ru dv over du dv, reduced by one
 gcd.  Floats keep the composed form (h g) h^(-1), formed on the kernels'
-tuples.
+tuples; `conjugation(h, freqs)` is conjugation by one h, which forms a
+float h^(-1) once for every g it is applied to.
 """
 
 from __future__ import annotations
@@ -242,7 +243,8 @@ class GroupElement:
         return GroupElement._of(float(self.z), tuple([x / den for x in self.num]), float(self.t))
 
     def coords(self) -> list:
-        return [self.z, *self.v, self.t]
+        v = self._v  # None until an exact element's v is first read
+        return [self.z, *(self.v if v is None else v), self.t]
 
     def is_identity(self) -> bool:
         if self.is_exact():
@@ -346,6 +348,21 @@ def conjugate(h: GroupElement, g: GroupElement, freqs: FrequencyList) -> GroupEl
         z = z + ExactScalar._of([pair], 2 * du * du * dv)
     num = tuple([a * dv + b * du - c * dv for a, b, c in zip(un, rv, ru)])
     return GroupElement._exact(z, num, du * dv, g.t)
+
+
+def conjugation(h: GroupElement, freqs: FrequencyList):
+    """The map g -> conjugate(h, g, freqs), bit for bit; on floats h^(-1)
+    is formed once, here, and not again per g."""
+    if h.num is not None:
+        return lambda g: conjugate(h, g, freqs)
+    lams, hz, hv, ht = freqs.floats, h.z, h._v, h.t
+    h_inv = _inverse(hz, hv, ht, lams)
+
+    def conj(g: GroupElement) -> GroupElement:
+        _check_pair(h, g, freqs)
+        return GroupElement._of(*_product(*_product(hz, hv, ht, g.z, g._v, g.t, lams), *h_inv, lams))
+
+    return conj
 
 
 def max_coord_dist(g1: GroupElement, g2: GroupElement) -> float:

@@ -41,6 +41,7 @@ from .geodesics import metric_at
 from .group import (
     GroupElement,
     conjugate,
+    conjugation,
     invert,
     max_coord_dist,
     multiply,
@@ -573,18 +574,16 @@ def structure_relations_check(
     else:
         # unnormalized theta is v -> S v with S = P^T B P; invert S pointwise
         theta_inv = lambda g, freqs: _theta(blocks, g, freqs, False, np.linalg.solve)
-    conjugated = [theta.at(conjugate(h, theta_inv(x, freqs), freqs), freqs) for x in points]
+    by_h = conjugation(h, freqs)  # each parameter's inverse is formed once
+    conjugated = [theta.at(by_h(theta_inv(x, freqs)), freqs) for x in points]
     inverses = [invert(x, freqs) for x in points]
-    rhs_i = [conjugate(h_conj, x, freqs) for x in points]
+    rhs_i = list(map(conjugation(h_conj, freqs), points))
     # det(B) > 0 makes h_adj h_conj, so the variant's right sides are those of (i)
-    rhs_adj = rhs_i if det_sign > 0 else [conjugate(h_adj, x, freqs) for x in points]
+    rhs_adj = rhs_i if det_sign > 0 else list(map(conjugation(h_adj, freqs), points))
     sides = {  # relation -> (left sides, right sides) at the points
         "i": (conjugated, rhs_i),
         "i_orientation_adjusted": (conjugated, rhs_adj),
-        "ii": (
-            [invert(conjugate(h, y, freqs), freqs) for y in inverses],
-            [conjugate(h, x, freqs) for x in points],
-        ),
+        "ii": ([invert(by_h(y), freqs) for y in inverses], list(map(by_h, points))),
         "iii": ([invert(theta.at(y, freqs), freqs) for y in inverses],
                 [theta.at(x, freqs) for x in points]),
     }

@@ -387,27 +387,39 @@ def reference_rk4(initials, s_end, step, freqs):
 
 
 small_positive = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=12)
+# the share of entries drawn as 0.0 or -0.0
+zero_shares = st.sampled_from([0.0, 0.2, 0.6])
 
 
+def with_signed_zeros(rng, a, share):
+    """a with about `share` of its entries replaced by 0.0 or -0.0, half each."""
+    mask = rng.random(a.shape) < share
+    a[mask] = np.copysign(0.0, rng.random(int(mask.sum())) - 0.5)
+    return a
+
+
+# the kernels are compared by bytes: np.array_equal counts -0.0 equal to 0.0
 @settings(max_examples=60, deadline=None)
 @given(
-    lams=st.lists(small_positive, min_size=1, max_size=3),
-    batch=st.integers(1, 40),
+    # 1..10 blocks: numpy sums up to 7 terms in sequence, 8 on pairwise
+    lams=st.lists(small_positive, min_size=1, max_size=PAIRWISE_TERMS + 2),
+    batch=st.integers(1, 64),
     steps=st.integers(1, 200),
     s_end=st.floats(0.01, 3) | st.floats(-3, -0.01),
+    zeros=zero_shares,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rk4_is_bit_identical_to_the_plain_form(lams, batch, steps, s_end, seed):
+def test_rk4_is_bit_identical_to_the_plain_form(lams, batch, steps, s_end, zeros, seed):
     freqs = FrequencyList(lams)
     rng = np.random.default_rng(seed)
-    initials = rng.uniform(-2, 2, size=(batch, freqs.dim))
+    initials = with_signed_zeros(rng, rng.uniform(-2, 2, size=(batch, freqs.dim)), zeros)
     step = abs(s_end) / steps
     got = integrate_geodesic_batch(initials, s_end, step, freqs)
-    assert np.array_equal(got, reference_rk4(initials, s_end, step, freqs))
-    states = rng.uniform(-2, 2, size=(batch, 2 * freqs.dim))
+    assert got.tobytes() == reference_rk4(initials, s_end, step, freqs).tobytes()
+    states = with_signed_zeros(rng, rng.uniform(-2, 2, size=(batch, 2 * freqs.dim)), zeros)
     rows = geodesic_rhs(states, freqs)
-    assert np.array_equal(rows, reference_rhs(states, freqs))
-    assert np.array_equal(geodesic_rhs(states[0], freqs), rows[0])
+    assert rows.tobytes() == reference_rhs(states, freqs).tobytes()
+    assert geodesic_rhs(states[0], freqs).tobytes() == rows[0].tobytes()
 
 
 def test_rk4_is_bit_identical_to_the_plain_form_for_many_blocks():
@@ -415,7 +427,7 @@ def test_rk4_is_bit_identical_to_the_plain_form_for_many_blocks():
     freqs = FrequencyList([Fraction(k, 3) for k in range(1, 10)])
     initials = np.random.default_rng(9).uniform(-2, 2, size=(32, freqs.dim))
     got = integrate_geodesic_batch(initials, -0.4, 0.02, freqs)
-    assert np.array_equal(got, reference_rk4(initials, -0.4, 0.02, freqs))
+    assert got.tobytes() == reference_rk4(initials, -0.4, 0.02, freqs).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,17 +438,20 @@ def test_rk4_is_bit_identical_to_the_plain_form_for_many_blocks():
     steps=st.integers(1, 3),
     s_end=st.floats(0.01, 3) | st.floats(-3, -0.01),
     lead=st.lists(st.integers(1, 6), max_size=2),
+    zeros=zero_shares,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_stage_kernel_is_bit_identical_to_the_plain_form(lams, batch, steps, s_end, lead, seed):
+def test_the_stage_kernel_is_bit_identical_to_the_plain_form(lams, batch, steps, s_end, lead,
+                                                              zeros, seed):
     freqs = FrequencyList(lams)
     rng = np.random.default_rng(seed)
-    initials = rng.uniform(-2, 2, size=(batch, freqs.dim))
+    initials = with_signed_zeros(rng, rng.uniform(-2, 2, size=(batch, freqs.dim)), zeros)
     step = abs(s_end) / steps
     got = integrate_geodesic_batch(initials, s_end, step, freqs)
-    assert np.array_equal(got, reference_rk4(initials, s_end, step, freqs))
-    states = rng.uniform(-2, 2, size=(*lead, 2 * freqs.dim))  # 1-D, 2-D or 3-D
-    assert np.array_equal(geodesic_rhs(states, freqs), reference_rhs(states, freqs))
+    assert got.tobytes() == reference_rk4(initials, s_end, step, freqs).tobytes()
+    # 1-D, 2-D or 3-D
+    states = with_signed_zeros(rng, rng.uniform(-2, 2, size=(*lead, 2 * freqs.dim)), zeros)
+    assert geodesic_rhs(states, freqs).tobytes() == reference_rhs(states, freqs).tobytes()
 
 
 def thirds(n: int) -> FrequencyList:

@@ -14,6 +14,7 @@ from oscgeo.group import (
     ExactModeUnsupportedAngle,
     GroupElement,
     conjugate,
+    conjugation,
     invert,
     is_quarter_turn,
     max_coord_dist,
@@ -456,6 +457,7 @@ def test_exact_conjugation_is_the_composed_product(data):
     conjugated = conjugate(h, g, fl)
     assert conjugated == composed
     assert_canonical(conjugated)
+    assert conjugation(h, fl)(g) == conjugated
 
 
 def test_float_conjugation_is_bitwise_the_composed_product():
@@ -602,6 +604,14 @@ def test_float_kernels_are_bitwise_the_pairwise_law(data):
     assert _bits(lambda: multiply(h, g, fl)) == _bits(lambda: _pairwise_multiply(h, g, fl))
     assert _bits(lambda: invert(h, fl)) == _bits(lambda: _pairwise_invert(h, fl))
     assert _bits(lambda: conjugate(h, g, fl)) == _bits(lambda: _pairwise_conjugate(h, g, fl))
+    # one conjugation map by h, its inverse formed once, gives conjugate's bits for each g
+    try:
+        by_h = conjugation(h, fl)
+    except ValueError as exc:  # an infinite angle of h: conjugate refuses every g alike
+        assert _bits(lambda: conjugate(h, g, fl)) == (type(exc).__name__, str(exc))
+    else:
+        for k in (g, h):
+            assert _bits(lambda: by_h(k)) == _bits(lambda: conjugate(h, k, fl))
 
 
 # -- the int-scaled exact v ---------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscgeo import isometries
+from oscgeo import group, isometries
 from oscgeo.algebra import FrequencyList
 from oscgeo.exact import ExactScalar, PI
 from oscgeo.group import (
@@ -396,10 +396,12 @@ class TestStructureRelations:
 
     @staticmethod
     def _calls(monkeypatch, b, normalized):
-        calls = {"_theta": 0, "conjugate": 0, "invert": 0}
+        # "conjugation" counts the parameters conjugated by, "conjugate" the
+        # conjugations made, and "_inverse" every float inversion in group
+        calls = {"_theta": 0, "conjugation": 0, "conjugate": 0, "invert": 0, "_inverse": 0}
 
-        def counting(name):
-            inner = getattr(isometries, name)
+        def counting(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -407,8 +409,22 @@ class TestStructureRelations:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(isometries, name, counting(name))
+        for name in ("_theta", "invert"):
+            monkeypatch.setattr(isometries, name, counting(isometries, name))
+        monkeypatch.setattr(group, "_inverse", counting(group, "_inverse"))
+        conjugation = isometries.conjugation
+
+        def counting_conjugation(h, freqs):
+            calls["conjugation"] += 1
+            conj = conjugation(h, freqs)
+
+            def wrapper(g):
+                calls["conjugate"] += 1
+                return conj(g)
+
+            return wrapper
+
+        monkeypatch.setattr(isometries, "conjugation", counting_conjugation)
         structure_relations_check([b], (1.0, 0.5), 0.9, F1, normalized=normalized)
         return calls
 
@@ -417,14 +433,17 @@ class TestStructureRelations:
         calls = self._calls(monkeypatch, np.array([[0.6, -0.8], [0.8, 0.6]]), normalized)
         # (i) and its orientation-adjusted variant share their left sides, and
         # with det(B) > 0 their right sides too; (ii) and (iii) share x^-1;
-        # theta^-1 runs through the same _theta
-        assert calls == {"_theta": 4 * 12, "conjugate": 4 * 12, "invert": 3 * 12}
+        # theta^-1 runs through the same _theta; h and h_conj are each
+        # inverted once, the points once each
+        assert calls == {"_theta": 4 * 12, "conjugation": 2, "conjugate": 4 * 12,
+                         "invert": 3 * 12, "_inverse": 3 * 12 + 2}
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_a_reflection_conjugates_by_its_own_adjusted_parameter(self, monkeypatch, normalized):
         # det(B) < 0 turns t in the adjusted parameter: its right sides are its own
         calls = self._calls(monkeypatch, np.diag([1.0, -1.0]), normalized)
-        assert calls == {"_theta": 4 * 12, "conjugate": 5 * 12, "invert": 3 * 12}
+        assert calls == {"_theta": 4 * 12, "conjugation": 3, "conjugate": 5 * 12,
+                         "invert": 3 * 12, "_inverse": 3 * 12 + 3}
 
 
 def _relations_by_composition(blocks, v, t, freqs, normalized, samples, seed):
